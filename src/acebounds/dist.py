@@ -354,6 +354,9 @@ def _parse_dist(fh, name: str) -> DiscreteJoint:
             c, a, z, y, p = (float(x) for x in row)
         except ValueError as exc:
             raise DomainError(f"{name}:{lineno}: {exc}") from None
+        for column, v in zip(VAR_NAMES + ("p",), (c, a, z, y, p)):
+            if not math.isfinite(v):
+                raise DomainError(f"{name}:{lineno}: non-finite value in column {column!r}")
         key = (c, a, z, y)
         if key in cells:
             raise DomainError(f"{name}:{lineno}: duplicate cell {key}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -88,6 +89,9 @@ class Dataset:
         n = self.c.size
         if not (self.a.size == self.z.size == self.y.size == n):
             raise DomainError("c, a, z, y must have equal length")
+        for name in ("c", "a", "z", "y"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DomainError(f"non-finite value in column {name!r}")
         if n < 2:
             raise DomainError("a dataset needs at least two rows")
         for level in (self.pair.a_star, self.pair.a_ref):
@@ -525,9 +529,13 @@ def _parse_data(fh, name: str, pair: TreatmentPair) -> Dataset:
         if len(row) != 4:
             raise DomainError(f"{name}:{lineno}: expected 4 fields, got {len(row)}")
         try:
-            rows.append([float(x) for x in row])
+            values = [float(x) for x in row]
         except ValueError as exc:
             raise DomainError(f"{name}:{lineno}: {exc}") from None
+        for column, v in zip(("c", "a", "z", "y"), values):
+            if not math.isfinite(v):
+                raise DomainError(f"{name}:{lineno}: non-finite value in column {column!r}")
+        rows.append(values)
     if not rows:
         raise DomainError(f"{name}: no observations")
     arr = np.asarray(rows, dtype=float)

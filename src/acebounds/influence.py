@@ -22,6 +22,13 @@ functions are their vectorized cores: they take aligned 1-d arrays and return
 the m value per row, which is what the plug-in estimators average.  Nuisance
 components must broadcast like numpy ufuncs over their arguments.
 
+The sums over the mediator depend on a row only through its (a, c).  Each
+evaluator therefore finds the distinct (a, c) levels among the rows it is
+given, integrates once per level (a levels x nodes grid), and gathers the
+per-level results back to the rows through the inverse index.  This holds on
+any row subset, such as a cross-fitting fold; with a continuous covariate every
+row may be its own level, which costs what per-row integration would.
+
 For FD_TD and BD_FD_TD the marginal treatment probability appearing in the
 indicator terms is assembled from p(C) and p(A|C) rather than read from the
 p(A) slot; those two estimating functions are the ones whose consistency
@@ -30,6 +37,7 @@ trades on exactly that pair of components.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -114,6 +122,29 @@ def _col(x):
     return np.asarray(x)[..., None]
 
 
+def _levels(*cols):
+    """Distinct value combinations of aligned row columns.
+
+    Returns one level array per column and the inverse index that maps each
+    row to its level, so ``level[inv]`` restores the column.  Each column is
+    coded on its own; the combined codes are counted rather than sorted.  For
+    the (a, c) pair the code space is at most |A| x n, the order of the
+    evaluators' own sums over the treatment support.
+    """
+    uniqs, codes = zip(*(np.unique(col, return_inverse=True) for col in cols))
+    shape = tuple(u.size for u in uniqs)
+    code = np.ravel_multi_index(codes, shape)
+    seen = np.bincount(code, minlength=math.prod(shape)) > 0
+    levels = [u[i] for u, i in zip(uniqs, np.unravel_index(np.flatnonzero(seen), shape))]
+    return levels, (np.cumsum(seen) - 1)[code]
+
+
+def _gather(vals, inv):
+    """Per-level values copied back to rows; a level-free scalar is broadcast."""
+    vals = np.asarray(vals, dtype=float)
+    return vals[inv] if vals.ndim else np.full(inv.shape, float(vals))
+
+
 # -- the six estimating functions (vectorized) ------------------------------
 
 
@@ -138,6 +169,7 @@ def eval_fd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     eta.require("p_a", "p_z_given_a", "mean_y_az", "z_integrator")
     c, a, z, y = _rows(c, a, z, y)
     rule, pz = eta.z_integrator, eta.p_z_given_a
+    (la, _), inv = _levels(a, c)
     pa_s = _check_pos(eta.p_a(pair.a_star), "p(a*)")
     pa_r = _check_pos(eta.p_a(pair.a_ref), "p(a)")
     pz_obs = _check_pos(pz(z, a), "p(z|A) at the observed rows")
@@ -153,11 +185,11 @@ def eval_fd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     ind_r = (a == pair.a_ref).astype(float)
 
     def own_arm(zz):
-        return eta.mean_y_az(_col(a), zz)
+        return eta.mean_y_az(_col(la), zz)
 
     t1 = (y - eta.mean_y_az(a, z)) * shift / pz_obs
     t2 = ind_s / pa_s * (pooled_obs - ey_star) - ind_r / pa_r * (pooled_obs - ey_ref)
-    t3 = expect_z(rule, pz, own_arm, pair.a_star) - expect_z(rule, pz, own_arm, pair.a_ref)
+    t3 = _gather(expect_z(rule, pz, own_arm, pair.a_star) - expect_z(rule, pz, own_arm, pair.a_ref), inv)
     return t1 + t2 + t3
 
 
@@ -165,25 +197,26 @@ def eval_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     eta.require("p_a_given_c", "p_z_given_ac", "mean_y_azc", "z_integrator")
     c, a, z, y = _rows(c, a, z, y)
     rule, pzac = eta.z_integrator, eta.p_z_given_ac
+    (la, lc), inv = _levels(a, c)
     ps_c = _check_pos(eta.p_a_given_c(pair.a_star, c), "p(a*|c)")
     pr_c = _check_pos(eta.p_a_given_c(pair.a_ref, c), "p(a|c)")
     pz_obs = _check_pos(pzac(z, a, c), "p(z|A,c) at the observed rows")
     shift = pzac(z, pair.a_star, c) - pzac(z, pair.a_ref, c)
 
     def pooled(zz):
-        return _mixture_over_a(eta, lambda ab: eta.mean_y_azc(ab, zz, _col(c)) * eta.p_a_given_c(ab, _col(c)))
+        return _mixture_over_a(eta, lambda ab: eta.mean_y_azc(ab, zz, _col(lc)) * eta.p_a_given_c(ab, _col(lc)))
 
     pooled_obs = _mixture_over_a(eta, lambda ab: eta.mean_y_azc(ab, z, c) * eta.p_a_given_c(ab, c))
-    pooled_bar = expect_z(rule, pzac, pooled, a, c)
+    pooled_bar = _gather(expect_z(rule, pzac, pooled, la, lc), inv)
 
     def own_arm(zz):
-        return eta.mean_y_azc(_col(a), zz, _col(c))
+        return eta.mean_y_azc(_col(la), zz, _col(lc))
 
     ind_s = (a == pair.a_star).astype(float)
     ind_r = (a == pair.a_ref).astype(float)
     t1 = (y - eta.mean_y_azc(a, z, c)) * shift / pz_obs
     t2 = (pooled_obs - pooled_bar) * (ind_s / ps_c - ind_r / pr_c)
-    t3 = expect_z(rule, pzac, own_arm, pair.a_star, c) - expect_z(rule, pzac, own_arm, pair.a_ref, c)
+    t3 = _gather(expect_z(rule, pzac, own_arm, pair.a_star, lc) - expect_z(rule, pzac, own_arm, pair.a_ref, lc), inv)
     return t1 + t2 + t3
 
 
@@ -192,20 +225,21 @@ def eval_td_reduced(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     eta.require("p_a_given_c", "p_z_given_a", "mean_y_zc", "z_integrator")
     c, a, z, y = _rows(c, a, z, y)
     rule, pz = eta.z_integrator, eta.p_z_given_a
+    (la, lc), inv = _levels(a, c)
     ps_c = _check_pos(eta.p_a_given_c(pair.a_star, c), "p(a*|c)")
     pr_c = _check_pos(eta.p_a_given_c(pair.a_ref, c), "p(a|c)")
     pz_obs = _check_pos(pz(z, a), "p(z|A) at the observed rows")
     shift = pz(z, pair.a_star) - pz(z, pair.a_ref)
 
     def outcome_zc(zz):
-        return eta.mean_y_zc(zz, _col(c))
+        return eta.mean_y_zc(zz, _col(lc))
 
-    ebar = expect_z(rule, pz, outcome_zc, a)
+    ebar = _gather(expect_z(rule, pz, outcome_zc, la), inv)
     ind_s = (a == pair.a_star).astype(float)
     ind_r = (a == pair.a_ref).astype(float)
     t1 = (y - eta.mean_y_zc(z, c)) * shift / pz_obs
     t2 = (eta.mean_y_zc(z, c) - ebar) * (ind_s / ps_c - ind_r / pr_c)
-    t3 = expect_z(rule, pz, outcome_zc, pair.a_star) - expect_z(rule, pz, outcome_zc, pair.a_ref)
+    t3 = _gather(expect_z(rule, pz, outcome_zc, pair.a_star) - expect_z(rule, pz, outcome_zc, pair.a_ref), inv)
     return t1 + t2 + t3
 
 
@@ -213,6 +247,7 @@ def eval_bd_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     eta.require("p_a_given_c", "p_z_given_ac", "mean_y_zc", "z_integrator")
     c, a, z, y = _rows(c, a, z, y)
     rule, pzac = eta.z_integrator, eta.p_z_given_ac
+    (la, lc), inv = _levels(a, c)
     ps_c = _check_pos(eta.p_a_given_c(pair.a_star, c), "p(a*|c)")
     pr_c = _check_pos(eta.p_a_given_c(pair.a_ref, c), "p(a|c)")
     mix = _mixture_over_a(eta, lambda ab: pzac(z, ab, c) * eta.p_a_given_c(ab, c))
@@ -220,14 +255,14 @@ def eval_bd_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     shift = pzac(z, pair.a_star, c) - pzac(z, pair.a_ref, c)
 
     def outcome_zc(zz):
-        return eta.mean_y_zc(zz, _col(c))
+        return eta.mean_y_zc(zz, _col(lc))
 
-    ebar = expect_z(rule, pzac, outcome_zc, a, c)
+    ebar = _gather(expect_z(rule, pzac, outcome_zc, la, lc), inv)
     ind_s = (a == pair.a_star).astype(float)
     ind_r = (a == pair.a_ref).astype(float)
     t1 = (y - eta.mean_y_zc(z, c)) * shift / mix
     t2 = (eta.mean_y_zc(z, c) - ebar) * (ind_s / ps_c - ind_r / pr_c)
-    t3 = expect_z(rule, pzac, outcome_zc, pair.a_star, c) - expect_z(rule, pzac, outcome_zc, pair.a_ref, c)
+    t3 = _gather(expect_z(rule, pzac, outcome_zc, pair.a_star, lc) - expect_z(rule, pzac, outcome_zc, pair.a_ref, lc), inv)
     return t1 + t2 + t3
 
 
@@ -242,6 +277,7 @@ def eval_fd_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     eta.require("p_c", "p_a_given_c", "p_z_given_a", "mean_y_azc", "z_integrator")
     c, a, z, y = _rows(c, a, z, y)
     rule, pz = eta.z_integrator, eta.p_z_given_a
+    (la, lc), inv = _levels(a, c)
     pz_obs = _check_pos(pz(z, a), "p(z|A) at the observed rows")
     shift = pz(z, pair.a_star) - pz(z, pair.a_ref)
     marg_s = _check_pos(_marginal_treatment(eta, pair.a_star), "sum_c p(c) p(a*|c)")
@@ -254,17 +290,17 @@ def eval_fd_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
         def pooled(zz, cv=cv):
             return _mixture_over_a(eta, lambda ab: eta.mean_y_azc(ab, zz, cv) * eta.p_a_given_c(ab, cv))
 
-        pooled_bar = expect_z(rule, pz, pooled, a)
+        pooled_bar = _gather(expect_z(rule, pz, pooled, la), inv)
         centered = centered + float(eta.p_c(cv)) * (pooled_at - pooled_bar)
 
     def own_arm(zz):
-        return eta.mean_y_azc(_col(a), zz, _col(c))
+        return eta.mean_y_azc(_col(la), zz, _col(lc))
 
     ind_s = (a == pair.a_star).astype(float)
     ind_r = (a == pair.a_ref).astype(float)
     t1 = (y - eta.mean_y_azc(a, z, c)) * shift / pz_obs
     t2 = centered * (ind_s / marg_s - ind_r / marg_r)
-    t3 = expect_z(rule, pz, own_arm, pair.a_star) - expect_z(rule, pz, own_arm, pair.a_ref)
+    t3 = _gather(expect_z(rule, pz, own_arm, pair.a_star) - expect_z(rule, pz, own_arm, pair.a_ref), inv)
     return t1 + t2 + t3
 
 
@@ -272,6 +308,7 @@ def eval_bd_fd_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     eta.require("p_c", "p_a_given_c", "p_z_given_a", "mean_y_zc", "z_integrator")
     c, a, z, y = _rows(c, a, z, y)
     rule, pz = eta.z_integrator, eta.p_z_given_a
+    (la, lc), inv = _levels(a, c)
     mix = _mixture_over_a(eta, lambda ab: eta.p_a_given_c(ab, c) * pz(z, ab))
     _check_pos(mix, "sum_a p(a|c) p(z|a)")
     shift = pz(z, pair.a_star) - pz(z, pair.a_ref)
@@ -280,17 +317,17 @@ def eval_bd_fd_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
 
     centered = 0.0
     for cv in eta.c_support:
-        ebar = expect_z(rule, pz, lambda zz, cv=cv: eta.mean_y_zc(zz, cv), a)
+        ebar = _gather(expect_z(rule, pz, lambda zz, cv=cv: eta.mean_y_zc(zz, cv), la), inv)
         centered = centered + float(eta.p_c(cv)) * (eta.mean_y_zc(z, cv) - ebar)
 
     def outcome_zc(zz):
-        return eta.mean_y_zc(zz, _col(c))
+        return eta.mean_y_zc(zz, _col(lc))
 
     ind_s = (a == pair.a_star).astype(float)
     ind_r = (a == pair.a_ref).astype(float)
     t1 = (y - eta.mean_y_zc(z, c)) * shift / mix
     t2 = centered * (ind_s / marg_s - ind_r / marg_r)
-    t3 = expect_z(rule, pz, outcome_zc, pair.a_star) - expect_z(rule, pz, outcome_zc, pair.a_ref)
+    t3 = _gather(expect_z(rule, pz, outcome_zc, pair.a_star) - expect_z(rule, pz, outcome_zc, pair.a_ref), inv)
     return t1 + t2 + t3
 
 

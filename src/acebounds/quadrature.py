@@ -3,9 +3,12 @@
 Every sum-over-z appearing in an influence function is an expectation of some
 g(z) under a conditional mediator law.  The rules below turn such a law into a
 node grid plus weights so that ``sum(g(nodes) * weights, axis=-1)`` evaluates
-the expectation.  Conditioning values may be scalars or 1-d arrays of per-row
-values; row arrays are reshaped to broadcast against the node axis, so g must
-do the same with any row-level quantities it closes over.
+the expectation.  Conditioning values may be scalars or 1-d arrays of
+conditioning levels; level arrays are reshaped to broadcast against the node
+axis, so g must do the same with any level arrays it closes over.  Callers
+integrate once per distinct conditioning level rather than once per data row,
+and copy the per-level results back to their rows (see
+:mod:`acebounds.influence`).
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class GaussHermiteZRule:
 def expect_z(rule, density, g, *cond):
     """E[g(Z) | cond] under `density`, integrated with `rule`.
 
-    Returns an array shaped like the (broadcast) conditioning rows, or a
-    scalar when every input is scalar and g introduces no row axis.
+    Returns an array shaped like the (broadcast) conditioning levels, or a
+    scalar when every input is scalar and g introduces no level axis.
     """
     nodes, weights = rule.grid(density, *cond)
     vals = np.asarray(g(nodes), dtype=float)

@@ -215,3 +215,10 @@ def test_dist_csv_rejects_duplicate_cells(tmp_path):
 
 def test_uniform_helper_consistency(uniform_dist):
     assert uniform_joint().pmf == pytest.approx(uniform_dist.pmf)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_dist_csv_rejects_non_finite(bad):
+    text = f"c,a,z,y,p\n0,0,0,0,0.5\n0,1,{bad},0,0.5\n"
+    with pytest.raises(DomainError, match=r"<stream>:3: .*non-finite"):
+        read_dist_csv(io.StringIO(text))

@@ -198,3 +198,20 @@ def test_data_csv_error_has_line_number(tmp_path):
     path.write_text("c,a,z,y\n0,1,0.5,??\n")
     with pytest.raises(DomainError, match=":2"):
         read_data_csv(path, PAIR)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_data_csv_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "obs.csv"
+    path.write_text(f"c,a,z,y\n0,1,0.5,1.0\n1,0,{bad},0.0\n")
+    with pytest.raises(DomainError, match=r"obs\.csv:3: .*non-finite"):
+        read_data_csv(path, PAIR)
+
+
+@pytest.mark.parametrize("column", ["c", "a", "z", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite(column, bad):
+    cols = {"c": np.zeros(4), "a": np.array([0.0, 1.0, 0.0, 1.0]), "z": np.zeros(4), "y": np.zeros(4)}
+    cols[column][2] = bad
+    with pytest.raises(DomainError, match=f"non-finite value in column {column!r}"):
+        Dataset(**cols, pair=PAIR)

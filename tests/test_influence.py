@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import acebounds.influence as influence
+from acebounds.bounds import SimDgpParams
 from acebounds.dist import TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
 from acebounds.errors import MissingNuisance, PositivityViolation
 from acebounds.influence import (
@@ -16,7 +18,9 @@ from acebounds.influence import (
     m_fd,
     truth_nuisances,
 )
+from acebounds.fitting import fit
 from acebounds.quadrature import FiniteZRule
+from acebounds.simlab import sample_dgp, setting_model_specs, simdgp_truth_nuisances
 
 from conftest import PAIR, random_chain_dist
 
@@ -177,3 +181,73 @@ def test_finite_rule_expectation_matches_direct_sum():
     table = dist.conditional_table(("z",), {"a": 1.0})
     want = float(np.sum(table * dist.z_support**2))
     assert float(got) == pytest.approx(want, abs=1e-13)
+
+
+STUDY_PARAMS = SimDgpParams(alpha=1.0, beta=1.5, gamma1=0.5, gamma2=1.5)
+
+
+def _per_row(tag, c, a, z, y, eta, pair):
+    rows = (slice(i, i + 1) for i in range(c.size))
+    return np.array([evaluate_m(tag, c[r], a[r], z[r], y[r], eta, pair)[0] for r in rows])
+
+
+def _continuous_c_rows():
+    # every row carries its own covariate value, so every row is its own level
+    rng = np.random.default_rng(5)
+    n = 40
+    c = rng.standard_normal(n)
+    a = (rng.random(n) < 0.5).astype(float)
+    z = 1.5 * a + rng.standard_normal(n)
+    y = 0.5 * z + 1.5 * c + rng.standard_normal(n)
+    return (c, a, z, y), simdgp_truth_nuisances(STUDY_PARAMS)
+
+
+def _fitted_rows(setting):
+    # settings 1 and 3 drop the treatment from the mediator law: level-free integrals
+    data = sample_dgp(STUDY_PARAMS, 120, 11 + setting)
+    return (data.c, data.a, data.z, data.y), fit(data, setting_model_specs(setting))
+
+
+def _chain_rows():
+    dist = _dist(47)
+    cells = np.array(list(dist.cells()))
+    return tuple(cells[:, :4].T), truth_nuisances(dist)
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [_continuous_c_rows, lambda: _fitted_rows(1), lambda: _fitted_rows(3), _chain_rows],
+    ids=["continuous-c", "setting-1", "setting-3", "chain-joint"],
+)
+def test_per_level_evaluation_matches_per_row(make_input):
+    (c, a, z, y), eta = make_input()
+    for tag in ALL_TAGS:
+        batch = evaluate_m(tag, c, a, z, y, eta, PAIR)
+        np.testing.assert_allclose(batch, _per_row(tag, c, a, z, y, eta, PAIR), rtol=0, atol=1e-12, err_msg=tag)
+
+
+def test_grid_size_does_not_grow_with_rows(monkeypatch):
+    # integration runs once per (a, c) level, so node-grid sizes are independent of n
+    real = influence.expect_z
+    elements = [0]
+
+    def counting(rule, density, g, *cond):
+        def counted(nodes):
+            vals = g(nodes)
+            elements[0] += np.size(vals)
+            return vals
+
+        return real(rule, density, counted, *cond)
+
+    monkeypatch.setattr(influence, "expect_z", counting)
+    totals = {}
+    for n in (1000, 5000):
+        data = sample_dgp(STUDY_PARAMS, n, 3)
+        eta = fit(data, setting_model_specs(0))
+        for tag in ALL_TAGS:
+            elements[0] = 0
+            evaluate_m(tag, data.c, data.a, data.z, data.y, eta, data.pair)
+            totals[tag, n] = elements[0]
+    for tag in ALL_TAGS:
+        assert totals[tag, 1000] == totals[tag, 5000], tag
+        assert (totals[tag, 1000] > 0) == (tag != "BD"), tag
