@@ -13,15 +13,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import compare as cmp_mod
 from .bounds import MODELS, SimDgpParams, bound, simdgp_bound
-from .dist import TreatmentPair, read_dist_csv
+from .dist import TreatmentPair, read_dist_csv, write_text
 from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, EstimationResult, estimate_all
 from .fitting import CrossFitPlan, ModelSpec, fit, read_data_csv
@@ -31,26 +29,10 @@ from .simlab import McConfig, run_mc, setting_model_specs
 __all__ = ["main"]
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acebounds-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        _atomic_write(out, text)
+    if out is None and not text.endswith("\n"):
+        text += "\n"
+    write_text(text, sys.stdout if out is None else out)
 
 
 def _fmt(value) -> str:
@@ -278,9 +260,7 @@ def cmd_compare(args) -> int:
             if key in cfg:
                 grid[key] = np.array([float(v) for v in cfg[key].split(",")])
         rows = cmp_mod.binary_family_scan(grid)
-        buf = io.StringIO()
-        cmp_mod.scan_to_csv(rows, buf)
-        _emit(buf.getvalue(), args.out)
+        cmp_mod.scan_to_csv(rows, sys.stdout if args.out is None else args.out)
         violations = int(np.sum(rows["interval_member"] & (rows["diff"] > 1e-10)))
         if violations:
             sys.stderr.write(f"{violations} grid points violate the ratio-band ordering\n")

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, chain_joint, fsum
+from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, chain_joint, fsum, write_text
 from .errors import AssumptionViolation, DomainError
 from .special import expit
 
@@ -300,9 +300,4 @@ def scan_to_csv(rows: np.ndarray, target) -> None:
                 int(row["interval_member"]),
             ]
         )
-    text = buf.getvalue()
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    write_text(buf.getvalue(), target)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +74,16 @@ class DiscreteJoint:
         for name, sup in zip(VAR_NAMES, self.supports()):
             if sup.ndim != 1 or sup.size == 0:
                 raise DomainError(f"support of {name} must be a non-empty 1-d sequence")
+            if not np.all(np.isfinite(sup)):
+                raise DomainError(f"support of {name} must hold finite values")
             if np.unique(sup).size != sup.size:
                 raise DomainError(f"support of {name} contains duplicate values")
         pmf = np.asarray(pmf, dtype=float)
         shape = tuple(s.size for s in self.supports())
         if pmf.shape != shape:
             raise DomainError(f"pmf shape {pmf.shape} does not match supports {shape}")
+        if not np.all(np.isfinite(pmf)):
+            raise DomainError("pmf entries must be finite")
         if np.any(pmf < 0):
             raise DomainError("pmf entries must be non-negative")
         total = fsum(pmf)
@@ -381,9 +386,25 @@ def write_dist_csv(dist: DiscreteJoint, target) -> None:
     writer.writerow(["c", "a", "z", "y", "p"])
     for c, a, z, y, p in dist.cells():
         writer.writerow([repr(float(c)), repr(float(a)), repr(float(z)), repr(float(y)), repr(float(p))])
-    data = buf.getvalue()
+    write_text(buf.getvalue(), target)
+
+
+def write_text(text: str, target) -> None:
+    """Write `text` to a stream, or to a path through a temp file and os.replace.
+
+    A path is never left half-written: readers see the old file or the new one.
+    The temp file is created like open(path, "w") would, so the umask applies.
+    """
     if hasattr(target, "write"):
-        target.write(data)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+        target.write(text)
+        return
+    tmp = os.path.join(os.path.dirname(os.path.abspath(target)), f".acebounds-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import TreatmentPair
+from .dist import TreatmentPair, write_text
 from .errors import (
     DegenerateModel,
     DomainError,
@@ -212,6 +212,15 @@ def logistic_fit(X: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float =
     raise MaxIterExceeded(f"IRLS did not converge in {max_iter} iterations")
 
 
+def _linear_predictor(coef, predictors, arg_names, args):
+    """coef[0] + sum_j coef[j] * x_j, each predictor x_j picked from `args` by its name."""
+    named = dict(zip(arg_names, args))
+    out = coef[0]
+    for j, p in enumerate(predictors, start=1):
+        out = out + coef[j] * np.asarray(named[p], dtype=float)
+    return out
+
+
 class GaussianConditional:
     """Gaussian law for a response given predictors: mean linear in them, constant sd."""
 
@@ -222,11 +231,7 @@ class GaussianConditional:
         self.sd = float(sd)
 
     def location_scale(self, *cond):
-        named = dict(zip(self.arg_names, cond))
-        mu = self.coef[0]
-        for j, p in enumerate(self.predictors, start=1):
-            mu = mu + self.coef[j] * np.asarray(named[p], dtype=float)
-        return mu, self.sd
+        return _linear_predictor(self.coef, self.predictors, self.arg_names, cond), self.sd
 
     def __call__(self, value, *cond):
         mu, sd = self.location_scale(*cond)
@@ -265,11 +270,7 @@ class _LinearMean:
         self.coef = np.asarray(coef, dtype=float)
 
     def __call__(self, *args):
-        named = dict(zip(self.arg_names, args))
-        out = self.coef[0]
-        for j, p in enumerate(self.predictors, start=1):
-            out = out + self.coef[j] * np.asarray(named[p], dtype=float)
-        return _spread(out, args)
+        return _spread(_linear_predictor(self.coef, self.predictors, self.arg_names, args), args)
 
 
 class _Logistic:
@@ -283,11 +284,7 @@ class _Logistic:
         self.lo_level = lo_level
 
     def __call__(self, value, *cond):
-        named = dict(zip(self.arg_names[1:], cond))
-        lin = self.coef[0]
-        for j, p in enumerate(self.predictors, start=1):
-            lin = lin + self.coef[j] * np.asarray(named[p], dtype=float)
-        p_hi = expit(lin)
+        p_hi = expit(_linear_predictor(self.coef, self.predictors, self.arg_names[1:], cond))
         value = np.asarray(value, dtype=float)
         out = np.where(value == self.hi_level, p_hi, np.where(value == self.lo_level, 1.0 - p_hi, np.nan))
         if np.any(np.isnan(out)):
@@ -548,9 +545,4 @@ def write_data_csv(data: Dataset, target) -> None:
     writer.writerow(["c", "a", "z", "y"])
     for row in zip(data.c, data.a, data.z, data.y):
         writer.writerow([repr(float(v)) for v in row])
-    text = buf.getvalue()
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    write_text(buf.getvalue(), target)

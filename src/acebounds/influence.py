@@ -1,44 +1,58 @@
 """Pointwise evaluation of m(x, eta) = phi(x, eta, theta) + theta for each influence function.
 
-Six estimating functions are provided, one per identification model:
+One estimating function per identification model, plus a reduced two-door
+form (``TD_REDUCED``) for data where the outcome does not depend on treatment
+given (Z, C) and the mediator law does not depend on C given A.  BD is
+written out in ``eval_bd``.  Every other model goes through the mediator, and
+its m has the same three terms:
 
-=========  =================================================================
-tag        nuisance components used
-=========  =================================================================
-BD         p(A|C), E(Y|A,C)
-FD         p(A), p(Z|A), E(Y|A,Z)
-TD         p(A|C), p(Z|A,C), E(Y|A,Z,C)
-BD_TD      p(A|C), p(Z|A,C), E(Y|Z,C)
-FD_TD      p(C), p(A|C), p(Z|A), E(Y|A,Z,C)
-BD_FD_TD   p(C), p(A|C), p(Z|A), E(Y|Z,C)
-=========  =================================================================
+* the outcome residual times the mediator shift p(z|a*,.) - p(z|a,.), over a
+  mediator mass;
+* the pooled outcome, centred by its expectation under the mediator law at
+  the row's treatment, times 1{A=a*}/w(a*) - 1{A=a}/w(a); the pooled outcome
+  is the outcome averaged over the same treatment weights w;
+* the plug-in contrast of the row's outcome regression, integrated under the
+  mediator law at a* and at a.
 
-A reduced two-door form (``TD`` with components p(A|C), p(Z|A), E(Y|Z,C)) is
-also provided for data where the outcome does not depend on treatment given
-(Z, C) and the mediator law does not depend on C given A.
+One kernel evaluates all six from a table row per tag, which names the slots
+it reads:
 
-The public ``m_*`` functions take a single :class:`Observation`.  The ``eval_*``
-functions are their vectorized cores: they take aligned 1-d arrays and return
-the m value per row, which is what the plug-in estimators average.  Nuisance
-components must broadcast like numpy ufuncs over their arguments.
+==========  ============  ==========  ====  ===========
+tag         law           outcome     mass  weights
+==========  ============  ==========  ====  ===========
+BD          --            mean_y_ac   --    p_a_given_c
+FD          p_z_given_a   mean_y_az   own   p_a
+TD          p_z_given_ac  mean_y_azc  own   p_a_given_c
+TD_REDUCED  p_z_given_a   mean_y_zc   own   p_a_given_c
+BD_TD       p_z_given_ac  mean_y_zc   mix   p_a_given_c
+FD_TD       p_z_given_a   mean_y_azc  own   marginal
+BD_FD_TD    p_z_given_a   mean_y_zc   mix   marginal
+==========  ============  ==========  ====  ===========
 
-The sums over the mediator depend on a row only through its (a, c).  Each
-evaluator therefore finds the distinct (a, c) levels among the rows it is
-given, integrates once per level (a levels x nodes grid), and gathers the
-per-level results back to the rows through the inverse index.  This holds on
-any row subset, such as a cross-fitting fold; with a continuous covariate every
-row may be its own level, which costs what per-row integration would.
+``own`` is the law at the observed treatment and ``mix`` is
+sum_a p(z|a,c) p(a|c), which reads p_a_given_c.  ``marginal`` is
+sum_c p(c) p(a|c), which reads p_c and p_a_given_c rather than the p_a slot:
+FD_TD and BD_FD_TD are the models whose consistency trades on exactly that
+pair.  Every mediator model also needs ``z_integrator``.
 
-For FD_TD and BD_FD_TD the marginal treatment probability appearing in the
-indicator terms is assembled from p(C) and p(A|C) rather than read from the
-p(A) slot; those two estimating functions are the ones whose consistency
-trades on exactly that pair of components.
+:func:`evaluate_m` takes aligned 1-d arrays and returns the m value per row,
+which is what the plug-in estimators average; the public ``m_*`` functions
+take a single :class:`Observation`.  Nuisance components must broadcast like
+numpy ufuncs over their arguments.
+
+The sums over the mediator depend on a row only through its (a, c).  The
+kernel therefore finds the distinct (a, c) levels among the rows it is given,
+integrates once per level (a levels x nodes grid), and gathers the per-level
+results back to the rows through the inverse index.  This holds on any row
+subset, such as a cross-fitting fold; with a continuous covariate every row
+may be its own level, which costs what per-row integration would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -145,7 +159,7 @@ def _gather(vals, inv):
     return vals[inv] if vals.ndim else np.full(inv.shape, float(vals))
 
 
-# -- the six estimating functions (vectorized) ------------------------------
+# -- the estimating functions (vectorized) ----------------------------------
 
 
 def eval_bd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
@@ -160,110 +174,27 @@ def eval_bd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     return ind_s / ps * (y - ms) - ind_r / pr * (y - mr) + ms - mr
 
 
-def _mixture_over_a(eta, fn):
-    """sum over the treatment support of fn(abar) weighted inside fn itself."""
-    return sum(fn(abar) for abar in eta.a_support)
+# law, outcome, mass, weights: one row per mediator model (see the module docstring)
+_MEDIATOR_MODELS = {
+    "FD": ("p_z_given_a", "mean_y_az", "own", "p_a"),
+    "TD": ("p_z_given_ac", "mean_y_azc", "own", "p_a_given_c"),
+    "TD_REDUCED": ("p_z_given_a", "mean_y_zc", "own", "p_a_given_c"),
+    "BD_TD": ("p_z_given_ac", "mean_y_zc", "mix", "p_a_given_c"),
+    "FD_TD": ("p_z_given_a", "mean_y_azc", "own", "marginal"),
+    "BD_FD_TD": ("p_z_given_a", "mean_y_zc", "mix", "marginal"),
+}
+
+# the variables each slot takes, in call order
+_SIGNATURE = {
+    "p_a": "a", "p_a_given_c": "ac", "p_z_given_a": "za", "p_z_given_ac": "zac",
+    "mean_y_az": "az", "mean_y_azc": "azc", "mean_y_zc": "zc"
+}
+_WEIGHT_LABEL = {"p_a": "p({})", "p_a_given_c": "p({}|c)", "marginal": "sum_c p(c) p({}|c)"}
 
 
-def eval_fd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
-    eta.require("p_a", "p_z_given_a", "mean_y_az", "z_integrator")
-    c, a, z, y = _rows(c, a, z, y)
-    rule, pz = eta.z_integrator, eta.p_z_given_a
-    (la, _), inv = _levels(a, c)
-    pa_s = _check_pos(eta.p_a(pair.a_star), "p(a*)")
-    pa_r = _check_pos(eta.p_a(pair.a_ref), "p(a)")
-    pz_obs = _check_pos(pz(z, a), "p(z|A) at the observed rows")
-    shift = pz(z, pair.a_star) - pz(z, pair.a_ref)
-
-    def pooled(zz):
-        return _mixture_over_a(eta, lambda ab: eta.mean_y_az(ab, zz) * eta.p_a(ab))
-
-    ey_star = expect_z(rule, pz, pooled, pair.a_star)
-    ey_ref = expect_z(rule, pz, pooled, pair.a_ref)
-    pooled_obs = pooled(z)
-    ind_s = (a == pair.a_star).astype(float)
-    ind_r = (a == pair.a_ref).astype(float)
-
-    def own_arm(zz):
-        return eta.mean_y_az(_col(la), zz)
-
-    t1 = (y - eta.mean_y_az(a, z)) * shift / pz_obs
-    t2 = ind_s / pa_s * (pooled_obs - ey_star) - ind_r / pa_r * (pooled_obs - ey_ref)
-    t3 = _gather(expect_z(rule, pz, own_arm, pair.a_star) - expect_z(rule, pz, own_arm, pair.a_ref), inv)
-    return t1 + t2 + t3
-
-
-def eval_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
-    eta.require("p_a_given_c", "p_z_given_ac", "mean_y_azc", "z_integrator")
-    c, a, z, y = _rows(c, a, z, y)
-    rule, pzac = eta.z_integrator, eta.p_z_given_ac
-    (la, lc), inv = _levels(a, c)
-    ps_c = _check_pos(eta.p_a_given_c(pair.a_star, c), "p(a*|c)")
-    pr_c = _check_pos(eta.p_a_given_c(pair.a_ref, c), "p(a|c)")
-    pz_obs = _check_pos(pzac(z, a, c), "p(z|A,c) at the observed rows")
-    shift = pzac(z, pair.a_star, c) - pzac(z, pair.a_ref, c)
-
-    def pooled(zz):
-        return _mixture_over_a(eta, lambda ab: eta.mean_y_azc(ab, zz, _col(lc)) * eta.p_a_given_c(ab, _col(lc)))
-
-    pooled_obs = _mixture_over_a(eta, lambda ab: eta.mean_y_azc(ab, z, c) * eta.p_a_given_c(ab, c))
-    pooled_bar = _gather(expect_z(rule, pzac, pooled, la, lc), inv)
-
-    def own_arm(zz):
-        return eta.mean_y_azc(_col(la), zz, _col(lc))
-
-    ind_s = (a == pair.a_star).astype(float)
-    ind_r = (a == pair.a_ref).astype(float)
-    t1 = (y - eta.mean_y_azc(a, z, c)) * shift / pz_obs
-    t2 = (pooled_obs - pooled_bar) * (ind_s / ps_c - ind_r / pr_c)
-    t3 = _gather(expect_z(rule, pzac, own_arm, pair.a_star, lc) - expect_z(rule, pzac, own_arm, pair.a_ref, lc), inv)
-    return t1 + t2 + t3
-
-
-def eval_td_reduced(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
-    """Two-door estimating function when Y dep. A | (Z,C) and Z dep. C | A both drop."""
-    eta.require("p_a_given_c", "p_z_given_a", "mean_y_zc", "z_integrator")
-    c, a, z, y = _rows(c, a, z, y)
-    rule, pz = eta.z_integrator, eta.p_z_given_a
-    (la, lc), inv = _levels(a, c)
-    ps_c = _check_pos(eta.p_a_given_c(pair.a_star, c), "p(a*|c)")
-    pr_c = _check_pos(eta.p_a_given_c(pair.a_ref, c), "p(a|c)")
-    pz_obs = _check_pos(pz(z, a), "p(z|A) at the observed rows")
-    shift = pz(z, pair.a_star) - pz(z, pair.a_ref)
-
-    def outcome_zc(zz):
-        return eta.mean_y_zc(zz, _col(lc))
-
-    ebar = _gather(expect_z(rule, pz, outcome_zc, la), inv)
-    ind_s = (a == pair.a_star).astype(float)
-    ind_r = (a == pair.a_ref).astype(float)
-    t1 = (y - eta.mean_y_zc(z, c)) * shift / pz_obs
-    t2 = (eta.mean_y_zc(z, c) - ebar) * (ind_s / ps_c - ind_r / pr_c)
-    t3 = _gather(expect_z(rule, pz, outcome_zc, pair.a_star) - expect_z(rule, pz, outcome_zc, pair.a_ref), inv)
-    return t1 + t2 + t3
-
-
-def eval_bd_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
-    eta.require("p_a_given_c", "p_z_given_ac", "mean_y_zc", "z_integrator")
-    c, a, z, y = _rows(c, a, z, y)
-    rule, pzac = eta.z_integrator, eta.p_z_given_ac
-    (la, lc), inv = _levels(a, c)
-    ps_c = _check_pos(eta.p_a_given_c(pair.a_star, c), "p(a*|c)")
-    pr_c = _check_pos(eta.p_a_given_c(pair.a_ref, c), "p(a|c)")
-    mix = _mixture_over_a(eta, lambda ab: pzac(z, ab, c) * eta.p_a_given_c(ab, c))
-    _check_pos(mix, "sum_a p(z|a,c) p(a|c)")
-    shift = pzac(z, pair.a_star, c) - pzac(z, pair.a_ref, c)
-
-    def outcome_zc(zz):
-        return eta.mean_y_zc(zz, _col(lc))
-
-    ebar = _gather(expect_z(rule, pzac, outcome_zc, la, lc), inv)
-    ind_s = (a == pair.a_star).astype(float)
-    ind_r = (a == pair.a_ref).astype(float)
-    t1 = (y - eta.mean_y_zc(z, c)) * shift / mix
-    t2 = (eta.mean_y_zc(z, c) - ebar) * (ind_s / ps_c - ind_r / pr_c)
-    t3 = _gather(expect_z(rule, pzac, outcome_zc, pair.a_star, lc) - expect_z(rule, pzac, outcome_zc, pair.a_ref, lc), inv)
-    return t1 + t2 + t3
+def _call(eta: NuisanceSet, slot: str, **values):
+    """Evaluate a slot at the variables its signature names, e.g. mean_y_azc(a, z, c)."""
+    return getattr(eta, slot)(*(values[v] for v in _SIGNATURE[slot]))
 
 
 def _marginal_treatment(eta: NuisanceSet, level):
@@ -273,73 +204,55 @@ def _marginal_treatment(eta: NuisanceSet, level):
     return fsum(float(eta.p_c(cv)) * float(eta.p_a_given_c(level, cv)) for cv in eta.c_support)
 
 
-def eval_fd_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
-    eta.require("p_c", "p_a_given_c", "p_z_given_a", "mean_y_azc", "z_integrator")
+def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
+    """m per row for one mediator model: t1 residual, t2 centred pooled outcome, t3 plug-in contrast."""
+    law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
+    weight_slots = ("p_c", "p_a_given_c") if weights == "marginal" else (weights,)
+    mix_slots = ("p_a_given_c",) if mass == "mix" else ()
+    eta.require(*weight_slots, *mix_slots, law, outcome, "z_integrator")
     c, a, z, y = _rows(c, a, z, y)
-    rule, pz = eta.z_integrator, eta.p_z_given_a
+    rule, pz = eta.z_integrator, getattr(eta, law)
     (la, lc), inv = _levels(a, c)
-    pz_obs = _check_pos(pz(z, a), "p(z|A) at the observed rows")
-    shift = pz(z, pair.a_star) - pz(z, pair.a_ref)
-    marg_s = _check_pos(_marginal_treatment(eta, pair.a_star), "sum_c p(c) p(a*|c)")
-    marg_r = _check_pos(_marginal_treatment(eta, pair.a_ref), "sum_c p(c) p(a|c)")
+    law_given_c = "c" in _SIGNATURE[law]
+    law_text = "p(z|a,c)" if law_given_c else "p(z|a)"
 
-    centered = 0.0
-    for cv in eta.c_support:
-        pooled_at = _mixture_over_a(eta, lambda ab: eta.mean_y_azc(ab, z, cv) * eta.p_a_given_c(ab, cv))
+    def cond(arm):
+        return (arm, lc) if law_given_c else (arm,)
 
-        def pooled(zz, cv=cv):
-            return _mixture_over_a(eta, lambda ab: eta.mean_y_azc(ab, zz, cv) * eta.p_a_given_c(ab, cv))
+    def weight(arm, label):
+        w = _marginal_treatment(eta, arm) if weights == "marginal" else _call(eta, weights, a=arm, c=c)
+        return _check_pos(w, _WEIGHT_LABEL[weights].format(label))
 
-        pooled_bar = _gather(expect_z(rule, pz, pooled, la), inv)
-        centered = centered + float(eta.p_c(cv)) * (pooled_at - pooled_bar)
+    def pooled_given_c(zz, cv):
+        if "a" not in _SIGNATURE[outcome]:
+            return _call(eta, outcome, z=zz, c=cv)
+        slot = "p_a" if weights == "p_a" else "p_a_given_c"
+        return sum(_call(eta, outcome, a=ab, z=zz, c=cv) * _call(eta, slot, a=ab, c=cv) for ab in eta.a_support)
+
+    def pooled(zz, cv):
+        """The outcome averaged over the treatment weights of the arm denominators."""
+        if weights == "marginal":
+            return sum(float(eta.p_c(v)) * pooled_given_c(zz, v) for v in eta.c_support)
+        return pooled_given_c(zz, cv)
 
     def own_arm(zz):
-        return eta.mean_y_azc(_col(la), zz, _col(lc))
+        return _call(eta, outcome, a=_col(la), z=zz, c=_col(lc))
 
-    ind_s = (a == pair.a_star).astype(float)
-    ind_r = (a == pair.a_ref).astype(float)
-    t1 = (y - eta.mean_y_azc(a, z, c)) * shift / pz_obs
-    t2 = centered * (ind_s / marg_s - ind_r / marg_r)
-    t3 = _gather(expect_z(rule, pz, own_arm, pair.a_star) - expect_z(rule, pz, own_arm, pair.a_ref), inv)
+    w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
+    if mass == "own":
+        denom = _check_pos(_call(eta, law, z=z, a=a, c=c), law_text + " at the observed rows")
+    else:
+        denom = sum(_call(eta, law, z=z, a=ab, c=c) * eta.p_a_given_c(ab, c) for ab in eta.a_support)
+        _check_pos(denom, f"sum_a {law_text} p(a|c)")
+    shift = _call(eta, law, z=z, a=pair.a_star, c=c) - _call(eta, law, z=z, a=pair.a_ref, c=c)
+    pooled_bar = _gather(expect_z(rule, pz, lambda zz: pooled(zz, _col(lc)), *cond(la)), inv)
+    t1 = (y - _call(eta, outcome, a=a, z=z, c=c)) * shift / denom
+    t2 = (pooled(z, c) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)
+    t3 = _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), inv)
     return t1 + t2 + t3
 
 
-def eval_bd_fd_td(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
-    eta.require("p_c", "p_a_given_c", "p_z_given_a", "mean_y_zc", "z_integrator")
-    c, a, z, y = _rows(c, a, z, y)
-    rule, pz = eta.z_integrator, eta.p_z_given_a
-    (la, lc), inv = _levels(a, c)
-    mix = _mixture_over_a(eta, lambda ab: eta.p_a_given_c(ab, c) * pz(z, ab))
-    _check_pos(mix, "sum_a p(a|c) p(z|a)")
-    shift = pz(z, pair.a_star) - pz(z, pair.a_ref)
-    marg_s = _check_pos(_marginal_treatment(eta, pair.a_star), "sum_c p(c) p(a*|c)")
-    marg_r = _check_pos(_marginal_treatment(eta, pair.a_ref), "sum_c p(c) p(a|c)")
-
-    centered = 0.0
-    for cv in eta.c_support:
-        ebar = _gather(expect_z(rule, pz, lambda zz, cv=cv: eta.mean_y_zc(zz, cv), la), inv)
-        centered = centered + float(eta.p_c(cv)) * (eta.mean_y_zc(z, cv) - ebar)
-
-    def outcome_zc(zz):
-        return eta.mean_y_zc(zz, _col(lc))
-
-    ind_s = (a == pair.a_star).astype(float)
-    ind_r = (a == pair.a_ref).astype(float)
-    t1 = (y - eta.mean_y_zc(z, c)) * shift / mix
-    t2 = centered * (ind_s / marg_s - ind_r / marg_r)
-    t3 = _gather(expect_z(rule, pz, outcome_zc, pair.a_star) - expect_z(rule, pz, outcome_zc, pair.a_ref), inv)
-    return t1 + t2 + t3
-
-
-_EVALUATORS = {
-    "BD": eval_bd,
-    "FD": eval_fd,
-    "TD": eval_td,
-    "TD_REDUCED": eval_td_reduced,
-    "BD_TD": eval_bd_td,
-    "FD_TD": eval_fd_td,
-    "BD_FD_TD": eval_bd_fd_td,
-}
+_EVALUATORS = {"BD": eval_bd, **{tag: partial(_eval_mediator, tag) for tag in _MEDIATOR_MODELS}}
 
 
 def evaluate_m(tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair) -> np.ndarray:

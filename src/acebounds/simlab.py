@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import SimDgpParams, simdgp_theta
-from .dist import TreatmentPair
+from .dist import TreatmentPair, write_text
 from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, estimate
 from .fitting import CrossFitPlan, Dataset, ModelSpec, fit
@@ -109,11 +109,7 @@ class McSummary:
             )
         text = buf.getvalue()
         if target is not None:
-            if hasattr(target, "write"):
-                target.write(text)
-            else:
-                with open(target, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
+            write_text(text, target)
         return text
 
     def row(self, n: int, tag: str) -> McRow:

@@ -17,6 +17,7 @@ from acebounds.dist import (
     marginal,
     read_dist_csv,
     write_dist_csv,
+    write_text,
 )
 from acebounds.errors import DomainError, PositivityViolation, ZeroConditioningEvent
 from acebounds.special import expit
@@ -222,3 +223,34 @@ def test_dist_csv_rejects_non_finite(bad):
     text = f"c,a,z,y,p\n0,0,0,0,0.5\n0,1,{bad},0,0.5\n"
     with pytest.raises(DomainError, match=r"<stream>:3: .*non-finite"):
         read_dist_csv(io.StringIO(text))
+
+
+def test_joint_rejects_nan_pmf_entry():
+    # fsum gives nan, and abs(nan - 1.0) > 1e-12 is False, so the mass check alone lets it through
+    pmf = np.array([0.5, 0.5, 0.0, np.nan]).reshape(1, 1, 2, 2)
+    with pytest.raises(DomainError, match="finite"):
+        DiscreteJoint([0.0], [0.0], [0.0, 1.0], [0.0, 1.0], pmf)
+
+
+@pytest.mark.parametrize("var", ["c", "a", "z", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_joint_rejects_non_finite_support(var, bad):
+    supports = {name: [0.0] for name in "cazy"}
+    supports[var] = [bad]
+    with pytest.raises(DomainError, match=f"support of {var}.*finite"):
+        DiscreteJoint(supports["c"], supports["a"], supports["z"], supports["y"], np.ones((1, 1, 1, 1)))
+
+
+def test_write_text_replaces_a_path_whole(tmp_path):
+    path, ref = tmp_path / "dist.csv", tmp_path / "ref.csv"
+    path.write_text("old\n")
+    ref.write_text("")
+    with pytest.raises(TypeError):
+        write_text(None, path)
+    assert path.read_bytes() == b"old\n"
+    buf = io.StringIO()
+    write_dist_csv(uniform_joint(), buf)
+    write_dist_csv(uniform_joint(), path)
+    assert path.read_bytes() == buf.getvalue().encode()
+    assert path.stat().st_mode == ref.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dist.csv", "ref.csv"]

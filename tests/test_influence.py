@@ -149,6 +149,42 @@ def test_missing_component_raises():
         evaluate_m("TD", np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([0.0]), eta, PAIR)
 
 
+# the slots each model reads, written out from the paper's estimating functions
+REQUIRED_SLOTS = {
+    "BD": ("p_a_given_c", "mean_y_ac"),
+    "FD": ("p_a", "p_z_given_a", "mean_y_az", "z_integrator"),
+    "TD": ("p_a_given_c", "p_z_given_ac", "mean_y_azc", "z_integrator"),
+    "TD_REDUCED": ("p_a_given_c", "p_z_given_a", "mean_y_zc", "z_integrator"),
+    "BD_TD": ("p_a_given_c", "p_z_given_ac", "mean_y_zc", "z_integrator"),
+    "FD_TD": ("p_c", "p_a_given_c", "p_z_given_a", "mean_y_azc", "z_integrator"),
+    "BD_FD_TD": ("p_c", "p_a_given_c", "p_z_given_a", "mean_y_zc", "z_integrator"),
+}
+
+
+def _chain_cells(seed):
+    dist = _dist(seed)
+    return np.array(list(dist.cells()))[:, :4].T, truth_nuisances(dist)
+
+
+@pytest.mark.parametrize("tag,slot", [(tag, slot) for tag, slots in REQUIRED_SLOTS.items() for slot in slots])
+def test_every_required_slot_is_checked(tag, slot):
+    rows, eta = _chain_cells(53)
+    setattr(eta, slot, None)
+    with pytest.raises(MissingNuisance, match=f"'{slot}'"):
+        evaluate_m(tag, *rows, eta, PAIR)
+
+
+@pytest.mark.parametrize("tag", sorted(REQUIRED_SLOTS))
+def test_required_slots_suffice(tag):
+    rows, eta = _chain_cells(53)
+    bare = NuisanceSet(
+        a_support=eta.a_support,
+        c_support=eta.c_support,
+        **{slot: getattr(eta, slot) for slot in REQUIRED_SLOTS[tag]},
+    )
+    np.testing.assert_array_equal(evaluate_m(tag, *rows, bare, PAIR), evaluate_m(tag, *rows, eta, PAIR))
+
+
 def test_positivity_guard_in_evaluators():
     eta = NuisanceSet(
         a_support=(0.0, 1.0),
