@@ -13,6 +13,23 @@ Two evaluation routes are provided:
 Whenever a formula subtracts theta**2 (or centers on theta), theta is the
 two-door functional of the same distribution, so there is a single source of
 truth for the target parameter.
+
+The exact sums of FD, TD, FD_TD and BD_FD_TD use one kernel.  Over strata
+of weight pi it adds a residual term, the spread of the pooled outcome under
+the mediator law at a* and at a over the treatment weights, and a drift term,
+then subtracts theta**2.  The models differ only in:
+
+==========  ========  =======  ===================  =======
+model       strata s  cells k  mass                 weights
+==========  ========  =======  ===================  =======
+FD          --        a        p(z|a)               p(a)
+TD          live c    a        p(z|a,c)             p(a|c)
+FD_TD       --        (c, a)   p(z|a)               p(a)
+BD_FD_TD    --        c        sum_a p(a|c) p(z|a)  p(a)
+==========  ========  =======  ===================  =======
+
+Strata have weight p(c) and law p(z|a,c); without them the law is p(z|a).  BD
+is written out, and BD_TD is TD plus a correction for the outcome on (z, c).
 """
 
 from __future__ import annotations
@@ -26,6 +43,8 @@ from .dist import (
     POSITIVITY_EPS,
     DiscreteJoint,
     TreatmentPair,
+    _pair_indices,
+    _require_positive,
     ace_twodoor,
     fsum,
 )
@@ -82,180 +101,118 @@ def _finish(model, value, method, pair):
     return BoundReport(model=model, value=value, method=method, pair=pair)
 
 
-def _require_positive(values, what):
-    if not np.all(np.asarray(values) > POSITIVITY_EPS):
-        raise PositivityViolation(f"{what} has entries below {POSITIVITY_EPS}")
-
-
 # -- exact summation on a DiscreteJoint -------------------------------------
 
 
 def bound_bd(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
     t = dist._cache()
-    i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
-    pc = t["pc"]
-    live = np.nonzero(pc > 0)[0]
-    pac = t["p_a_given_c"]
-    _require_positive(pac[live][:, [i_s, i_r]], "p(a|c)")
+    i_s, i_r = _pair_indices(dist, pair)
+    live = t["pc"] > 0
+    pc, pac, ey, vy = t["pc"][live], t["p_a_given_c"][live], t["ey_ac"][live], t["vy_ac"][live]
+    _require_positive(pac[:, [i_s, i_r]], "p(a|c)")
     theta = ace_twodoor(dist, pair)
-    ipw = [
-        pc[ic] * (t["vy_ac"][ic, i_s] / pac[ic, i_s] + t["vy_ac"][ic, i_r] / pac[ic, i_r])
-        for ic in live
-    ]
-    gap = [pc[ic] * (t["ey_ac"][ic, i_s] - t["ey_ac"][ic, i_r] - theta) ** 2 for ic in live]
+    ipw = pc * (vy[:, i_s] / pac[:, i_s] + vy[:, i_r] / pac[:, i_r])
+    gap = pc * (ey[:, i_s] - ey[:, i_r] - theta) ** 2
     return _finish("BD", fsum(ipw) + fsum(gap), "exact-sum", pair)
 
 
-def bound_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
-    return _finish("TD", _td_value(dist, pair), "exact-sum", pair)
+def _by_cell(x):
+    """[c, a, z] -> [(c, a), z], the (c, a) cells in c-major order."""
+    return x.reshape(-1, x.shape[-1])
 
 
-def _td_value(dist: DiscreteJoint, pair: TreatmentPair) -> float:
+# model -> (weights text, law text, mass text, cells): the weights and the law are checked before
+# theta, the mass after it, and a None text is not checked.  cells(t, c) gives pi, law[a,z], w[a],
+# omega[k], mean[k,z], var[k,z] and mass[k,z] over the live covariate levels c, with a leading
+# stratum axis for TD (module docstring).
+_MEDIATOR_MODELS = {
+    "FD": (
+        "p(a)", "p(z|a)", None,
+        lambda t, c: (1.0, t["p_z_given_a"], t["pa"], t["pa"], t["ey_az"], t["vy_az"], t["p_z_given_a"]),
+    ),
+    "TD": (
+        "p(a|c)", "p(z|a,c)", None,
+        lambda t, c: tuple(
+            t[k][c] for k in ("pc", "p_z_given_ac", "p_a_given_c", "p_a_given_c", "ey_azc", "vy_azc", "p_z_given_ac")
+        ),
+    ),
+    "FD_TD": (
+        "p(a)", "p(z|a)", None,
+        lambda t, c: (
+            1.0, t["p_z_given_a"], t["pa"], (t["pc"][c, None] * t["p_a_given_c"][c]).ravel(),
+            _by_cell(t["ey_azc"][c]), _by_cell(t["vy_azc"][c]), np.tile(t["p_z_given_a"], (c.size, 1)),
+        ),
+    ),
+    "BD_FD_TD": (
+        "p(a)", None, "sum_a p(a|c) p(z|a)",
+        lambda t, c: (
+            1.0, t["p_z_given_a"], t["pa"], t["pc"][c], t["ey_zc"][c], t["vy_zc"][c], t["p_a_given_c"][c] @ t["p_z_given_a"]
+        ),
+    ),
+}
+
+
+def _exact_sum(dist: DiscreteJoint, pair: TreatmentPair, model: str) -> float:
+    """Residual + pooled-outcome IPW spread + drift - theta^2 of a mediator model.
+
+    With shift = law(a*) - law(a) and the pooled outcome G = sum_k omega mean, per stratum:
+    sum_z shift^2 sum_k omega var / mass + sum_{arm in a*, a} var_{law(arm)}(G) / w(arm)
+    + sum_k omega (sum_z mean shift)^2.
+    """
     t = dist._cache()
-    i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
-    pc, pac, pzac = t["pc"], t["p_a_given_c"], t["p_z_given_ac"]
-    live = np.nonzero(pc > 0)[0]
-    _require_positive(pac[live], "p(a|c)")
-    _require_positive(pzac[live], "p(z|a,c)")
+    i_s, i_r = _pair_indices(dist, pair)
+    w_text, law_text, mass_text, cells = _MEDIATOR_MODELS[model]
+    # dead strata go before any product: their cached conditionals are NaN
+    pi, law, w, omega, mean, var, mass = cells(t, np.flatnonzero(t["pc"] > 0))
+    _require_positive(w, w_text)
+    if law_text:
+        _require_positive(law, law_text)
     theta = ace_twodoor(dist, pair)
-    nz = dist.z_support.size
-    na = dist.a_support.size
-    terms = []
-    for ic in live:
-        w = pc[ic]
-        pooled = [fsum(t["ey_azc"][ic, :, iz] * pac[ic]) for iz in range(nz)]
-        pooled_bar_s = fsum(pooled[iz] * pzac[ic, i_s, iz] for iz in range(nz))
-        pooled_bar_r = fsum(pooled[iz] * pzac[ic, i_r, iz] for iz in range(nz))
-        for iz in range(nz):
-            shift = pzac[ic, i_s, iz] - pzac[ic, i_r, iz]
-            resid = fsum(
-                pac[ic, ia] / pzac[ic, ia, iz] * t["vy_azc"][ic, ia, iz] for ia in range(na)
-            )
-            terms.append(shift**2 * w * resid)
-            terms.append(pooled[iz] ** 2 * pzac[ic, i_s, iz] * w / pac[ic, i_s])
-            terms.append(pooled[iz] ** 2 * pzac[ic, i_r, iz] * w / pac[ic, i_r])
-        terms.append(-(pooled_bar_s**2) * w / pac[ic, i_s])
-        terms.append(-(pooled_bar_r**2) * w / pac[ic, i_r])
-        for ia in range(na):
-            drift = fsum(
-                t["ey_azc"][ic, ia, iz] * (pzac[ic, i_s, iz] - pzac[ic, i_r, iz])
-                for iz in range(nz)
-            )
-            terms.append(drift**2 * pac[ic, ia] * w)
-    return fsum(terms) - theta**2
-
-
-def bound_bd_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
-    t = dist._cache()
-    i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
-    pc, pac, pzac = t["pc"], t["p_a_given_c"], t["p_z_given_ac"]
-    live = np.nonzero(pc > 0)[0]
-    base = _td_value(dist, pair)
-    na, nz = dist.a_support.size, dist.z_support.size
-    corr = []
-    for ic in live:
-        for iz in range(nz):
-            mix = fsum(pzac[ic, ia, iz] * pac[ic, ia] for ia in range(na))
-            if mix <= POSITIVITY_EPS:
-                raise PositivityViolation("sum_a p(z|a,c) p(a|c) fell below 1e-12")
-            harm = fsum(pac[ic, ia] / pzac[ic, ia, iz] for ia in range(na))
-            shift = pzac[ic, i_s, iz] - pzac[ic, i_r, iz]
-            corr.append(shift**2 * pc[ic] * t["vy_zc"][ic, iz] * (1.0 / mix - harm))
-    return _finish("BD_TD", base + fsum(corr), "exact-sum", pair)
+    if mass_text and np.any(mass <= POSITIVITY_EPS):
+        raise PositivityViolation(f"{mass_text} fell below {POSITIVITY_EPS}")
+    pi = np.asarray(pi)[..., None]
+    shift = law[..., i_s, :] - law[..., i_r, :]
+    pooled = np.einsum("...k,...kz->...z", omega, mean)
+    arms, w_arms = law[..., [i_s, i_r], :], w[..., [i_s, i_r]]
+    terms = (
+        pi * shift**2 * np.einsum("...k,...kz->...z", omega, var / mass),
+        pi[..., None] * pooled[..., None, :] ** 2 * arms / w_arms[..., None],
+        -pi * np.einsum("...z,...az->...a", pooled, arms) ** 2 / w_arms,
+        pi * omega * np.einsum("...kz,...z->...k", mean, shift) ** 2,
+    )
+    return fsum(np.concatenate([x.ravel() for x in terms])) - theta**2
 
 
 def bound_fd(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
-    t = dist._cache()
-    i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
-    pa, pza = t["pa"], t["p_z_given_a"]
-    _require_positive(pa, "p(a)")
-    _require_positive(pza, "p(z|a)")
-    theta = ace_twodoor(dist, pair)
-    na, nz = dist.a_support.size, dist.z_support.size
-    terms = []
-    pooled = [fsum(t["ey_az"][:, iz] * pa) for iz in range(nz)]
-    pooled_bar_s = fsum(pooled[iz] * pza[i_s, iz] for iz in range(nz))
-    pooled_bar_r = fsum(pooled[iz] * pza[i_r, iz] for iz in range(nz))
-    for iz in range(nz):
-        shift = pza[i_s, iz] - pza[i_r, iz]
-        resid = fsum(pa[ia] / pza[ia, iz] * t["vy_az"][ia, iz] for ia in range(na))
-        terms.append(shift**2 * resid)
-        terms.append(pooled[iz] ** 2 * (pza[i_s, iz] / pa[i_s] + pza[i_r, iz] / pa[i_r]))
-    terms.append(-(pooled_bar_s**2) / pa[i_s])
-    terms.append(-(pooled_bar_r**2) / pa[i_r])
-    for ia in range(na):
-        drift = fsum(t["ey_az"][ia, iz] * (pza[i_s, iz] - pza[i_r, iz]) for iz in range(nz))
-        terms.append(drift**2 * pa[ia])
-    return _finish("FD", fsum(terms) - theta**2, "exact-sum", pair)
+    return _finish("FD", _exact_sum(dist, pair, "FD"), "exact-sum", pair)
+
+
+def bound_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
+    return _finish("TD", _exact_sum(dist, pair, "TD"), "exact-sum", pair)
 
 
 def bound_fd_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
-    t = dist._cache()
-    i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
-    pc, pa, pac, pza = t["pc"], t["pa"], t["p_a_given_c"], t["p_z_given_a"]
-    live = np.nonzero(pc > 0)[0]
-    _require_positive(pa, "p(a)")
-    _require_positive(pza, "p(z|a)")
-    theta = ace_twodoor(dist, pair)
-    na, nz = dist.a_support.size, dist.z_support.size
-    terms = []
-    # pooled outcome over both (a, c): G(z) = sum_{a,c} E(Y|a,z,c) p(a|c) p(c)
-    pooled = [
-        fsum(
-            t["ey_azc"][ic, ia, iz] * pac[ic, ia] * pc[ic]
-            for ic in live
-            for ia in range(na)
-        )
-        for iz in range(nz)
-    ]
-    pooled_bar_s = fsum(pooled[iz] * pza[i_s, iz] for iz in range(nz))
-    pooled_bar_r = fsum(pooled[iz] * pza[i_r, iz] for iz in range(nz))
-    for iz in range(nz):
-        shift = pza[i_s, iz] - pza[i_r, iz]
-        resid = fsum(
-            pac[ic, ia] * pc[ic] / pza[ia, iz] * t["vy_azc"][ic, ia, iz]
-            for ic in live
-            for ia in range(na)
-        )
-        terms.append(shift**2 * resid)
-        terms.append(pooled[iz] ** 2 * (pza[i_s, iz] / pa[i_s] + pza[i_r, iz] / pa[i_r]))
-    terms.append(-(pooled_bar_s**2) / pa[i_s])
-    terms.append(-(pooled_bar_r**2) / pa[i_r])
-    for ic in live:
-        for ia in range(na):
-            drift = fsum(
-                t["ey_azc"][ic, ia, iz] * (pza[i_s, iz] - pza[i_r, iz]) for iz in range(nz)
-            )
-            terms.append(drift**2 * pac[ic, ia] * pc[ic])
-    return _finish("FD_TD", fsum(terms) - theta**2, "exact-sum", pair)
+    return _finish("FD_TD", _exact_sum(dist, pair, "FD_TD"), "exact-sum", pair)
 
 
 def bound_bd_fd_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
+    return _finish("BD_FD_TD", _exact_sum(dist, pair, "BD_FD_TD"), "exact-sum", pair)
+
+
+def bound_bd_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
+    """The TD bound plus a correction for the outcome regression on (z, c) alone."""
+    base = _exact_sum(dist, pair, "TD")
     t = dist._cache()
-    i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
-    pc, pa, pac, pza = t["pc"], t["pa"], t["p_a_given_c"], t["p_z_given_a"]
-    live = np.nonzero(pc > 0)[0]
-    _require_positive(pa, "p(a)")
-    theta = ace_twodoor(dist, pair)
-    na, nz = dist.a_support.size, dist.z_support.size
-    terms = []
-    pooled = [fsum(t["ey_zc"][ic, iz] * pc[ic] for ic in live) for iz in range(nz)]
-    pooled_bar_s = fsum(pooled[iz] * pza[i_s, iz] for iz in range(nz))
-    pooled_bar_r = fsum(pooled[iz] * pza[i_r, iz] for iz in range(nz))
-    for iz in range(nz):
-        shift = pza[i_s, iz] - pza[i_r, iz]
-        for ic in live:
-            mix = fsum(pac[ic, ia] * pza[ia, iz] for ia in range(na))
-            if mix <= POSITIVITY_EPS:
-                raise PositivityViolation("sum_a p(a|c) p(z|a) fell below 1e-12")
-            terms.append(shift**2 * pc[ic] * t["vy_zc"][ic, iz] / mix)
-        terms.append(pooled[iz] ** 2 * (pza[i_s, iz] / pa[i_s] + pza[i_r, iz] / pa[i_r]))
-    terms.append(-(pooled_bar_s**2) / pa[i_s])
-    terms.append(-(pooled_bar_r**2) / pa[i_r])
-    for ic in live:
-        drift = fsum(t["ey_zc"][ic, iz] * (pza[i_s, iz] - pza[i_r, iz]) for iz in range(nz))
-        terms.append(drift**2 * pc[ic])
-    return _finish("BD_FD_TD", fsum(terms) - theta**2, "exact-sum", pair)
+    i_s, i_r = _pair_indices(dist, pair)
+    live = t["pc"] > 0
+    pac, pzac = t["p_a_given_c"][live], t["p_z_given_ac"][live]
+    mix = np.einsum("caz,ca->cz", pzac, pac)
+    if np.any(mix <= POSITIVITY_EPS):
+        raise PositivityViolation("sum_a p(z|a,c) p(a|c) fell below 1e-12")
+    harm = np.einsum("ca,caz->cz", pac, 1.0 / pzac)
+    shift = pzac[:, i_s] - pzac[:, i_r]
+    corr = shift**2 * t["pc"][live, None] * t["vy_zc"][live] * (1.0 / mix - harm)
+    return _finish("BD_TD", base + fsum(corr), "exact-sum", pair)
 
 
 _EXACT = {

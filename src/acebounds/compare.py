@@ -9,7 +9,8 @@
 * a vectorized scan of the all-binary example family over a parameter grid.
 
 Comparison conditions quantify over support cells with p(z | a, c) above the
-positivity threshold; zero-probability cells are excluded.
+positivity threshold; zero-probability cells are excluded, and with no such
+cell the comparisons raise PositivityViolation, as the TD bound does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, chain_joint, fsum, write_text
-from .errors import AssumptionViolation, DomainError
+from .errors import AssumptionViolation, DomainError, PositivityViolation
 from .special import expit
 
 __all__ = [
@@ -62,67 +63,63 @@ class ComparisonVerdict:
 
 
 def _check_outcome_treatment_free(dist: DiscreteJoint, tol: float = 1e-10):
-    """Outcome law must not depend on treatment given (z, c)."""
+    """Outcome law must not depend on treatment given (z, c).
+
+    Per (z, c), the spread of p(y|a,z,c) is taken over the treatment rows with
+    p(a, z, c) above the positivity threshold; cells with fewer than two such
+    rows are not checked.
+    """
     p = dist.pmf
     pzac = p.sum(axis=3)
+    rows = (pzac > POSITIVITY_EPS)[..., None]  # [c, a, z, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        py = np.where(pzac[..., None] > 0, p / pzac[..., None], np.nan)
-    worst = 0.0
-    for ic in range(dist.c_support.size):
-        for iz in range(dist.z_support.size):
-            rows = [py[ic, ia, iz] for ia in range(dist.a_support.size) if pzac[ic, ia, iz] > POSITIVITY_EPS]
-            if len(rows) < 2:
-                continue
-            stack = np.stack(rows)
-            worst = max(worst, float(np.max(np.abs(stack - stack[0]))))
+        py = p / pzac[..., None]
+    spread = np.max(py, axis=1, where=rows, initial=-np.inf) - np.min(py, axis=1, where=rows, initial=np.inf)
+    worst = float(np.max(spread, where=rows.sum(axis=1) >= 2, initial=0.0))
     if worst > tol:
         raise AssumptionViolation(
             f"p(y|a,z,c) varies with a by up to {worst:.3e}; the outcome law must be treatment-free given (z, c)"
         )
 
 
-def _cell_condition_values(dist: DiscreteJoint, pair: TreatmentPair) -> dict:
-    """Per-(z, c) value of (shift^2 * harmonic mediator mass) - propensity-weighted shares."""
+def _cell_brackets(dist: DiscreteJoint, pair: TreatmentPair):
+    """Live-c indices, z indices and (shift^2 * harmonic mediator mass) - propensity-weighted shares.
+
+    One entry per (c, z) cell, c-major, whose p(z|a,c) is above the positivity
+    threshold at every treatment level; raises if no cell qualifies.
+    """
     t = dist._cache()
     i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
-    pzac, pac, pc = t["p_z_given_ac"], t["p_a_given_c"], t["pc"]
-    values = {}
-    for ic in np.nonzero(pc > 0)[0]:
-        for iz in range(dist.z_support.size):
-            cond_mass = pzac[ic, :, iz]
-            if np.any(cond_mass <= POSITIVITY_EPS):
-                continue
-            shift = pzac[ic, i_s, iz] - pzac[ic, i_r, iz]
-            harm = fsum(pac[ic] / cond_mass)
-            value = shift**2 * harm - pzac[ic, i_s, iz] / pac[ic, i_s] - pzac[ic, i_r, iz] / pac[ic, i_r]
-            values[(float(dist.z_support[iz]), float(dist.c_support[ic]))] = value
-    return values
+    live = np.flatnonzero(t["pc"] > 0)
+    ic, iz = np.nonzero(np.all(t["p_z_given_ac"][live] > POSITIVITY_EPS, axis=1))
+    if ic.size == 0:
+        raise PositivityViolation(f"no (z, c) cell has p(z|a,c) above {POSITIVITY_EPS} at every treatment level")
+    ic = live[ic]
+    cond_mass, pac = t["p_z_given_ac"][ic, :, iz], t["p_a_given_c"][ic]  # [cell, a]
+    shift = cond_mass[:, i_s] - cond_mass[:, i_r]
+    harm = np.sum(pac / cond_mass, axis=1)
+    return ic, iz, shift**2 * harm - cond_mass[:, i_s] / pac[:, i_s] - cond_mass[:, i_r] / pac[:, i_r]
+
+
+def _cell_condition_values(dist: DiscreteJoint, pair: TreatmentPair):
+    """The cell brackets keyed by (z, c), and as an array."""
+    ic, iz, bracket = _cell_brackets(dist, pair)
+    keys = zip(dist.z_support[iz].tolist(), dist.c_support[ic].tolist())
+    return dict(zip(keys, bracket.tolist())), bracket
 
 
 def td_minus_bd_gap(dist: DiscreteJoint, pair: TreatmentPair) -> float:
     """Exact TD-bound minus BD-bound on a distribution satisfying both assumptions."""
     _check_outcome_treatment_free(dist)
     t = dist._cache()
-    i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
-    pzac, pac, pc = t["p_z_given_ac"], t["p_a_given_c"], t["pc"]
-    terms = []
-    for ic in np.nonzero(pc > 0)[0]:
-        for iz in range(dist.z_support.size):
-            cond_mass = pzac[ic, :, iz]
-            if np.any(cond_mass <= POSITIVITY_EPS):
-                continue
-            shift = pzac[ic, i_s, iz] - pzac[ic, i_r, iz]
-            harm = fsum(pac[ic] / cond_mass)
-            bracket = shift**2 * harm - pzac[ic, i_s, iz] / pac[ic, i_s] - pzac[ic, i_r, iz] / pac[ic, i_r]
-            terms.append(pc[ic] * t["vy_zc"][ic, iz] * bracket)
-    return fsum(terms)
+    ic, iz, bracket = _cell_brackets(dist, pair)
+    return fsum(t["pc"][ic] * t["vy_zc"][ic, iz] * bracket)
 
 
 def td_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair) -> ComparisonVerdict:
     """Sign of the TD-vs-BD gap from the per-cell sufficient condition."""
     _check_outcome_treatment_free(dist)
-    values = _cell_condition_values(dist, pair)
-    vals = np.array(list(values.values()))
+    values, vals = _cell_condition_values(dist, pair)
     everywhere = bool(np.all(vals <= 0))
     nowhere = bool(np.all(vals > 0))
     ordering = "<=" if everywhere else (">" if nowhere else "inconclusive")
@@ -162,26 +159,21 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
     g0, g1, g2 = (float(v) for v in outcome_coef)
     t = dist._cache()
     pc = t["pc"]
-    live = np.nonzero(pc > 0)[0]
-    for ic in live:
-        for iz in range(dist.z_support.size):
-            if t["pzc"][ic, iz] <= POSITIVITY_EPS:
-                continue
-            want = g0 + g1 * dist.z_support[iz] + g2 * dist.c_support[ic]
-            got = t["ey_zc"][ic, iz]
-            if abs(want - got) > tol:
-                raise AssumptionViolation(
-                    f"E(Y|z={dist.z_support[iz]}, c={dist.c_support[ic]}) = {got!r} is not the "
-                    f"stated linear function ({want!r})"
-                )
+    live = np.flatnonzero(pc > 0)
+    want = g0 + g1 * dist.z_support[None, :] + g2 * dist.c_support[live, None]
+    got = t["ey_zc"][live]
+    off = np.argwhere((t["pzc"][live] > POSITIVITY_EPS) & (np.abs(want - got) > tol))
+    if off.size:
+        ic, iz = off[0]
+        raise AssumptionViolation(
+            f"E(Y|z={dist.z_support[iz]}, c={dist.c_support[live[ic]]}) = {got[ic, iz]!r} is not the "
+            f"stated linear function ({want[ic, iz]!r})"
+        )
     i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
     pac, pa = t["p_a_given_c"], t["pa"]
-    gaps = {}
-    for name, ia in (("a_star", i_s), ("a_ref", i_r)):
-        gaps[name] = 1.0 / pa[ia] - fsum(pc[live] / pac[live, ia])
+    gaps = {name: 1.0 / pa[ia] - fsum(pc[live] / pac[live, ia]) for name, ia in (("a_star", i_s), ("a_ref", i_r))}
     recip_holds = all(v > 0 for v in gaps.values())
-    cellwise = _cell_condition_values(dist, pair)
-    vals = np.array(list(cellwise.values()))
+    cellwise, vals = _cell_condition_values(dist, pair)
     cells_positive = bool(np.all(vals > 0))
     conclusive = recip_holds and cells_positive
     return ComparisonVerdict(

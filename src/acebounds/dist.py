@@ -199,7 +199,6 @@ class DiscreteJoint:
         cache = {
             "pc": pc,
             "pa": pa,
-            "pac": pac,
             "pzc": pzc,
             "p_a_given_c": p_a_given_c,  # [c, a]
             "p_z_given_ac": p_z_given_ac,  # [c, a, z]
@@ -264,12 +263,8 @@ def ace_frontdoor(dist: DiscreteJoint, pair: TreatmentPair) -> float:
     i_star, i_ref = _pair_indices(dist, pair)
     _require_positive(t["pa"], "p(a)")
     _require_positive(t["p_z_given_a"], "p(z|a)")
-    terms = []
-    for iz in range(dist.z_support.size):
-        shift = t["p_z_given_a"][i_star, iz] - t["p_z_given_a"][i_ref, iz]
-        inner = fsum(t["ey_az"][:, iz] * t["pa"])
-        terms.append(shift * inner)
-    return fsum(terms)
+    shift = t["p_z_given_a"][i_star] - t["p_z_given_a"][i_ref]  # [z]
+    return fsum(shift * t["ey_az"] * t["pa"][:, None])
 
 
 def ace_twodoor(dist: DiscreteJoint, pair: TreatmentPair) -> float:
@@ -279,13 +274,9 @@ def ace_twodoor(dist: DiscreteJoint, pair: TreatmentPair) -> float:
     live = t["pc"] > 0
     _require_positive(t["p_a_given_c"][live], "p(a|c)")
     _require_positive(t["p_z_given_ac"][live], "p(z|a,c)")
-    terms = []
-    for ic in np.nonzero(live)[0]:
-        for iz in range(dist.z_support.size):
-            shift = t["p_z_given_ac"][ic, i_star, iz] - t["p_z_given_ac"][ic, i_ref, iz]
-            inner = fsum(t["ey_azc"][ic, :, iz] * t["p_a_given_c"][ic])
-            terms.append(t["pc"][ic] * shift * inner)
-    return fsum(terms)
+    pzac = t["p_z_given_ac"][live]
+    shift = pzac[:, i_star] - pzac[:, i_ref]  # [c, z]
+    return fsum(t["pc"][live, None, None] * shift[:, None] * t["ey_azc"][live] * t["p_a_given_c"][live, :, None])
 
 
 # -- construction helpers --------------------------------------------------

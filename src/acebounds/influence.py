@@ -197,11 +197,16 @@ def _call(eta: NuisanceSet, slot: str, **values):
     return getattr(eta, slot)(*(values[v] for v in _SIGNATURE[slot]))
 
 
-def _marginal_treatment(eta: NuisanceSet, level):
-    """p(level) assembled as sum_c p(c) p(level|c)."""
+def _live_c(eta: NuisanceSet):
+    """(p(c), c) over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
     if eta.c_support is None:
         raise MissingNuisance("c_support is required to assemble the marginal treatment probability")
-    return fsum(float(eta.p_c(cv)) * float(eta.p_a_given_c(level, cv)) for cv in eta.c_support)
+    return [(w, cv) for cv in eta.c_support if (w := float(eta.p_c(cv))) > 0]
+
+
+def _marginal_treatment(eta: NuisanceSet, level):
+    """p(level) assembled as sum_c p(c) p(level|c)."""
+    return fsum(w * float(eta.p_a_given_c(level, cv)) for w, cv in _live_c(eta))
 
 
 def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
@@ -232,7 +237,7 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
     def pooled(zz, cv):
         """The outcome averaged over the treatment weights of the arm denominators."""
         if weights == "marginal":
-            return sum(float(eta.p_c(v)) * pooled_given_c(zz, v) for v in eta.c_support)
+            return sum(w * pooled_given_c(zz, v) for w, v in _live_c(eta))
         return pooled_given_c(zz, cv)
 
     def own_arm(zz):

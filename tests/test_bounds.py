@@ -46,15 +46,32 @@ def test_bounds_match_enumeration_oracle(seed):
         assert exact == pytest.approx(enum, abs=1e-9)
 
 
-def test_bounds_match_oracle_on_wider_supports(pair):
-    # three covariate levels, three mediator levels, three outcome values:
-    # nothing in the engines may assume binary supports
-    rng = np.random.default_rng(1234)
+def _binary_treatment_joint(rng):
     pc = rng.dirichlet(np.ones(3))
     pa1 = rng.uniform(0.25, 0.75, size=3)  # p(A=1 | c), by covariate level
     pz = rng.dirichlet(np.ones(3) * 3, size=2)  # p(z | a), rows by treatment
     py = rng.dirichlet(np.ones(3) * 2, size=(3, 3))  # p(y | z, c)
-    c_sup, a_sup, z_sup = [0.0, 1.0, 2.0], [0.0, 1.0], [-1.0, 0.0, 1.0]
+    return pc, lambda a, c: pa1[int(c)] if a == 1 else 1 - pa1[int(c)], [0.0, 1.0], pz, py, PAIR
+
+
+def _three_arm_joint_with_dead_covariate(rng):
+    # covariate level 1 has no mass, so its cached conditionals are undefined;
+    # the compared arms are 2 and 0, neither of them the first two indices
+    pc = rng.dirichlet(np.ones(3)) * [1.0, 0.0, 1.0]
+    pa = rng.dirichlet(np.ones(3) * 4, size=3)  # p(a | c), rows by covariate level
+    pz = rng.dirichlet(np.ones(3) * 3, size=3)  # p(z | a), rows by treatment
+    py = rng.dirichlet(np.ones(3) * 2, size=(3, 3))  # p(y | z, c)
+    return pc / pc.sum(), lambda a, c: pa[int(c), int(a)], [0.0, 1.0, 2.0], pz, py, TreatmentPair(2.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "draw", [_binary_treatment_joint, _three_arm_joint_with_dead_covariate], ids=["binary-a", "three-a-dead-c"]
+)
+def test_bounds_match_oracle_on_wider_supports(draw):
+    # three covariate levels, three mediator levels, three outcome values:
+    # nothing in the engines may assume binary supports
+    pc, p_a_given_c, a_sup, pz, py, pair = draw(np.random.default_rng(1234))
+    c_sup, z_sup = [0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]
     y_sup = [-1.0, 0.5, 2.0]
     from acebounds.dist import factorized_joint
 
@@ -64,7 +81,7 @@ def test_bounds_match_oracle_on_wider_supports(pair):
         z_sup,
         y_sup,
         lambda c: pc[int(c)],
-        lambda a, c: pa1[int(c)] if a == 1 else 1 - pa1[int(c)],
+        p_a_given_c,
         lambda z, a, c: pz[int(a), z_sup.index(z)],
         lambda y, z, c: py[z_sup.index(z), int(c), y_sup.index(y)],
     )

@@ -20,7 +20,7 @@ from acebounds.compare import (
     td_vs_bd_verdict,
 )
 from acebounds.dist import DiscreteJoint, factorized_joint
-from acebounds.errors import AssumptionViolation, DomainError
+from acebounds.errors import AssumptionViolation, DomainError, PositivityViolation
 from acebounds.special import expit
 
 from conftest import BINARY, PAIR, random_confounded_mediator_dist
@@ -142,6 +142,48 @@ def test_verdict_mixed_signs_inconclusive():
     verdict = td_vs_bd_verdict(dist, PAIR)
     assert verdict.ordering == "inconclusive"
     assert not verdict.holds_everywhere and not verdict.holds_nowhere
+
+
+def test_comparisons_refuse_when_no_cell_qualifies():
+    # Z = A: p(z|a,c) is zero at one treatment level in every (z, c) cell, so
+    # the TD bound is undefined and no verdict or gap may come back vacuous
+    dist = factorized_joint(
+        BINARY,
+        BINARY,
+        BINARY,
+        BINARY,
+        lambda c: 0.5,
+        lambda a, c: 0.5,
+        lambda z, a, c: float(z == a),
+        lambda y, z, c: (0.2 + 0.3 * z + 0.1 * c) if y == 1 else 0.8 - 0.3 * z - 0.1 * c,
+    )
+    with pytest.raises(PositivityViolation):
+        bound_td(dist, PAIR)
+    with pytest.raises(PositivityViolation):
+        td_minus_bd_gap(dist, PAIR)
+    with pytest.raises(PositivityViolation):
+        td_vs_bd_verdict(dist, PAIR)
+    with pytest.raises(PositivityViolation):
+        fd_vs_bd_verdict(dist, PAIR, (0.2, 0.3, 0.1))
+
+
+def test_cells_with_an_undefined_mediator_law_do_not_qualify():
+    # p(A=1 | C=0) = 0 leaves p(z | a=1, c=0) undefined: the c=0 cells must
+    # drop out of the comparison instead of carrying NaN into it
+    dist = factorized_joint(
+        BINARY,
+        BINARY,
+        BINARY,
+        BINARY,
+        lambda c: 0.5,
+        lambda a, c: (0.0 if c == 0 else 0.6) if a == 1 else (1.0 if c == 0 else 0.4),
+        lambda z, a, c: (0.3 + 0.4 * a) if z == 1 else 0.7 - 0.4 * a,
+        lambda y, z, c: (0.2 + 0.3 * z + 0.1 * c) if y == 1 else 0.8 - 0.3 * z - 0.1 * c,
+    )
+    verdict = td_vs_bd_verdict(dist, PAIR)
+    assert [c for _, c in verdict.cell_values] == [1.0, 1.0]
+    assert all(math.isfinite(v) for v in verdict.cell_values.values())
+    assert math.isfinite(td_minus_bd_gap(dist, PAIR))
 
 
 # -- FD-vs-BD sufficient conditions --------------------------------------------
