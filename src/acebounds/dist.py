@@ -109,13 +109,10 @@ class DiscreteJoint:
             raise DomainError(f"value {value!r} not in the support of {var}")
         return int(hits[0])
 
-    def cells(self):
-        """Iterate (c, a, z, y, p) over all table cells."""
-        for ic, c in enumerate(self.c_support):
-            for ia, a in enumerate(self.a_support):
-                for iz, z in enumerate(self.z_support):
-                    for iy, y in enumerate(self.y_support):
-                        yield c, a, z, y, self.pmf[ic, ia, iz, iy]
+    def cells(self) -> np.ndarray:
+        """(N, 5) array of (c, a, z, y, p) rows over all table cells, y varying fastest."""
+        grids = np.meshgrid(*self.supports(), indexing="ij")
+        return np.column_stack([g.ravel() for g in grids] + [self.pmf.ravel()])
 
     # -- raw probabilities ------------------------------------------------
 

@@ -9,6 +9,12 @@ value.  Every applied directive is recorded in the returned manifest.
 Fitted probability components are clipped to [1e-6, 1 - 1e-6] before use and
 clipping events are counted; conditional densities are left unclipped (the
 influence evaluators enforce their own positivity threshold on denominators).
+
+Empirical and fixed-value slots are ``influence._Table`` lookups.  Their
+``reads`` are the slot arguments that are fitted predictors (plus the response
+of a probability), and their ``observed`` mask holds the groups seen in the
+data: a response level unseen within an observed group has frequency 0, while
+an unseen group or a value outside the support raises.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import (
     RankDeficient,
     SeparationDetected,
 )
-from .influence import NuisanceSet
+from .influence import NuisanceSet, _Table
 from .quadrature import FiniteZRule, GaussHermiteZRule
 from .special import expit
 
@@ -50,6 +56,7 @@ __all__ = [
 
 CLIP_EPS = 1e-6
 VARIANCE_FLOOR = 1e-8
+_MAX_TABLE_CELLS = 1 << 24  # an empirical table over several continuous columns grows as n^k
 
 # slot -> (call-argument names in canonical order, response variable, kind)
 SLOTS = {
@@ -292,53 +299,27 @@ class _Logistic:
         return _spread(out, (value,) + cond)
 
 
-class _EmpiricalTable:
-    """Conditional frequency / group-mean table keyed by observed value combinations."""
+def _empirical_table(data: Dataset, args: tuple, given: tuple, response: Optional[str] = None) -> _Table:
+    """Frequencies of `response` within the observed groups of `given`; without a response, means of y.
 
-    def __init__(self, table: dict, kind: str):
-        self.table = table  # (vals...) -> value
-        self.kind = kind
-
-    def __call__(self, *args):
-        arrs = [np.asarray(x, dtype=float) for x in args]
-        shape = np.broadcast_shapes(*(a.shape for a in arrs))
-        arrs = [np.broadcast_to(a, shape) for a in arrs]
-        flat = np.empty(int(np.prod(shape)) if shape else 1)
-        keys = np.stack([a.ravel() for a in arrs], axis=-1) if shape else np.array([[float(a) for a in arrs]])
-        for i, key in enumerate(map(tuple, keys)):
-            try:
-                flat[i] = self.table[key]
-            except KeyError:
-                raise DomainError(f"combination {key} never observed; cannot evaluate {self.kind}") from None
-        return flat.reshape(shape) if shape else float(flat[0])
-
-
-def _empirical_prob(data: Dataset, response: str, given: tuple) -> _EmpiricalTable:
-    cols = [data.column(v) for v in given]
-    resp = data.column(response)
-    table = {}
-    group_keys = np.stack(cols, axis=-1) if cols else np.zeros((data.n, 0))
-    uniq_groups = np.unique(group_keys, axis=0) if cols else np.zeros((1, 0))
-    for g in uniq_groups:
-        mask = np.all(group_keys == g, axis=1) if cols else np.ones(data.n, dtype=bool)
-        denom = int(mask.sum())
-        for val in np.unique(resp[mask]):
-            table[(float(val),) + tuple(map(float, g))] = float(np.sum(resp[mask] == val)) / denom
-        for val in np.unique(resp):  # levels unseen in this group have frequency zero
-            key = (float(val),) + tuple(map(float, g))
-            table.setdefault(key, 0.0)
-    return _EmpiricalTable(table, f"empirical p({response}|{','.join(given) or '-'})")
-
-
-def _empirical_mean(data: Dataset, given: tuple) -> _EmpiricalTable:
-    cols = [data.column(v) for v in given]
-    resp = data.y
-    group_keys = np.stack(cols, axis=-1)
-    table = {}
-    for g in np.unique(group_keys, axis=0):
-        mask = np.all(group_keys == g, axis=1)
-        table[tuple(map(float, g))] = float(resp[mask].mean())
-    return _EmpiricalTable(table, f"empirical E(y|{','.join(given)})")
+    Each column is coded with np.unique and the cells are counted with
+    np.bincount.  A response level unseen within an observed group has
+    frequency 0; a group never observed has no value.
+    """
+    axes = ((response,) if response else ()) + given
+    supports, codes = zip(*(np.unique(data.column(v), return_inverse=True) for v in axes)) if axes else ((), ())
+    shape = tuple(s.size for s in supports)
+    if (size := math.prod(shape)) > _MAX_TABLE_CELLS:
+        raise DomainError(f"an empirical table over {axes} would hold {size} cells (limit {_MAX_TABLE_CELLS})")
+    cell = np.ravel_multi_index(codes, shape) if axes else np.zeros(data.n, dtype=np.intp)
+    count = np.bincount(cell, minlength=size).reshape(shape)
+    if response:
+        total, sums, what = count.sum(axis=0), count, f"empirical p({response}|{','.join(given) or '-'})"
+    else:
+        total, what = count, f"empirical E(y|{','.join(given) or '-'})"
+        sums = np.bincount(cell, weights=data.y, minlength=size).reshape(shape)
+    values = np.divide(sums, total, out=np.zeros(shape), where=total > 0)
+    return _Table(values, supports, tuple(args.index(v) for v in axes), total > 0, what)
 
 
 class _Clipped:
@@ -357,22 +338,6 @@ class _Clipped:
             self.counter[self.slot] = self.counter.get(self.slot, 0) + hits
             self.counter["total"] = self.counter.get("total", 0) + hits
         return np.clip(p, self.eps, 1.0 - self.eps)
-
-
-class _FixedProb:
-    """p(response = level) pinned to a constant over a binary support."""
-
-    def __init__(self, hi_level, lo_level, value):
-        self.hi_level = hi_level
-        self.lo_level = lo_level
-        self.value = float(value)
-
-    def __call__(self, value, *cond):
-        value = np.asarray(value, dtype=float)
-        out = np.where(value == self.hi_level, self.value, np.where(value == self.lo_level, 1.0 - self.value, np.nan))
-        if np.any(np.isnan(out)):
-            raise DomainError("fixed-value probability requested at an unknown level")
-        return out
 
 
 # -- spec-driven fitting ------------------------------------------------------
@@ -395,21 +360,15 @@ def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict):
     }
     if spec.family == "fixed-value":
         hi, lo = _binary_levels(data.column(response), response)
-        fn = _Clipped(_FixedProb(hi, lo, spec.fix_value), counter, spec.component)
+        fixed = _Table([1.0 - spec.fix_value, spec.fix_value], ((lo, hi),), what=f"fixed-value p({response})")
+        fn = _Clipped(fixed, counter, spec.component)
         applied["fixed_value"] = spec.fix_value
         return fn, applied
     if spec.family == "empirical":
-        if kind in ("prob", "law"):
-            # only the fitted predictors condition the table; other call args are ignored
-            used = tuple(v for v in args[1:] if v in preds)
-            raw = _empirical_prob(data, response, used)
-            fn = _ArgSelector(raw, args, (args[0],) + used)
-            if kind == "prob":
-                fn = _Clipped(fn, counter, spec.component)
-            return fn, applied
-        used = tuple(v for v in args if v in preds)
-        raw = _empirical_mean(data, used)
-        return _ArgSelector(raw, args, used), applied
+        # only the fitted predictors condition the table; other call args are ignored
+        given = tuple(v for v in args if v in preds and v != response)
+        fn = _empirical_table(data, args, given, None if kind == "mean" else response)
+        return (_Clipped(fn, counter, spec.component) if kind == "prob" else fn), applied
     if spec.family == "linear-mean":
         X = _design([data.column(p) for p in preds], data.n)
         coef = linear_mean_fit(X, data.y)
@@ -428,19 +387,6 @@ def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict):
         applied["sd"] = fn.sd
         return fn, applied
     raise DomainError(f"unhandled family {spec.family!r}")
-
-
-class _ArgSelector:
-    """Adapt a k-argument table to the slot's full canonical signature."""
-
-    def __init__(self, fn, slot_args: tuple, used_args: tuple):
-        self.fn = fn
-        self.keep = [slot_args.index(u) for u in used_args]
-        self.slot_args = slot_args
-
-    def __call__(self, *args):
-        out = self.fn(*(args[i] for i in self.keep))
-        return _spread(out, args)
 
 
 def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule=None, gh_nodes: int = 64) -> NuisanceSet:

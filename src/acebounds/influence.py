@@ -46,6 +46,13 @@ integrates once per level (a levels x nodes grid), and gathers the per-level
 results back to the rows through the inverse index.  This holds on any row
 subset, such as a cross-fitting fold; with a continuous covariate every row
 may be its own level, which costs what per-row integration would.
+
+Discrete nuisances are one table class, ``_Table``: dense values over sorted
+supports, each axis read from the call argument its ``reads`` entry names and
+found by binary search plus an exact-match check.  :func:`truth_nuisances`
+builds it over every argument, with undefined (NaN) cells passed through;
+``fitting`` builds its empirical and fixed-value slots with it, passing an
+``observed`` mask so that cells never seen raise :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -290,26 +297,37 @@ m_bd_fd_td = _pointwise("BD_FD_TD")
 
 
 class _Table:
-    """Vectorized lookup into a conditional table; args are support values."""
+    """Dense values over sorted supports, looked up by exact match.
 
-    def __init__(self, table: np.ndarray, supports):
-        self.table = np.asarray(table, dtype=float)
-        self.supports = [np.asarray(s, dtype=float) for s in supports]
+    Axis k of ``values`` is indexed by call argument ``reads[k]`` (by default
+    every argument, in order); the result broadcasts over all call arguments.
+    A value outside an axis's support raises, and so does a cell where the
+    optional ``observed`` mask is False.  Other cells, NaN ones included, are
+    returned as stored.
+    """
 
-    def _index(self, x, support, pos):
-        x = np.asarray(x, dtype=float)
-        idx = np.full(x.shape, -1, dtype=int)
-        for j, v in enumerate(support):
-            idx = np.where(x == v, j, idx)
-        if np.any(idx < 0):
-            raise DomainError(f"argument {pos} takes values outside the declared support")
+    def __init__(self, values, supports, reads=None, observed=None, what="exact table"):
+        order = np.ix_(*(np.argsort(s) for s in supports))
+        self.supports = [np.sort(np.asarray(s, dtype=float)) for s in supports]
+        self.values = np.asarray(values, dtype=float)[order]
+        self.observed = None if observed is None else np.broadcast_to(observed, self.values.shape)[order]
+        self.reads = tuple(range(len(self.supports))) if reads is None else tuple(reads)
+        self.what = what
+
+    def _index(self, x, k):
+        support, x = self.supports[k], np.asarray(x, dtype=float)
+        idx = np.minimum(np.searchsorted(support, x), support.size - 1)
+        if not np.all(support[idx] == x):
+            raise DomainError(f"argument {self.reads[k]} of {self.what} takes values outside its support")
         return idx
 
     def __call__(self, *args):
-        if len(args) != len(self.supports):
-            raise DomainError(f"expected {len(self.supports)} arguments, got {len(args)}")
-        idx = tuple(self._index(x, s, i) for i, (x, s) in enumerate(zip(args, self.supports)))
-        return self.table[idx]
+        idx = tuple(self._index(args[pos], k) for k, pos in enumerate(self.reads))
+        if self.observed is not None and not np.all(self.observed[idx]):
+            raise DomainError(f"{self.what} requested at a combination never observed")
+        out = self.values[idx]
+        shape = np.broadcast_shapes(*(np.shape(x) for x in args))
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
 
 def truth_nuisances(dist: DiscreteJoint) -> NuisanceSet:
@@ -338,8 +356,8 @@ def truth_nuisances(dist: DiscreteJoint) -> NuisanceSet:
 
 def _cell_values(dist: DiscreteJoint, tag: str, pair: TreatmentPair, eta: Optional[NuisanceSet]):
     eta = truth_nuisances(dist) if eta is None else eta
-    cells = np.array([cell for cell in dist.cells() if cell[4] > 0.0])
-    c, a, z, y, p = cells.T
+    cells = dist.cells()
+    c, a, z, y, p = cells[cells[:, 4] > 0.0].T
     m = evaluate_m(tag, c, a, z, y, eta, pair)
     return m, p
 

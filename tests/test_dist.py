@@ -254,3 +254,17 @@ def test_write_text_replaces_a_path_whole(tmp_path):
     assert path.read_bytes() == buf.getvalue().encode()
     assert path.stat().st_mode == ref.stat().st_mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dist.csv", "ref.csv"]
+
+
+def test_cells_enumerate_the_table_in_loop_order():
+    rng = np.random.default_rng(12)
+    pmf = rng.random((2, 3, 2, 3))
+    dist = DiscreteJoint([1.0, 0.0], [2.0, 0.0, 1.0], [0.5, -0.5], [3.0, 1.0, 2.0], pmf / pmf.sum())
+    loop = [
+        (c, a, z, y, dist.pmf[ic, ia, iz, iy])
+        for ic, c in enumerate(dist.c_support)
+        for ia, a in enumerate(dist.a_support)
+        for iz, z in enumerate(dist.z_support)
+        for iy, y in enumerate(dist.y_support)
+    ]
+    assert np.array_equal(dist.cells(), np.array(loop))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from acebounds.bounds import SimDgpParams, simdgp_theta
-from acebounds.dist import TreatmentPair, ace_backdoor, ace_twodoor
+from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
 from acebounds.errors import DomainError, MissingNuisance
 from acebounds.estimators import ESTIMATOR_TAGS, estimate, estimate_all
-from acebounds.fitting import CrossFitPlan, Dataset, fit
+from acebounds.fitting import SLOTS, CrossFitPlan, Dataset, ModelSpec, fit
 from acebounds.influence import evaluate_m, truth_nuisances
 from acebounds.simlab import sample_dgp, setting_model_specs, simdgp_truth_nuisances
 from acebounds.special import expit
@@ -256,3 +256,31 @@ def test_truth_nuisances_sample_average_recovers_effect():
         m = evaluate_m(tag, data.c, data.a, data.z, data.y, eta, PAIR)
         se = m.std(ddof=1) / np.sqrt(data.n)
         assert abs(m.mean() - theta) < 4 * se + 1e-4, tag
+
+
+def test_empirical_estimates_equal_exact_functionals_of_the_empirical_joint():
+    # saturated plug-in: with every (a, z, c) cell observed, the estimates are
+    # the exact BD/FD/TD functionals of the data's own frequency table
+    rng = np.random.default_rng(61)
+    n = 3000
+    c = rng.integers(0, 3, n).astype(float)
+    a = (rng.random(n) < 0.2 + 0.2 * c).astype(float) + (rng.random(n) < 0.5)
+    z = np.minimum(rng.poisson(0.8 + a + 0.5 * c), 5).astype(float)
+    y = np.round(rng.normal(0.4 * z + 0.3 * c + 0.2 * a, 1.0), 2)  # not dyadic
+    pair = TreatmentPair(2.0, 0.0)
+    data = Dataset(c, a, z, y, pair)
+    supports = [np.unique(col) for col in (c, a, z, y)]
+    assert [s.size for s in supports[:3]] == [3, 3, 6]
+    index = tuple(np.searchsorted(s, col) for s, col in zip(supports, (c, a, z, y)))
+    pmf = np.zeros(tuple(s.size for s in supports))
+    np.add.at(pmf, index, 1.0)
+    assert np.all(pmf.sum(axis=3) > 0), "every (c, a, z) cell must be observed"
+    joint = DiscreteJoint(*supports, pmf / n)
+    # the `empirical` preset: each slot conditioned on all of its arguments
+    specs = [
+        ModelSpec(slot, "empirical", predictors=tuple(v for v in args if v != response))
+        for slot, (args, response, _) in SLOTS.items()
+    ]
+    eta = fit(data, specs)
+    for tag, functional in (("BD", ace_backdoor), ("FD", ace_frontdoor), ("TD", ace_twodoor)):
+        assert abs(estimate(data, eta, tag).theta_hat - functional(joint, pair)) <= 1e-12, tag

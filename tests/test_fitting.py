@@ -7,7 +7,9 @@ from acebounds.errors import (
     DomainError,
     SeparationDetected,
 )
+from acebounds import fitting
 from acebounds.fitting import (
+    CLIP_EPS,
     CrossFitPlan,
     Dataset,
     ModelSpec,
@@ -215,3 +217,68 @@ def test_dataset_rejects_non_finite(column, bad):
     cols[column][2] = bad
     with pytest.raises(DomainError, match=f"non-finite value in column {column!r}"):
         Dataset(**cols, pair=PAIR)
+
+
+def test_empirical_and_fixed_value_table_semantics():
+    a = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    c = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    z = np.array([0.0, 1.0, 0.0, 0.0, 2.0, 2.0])
+    data = Dataset(c, a, z, np.arange(6.0), PAIR)
+    specs = [
+        ModelSpec("p_z_given_a", "empirical", predictors=("a",)),
+        ModelSpec("p_z_given_ac", "empirical", predictors=("a", "c")),
+        ModelSpec("p_a_given_c", "empirical", predictors=("c",)),
+        ModelSpec("mean_y_azc", "empirical", predictors=("a",)),
+        ModelSpec("p_a", "fixed-value", fix_value=0.25),
+    ]
+    eta = fit(data, specs)
+    # z = 1 was seen, but never with a = 1: frequency zero, not an error
+    assert float(eta.p_z_given_a(1.0, 1.0)) == 0.0
+    assert float(eta.p_z_given_a(1.0, 0.0)) == 1.0 / 3.0
+    # a = 0 never occurs with c = 1: clipped up to CLIP_EPS and counted
+    assert float(eta.p_a_given_c(0.0, 1.0)) == CLIP_EPS
+    assert eta.manifest["clip_events"]["p_a_given_c"] == 1
+    # a table reading only `a` still broadcasts over every call argument
+    assert eta.mean_y_azc(1.0, np.zeros(5), 1.0).shape == (5,)
+    with pytest.raises(DomainError):  # (a, c) = (1, 0): both values seen, never together
+        eta.p_z_given_ac(0.0, 1.0, 0.0)
+    with pytest.raises(DomainError):  # z = 5 lies outside the observed support
+        eta.p_z_given_a(np.array([0.0, 5.0]), 0.0)
+    with pytest.raises(DomainError):  # a = 0.5 lies outside the observed support
+        eta.mean_y_azc(0.5, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        eta.p_a(0.5)
+
+
+def test_empirical_table_size_is_bounded(monkeypatch):
+    monkeypatch.setattr(fitting, "_MAX_TABLE_CELLS", 60)
+    data = _toy(50, seed=4)  # continuous z: 50 levels x 2 covariate levels
+    with pytest.raises(DomainError, match="cells"):
+        fit(data, [ModelSpec("mean_y_zc", "empirical", predictors=("z", "c"))])
+    fit(data, [ModelSpec("mean_y_az", "empirical", predictors=("z",))])
+
+
+def test_empirical_tables_match_a_per_group_reference():
+    rng = np.random.default_rng(5)
+    n = 500
+    c = rng.integers(0, 3, n).astype(float)
+    a = rng.integers(0, 2, n).astype(float)
+    z = rng.integers(0, 4, n).astype(float)
+    y = rng.normal(2.0, 3.0, n)
+    data = Dataset(c, a, z, y, PAIR)
+    specs = [
+        ModelSpec("p_z_given_ac", "empirical", predictors=("a", "c")),
+        ModelSpec("mean_y_azc", "empirical", predictors=("a", "z", "c")),
+    ]
+    eta = fit(data, specs)
+    eps = np.finfo(float).eps
+    for av in (0.0, 1.0):
+        for cv in (0.0, 1.0, 2.0):
+            group = (a == av) & (c == cv)
+            for zv in (0.0, 1.0, 2.0, 3.0):
+                # frequencies are exact ratios of counts
+                assert float(eta.p_z_given_ac(zv, av, cv)) == np.count_nonzero(group & (z == zv)) / np.count_nonzero(group)
+                cell = group & (z == zv)
+                # group sums now run in row order: bound the error by the summation order
+                tol = np.count_nonzero(cell) * eps * np.max(np.abs(y))
+                assert abs(float(eta.mean_y_azc(av, zv, cv)) - y[cell].mean()) <= tol

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import acebounds.influence as influence
 from acebounds.bounds import SimDgpParams
-from acebounds.dist import TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
-from acebounds.errors import MissingNuisance, PositivityViolation
+from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
+from acebounds.errors import DomainError, MissingNuisance, PositivityViolation
 from acebounds.influence import (
     MODEL_TAGS,
     NuisanceSet,
@@ -287,3 +287,20 @@ def test_grid_size_does_not_grow_with_rows(monkeypatch):
     for tag in ALL_TAGS:
         assert totals[tag, 1000] == totals[tag, 5000], tag
         assert (totals[tag, 1000] > 0) == (tag != "BD"), tag
+
+
+def test_truth_tables_on_unsorted_supports_pass_undefined_cells_through():
+    # c = 2 carries no mass, so p(a|c=2) is undefined: NaN, not an error
+    rng = np.random.default_rng(8)
+    pmf = rng.random((3, 2, 3, 2))
+    pmf[0] = 0.0
+    pmf /= pmf.sum()
+    dist = DiscreteJoint([2.0, 0.0, 1.0], [1.0, 0.0], [0.5, -1.0, 3.0], [1.0, -2.0], pmf)
+    eta = truth_nuisances(dist)
+    assert np.all(np.isnan(eta.p_a_given_c(np.array([0.0, 1.0]), 2.0)))
+    for c in (0.0, 1.0):
+        for z in (0.5, -1.0, 3.0):
+            want = dist.conditional_table(("z",), {"a": 1.0, "c": c})[dist.index_of("z", z)]
+            assert float(eta.p_z_given_ac(z, 1.0, c)) == pytest.approx(want, abs=1e-15)
+    with pytest.raises(DomainError):
+        eta.p_z_given_ac(0.0, 1.0, 0.0)
