@@ -10,8 +10,6 @@ full precision.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -19,10 +17,10 @@ import numpy as np
 
 from . import compare as cmp_mod
 from .bounds import MODELS, SimDgpParams, bound, simdgp_bound
-from .dist import TreatmentPair, read_dist_csv, write_text
+from .dist import TreatmentPair, csv_text, read_dist_csv, report_cell, write_text
 from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, EstimationResult, estimate_all
-from .fitting import CrossFitPlan, ModelSpec, fit, read_data_csv
+from .fitting import SLOTS, CrossFitPlan, ModelSpec, fit, read_data_csv
 from .influence import brute_force_variance
 from .simlab import McConfig, run_mc, setting_model_specs
 
@@ -33,21 +31,6 @@ def _emit(text: str, out: str | None) -> None:
     if out is None and not text.endswith("\n"):
         text += "\n"
     write_text(text, sys.stdout if out is None else out)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
 
 
 def read_config(path: str | None) -> dict:
@@ -133,10 +116,8 @@ def _parse_model_specs(cfg: dict):
             for spec in setting_model_specs(int(preset.rsplit("-", 1)[1])):
                 specs[spec.component] = spec
         elif preset == "empirical":
-            for slot in ("p_c", "p_a", "p_a_given_c", "p_z_given_a", "p_z_given_ac"):
-                specs[slot] = ModelSpec(slot, "empirical", predictors=_slot_preds(slot))
-            for slot in ("mean_y_ac", "mean_y_az", "mean_y_zc", "mean_y_azc"):
-                specs[slot] = ModelSpec(slot, "empirical", predictors=_slot_preds(slot))
+            for slot, (args, response, _) in SLOTS.items():
+                specs[slot] = ModelSpec(slot, "empirical", predictors=tuple(v for v in args if v != response))
         else:
             raise DomainError(f"unknown preset {preset!r}")
     for key, value in cfg.items():
@@ -146,13 +127,6 @@ def _parse_model_specs(cfg: dict):
     if not specs:
         raise DomainError("no nuisance model specs: give preset=... or nuisance.<slot>=... lines")
     return list(specs.values())
-
-
-def _slot_preds(slot: str):
-    from .fitting import SLOTS
-
-    args, response, _ = SLOTS[slot]
-    return tuple(v for v in args if v != response)
 
 
 def _parse_tags(cfg: dict):
@@ -188,7 +162,7 @@ def cmd_bounds(args) -> int:
         _emit(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True), args.out)
     else:
         rows = [(r.model, r.value, r.method, r.pair.a_star, r.pair.a_ref) for r in reports]
-        _emit(_csv_text(("model", "value", "method", "a_star", "a_ref"), rows), args.out)
+        _emit(csv_text(("model", "value", "method", "a_star", "a_ref"), rows, report_cell), args.out)
     return 0
 
 
@@ -211,7 +185,7 @@ def cmd_estimate(args) -> int:
     if args.format == "json":
         _emit(json.dumps([r.to_dict() for r in results], indent=2, sort_keys=True), args.out)
     else:
-        _emit(_csv_text(EstimationResult.CSV_HEADER, [r.csv_row() for r in results]), args.out)
+        _emit(csv_text(EstimationResult.CSV_HEADER, [r.csv_row() for r in results], report_cell), args.out)
     return 0
 
 
@@ -252,7 +226,7 @@ def cmd_compare(args) -> int:
         if args.format == "json":
             _emit(json.dumps({"p_star": args.interval, "low": low, "high": high}), args.out)
         else:
-            _emit(_csv_text(("p_star", "low", "high"), [(args.interval, low, high)]), args.out)
+            _emit(csv_text(("p_star", "low", "high"), [(args.interval, low, high)], report_cell), args.out)
         return 0
     if args.scan:
         grid = cmp_mod.default_scan_grid()
@@ -309,7 +283,7 @@ def cmd_oracle(args) -> int:
         ]
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
-        _emit(_csv_text(("model", "formula", "enumeration", "abs_diff"), rows), args.out)
+        _emit(csv_text(("model", "formula", "enumeration", "abs_diff"), rows, report_cell), args.out)
     if worst > tol:
         sys.stderr.write(f"oracle discrepancy {worst:.3e} exceeds tolerance {tol:.1e}\n")
         return 1
@@ -325,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", help="output path (atomic write); default stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=0, help="worker threads where supported")
 
     p = sub.add_parser("bounds", help="efficiency bounds for a dist file or the Gaussian-mediator family")
     common(p)
@@ -336,11 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="plug-in estimates on an observation file")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="overrides the seed config key")
     p.add_argument("--data", help="observations with header c,a,z,y")
     p.set_defaults(handler=cmd_estimate)
 
     p = sub.add_parser("simulate", help="Monte Carlo study of the estimators")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="overrides the seed config key")
+    p.add_argument("--threads", type=int, default=0, help="replicates in flight; overrides the threads config key")
     p.add_argument("--paper-scale", action="store_true", help="n=50000, 1000 replicates")
     p.set_defaults(handler=cmd_simulate)
 

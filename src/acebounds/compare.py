@@ -15,15 +15,13 @@ cell the comparisons raise PositivityViolation, as the TD bound does.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, chain_joint, fsum, write_text
+from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, chain_joint, csv_text, fsum, report_cell, write_text
 from .errors import AssumptionViolation, DomainError, PositivityViolation
 from .special import expit
 
@@ -277,19 +275,6 @@ def binary_family_scan(grid: Optional[dict] = None) -> np.ndarray:
 
 def scan_to_csv(rows: np.ndarray, target) -> None:
     """Flat CSV with columns beta0,alpha,beta,gamma1,gamma2,diff,interval_member."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["beta0", "alpha", "beta", "gamma1", "gamma2", "diff", "interval_member"])
-    for row in rows:
-        writer.writerow(
-            [
-                format(row["beta0"], ".6g"),
-                format(row["alpha"], ".6g"),
-                format(row["beta"], ".6g"),
-                format(row["gamma1"], ".6g"),
-                format(row["gamma2"], ".6g"),
-                format(row["diff"], ".6g"),
-                int(row["interval_member"]),
-            ]
-        )
-    write_text(buf.getvalue(), target)
+    names = rows.dtype.names
+    columns = [rows[name].astype(int) if name == "interval_member" else rows[name] for name in names]
+    write_text(csv_text(names, zip(*(col.tolist() for col in columns)), report_cell), target)

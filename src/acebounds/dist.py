@@ -5,6 +5,17 @@ The joint is stored as a dense probability table.  All reductions that feed a
 eat the error budget.  Conditionals with denominators below ``POSITIVITY_EPS``
 raise instead of propagating Inf/NaN: the downstream bound formulas are
 undefined there.
+
+Every table the package reads or writes goes through the one CSV codec here:
+:func:`read_csv_table` reads, :func:`csv_text` formats with one cell
+formatter (``exact_cell``, the shortest round-tripping float, for data and
+joints; ``report_cell``, 6 significant digits, for reports) and
+:func:`write_text` writes to a stream or atomically to a path.  Reader
+errors are DomainErrors prefixed by ``name:line`` where a line is known:
+``empty {what} file``, ``expected header 'c,a,z,y,p', got ...``,
+``expected 5 fields, got N``, the float parser's message,
+``non-finite value in column 'z'``, ``no {rows}`` and, for joints,
+``duplicate cell (c, a, z, y)`` at the repeated row.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import csv
 import io
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,59 +334,88 @@ def chain_joint(c_support, a_support, z_support, y_support, p_c, p_a_given_c, p_
 
 
 def read_dist_csv(source) -> DiscreteJoint:
-    """Parse the `c,a,z,y,p` cell format; `source` is a path or file object."""
-    if hasattr(source, "read"):
-        return _parse_dist(source, getattr(source, "name", "<stream>"))
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        return _parse_dist(fh, str(source))
+    """Parse the `c,a,z,y,p` cell format; `source` is a path or file object.
 
-
-def _parse_dist(fh, name: str) -> DiscreteJoint:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DomainError(f"{name}: empty distribution file") from None
-    if [h.strip().lower() for h in header] != ["c", "a", "z", "y", "p"]:
-        raise DomainError(f"{name}:1: expected header 'c,a,z,y,p', got {','.join(header)!r}")
-    cells = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise DomainError(f"{name}:{lineno}: expected 5 fields, got {len(row)}")
-        try:
-            c, a, z, y, p = (float(x) for x in row)
-        except ValueError as exc:
-            raise DomainError(f"{name}:{lineno}: {exc}") from None
-        for column, v in zip(VAR_NAMES + ("p",), (c, a, z, y, p)):
-            if not math.isfinite(v):
-                raise DomainError(f"{name}:{lineno}: non-finite value in column {column!r}")
-        key = (c, a, z, y)
-        if key in cells:
-            raise DomainError(f"{name}:{lineno}: duplicate cell {key}")
-        cells[key] = p
-    if not cells:
-        raise DomainError(f"{name}: no cells")
-    c_sup = sorted({k[0] for k in cells})
-    a_sup = sorted({k[1] for k in cells})
-    z_sup = sorted({k[2] for k in cells})
-    y_sup = sorted({k[3] for k in cells})
-    pmf = np.zeros((len(c_sup), len(a_sup), len(z_sup), len(y_sup)))
-    idx = {name: {v: i for i, v in enumerate(sup)} for name, sup in zip(VAR_NAMES, (c_sup, a_sup, z_sup, y_sup))}
-    for (c, a, z, y), p in cells.items():
-        pmf[idx["c"][c], idx["a"][a], idx["z"][z], idx["y"][y]] = p
-    return DiscreteJoint(c_sup, a_sup, z_sup, y_sup, pmf)
+    Each of c, a, z, y is coded against its sorted distinct values, and the
+    pmf is filled by one scatter over the flat cell codes.  Cells absent from
+    the file have mass 0; a cell listed twice is reported at its second line.
+    """
+    name, lines, table = read_csv_table(source, VAR_NAMES + ("p",), "distribution", "cells")
+    supports, codes = zip(*(np.unique(col, return_inverse=True) for col in table[:, :4].T))
+    shape = tuple(s.size for s in supports)
+    cell = np.ravel_multi_index(codes, shape)
+    order = np.argsort(cell, kind="stable")
+    repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
+    if repeats.size:
+        row = repeats.min()
+        raise DomainError(f"{name}:{lines[row]}: duplicate cell {tuple(table[row, :4].tolist())}")
+    pmf = np.zeros(math.prod(shape))
+    pmf[cell] = table[:, 4]
+    return DiscreteJoint(*supports, pmf.reshape(shape))
 
 
 def write_dist_csv(dist: DiscreteJoint, target) -> None:
     """Write the `c,a,z,y,p` cell format (all cells, including zeros)."""
+    write_text(csv_text(VAR_NAMES + ("p",), dist.cells().tolist(), exact_cell), target)
+
+
+# -- the one CSV codec ------------------------------------------------------------
+
+
+def read_csv_table(source, columns, what: str, rows_word: str):
+    """Read a header line plus rows of finite floats from a path or a stream.
+
+    Returns the source name, the line number of each data row and an (N, k)
+    float array, k = len(columns).  Blank lines are skipped; errors are the
+    DomainErrors listed in the module docstring.
+    """
+    columns, is_stream = tuple(columns), hasattr(source, "read")
+    name = getattr(source, "name", "<stream>") if is_stream else str(source)
+    with nullcontext(source) if is_stream else open(source, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DomainError(f"{name}: empty {what} file") from None
+        if [h.strip().lower() for h in header] != list(columns):
+            raise DomainError(f"{name}:1: expected header {','.join(columns)!r}, got {','.join(header)!r}")
+        lines, rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(columns):
+                raise DomainError(f"{name}:{lineno}: expected {len(columns)} fields, got {len(row)}")
+            try:
+                values = [float(x) for x in row]
+            except ValueError as exc:
+                raise DomainError(f"{name}:{lineno}: {exc}") from None
+            for column, v in zip(columns, values):
+                if not math.isfinite(v):
+                    raise DomainError(f"{name}:{lineno}: non-finite value in column {column!r}")
+            lines.append(lineno)
+            rows.append(values)
+    if not rows:
+        raise DomainError(f"{name}: no {rows_word}")
+    return name, lines, np.asarray(rows, dtype=float)
+
+
+def exact_cell(value) -> str:
+    """The shortest text that reads back as the same float: data and joints."""
+    return repr(float(value))
+
+
+def report_cell(value) -> str:
+    """Floats to 6 significant digits, anything else as str: reports and summaries."""
+    return format(value, ".6g") if isinstance(value, float) else str(value)
+
+
+def csv_text(header, rows, cell) -> str:
+    """The header line, then one line per row with every value formatted by `cell`."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["c", "a", "z", "y", "p"])
-    for c, a, z, y, p in dist.cells():
-        writer.writerow([repr(float(c)), repr(float(a)), repr(float(z)), repr(float(y)), repr(float(p))])
-    write_text(buf.getvalue(), target)
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def write_text(text: str, target) -> None:

@@ -19,15 +19,13 @@ an unseen group or a value outside the support raises.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import TreatmentPair, write_text
+from .dist import VAR_NAMES, TreatmentPair, csv_text, exact_cell, read_csv_table, write_text
 from .errors import (
     DegenerateModel,
     DomainError,
@@ -120,8 +118,10 @@ class Dataset:
 class ModelSpec:
     """How to populate one NuisanceSet slot.
 
-    `omit` drops predictors before fitting; `fix_value` pins p_c / p_a to a
-    constant instead of fitting anything.
+    Predictors and `omit` entries must be conditioning arguments of the slot
+    (its call arguments minus the response).  `omit` drops predictors before
+    fitting; `fix_value` pins p_c / p_a to a constant instead of fitting
+    anything, and is given with the fixed-value family only.
     """
 
     component: str
@@ -138,14 +138,17 @@ class ModelSpec:
             raise DomainError(
                 f"family {self.family!r} not available for slot {self.component!r}"
             )
-        allowed = set("caz")
+        args, response, _ = SLOTS[self.component]
+        allowed = tuple(v for v in args if v != response)
         for p in tuple(self.predictors) + tuple(self.omit):
             if p not in allowed:
-                raise DomainError(f"predictor {p!r} outside {{c, a, z}}")
+                raise DomainError(f"predictor {p!r} is not a conditioning argument of {self.component} {allowed}")
         if self.fix_value is not None and self.component not in ("p_c", "p_a"):
             raise DomainError("fix_value directives apply only to p_c and p_a")
-        if self.family == "fixed-value" and self.fix_value is None:
-            raise DomainError("fixed-value family needs fix_value")
+        if (self.family == "fixed-value") != (self.fix_value is not None):
+            raise DomainError("fix_value goes with the fixed-value family, and only with it")
+        if self.fix_value is not None and not 0.0 <= self.fix_value <= 1.0:
+            raise DomainError(f"fix_value {self.fix_value!r} is not a probability")
         object.__setattr__(self, "predictors", tuple(self.predictors))
         object.__setattr__(self, "omit", tuple(self.omit))
 
@@ -450,45 +453,11 @@ def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFit
 
 def read_data_csv(source, pair: TreatmentPair) -> Dataset:
     """Parse observation CSV with header `c,a,z,y`."""
-    if hasattr(source, "read"):
-        fh = source
-        return _parse_data(fh, getattr(source, "name", "<stream>"), pair)
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        return _parse_data(fh, str(source), pair)
-
-
-def _parse_data(fh, name: str, pair: TreatmentPair) -> Dataset:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DomainError(f"{name}: empty data file") from None
-    if [h.strip().lower() for h in header] != ["c", "a", "z", "y"]:
-        raise DomainError(f"{name}:1: expected header 'c,a,z,y', got {','.join(header)!r}")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise DomainError(f"{name}:{lineno}: expected 4 fields, got {len(row)}")
-        try:
-            values = [float(x) for x in row]
-        except ValueError as exc:
-            raise DomainError(f"{name}:{lineno}: {exc}") from None
-        for column, v in zip(("c", "a", "z", "y"), values):
-            if not math.isfinite(v):
-                raise DomainError(f"{name}:{lineno}: non-finite value in column {column!r}")
-        rows.append(values)
-    if not rows:
-        raise DomainError(f"{name}: no observations")
-    arr = np.asarray(rows, dtype=float)
-    return Dataset(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], pair)
+    _, _, table = read_csv_table(source, VAR_NAMES, "data", "observations")
+    return Dataset(*table.T, pair)
 
 
 def write_data_csv(data: Dataset, target) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["c", "a", "z", "y"])
-    for row in zip(data.c, data.a, data.z, data.y):
-        writer.writerow([repr(float(v)) for v in row])
-    write_text(buf.getvalue(), target)
+    """Write observation CSV with header `c,a,z,y`, each value in its shortest exact form."""
+    rows = np.column_stack([data.c, data.a, data.z, data.y]).tolist()
+    write_text(csv_text(VAR_NAMES, rows, exact_cell), target)

@@ -17,9 +17,12 @@ import math
 
 import numpy as np
 
-from .errors import MissingNuisance
+from .errors import DomainError, MissingNuisance
 
 __all__ = ["FiniteZRule", "GaussHermiteZRule", "expect_z"]
+
+# levels x support elements of one finite grid; an n-node rule over n (a, c) levels grows as n^2
+_MAX_GRID_ELEMENTS = 1 << 22
 
 
 def _node_shape(x):
@@ -29,7 +32,11 @@ def _node_shape(x):
 
 
 class FiniteZRule:
-    """Exact summation over a finite mediator support."""
+    """Exact summation over a finite mediator support.
+
+    A grid of more than ``_MAX_GRID_ELEMENTS`` (conditioning levels times
+    support points) raises DomainError before the density is evaluated.
+    """
 
     def __init__(self, support):
         self.support = np.asarray(support, dtype=float)
@@ -37,6 +44,12 @@ class FiniteZRule:
             raise ValueError("mediator support must be a non-empty 1-d sequence")
 
     def grid(self, density, *cond):
+        levels = math.prod(np.broadcast_shapes(*(np.shape(x) for x in cond)))
+        if levels * self.support.size > _MAX_GRID_ELEMENTS:
+            raise DomainError(
+                f"a finite mediator grid of {levels} levels x {self.support.size} nodes exceeds "
+                f"{_MAX_GRID_ELEMENTS} elements"
+            )
         cond = tuple(_node_shape(x) for x in cond)
         weights = density(self.support, *cond)
         return self.support, np.asarray(weights, dtype=float)

@@ -9,18 +9,17 @@ thread count.
 
 from __future__ import annotations
 
-import csv
-import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from .bounds import SimDgpParams, simdgp_theta
-from .dist import TreatmentPair, write_text
+from .dist import TreatmentPair, csv_text, report_cell, write_text
 from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, estimate
-from .fitting import CrossFitPlan, Dataset, ModelSpec, fit
+from .fitting import CrossFitPlan, Dataset, GaussianConditional, ModelSpec, _LinearMean, _Logistic, fit
+from .influence import NuisanceSet, _Table
 from .quadrature import GaussHermiteZRule
 from .special import expit
 
@@ -85,29 +84,10 @@ class McSummary:
     config: McConfig
     failed: dict  # n -> number of failed replicates
 
-    CSV_HEADER = (
-        "setting",
-        "n",
-        "tag",
-        "bias",
-        "bias_se",
-        "emp_se",
-        "scaled_var",
-        "scaled_var_se",
-        "mse",
-        "mse_se",
-    )
+    CSV_HEADER = tuple(f.name for f in fields(McRow))
 
     def to_csv(self, target=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER)
-        for r in self.rows:
-            writer.writerow(
-                [r.setting, r.n, r.tag]
-                + [format(v, ".6g") for v in (r.bias, r.bias_se, r.emp_se, r.scaled_var, r.scaled_var_se, r.mse, r.mse_se)]
-            )
-        text = buf.getvalue()
+        text = csv_text(self.CSV_HEADER, (astuple(r) for r in self.rows), report_cell)
         if target is not None:
             write_text(text, target)
         return text
@@ -129,54 +109,14 @@ def sample_dgp(params: SimDgpParams, n: int, seed) -> Dataset:
     return Dataset(c, a, z, y, TreatmentPair(1.0, 0.0))
 
 
-class _GaussianLaw:
-    """Exact mediator law of the study family: N(beta * a, sigma_z^2)."""
-
-    def __init__(self, beta: float, sigma_z: float):
-        self.beta = beta
-        self.sigma_z = sigma_z
-
-    def location_scale(self, a, *rest):
-        return self.beta * np.asarray(a, dtype=float), self.sigma_z
-
-    def __call__(self, z, a, *rest):
-        mu, sd = self.location_scale(a)
-        z = np.asarray(z, dtype=float)
-        return np.exp(-0.5 * ((z - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
-
-
 def simdgp_truth_nuisances(params: SimDgpParams, gh_nodes: int = 64):
     """Every nuisance slot filled with the exact laws of the study family."""
-    from .influence import NuisanceSet
-
     p1 = params.p_a_marginal(1)
-    law = _GaussianLaw(params.beta, params.sigma_z)
+    law = GaussianConditional(("a", "c"), ("a",), [0.0, params.beta], params.sigma_z)
     g1, g2, al = params.gamma1, params.gamma2, params.alpha
     # p(C=1 | A=a) by Bayes on the binary covariate
     ec_a1 = float(expit(al)) * params.p_c / p1
     ec_a0 = (1.0 - float(expit(al))) * params.p_c / (1.0 - p1)
-
-    def p_c(c):
-        c = np.asarray(c, dtype=float)
-        return np.where(c == 1.0, params.p_c, 1.0 - params.p_c)
-
-    def p_a(a):
-        a = np.asarray(a, dtype=float)
-        return np.where(a == 1.0, p1, 1.0 - p1)
-
-    def p_a_given_c(a, c):
-        prop = expit(al * np.asarray(c, dtype=float))
-        return np.where(np.asarray(a) == 1.0, prop, 1.0 - prop)
-
-    def mean_y_zc(z, c):
-        return g1 * np.asarray(z, dtype=float) + g2 * np.asarray(c, dtype=float)
-
-    def mean_y_azc(a, z, c):
-        out = mean_y_zc(z, c)
-        return np.broadcast_to(out, np.broadcast_shapes(np.shape(a), out.shape))
-
-    def mean_y_ac(a, c):
-        return g1 * params.beta * np.asarray(a, dtype=float) + g2 * np.asarray(c, dtype=float)
 
     def mean_y_az(a, z):
         cond_c = np.where(np.asarray(a) == 1.0, ec_a1, ec_a0)
@@ -185,15 +125,15 @@ def simdgp_truth_nuisances(params: SimDgpParams, gh_nodes: int = 64):
     return NuisanceSet(
         a_support=(0.0, 1.0),
         c_support=(0.0, 1.0),
-        p_c=p_c,
-        p_a=p_a,
-        p_a_given_c=p_a_given_c,
+        p_c=_Table([1.0 - params.p_c, params.p_c], ((0.0, 1.0),), what="p(c)"),
+        p_a=_Table([1.0 - p1, p1], ((0.0, 1.0),), what="p(a)"),
+        p_a_given_c=_Logistic(("a", "c"), ("c",), [0.0, al], 1.0, 0.0),
         p_z_given_a=law,
         p_z_given_ac=law,
-        mean_y_ac=mean_y_ac,
+        mean_y_ac=_LinearMean(("a", "c"), ("a", "c"), [0.0, g1 * params.beta, g2]),
         mean_y_az=mean_y_az,
-        mean_y_zc=mean_y_zc,
-        mean_y_azc=mean_y_azc,
+        mean_y_zc=_LinearMean(("z", "c"), ("z", "c"), [0.0, g1, g2]),
+        mean_y_azc=_LinearMean(("a", "z", "c"), ("z", "c"), [0.0, g1, g2]),
         z_integrator=GaussHermiteZRule(gh_nodes),
         manifest={"source": "study-family truth"},
     )

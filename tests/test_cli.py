@@ -240,3 +240,34 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert run_cli("bounds", "--dgp", DGP, "--out", str(out)) == 0
     leftovers = [p for p in tmp_path.iterdir() if p.name != "bounds.csv"]
     assert leftovers == []
+
+
+def test_cli_tables_golden_bytes(capsys):
+    assert run_cli("bounds", "--dgp", DGP, "--set", "models=BD,TD") == 0
+    assert capsys.readouterr().out == (
+        "model,value,method,a_star,a_ref\nBD,5.67885,closed-form,1,0\nTD,1.4198,closed-form,1,0\n"
+    )
+    assert run_cli("compare", "--interval", "0.5") == 0
+    assert capsys.readouterr().out == "p_star,low,high\n0.5,0.171573,5.82843\n"
+
+
+@pytest.mark.parametrize("command", [["bounds", "--dgp", DGP], ["compare", "--interval", "0.5"], ["oracle", "--dist", "d.csv"]])
+@pytest.mark.parametrize("flag", [["--seed", "9"], ["--threads", "8"]])
+def test_seed_and_threads_only_where_read(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, *flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_estimate_rejects_a_predictor_its_slot_cannot_read(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    c = (rng.random(100) < 0.5).astype(float)
+    a = (rng.random(100) < 0.5).astype(float)
+    data_path = tmp_path / "obs.csv"
+    write_data_csv(Dataset(c, a, a + rng.standard_normal(100), rng.standard_normal(100), PAIR), data_path)
+    code = run_cli(
+        "estimate", "--data", str(data_path), "--set", "preset=sim-setting-0", "--set", "nuisance.p_a_given_c=logistic predictors=z"
+    )
+    assert code == 2
+    assert "'z' is not a conditioning argument of p_a_given_c" in capsys.readouterr().err

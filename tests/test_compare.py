@@ -307,6 +307,23 @@ def test_scan_csv_layout():
     assert len(lines) == 3
 
 
+def test_scan_csv_golden_bytes():
+    grid = {
+        "beta0": np.array([0.1]),
+        "alpha": np.array([1.0]),
+        "beta": np.array([0.0, 4.0]),
+        "gamma1": np.array([1.0]),
+        "gamma2": np.array([-1.0]),
+    }
+    buf = io.StringIO()
+    scan_to_csv(binary_family_scan(grid), buf)
+    assert buf.getvalue() == (
+        "beta0,alpha,beta,gamma1,gamma2,diff,interval_member\n"
+        "0.1,1,0,1,-1,-1.02056,1\n"
+        "0.1,1,4,1,-1,0.839492,0\n"
+    )
+
+
 def test_default_grid_shape():
     grid = default_scan_grid()
     assert grid["beta0"].size == 4

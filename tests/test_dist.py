@@ -20,9 +20,10 @@ from acebounds.dist import (
     write_text,
 )
 from acebounds.errors import DomainError, PositivityViolation, ZeroConditioningEvent
+from acebounds.fitting import read_data_csv
 from acebounds.special import expit
 
-from conftest import BINARY, binary_logit_dist, random_chain_dist, uniform_joint
+from conftest import BINARY, PAIR, binary_logit_dist, random_chain_dist, uniform_joint
 
 probs = st.floats(min_value=0.15, max_value=0.85)
 
@@ -212,6 +213,62 @@ def test_dist_csv_rejects_duplicate_cells(tmp_path):
     path.write_text("c,a,z,y,p\n0,0,0,0,0.5\n0,0,0,0,0.5\n")
     with pytest.raises(DomainError, match="duplicate"):
         read_dist_csv(path)
+    # the earliest row that repeats an earlier cell is reported, not the first repeat in sort order
+    path.write_text("c,a,z,y,p\n0,1,0,0,0.25\n0,0,0,0,0.25\n\n1,0,0,0,0.25\n0,1,0,0,0.1\n0,0,0,0,0.15\n")
+    with pytest.raises(DomainError) as exc:
+        read_dist_csv(path)
+    assert str(exc.value) == f"{path}:6: duplicate cell (0.0, 1.0, 0.0, 0.0)"
+
+
+def test_write_dist_csv_golden_bytes():
+    dist = DiscreteJoint([0.0], [0.0, 1.0], [0.1], [-2.0, 1e-05], [[[[0.1, 0.2]], [[0.3, 0.4]]]])
+    buf = io.StringIO()
+    write_dist_csv(dist, buf)
+    assert buf.getvalue() == (
+        "c,a,z,y,p\n0.0,0.0,0.1,-2.0,0.1\n0.0,0.0,0.1,1e-05,0.2\n0.0,1.0,0.1,-2.0,0.3\n0.0,1.0,0.1,1e-05,0.4\n"
+    )
+
+
+_READERS = {
+    "dist": (read_dist_csv, ",p", ",0.5", "distribution", "cells", 5),
+    "data": (lambda source: read_data_csv(source, PAIR), "", "", "data", "observations", 4),
+}
+# {p} completes the reader's header and {v} its rows; the expected error follows the source name
+_MALFORMED = {
+    "wrong header": ("c,a,z,q{p}\n0,0,0,0{v}\n", ":1: expected header 'c,a,z,y{p}', got 'c,a,z,q{p}'"),
+    "wrong field count": ("c,a,z,y{p}\n0,0,0,0{v}\n0,0,1\n", ":3: expected {k} fields, got 3"),
+    "empty file": ("", ": empty {what} file"),
+    "header only": ("c,a,z,y{p}\n", ": no {rows}"),
+    "header and blank lines": ("c,a,z,y{p}\n\n  \n", ": no {rows}"),
+    "non-float field": ("c,a,z,y{p}\n0,0,0,0{v}\n0,0,oops,0{v}\n", ":3: could not convert string to float: 'oops'"),
+    "non-float after blank lines": ("c,a,z,y{p}\n\n\n0,0,0,oops{v}\n", ":4: could not convert string to float: 'oops'"),
+    "non-finite field": ("c,a,z,y{p}\n0,0,0,0{v}\n0,1,nan,0{v}\n", ":3: non-finite value in column 'z'"),
+    "infinite field": ("c,a,z,y{p}\n0,0,0,0{v}\n0,1,0,-inf{v}\n", ":3: non-finite value in column 'y'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_csv_readers_report_malformed_input_at_its_line(tmp_path, reader, case):
+    read, p, v, what, rows, k = _READERS[reader]
+    text, message = _MALFORMED[case]
+    message = message.format(p=p, k=k, what=what, rows=rows)
+    path = tmp_path / "in.csv"
+    path.write_text(text.format(p=p, v=v))
+    for source, name in ((path, str(path)), (io.StringIO(path.read_text()), "<stream>")):
+        with pytest.raises(DomainError) as exc:
+            read(source)
+        assert str(exc.value) == name + message
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_csv_readers_skip_blank_lines(reader):
+    read, p, v, *_ = _READERS[reader]
+    got = read(io.StringIO(f"c,a,z,y{p}\n\n0,0,0,0{v}\n   \n0,1,0,0{v}\n\n"))
+    if reader == "dist":
+        assert got.a_support.tolist() == [0.0, 1.0] and got.pmf.ravel().tolist() == [0.5, 0.5]
+    else:
+        assert got.a.tolist() == [0.0, 1.0] and got.n == 2
 
 
 def test_uniform_helper_consistency(uniform_dist):

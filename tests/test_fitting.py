@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,35 @@ def test_model_spec_validation():
         ModelSpec("mean_y_zc", "linear-mean", predictors=("z",), fix_value=0.3)
 
 
+@pytest.mark.parametrize(
+    "component, family, predictors, omit",
+    [
+        ("p_a_given_c", "logistic", ("a",), ()),  # the response is not a predictor
+        ("p_a_given_c", "empirical", ("z",), ()),  # z is not an argument of p(a|c)
+        ("p_a_given_c", "logistic", ("c",), ("z",)),
+        ("p_c", "empirical", ("c",), ()),
+        ("p_z_given_a", "gaussian-density", ("a", "c"), ()),
+        ("mean_y_zc", "linear-mean", ("a", "z"), ()),
+    ],
+)
+def test_model_spec_rejects_predictors_the_slot_cannot_read(component, family, predictors, omit):
+    with pytest.raises(DomainError, match="conditioning argument"):
+        ModelSpec(component, family, predictors=predictors, omit=omit)
+
+
+def test_model_spec_rejects_fix_value_outside_the_fixed_value_family():
+    with pytest.raises(DomainError, match="fixed-value"):
+        ModelSpec("p_a", "empirical", fix_value=0.3)
+    with pytest.raises(DomainError, match="fixed-value"):
+        ModelSpec("p_c", "logistic", fix_value=0.3)
+    with pytest.raises(DomainError, match="fixed-value"):
+        ModelSpec("p_a", "fixed-value")
+    for bad in (1.5, -0.2, float("nan")):
+        with pytest.raises(DomainError, match="not a probability"):
+            ModelSpec("p_a", "fixed-value", fix_value=bad)
+    assert ModelSpec("p_a", "fixed-value", fix_value=0.3).fix_value == 0.3
+
+
 def test_duplicate_slots_rejected():
     data = _toy()
     with pytest.raises(DomainError):
@@ -193,6 +224,12 @@ def test_data_csv_round_trip(tmp_path):
     back = read_data_csv(path, PAIR)
     assert np.array_equal(back.y, data.y)
     assert np.array_equal(back.a, data.a)
+
+
+def test_write_data_csv_golden_bytes():
+    buf = io.StringIO()
+    write_data_csv(Dataset([0, 1], [1, 0], [0.1, -2.5], [1e-05, 3.0], PAIR), buf)
+    assert buf.getvalue() == "c,a,z,y\n0.0,1.0,0.1,1e-05\n1.0,0.0,-2.5,3.0\n"
 
 
 def test_data_csv_error_has_line_number(tmp_path):

@@ -18,7 +18,7 @@ from acebounds.influence import (
     m_fd,
     truth_nuisances,
 )
-from acebounds.fitting import fit
+from acebounds.fitting import Dataset, ModelSpec, fit
 from acebounds.quadrature import FiniteZRule
 from acebounds.simlab import sample_dgp, setting_model_specs, simdgp_truth_nuisances
 
@@ -304,3 +304,37 @@ def test_truth_tables_on_unsorted_supports_pass_undefined_cells_through():
             assert float(eta.p_z_given_ac(z, 1.0, c)) == pytest.approx(want, abs=1e-15)
     with pytest.raises(DomainError):
         eta.p_z_given_ac(0.0, 1.0, 0.0)
+
+
+def test_finite_rule_refuses_an_oversized_grid_before_evaluating_the_density():
+    calls = []
+
+    def density(z, *cond):
+        calls.append(1)
+        return 1.0
+
+    rule = FiniteZRule(np.arange(2048.0))
+    rule.grid(density, np.arange(2048.0))  # 2^22 elements: at the limit, allowed
+    assert calls == [1]
+    with pytest.raises(DomainError, match="finite mediator grid of 2049 levels x 2048 nodes"):
+        rule.grid(density, np.arange(2049.0))
+    assert calls == [1]
+
+
+def test_empirical_mediator_on_continuous_z_and_c_hits_the_grid_cap():
+    # the reduced two-door pooled outcome E(y|z,c) depends on the row's c, so every row is its own
+    # (a, c) level: n levels times n distinct z nodes, about 4.4M elements at n=2100
+    rng = np.random.default_rng(6)
+    n = 2100
+    c = rng.standard_normal(n)
+    a = (rng.random(n) < 0.5).astype(float)
+    z = a + rng.standard_normal(n)
+    y = z + c + rng.standard_normal(n)
+    specs = [
+        ModelSpec("p_a_given_c", "logistic", predictors=("c",)),
+        ModelSpec("p_z_given_a", "empirical", predictors=("a",)),
+        ModelSpec("mean_y_zc", "linear-mean", predictors=("z", "c")),
+    ]
+    eta = fit(Dataset(c, a, z, y, PAIR), specs)
+    with pytest.raises(DomainError, match="finite mediator grid"):
+        evaluate_m("TD_REDUCED", c, a, z, y, eta, PAIR)

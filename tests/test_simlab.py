@@ -5,6 +5,8 @@ from acebounds.bounds import SimDgpParams
 from acebounds.errors import AceboundsError, DomainError
 from acebounds.simlab import (
     McConfig,
+    McRow,
+    McSummary,
     run_mc,
     sample_dgp,
     setting_model_specs,
@@ -117,6 +119,15 @@ def test_csv_layout():
     assert lines[0] == "setting,n,tag,bias,bias_se,emp_se,scaled_var,scaled_var_se,mse,mse_se"
     assert len(lines) == 3
     assert lines[1].startswith("0,200,NAIVE,")
+
+
+def test_mc_summary_csv_golden_bytes():
+    row = McRow(0, 50, "BD", 0.1234567, np.float64(1e-7), 2.0, 123456789.0, 0.5, -0.25, 1.0 / 3.0)
+    summary = McSummary(rows=[row], theta=0.0, config=None, failed={})
+    assert summary.to_csv() == (
+        "setting,n,tag,bias,bias_se,emp_se,scaled_var,scaled_var_se,mse,mse_se\n"
+        "0,50,BD,0.123457,1e-07,2,1.23457e+08,0.5,-0.25,0.333333\n"
+    )
 
 
 def test_scaled_variance_stabilizes_across_large_sizes():
