@@ -9,9 +9,14 @@ import argparse
 import itertools
 
 from acebounds.bounds import SimDgpParams, simdgp_bound
-from acebounds.dist import TreatmentPair
+from acebounds.dist import TreatmentPair, csv_text
 
 MODELS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
+
+
+def bound_cell(value) -> str:
+    """Bounds to 4 decimals; the grid coordinates arrive formatted."""
+    return value if isinstance(value, str) else f"{value:.4f}"
 
 
 def main():
@@ -23,12 +28,12 @@ def main():
 
     levels = [float(v) for v in args.levels.split(",")]
     pair = TreatmentPair(1.0, 0.0)
-    header = ["beta", "gamma1", "gamma2"] + list(MODELS)
-    print(",".join(header))
+    rows = []
     for beta, g1, g2 in itertools.product(levels, repeat=3):
         params = SimDgpParams(alpha=args.alpha, beta=beta, gamma1=g1, gamma2=g2)
         values = [simdgp_bound(params, pair, m, n_nodes=args.nodes).value for m in MODELS]
-        print(",".join([f"{beta:g},{g1:g},{g2:g}"] + [f"{v:.4f}" for v in values]))
+        rows.append([f"{beta:g}", f"{g1:g}", f"{g2:g}"] + values)
+    print(csv_text(("beta", "gamma1", "gamma2") + MODELS, rows, bound_cell), end="")
 
 
 if __name__ == "__main__":

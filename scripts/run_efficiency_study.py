@@ -15,9 +15,11 @@ paper-scale size ladder; scaling the latter by 10 (1000 replicates) and by 8
 import argparse
 import itertools
 import sys
+from dataclasses import astuple
 
 from acebounds.bounds import SimDgpParams
-from acebounds.simlab import McConfig, run_mc
+from acebounds.dist import csv_text, report_cell, write_text
+from acebounds.simlab import McConfig, McSummary, run_mc
 
 DESK_SIZES = (50, 100, 500, 1000, 5000, 20000)
 FULL_SCALE_SIZES = (50, 100, 500, 1000, 5000, 10000, 20000, 30000, 40000, 50000)
@@ -41,7 +43,7 @@ def main():
     replicates = 1000 if args.paper_scale else args.replicates
     levels = [float(v) for v in args.levels.split(",")]
 
-    chunks = []
+    rows = []
     for beta, g1, g2 in itertools.product(levels, repeat=3):
         params = SimDgpParams(alpha=args.alpha, beta=beta, gamma1=g1, gamma2=g2)
         config = McConfig(
@@ -52,19 +54,9 @@ def main():
             seed=args.seed,
             threads=args.threads,
         )
-        text = run_mc(config).to_csv()
-        prefix = f"{beta:g},{g1:g},{g2:g},"
-        lines = text.strip().split("\n")
-        if not chunks:
-            chunks.append("beta,gamma1,gamma2," + lines[0])
-        chunks.extend(prefix + line for line in lines[1:])
+        rows.extend((beta, g1, g2) + astuple(r) for r in run_mc(config).rows)
         print(f"done beta={beta:g} gamma1={g1:g} gamma2={g2:g}", file=sys.stderr)
-    output = "\n".join(chunks) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
-        print(output, end="")
+    write_text(csv_text(("beta", "gamma1", "gamma2") + McSummary.CSV_HEADER, rows, report_cell), args.out or sys.stdout)
 
 
 if __name__ == "__main__":

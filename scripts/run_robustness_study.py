@@ -9,9 +9,11 @@ default (n=20000, 200 replicates); --paper-scale switches to n=50000 with
 
 import argparse
 import sys
+from dataclasses import astuple
 
 from acebounds.bounds import SimDgpParams
-from acebounds.simlab import McConfig, run_mc
+from acebounds.dist import csv_text, report_cell, write_text
+from acebounds.simlab import McConfig, McSummary, run_mc
 
 
 def main():
@@ -29,7 +31,7 @@ def main():
     replicates = 1000 if args.paper_scale else args.replicates
     params = SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5)
 
-    chunks = []
+    rows = []
     for setting in (int(s) for s in args.settings.split(",")):
         config = McConfig(
             params=params,
@@ -39,18 +41,9 @@ def main():
             seed=args.seed,
             threads=args.threads,
         )
-        text = run_mc(config).to_csv()
-        lines = text.strip().split("\n")
-        if not chunks:
-            chunks.append(lines[0])
-        chunks.extend(lines[1:])
+        rows.extend(astuple(r) for r in run_mc(config).rows)
         print(f"done setting {setting}", file=sys.stderr)
-    output = "\n".join(chunks) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
-        print(output, end="")
+    write_text(csv_text(McSummary.CSV_HEADER, rows, report_cell), args.out or sys.stdout)
 
 
 if __name__ == "__main__":

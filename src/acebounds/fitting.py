@@ -7,8 +7,19 @@ fitting (the coefficient is absent, not zero) or pin a probability to a fixed
 value.  Every applied directive is recorded in the returned manifest.
 
 Fitted probability components are clipped to [1e-6, 1 - 1e-6] before use and
-clipping events are counted; conditional densities are left unclipped (the
-influence evaluators enforce their own positivity threshold on denominators).
+every clipped value they return is counted; conditional densities are left
+unclipped (the influence evaluators enforce their own positivity threshold on
+denominators).  The evaluators call the probability slots once per distinct
+(a, c) level or support value, never once per row, so a count is a number of
+clipped levels per call, not of rows.
+
+Logistic, linear-mean and Gaussian-density fits whose predictors are all a or
+c are collapsed: they run on the distinct (a, c) cells of the data, each with
+its row count and its response sum (the successes, for the logistic), coded
+on the same supports the fitted NuisanceSet carries.  One IRLS loop
+(`_irls`) and one least-squares solve (`_least_squares`) serve both designs;
+the row-wise design passes counts of 1.  A Gaussian law's residual variance
+still sums over all n rows.
 
 Empirical and fixed-value slots are ``influence._Table`` lookups.  Their
 ``reads`` are the slot arguments that are fitted predictors (plus the response
@@ -19,6 +30,7 @@ an unseen group or a value outside the support raises.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -33,7 +45,7 @@ from .errors import (
     RankDeficient,
     SeparationDetected,
 )
-from .influence import NuisanceSet, _Table
+from .influence import NuisanceSet, _Table, level_index
 from .quadrature import FiniteZRule, GaussHermiteZRule
 from .special import expit
 
@@ -183,12 +195,57 @@ def _design(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
     return np.column_stack([np.ones(n)] + [np.asarray(col, dtype=float) for col in columns])
 
 
-def linear_mean_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """OLS coefficients for y on X (X includes the intercept column)."""
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+def _least_squares(X: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients over grouped rows.
+
+    Row g of X stands for counts[g] data rows whose responses sum to sums[g].
+    Minimises sum_g counts[g] (sums[g] / counts[g] - X[g] b)^2, which differs
+    from the row-wise residual sum of squares by a constant.  The rank cutoff
+    is the one lstsq applies to the ungrouped rows; with counts of 1 this is
+    lstsq on the rows itself, and the scaling by one is skipped.
+    """
+    rcond = np.finfo(float).eps * max(float(counts.sum()), X.shape[1])
+    if np.any(counts != 1):
+        root = np.sqrt(counts)
+        X, sums = X * root[:, None], sums / root
+    coef, _, rank, _ = np.linalg.lstsq(X, sums, rcond=rcond)
     if rank < X.shape[1]:
         raise RankDeficient(f"design has rank {rank} < {X.shape[1]} columns")
     return coef
+
+
+def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray, max_iter: int = 100, tol: float = 1e-8) -> np.ndarray:
+    """Bernoulli MLE by iteratively reweighted least squares over grouped rows.
+
+    Row g of X has successes[g] of trials[g].  A pure group (all successes or
+    none) whose linear predictor has the matching sign is separated; mixed
+    groups never are.
+    """
+    if np.all(successes == 0) or np.all(successes == trials):
+        raise SeparationDetected("response is constant; the Bernoulli MLE does not exist")
+    pure = (successes == 0) | (successes == trials)
+    beta = np.zeros(X.shape[1])
+    for _ in range(max_iter):
+        lin = X @ beta
+        prob = expit(lin)
+        score = X.T @ (successes - trials * prob)
+        if np.linalg.norm(score) < tol:
+            return beta
+        if np.max(np.abs(lin)) > 30.0 and np.all(pure & ((2.0 * successes - trials) * lin > 0)):
+            raise SeparationDetected("classes are perfectly separated")
+        weight = trials * prob * (1.0 - prob)
+        hessian = X.T @ (X * weight[:, None])
+        try:
+            step = np.linalg.solve(hessian, score)
+        except np.linalg.LinAlgError:
+            raise RankDeficient("singular weighted design in IRLS") from None
+        beta = beta + step
+    raise MaxIterExceeded(f"IRLS did not converge in {max_iter} iterations")
+
+
+def linear_mean_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """OLS coefficients for y on X (X includes the intercept column)."""
+    return _least_squares(X, y, np.ones(len(y)))
 
 
 def logistic_fit(X: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float = 1e-8) -> np.ndarray:
@@ -201,25 +258,21 @@ def logistic_fit(X: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float =
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) - {0.0, 1.0}:
         raise DomainError("logistic responses must be coded 0/1")
-    if np.all(y == y[0]):
-        raise SeparationDetected("response is constant; the Bernoulli MLE does not exist")
-    beta = np.zeros(X.shape[1])
-    for _ in range(max_iter):
-        lin = X @ beta
-        prob = expit(lin)
-        score = X.T @ (y - prob)
-        if np.linalg.norm(score) < tol:
-            return beta
-        if np.max(np.abs(lin)) > 30.0 and np.all((2.0 * y - 1.0) * lin > 0):
-            raise SeparationDetected("classes are perfectly separated")
-        weight = prob * (1.0 - prob)
-        hessian = X.T @ (X * weight[:, None])
-        try:
-            step = np.linalg.solve(hessian, score)
-        except np.linalg.LinAlgError:
-            raise RankDeficient("singular weighted design in IRLS") from None
-        beta = beta + step
-    raise MaxIterExceeded(f"IRLS did not converge in {max_iter} iterations")
+    return _irls(X, y, np.ones(y.size), max_iter, tol)
+
+
+def _fit_design(data: Dataset, preds: tuple, values: np.ndarray, cells=None):
+    """(X, response sums, counts, group of each row or None) for a fit of `values` on `preds`.
+
+    `cells` returns the data's (a, c) LevelIndex and its row counts.  When it
+    is given and every predictor is a or c, the groups are the distinct (a, c)
+    cells: the collapsed design.  Otherwise every row is its own group.
+    """
+    if cells is not None and set(preds) <= {"a", "c"}:
+        index, counts = cells()
+        X = _design([getattr(index, p) for p in preds], counts.size)
+        return X, np.bincount(index.inv, weights=values, minlength=counts.size), counts, index.inv
+    return _design([data.column(p) for p in preds], data.n), values, np.ones(data.n), None
 
 
 def _linear_predictor(coef, predictors, arg_names, args):
@@ -251,14 +304,18 @@ class GaussianConditional:
 
 def gaussian_density_fit(data: Dataset, response: str, predictors: Sequence[str], arg_names: tuple = None) -> GaussianConditional:
     """Least-squares conditional mean plus residual-mean-square variance."""
-    predictors = tuple(predictors)
+    return _gaussian_law(data, response, tuple(predictors), arg_names)
+
+
+def _gaussian_law(data: Dataset, response: str, predictors: tuple, arg_names: tuple = None, cells=None):
     n = data.n
     if n <= len(predictors) + 1:
         raise DomainError("need n > #predictors + 1 for a residual variance")
-    X = _design([data.column(p) for p in predictors], n)
     yv = data.column(response)
-    coef = linear_mean_fit(X, yv)
-    resid = yv - X @ coef
+    X, sums, counts, groups = _fit_design(data, predictors, yv, cells)
+    coef = _least_squares(X, sums, counts)
+    fitted = X @ coef
+    resid = yv - (fitted if groups is None else fitted[groups])  # over all n rows either way
     variance = float(resid @ resid) / (n - X.shape[1])
     if variance < VARIANCE_FLOOR:
         raise DegenerateModel(f"residual variance {variance!r} below the {VARIANCE_FLOOR} floor")
@@ -353,7 +410,8 @@ def _binary_levels(values: np.ndarray, what: str):
     return float(levels[1]), float(levels[0])  # (hi, lo)
 
 
-def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict):
+def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict, supports: dict, cells):
+    """One slot's component and manifest entry; `supports` and `cells` are shared by every slot of a fit."""
     args, response, kind = SLOTS[spec.component]
     preds = spec.effective_predictors()
     applied = {
@@ -362,7 +420,7 @@ def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict):
         "omitted": list(spec.omit),
     }
     if spec.family == "fixed-value":
-        hi, lo = _binary_levels(data.column(response), response)
+        hi, lo = _binary_levels(supports[response], response)
         fixed = _Table([1.0 - spec.fix_value, spec.fix_value], ((lo, hi),), what=f"fixed-value p({response})")
         fn = _Clipped(fixed, counter, spec.component)
         applied["fixed_value"] = spec.fix_value
@@ -373,19 +431,17 @@ def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict):
         fn = _empirical_table(data, args, given, None if kind == "mean" else response)
         return (_Clipped(fn, counter, spec.component) if kind == "prob" else fn), applied
     if spec.family == "linear-mean":
-        X = _design([data.column(p) for p in preds], data.n)
-        coef = linear_mean_fit(X, data.y)
+        coef = _least_squares(*_fit_design(data, preds, data.y, cells)[:3])
         applied["coef"] = [float(v) for v in coef]
         return _LinearMean(args, preds, coef), applied
     if spec.family == "logistic":
-        hi, lo = _binary_levels(data.column(response), response)
-        X = _design([data.column(p) for p in preds], data.n)
-        coef = logistic_fit(X, (data.column(response) == hi).astype(float))
+        hi, lo = _binary_levels(supports[response], response)
+        coef = _irls(*_fit_design(data, preds, (data.column(response) == hi).astype(float), cells)[:3])
         applied["coef"] = [float(v) for v in coef]
         fn = _Clipped(_Logistic(args, preds, coef, hi, lo), counter, spec.component)
         return fn, applied
     if spec.family == "gaussian-density":
-        fn = gaussian_density_fit(data, response, preds, arg_names=args[1:])
+        fn = _gaussian_law(data, response, preds, args[1:], cells)
         applied["coef"] = [float(v) for v in fn.coef]
         applied["sd"] = fn.sd
         return fn, applied
@@ -397,10 +453,17 @@ def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule=None, gh_nodes
     manifest = {"n": data.n, "slots": {}, "clip_events": counter}
     slots = {}
     families = {}
+    supports = {"a": np.unique(data.a), "c": np.unique(data.c)}
+
+    @functools.cache
+    def cells():
+        index = level_index(data.a, data.c, supports["a"], supports["c"])
+        return index, np.bincount(index.inv, minlength=index.a.size)
+
     for spec in specs:
         if spec.component in slots:
             raise DomainError(f"duplicate ModelSpec for slot {spec.component!r}")
-        fn, applied = _fit_slot(data, spec, counter)
+        fn, applied = _fit_slot(data, spec, counter, supports, cells)
         slots[spec.component] = fn
         families[spec.component] = spec.family
         manifest["slots"][spec.component] = applied
@@ -411,8 +474,8 @@ def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule=None, gh_nodes
         else:
             z_rule = FiniteZRule(np.unique(data.z))
     return NuisanceSet(
-        a_support=tuple(np.unique(data.a).tolist()),
-        c_support=tuple(np.unique(data.c).tolist()),
+        a_support=tuple(supports["a"].tolist()),
+        c_support=tuple(supports["c"].tolist()),
         z_integrator=z_rule,
         manifest=manifest,
         **slots,

@@ -40,12 +40,20 @@ which is what the plug-in estimators average; the public ``m_*`` functions
 take a single :class:`Observation`.  Nuisance components must broadcast like
 numpy ufuncs over their arguments.
 
-The sums over the mediator depend on a row only through its (a, c).  The
-kernel therefore finds the distinct (a, c) levels among the rows it is given,
-integrates once per level (a levels x nodes grid), and gathers the per-level
-results back to the rows through the inverse index.  This holds on any row
-subset, such as a cross-fitting fold; with a continuous covariate every row
-may be its own level, which costs what per-row integration would.
+Everything that depends on a row only through its (a, c) is worked out once
+per level.  A :class:`LevelIndex` lists the distinct (a, c) levels of the
+rows and maps each row to its level; :func:`level_index` codes each column on
+the ``a_support``/``c_support`` the NuisanceSet carries, and falls back to the
+column's own distinct values when a row lies outside (a cross-fitting fold
+with a continuous covariate).  ``estimators.estimate_all`` builds one index
+per dataset or fold and passes it to every tag; :func:`evaluate_m` builds its
+own when given none.  The slots of (a, c) alone (p_a_given_c, mean_y_ac, p_a)
+are evaluated once per level and gathered back to the rows, and the sums over
+the mediator are integrated once per level (levels x nodes grid).  FD reads
+no slot that takes c, so it is levelled by the treatment alone: with a
+continuous covariate it integrates |A| levels.  The other mediator models
+read c, and there every row may be its own level, which costs what per-row
+integration would.
 
 Discrete nuisances are one table class, ``_Table``: dense values over sorted
 supports, each axis read from the call argument its ``reads`` entry names and
@@ -57,7 +65,6 @@ builds it over every argument, with undefined (NaN) cells passed through;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
@@ -80,12 +87,16 @@ __all__ = [
     "m_fd_td",
     "m_bd_fd_td",
     "evaluate_m",
+    "LevelIndex",
+    "level_index",
     "truth_nuisances",
     "brute_force_mean",
     "brute_force_variance",
 ]
 
 MODEL_TAGS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
+
+_SCAN_SUPPORT = 16  # supports up to this size are coded by comparison passes, larger ones by binary search
 
 
 @dataclass(frozen=True)
@@ -143,39 +154,91 @@ def _col(x):
     return np.asarray(x)[..., None]
 
 
-def _levels(*cols):
-    """Distinct value combinations of aligned row columns.
+@dataclass(frozen=True)
+class LevelIndex:
+    """The distinct (a, c) levels of aligned rows, in increasing (a, c) order.
 
-    Returns one level array per column and the inverse index that maps each
-    row to its level, so ``level[inv]`` restores the column.  Each column is
-    coded on its own; the combined codes are counted rather than sorted.  For
-    the (a, c) pair the code space is at most |A| x n, the order of the
-    evaluators' own sums over the treatment support.
+    Level k has treatment ``a[k]`` and covariate ``c[k]``; row i lies in level
+    ``inv[i]``, so ``a[inv]`` restores the treatment column.
     """
-    uniqs, codes = zip(*(np.unique(col, return_inverse=True) for col in cols))
-    shape = tuple(u.size for u in uniqs)
-    code = np.ravel_multi_index(codes, shape)
-    seen = np.bincount(code, minlength=math.prod(shape)) > 0
-    levels = [u[i] for u, i in zip(uniqs, np.unravel_index(np.flatnonzero(seen), shape))]
-    return levels, (np.cumsum(seen) - 1)[code]
+
+    a: np.ndarray
+    c: np.ndarray
+    inv: np.ndarray
+
+    def by_a(self):
+        """The distinct treatment values and the treatment level of each row."""
+        a, of_level = np.unique(self.a, return_inverse=True)
+        return a, of_level[self.inv]
+
+
+def _codes(col, support):
+    """Codes of `col` in the sorted `support`; over the column's own values when one lies outside.
+
+    A value's code is the number of support values below it.  Up to
+    ``_SCAN_SUPPORT`` values that count is taken by one comparison pass per
+    value, which at n=50000 is over ten times faster than a binary search for
+    a binary column; larger supports use ``np.searchsorted``.
+    """
+    if support is not None and len(support):
+        support = np.sort(np.asarray(support, dtype=float))
+        if support.size <= _SCAN_SUPPORT:
+            idx = np.zeros(col.shape, dtype=np.intp)
+            for value in support[1:]:
+                idx += col >= value
+        else:
+            idx = np.minimum(np.searchsorted(support, col), support.size - 1)
+        if np.array_equal(support[idx], col):
+            return support, idx
+    return np.unique(col, return_inverse=True)
+
+
+def level_index(a, c, a_support=None, c_support=None) -> LevelIndex:
+    """The (a, c) levels of aligned rows, each column coded on its support.
+
+    A column with a value outside its support (a cross-fitting fold with a
+    continuous covariate) or without a support is coded over its own distinct
+    values instead.  The combined codes are counted while their space is at
+    most four times the row count and sorted beyond, so two continuous
+    columns cost O(n log n), not O(n^2).
+    """
+    a, c = _rows(a, c)
+    (ua, ca), (uc, cc) = _codes(a, a_support), _codes(c, c_support)
+    code, size = ca * uc.size + cc, ua.size * uc.size
+    if size <= 4 * code.size:
+        seen = np.bincount(code, minlength=size) > 0
+        level, inv = np.flatnonzero(seen), (np.cumsum(seen) - 1)[code]
+    else:
+        level, inv = np.unique(code, return_inverse=True)
+    return LevelIndex(ua[level // uc.size], uc[level % uc.size], inv)
+
+
+def _index_of(eta: NuisanceSet, a, c, levels: Optional[LevelIndex]) -> LevelIndex:
+    """The rows' level index: `levels` when given (and sized for the rows), else built on eta's supports."""
+    if levels is None:
+        return level_index(a, c, eta.a_support, eta.c_support)
+    if levels.inv.shape != a.shape:
+        raise DomainError(f"a level index over {levels.inv.size} rows was given for {a.size} rows")
+    return levels
 
 
 def _gather(vals, inv):
-    """Per-level values copied back to rows; a level-free scalar is broadcast."""
+    """Per-level values copied back to rows; a level-free scalar stays a scalar and broadcasts."""
     vals = np.asarray(vals, dtype=float)
-    return vals[inv] if vals.ndim else np.full(inv.shape, float(vals))
+    return vals[inv] if vals.ndim else vals
 
 
 # -- the estimating functions (vectorized) ----------------------------------
 
 
-def eval_bd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
+def eval_bd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None):
     eta.require("p_a_given_c", "mean_y_ac")
     c, a, z, y = _rows(c, a, z, y)
-    ps = _check_pos(eta.p_a_given_c(pair.a_star, c), "p(a*|c)")
-    pr = _check_pos(eta.p_a_given_c(pair.a_ref, c), "p(a|c)")
-    ms = eta.mean_y_ac(pair.a_star, c)
-    mr = eta.mean_y_ac(pair.a_ref, c)
+    levels = _index_of(eta, a, c, levels)
+    ps = _check_pos(_at_rows(eta, "p_a_given_c", pair.a_star, levels), "p(a*|c)")
+    pr = _check_pos(_at_rows(eta, "p_a_given_c", pair.a_ref, levels), "p(a|c)")
+    ms = _at_rows(eta, "mean_y_ac", pair.a_star, levels)
+    mr = _at_rows(eta, "mean_y_ac", pair.a_ref, levels)
     ind_s = (a == pair.a_star).astype(float)
     ind_r = (a == pair.a_ref).astype(float)
     return ind_s / ps * (y - ms) - ind_r / pr * (y - mr) + ms - mr
@@ -194,7 +257,7 @@ _MEDIATOR_MODELS = {
 # the variables each slot takes, in call order
 _SIGNATURE = {
     "p_a": "a", "p_a_given_c": "ac", "p_z_given_a": "za", "p_z_given_ac": "zac",
-    "mean_y_az": "az", "mean_y_azc": "azc", "mean_y_zc": "zc"
+    "mean_y_ac": "ac", "mean_y_az": "az", "mean_y_azc": "azc", "mean_y_zc": "zc"
 }
 _WEIGHT_LABEL = {"p_a": "p({})", "p_a_given_c": "p({}|c)", "marginal": "sum_c p(c) p({}|c)"}
 
@@ -202,6 +265,11 @@ _WEIGHT_LABEL = {"p_a": "p({})", "p_a_given_c": "p({}|c)", "marginal": "sum_c p(
 def _call(eta: NuisanceSet, slot: str, **values):
     """Evaluate a slot at the variables its signature names, e.g. mean_y_azc(a, z, c)."""
     return getattr(eta, slot)(*(values[v] for v in _SIGNATURE[slot]))
+
+
+def _at_rows(eta: NuisanceSet, slot: str, arm, levels: LevelIndex):
+    """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level."""
+    return _gather(_call(eta, slot, a=arm, c=levels.c), levels.inv)
 
 
 def _live_c(eta: NuisanceSet):
@@ -216,50 +284,62 @@ def _marginal_treatment(eta: NuisanceSet, level):
     return fsum(w * float(eta.p_a_given_c(level, cv)) for w, cv in _live_c(eta))
 
 
-def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
+def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None):
     """m per row for one mediator model: t1 residual, t2 centred pooled outcome, t3 plug-in contrast."""
     law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
     weight_slots = ("p_c", "p_a_given_c") if weights == "marginal" else (weights,)
     mix_slots = ("p_a_given_c",) if mass == "mix" else ()
     eta.require(*weight_slots, *mix_slots, law, outcome, "z_integrator")
     c, a, z, y = _rows(c, a, z, y)
+    levels = _index_of(eta, a, c, levels)
     rule, pz = eta.z_integrator, getattr(eta, law)
-    (la, lc), inv = _levels(a, c)
     law_given_c = "c" in _SIGNATURE[law]
     law_text = "p(z|a,c)" if law_given_c else "p(z|a)"
+    slot = "p_a" if weights == "p_a" else "p_a_given_c"
+    if law_given_c or "c" in _SIGNATURE[outcome] or weights == "p_a_given_c":
+        la, lc, inv = levels.a, levels.c, levels.inv
+    else:  # FD: no slot it reads takes c, so its mediator sums depend on a row through a alone
+        (la, inv), lc = levels.by_a(), None
+    lc_col = None if lc is None else _col(lc)
 
     def cond(arm):
         return (arm, lc) if law_given_c else (arm,)
 
     def weight(arm, label):
-        w = _marginal_treatment(eta, arm) if weights == "marginal" else _call(eta, weights, a=arm, c=c)
+        w = _marginal_treatment(eta, arm) if weights == "marginal" else _at_rows(eta, weights, arm, levels)
         return _check_pos(w, _WEIGHT_LABEL[weights].format(label))
 
-    def pooled_given_c(zz, cv):
+    def pooled_given_c(zz, cv, p_at):
+        """sum_a outcome(a, z, c) p_at(a), where p_at(a) is the weight of a at cv."""
         if "a" not in _SIGNATURE[outcome]:
             return _call(eta, outcome, z=zz, c=cv)
-        slot = "p_a" if weights == "p_a" else "p_a_given_c"
-        return sum(_call(eta, outcome, a=ab, z=zz, c=cv) * _call(eta, slot, a=ab, c=cv) for ab in eta.a_support)
+        return sum(_call(eta, outcome, a=ab, z=zz, c=cv) * p_at(ab) for ab in eta.a_support)
 
-    def pooled(zz, cv):
+    def pooled(zz, cv, p_at):
         """The outcome averaged over the treatment weights of the arm denominators."""
         if weights == "marginal":
-            return sum(w * pooled_given_c(zz, v) for w, v in _live_c(eta))
-        return pooled_given_c(zz, cv)
+            return sum(w * pooled_given_c(zz, v, lambda ab, v=v: eta.p_a_given_c(ab, v)) for w, v in _live_c(eta))
+        return pooled_given_c(zz, cv, p_at)
+
+    def pooled_at_levels(zz):
+        return pooled(zz, lc_col, lambda ab: _call(eta, slot, a=ab, c=lc_col))
+
+    def p_at_rows(ab):
+        return _at_rows(eta, slot, ab, levels)
 
     def own_arm(zz):
-        return _call(eta, outcome, a=_col(la), z=zz, c=_col(lc))
+        return _call(eta, outcome, a=_col(la), z=zz, c=lc_col)
 
     w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
     if mass == "own":
         denom = _check_pos(_call(eta, law, z=z, a=a, c=c), law_text + " at the observed rows")
     else:
-        denom = sum(_call(eta, law, z=z, a=ab, c=c) * eta.p_a_given_c(ab, c) for ab in eta.a_support)
+        denom = sum(_call(eta, law, z=z, a=ab, c=c) * _at_rows(eta, "p_a_given_c", ab, levels) for ab in eta.a_support)
         _check_pos(denom, f"sum_a {law_text} p(a|c)")
     shift = _call(eta, law, z=z, a=pair.a_star, c=c) - _call(eta, law, z=z, a=pair.a_ref, c=c)
-    pooled_bar = _gather(expect_z(rule, pz, lambda zz: pooled(zz, _col(lc)), *cond(la)), inv)
+    pooled_bar = _gather(expect_z(rule, pz, pooled_at_levels, *cond(la)), inv)
     t1 = (y - _call(eta, outcome, a=a, z=z, c=c)) * shift / denom
-    t2 = (pooled(z, c) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)
+    t2 = (pooled(z, c, p_at_rows) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)
     t3 = _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), inv)
     return t1 + t2 + t3
 
@@ -267,13 +347,20 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair):
 _EVALUATORS = {"BD": eval_bd, **{tag: partial(_eval_mediator, tag) for tag in _MEDIATOR_MODELS}}
 
 
-def evaluate_m(tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair) -> np.ndarray:
-    """Vectorized m values for the requested model tag."""
+def evaluate_m(
+    tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None
+) -> np.ndarray:
+    """Vectorized m values for the requested model tag.
+
+    `levels` is the rows' :class:`LevelIndex`; callers evaluating several tags
+    on the same rows build it once with :func:`level_index` and pass it here.
+    Without it, each call builds its own.
+    """
     try:
         fn = _EVALUATORS[tag]
     except KeyError:
         raise DomainError(f"unknown model tag {tag!r}; expected one of {sorted(_EVALUATORS)}") from None
-    return np.asarray(fn(c, a, z, y, eta, pair), dtype=float)
+    return np.asarray(fn(c, a, z, y, eta, pair, levels=levels), dtype=float)
 
 
 def _pointwise(tag):

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import SimDgpParams, simdgp_theta
 from .dist import TreatmentPair, csv_text, report_cell, write_text
 from .errors import AceboundsError, DomainError
-from .estimators import ESTIMATOR_TAGS, estimate
+from .estimators import ESTIMATOR_TAGS, estimate_all
 from .fitting import CrossFitPlan, Dataset, GaussianConditional, ModelSpec, _LinearMean, _Logistic, fit
 from .influence import NuisanceSet, _Table
 from .quadrature import GaussHermiteZRule
@@ -190,10 +190,7 @@ def _one_replicate(config: McConfig, specs, z_rule, size_index: int, rep_index: 
     seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(size_index, rep_index))
     data = sample_dgp(config.params, n, seed)
     eta = fit(data, specs, plan=config.crossfit, z_rule=z_rule)
-    out = {}
-    for tag in config.tags:
-        out[tag] = estimate(data, eta, tag, td_reduced=True).theta_hat
-    return out
+    return {r.tag: r.theta_hat for r in estimate_all(data, eta, config.tags, td_reduced=True)}
 
 
 def run_mc(config: McConfig) -> McSummary:

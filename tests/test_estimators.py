@@ -6,7 +6,7 @@ import pytest
 from acebounds.bounds import SimDgpParams, simdgp_theta
 from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
 from acebounds.errors import DomainError, MissingNuisance
-from acebounds.estimators import ESTIMATOR_TAGS, estimate, estimate_all
+from acebounds.estimators import ESTIMATOR_TAGS, EstimationResult, estimate, estimate_all
 from acebounds.fitting import SLOTS, CrossFitPlan, Dataset, ModelSpec, fit
 from acebounds.influence import evaluate_m, truth_nuisances
 from acebounds.simlab import sample_dgp, setting_model_specs, simdgp_truth_nuisances
@@ -49,6 +49,61 @@ def test_naive_difference_of_group_means():
     res = estimate(data, None, "NAIVE")
     assert res.theta_hat == pytest.approx(1.0, abs=1e-15)
     assert res.tag == "NAIVE"
+
+
+def test_naive_needs_two_rows_per_arm():
+    data = Dataset(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4), np.arange(4.0), PAIR)
+    with pytest.raises(DomainError, match="treatment level 1.0 has 1 row"):
+        estimate(data, None, "NAIVE")
+
+
+@pytest.mark.parametrize("theta_hat, se_hat", [(math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan), (0.1, math.inf), (0.1, -1.0)])
+def test_estimation_result_rejects_non_finite_values(theta_hat, se_hat):
+    with pytest.raises(DomainError):
+        EstimationResult("BD", theta_hat, se_hat, 10, 0, {})
+
+
+def _continuous_c_data():
+    rng = np.random.default_rng(17)
+    n = 300
+    c = rng.standard_normal(n)
+    a = (rng.random(n) < expit(c)).astype(float)
+    z = 1.5 * a + rng.standard_normal(n)
+    y = 1.5 * z + 1.5 * c + rng.standard_normal(n)
+    return Dataset(c, a, z, y, PAIR)
+
+
+@pytest.mark.parametrize("case", ["plain", "cross-fitted", "continuous-c"])
+def test_estimate_all_equals_per_tag_estimates_bitwise(case):
+    # one level index per dataset or fold must give what each tag's own index gives
+    params = SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5)
+    data = _continuous_c_data() if case == "continuous-c" else sample_dgp(params, 900, 8)
+    plan = CrossFitPlan(folds=3, seed=4) if case == "cross-fitted" else CrossFitPlan()
+    eta = fit(data, setting_model_specs(0), plan=plan)
+    for td_reduced in (False, True):
+        batch = estimate_all(data, eta, td_reduced=td_reduced)
+        single = [estimate(data, eta, tag, td_reduced=td_reduced) for tag in ESTIMATOR_TAGS]
+        for x, y in zip(batch, single):
+            got = np.array([x.theta_hat, x.se_hat, x.clipped])
+            want = np.array([y.theta_hat, y.se_hat, y.clipped])
+            assert got.tobytes() == want.tobytes(), (case, x.tag)
+
+
+def test_clip_counts_are_per_level_not_per_row():
+    # c = 1 always comes with a = 1, so the empirical p(a|c=1) is 1 and p(a=0|c=1) is 0: BD reads
+    # both at the one (a, c) level with c = 1 and clips each once, however many rows that level has
+    rng = np.random.default_rng(3)
+    n = 300
+    c = (rng.random(n) < 0.4).astype(float)
+    a = np.where(c == 1.0, 1.0, (rng.random(n) < 0.5).astype(float))
+    y = a + c + rng.standard_normal(n)
+    specs = [
+        ModelSpec("p_a_given_c", "empirical", predictors=("c",)),
+        ModelSpec("mean_y_ac", "linear-mean", predictors=("a", "c")),
+    ]
+    for copies in (1, 3):
+        data = Dataset(*(np.tile(v, copies) for v in (c, a, np.zeros(n), y)), PAIR)
+        assert estimate(data, fit(data, specs), "BD").clipped == 2
 
 
 def test_bd_on_enumerated_support_matches_functional():

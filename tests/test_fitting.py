@@ -7,6 +7,7 @@ from acebounds.dist import TreatmentPair
 from acebounds.errors import (
     DegenerateModel,
     DomainError,
+    RankDeficient,
     SeparationDetected,
 )
 from acebounds import fitting
@@ -17,6 +18,7 @@ from acebounds.fitting import (
     ModelSpec,
     fit,
     gaussian_density_fit,
+    linear_mean_fit,
     logistic_fit,
     read_data_csv,
     write_data_csv,
@@ -319,3 +321,63 @@ def test_empirical_tables_match_a_per_group_reference():
                 # group sums now run in row order: bound the error by the summation order
                 tol = np.count_nonzero(cell) * eps * np.max(np.abs(y))
                 assert abs(float(eta.mean_y_azc(av, zv, cv)) - y[cell].mean()) <= tol
+
+
+def _cells_design(levels, seed):
+    """Rows over unbalanced (a, c) cells: c in {0, 1, 2}, a drawn from `levels` with c-dependent odds."""
+    rng = np.random.default_rng(seed)
+    n = 3000
+    c = rng.choice(3, n, p=[0.7, 0.25, 0.05]).astype(float)
+    odds = np.array([[6.0, 3.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 4.0]])[: len(levels)]
+    p = odds[:, c.astype(int)] / odds[:, c.astype(int)].sum(axis=0)
+    a = np.array(levels)[(rng.random(n) > np.cumsum(p, axis=0)).sum(axis=0)]
+    z = 0.8 * a - 0.6 * c + rng.standard_normal(n)
+    y = 1.5 * z + 2.0 * c - a + rng.standard_normal(n)
+    return Dataset(c, a, z, y, TreatmentPair(levels[1], levels[0]))
+
+
+@pytest.mark.parametrize("levels", [(0.0, 1.0), (0.0, 1.0, 2.5)], ids=["binary-a", "three-a"])
+@pytest.mark.parametrize("preds", [("a", "c"), ("c",), ("a",)])
+def test_collapsed_fits_match_row_wise_fits(levels, preds):
+    data = _cells_design(levels, seed=len(levels))
+    X = np.column_stack([np.ones(data.n)] + [data.column(p) for p in preds])
+    mean = fit(data, [ModelSpec("mean_y_ac", "linear-mean", predictors=preds)]).manifest["slots"]["mean_y_ac"]
+    np.testing.assert_allclose(mean["coef"], linear_mean_fit(X, data.y), rtol=1e-12)
+    law = fit(data, [ModelSpec("p_z_given_ac", "gaussian-density", predictors=preds)]).p_z_given_ac
+    row_law = gaussian_density_fit(data, "z", preds)
+    np.testing.assert_allclose(law.coef, row_law.coef, rtol=1e-12)
+    assert law.sd == pytest.approx(row_law.sd, rel=1e-12)
+    if len(levels) == 2 and preds == ("c",):
+        got = fit(data, [ModelSpec("p_a_given_c", "logistic", predictors=preds)]).manifest["slots"]["p_a_given_c"]
+        np.testing.assert_allclose(got["coef"], logistic_fit(X, (data.a == 1.0).astype(float)), rtol=1e-12)
+
+
+def test_collapsed_fits_raise_the_row_wise_errors():
+    # the sign of c decides a: every (a, c) cell is pure and on its side, as every row is
+    x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    separated = Dataset(x, (x > 0).astype(float), np.zeros(6), np.zeros(6), PAIR)
+    with pytest.raises(SeparationDetected) as row_wise:
+        logistic_fit(np.column_stack([np.ones(6), x]), (x > 0).astype(float))
+    with pytest.raises(SeparationDetected) as collapsed:
+        fit(separated, [ModelSpec("p_a_given_c", "logistic", predictors=("c",))])
+    assert str(collapsed.value) == str(row_wise.value) == "classes are perfectly separated"
+    n = 40
+    c = (np.arange(n) % 2).astype(float)
+    # a z that (a, c) explains exactly leaves no residual variance
+    a = (np.arange(n) // 2 % 2).astype(float)
+    exact = Dataset(c, a, 2.0 * a - c, np.zeros(n), PAIR)
+    with pytest.raises(DegenerateModel, match="residual variance .* below the 1e-08 floor"):
+        fit(exact, [ModelSpec("p_z_given_ac", "gaussian-density", predictors=("a", "c"))])
+    # a constant covariate makes the (a, c) design rank deficient, in cells as in rows
+    flat = Dataset(np.zeros(n), a, np.arange(n, dtype=float), np.arange(n, dtype=float), PAIR)
+    with pytest.raises(RankDeficient, match="design has rank 2 < 3 columns"):
+        fit(flat, [ModelSpec("mean_y_ac", "linear-mean", predictors=("a", "c"))])
+    # grouped IRLS: a response constant over every group has no Bernoulli MLE
+    X, trials = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]]), np.array([4.0, 2.0, 5.0])
+    for successes in (np.zeros(3), trials):
+        with pytest.raises(SeparationDetected, match="response is constant; the Bernoulli MLE does not exist"):
+            fitting._irls(X, successes, trials)
+    # a mixed group is never separated, even once a large pure group drives its predictor past -30
+    beta = fitting._irls(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([3.0, 0.0]), np.array([4.0, 1e7]))
+    assert beta[0] == pytest.approx(float(logit(0.75)), abs=1e-8)
+    assert beta[0] + beta[1] < -30.0

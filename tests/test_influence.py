@@ -14,6 +14,7 @@ from acebounds.influence import (
     brute_force_mean,
     brute_force_variance,
     evaluate_m,
+    level_index,
     m_bd,
     m_fd,
     truth_nuisances,
@@ -338,3 +339,52 @@ def test_empirical_mediator_on_continuous_z_and_c_hits_the_grid_cap():
     eta = fit(Dataset(c, a, z, y, PAIR), specs)
     with pytest.raises(DomainError, match="finite mediator grid"):
         evaluate_m("TD_REDUCED", c, a, z, y, eta, PAIR)
+
+
+def test_fd_integrates_per_treatment_level_on_a_continuous_covariate():
+    # FD reads p(z|a), E(y|a,z) and p(a), none of which takes c: it integrates over the 2 treatment
+    # levels (2 x n grid elements) where (a, c) levels would hit the grid cap (n x n)
+    rng = np.random.default_rng(6)
+    n = 2100
+    c = rng.standard_normal(n)
+    a = (rng.random(n) < 0.5).astype(float)
+    z = a + rng.standard_normal(n)
+    y = z + c + rng.standard_normal(n)
+    specs = [
+        ModelSpec("p_a", "empirical"),
+        ModelSpec("p_z_given_a", "empirical", predictors=("a",)),
+        ModelSpec("mean_y_az", "linear-mean", predictors=("a", "z")),
+    ]
+    eta = fit(Dataset(c, a, z, y, PAIR), specs)
+    batch = evaluate_m("FD", c, a, z, y, eta, PAIR)
+    rows = np.arange(0, n, 7)
+    single = _per_row("FD", c[rows], a[rows], z[rows], y[rows], eta, PAIR)
+    np.testing.assert_allclose(batch[rows], single, rtol=0, atol=1e-12)
+
+
+def _same_index(x, y):
+    return all(np.array_equal(getattr(x, f), getattr(y, f)) for f in ("a", "c", "inv"))
+
+
+def test_level_index_is_the_same_on_every_coding_path():
+    a = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    c = np.array([0.0, 2.0, 0.0, 1.0, 2.0, 0.0])
+    want = level_index(a, c, (0.0, 1.0), (2.0, 1.0, 0.0))  # supports need not be sorted
+    assert want.a.tolist() == [0.0, 1.0, 1.0]
+    assert want.c.tolist() == [2.0, 0.0, 1.0]
+    assert want.inv.tolist() == [1, 0, 1, 2, 0, 1]
+    assert _same_index(level_index(a, c), want)  # no supports: each column's own values
+    assert _same_index(level_index(a, c, (0.0, 1.0), (0.0, 1.0)), want)  # c = 2 outside its support
+    assert _same_index(level_index(a, c, (0.0, 1.0), np.arange(-50.0, 50.0)), want)  # binary search
+    assert _same_index(level_index(a, c, np.arange(-50.0, 50.0), np.arange(-50.0, 50.0)), want)  # sparse codes
+    assert _same_index(level_index(a, c, (0.0, 1.0), (0.0, 1.0 + 1e-12, 2.0)), want)  # exact match only
+
+
+def test_evaluate_m_checks_a_given_level_index():
+    (c, a, z, y), eta = _fitted_rows(0)
+    levels = level_index(a, c, eta.a_support, eta.c_support)
+    for tag in ALL_TAGS:
+        got = evaluate_m(tag, c, a, z, y, eta, PAIR, levels=levels)
+        assert np.array_equal(got, evaluate_m(tag, c, a, z, y, eta, PAIR)), tag
+        with pytest.raises(DomainError, match="level index"):
+            evaluate_m(tag, c[1:], a[1:], z[1:], y[1:], eta, PAIR, levels=levels)
