@@ -96,8 +96,6 @@ __all__ = [
 
 MODEL_TAGS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
 
-_SCAN_SUPPORT = 16  # supports up to this size are coded by comparison passes, larger ones by binary search
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -173,21 +171,10 @@ class LevelIndex:
 
 
 def _codes(col, support):
-    """Codes of `col` in the sorted `support`; over the column's own values when one lies outside.
-
-    A value's code is the number of support values below it.  Up to
-    ``_SCAN_SUPPORT`` values that count is taken by one comparison pass per
-    value, which at n=50000 is over ten times faster than a binary search for
-    a binary column; larger supports use ``np.searchsorted``.
-    """
+    """Codes of `col` in the sorted `support`; over the column's own values when one lies outside."""
     if support is not None and len(support):
         support = np.sort(np.asarray(support, dtype=float))
-        if support.size <= _SCAN_SUPPORT:
-            idx = np.zeros(col.shape, dtype=np.intp)
-            for value in support[1:]:
-                idx += col >= value
-        else:
-            idx = np.minimum(np.searchsorted(support, col), support.size - 1)
+        idx = np.minimum(np.searchsorted(support, col), support.size - 1)
         if np.array_equal(support[idx], col):
             return support, idx
     return np.unique(col, return_inverse=True)
@@ -214,11 +201,13 @@ def level_index(a, c, a_support=None, c_support=None) -> LevelIndex:
 
 
 def _index_of(eta: NuisanceSet, a, c, levels: Optional[LevelIndex]) -> LevelIndex:
-    """The rows' level index: `levels` when given (and sized for the rows), else built on eta's supports."""
+    """The rows' level index: `levels` when given (and built on these rows), else built on eta's supports."""
     if levels is None:
         return level_index(a, c, eta.a_support, eta.c_support)
     if levels.inv.shape != a.shape:
         raise DomainError(f"a level index over {levels.inv.size} rows was given for {a.size} rows")
+    if not (np.array_equal(levels.a[levels.inv], a) and np.array_equal(levels.c[levels.inv], c)):
+        raise DomainError("the given level index does not restore the rows' (a, c) values")
     return levels
 
 

@@ -63,9 +63,8 @@ def test_estimation_result_rejects_non_finite_values(theta_hat, se_hat):
         EstimationResult("BD", theta_hat, se_hat, 10, 0, {})
 
 
-def _continuous_c_data():
+def _continuous_c_data(n=300):
     rng = np.random.default_rng(17)
-    n = 300
     c = rng.standard_normal(n)
     a = (rng.random(n) < expit(c)).astype(float)
     z = 1.5 * a + rng.standard_normal(n)
@@ -87,6 +86,28 @@ def test_estimate_all_equals_per_tag_estimates_bitwise(case):
             got = np.array([x.theta_hat, x.se_hat, x.clipped])
             want = np.array([y.theta_hat, y.se_hat, y.clipped])
             assert got.tobytes() == want.tobytes(), (case, x.tag)
+
+
+@pytest.mark.parametrize("case", ["cross-fitted", "continuous-c", "cross-fitted-continuous-c"])
+def test_estimate_all_matches_one_row_at_a_time_evaluation(case):
+    # a single row is its own level, so evaluating one row at a time needs no shared level index; on
+    # a cross-fitted fold with continuous C the held-out covariates lie outside the fold's support.
+    # The marginal-weight tags cost O(n) per row with continuous C, hence the small sample there.
+    params = SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5)
+    data = _continuous_c_data(60) if "continuous-c" in case else sample_dgp(params, 300, 8)
+    plan = CrossFitPlan(folds=3, seed=4) if "cross-fitted" in case else CrossFitPlan()
+    eta = fit(data, setting_model_specs(0), plan=plan)
+    folds = eta.folds if "cross-fitted" in case else [(np.arange(data.n), eta)]
+    for tag, td_reduced in [(t, False) for t in ESTIMATOR_TAGS if t != "NAIVE"] + [("TD", True)]:
+        m = np.empty(data.n)
+        for idx, fold_eta in folds:
+            for i in np.asarray(idx):
+                r = slice(i, i + 1)
+                eval_tag = "TD_REDUCED" if td_reduced else tag
+                m[i] = evaluate_m(eval_tag, data.c[r], data.a[r], data.z[r], data.y[r], fold_eta, PAIR)[0]
+        (res,) = estimate_all(data, eta, (tag,), td_reduced=td_reduced)
+        assert res.theta_hat == pytest.approx(m.mean(), rel=0, abs=1e-12), (case, tag, td_reduced)
+        assert res.se_hat == pytest.approx(m.std(ddof=1) / np.sqrt(data.n), rel=0, abs=1e-12), (case, tag, td_reduced)
 
 
 def test_clip_counts_are_per_level_not_per_row():

@@ -375,7 +375,7 @@ def test_level_index_is_the_same_on_every_coding_path():
     assert want.inv.tolist() == [1, 0, 1, 2, 0, 1]
     assert _same_index(level_index(a, c), want)  # no supports: each column's own values
     assert _same_index(level_index(a, c, (0.0, 1.0), (0.0, 1.0)), want)  # c = 2 outside its support
-    assert _same_index(level_index(a, c, (0.0, 1.0), np.arange(-50.0, 50.0)), want)  # binary search
+    assert _same_index(level_index(a, c, (0.0, 1.0), np.arange(-50.0, 50.0)), want)  # a wide support
     assert _same_index(level_index(a, c, np.arange(-50.0, 50.0), np.arange(-50.0, 50.0)), want)  # sparse codes
     assert _same_index(level_index(a, c, (0.0, 1.0), (0.0, 1.0 + 1e-12, 2.0)), want)  # exact match only
 
@@ -388,3 +388,18 @@ def test_evaluate_m_checks_a_given_level_index():
         assert np.array_equal(got, evaluate_m(tag, c, a, z, y, eta, PAIR)), tag
         with pytest.raises(DomainError, match="level index"):
             evaluate_m(tag, c[1:], a[1:], z[1:], y[1:], eta, PAIR, levels=levels)
+
+
+def test_evaluate_m_rejects_a_level_index_of_other_rows_of_the_same_length():
+    (c, a, z, y), eta = _fitted_rows(0)
+    half = c.size // 2
+    head, tail, back = slice(None, half), slice(half, 2 * half), slice(None, None, -1)
+    other_fold = level_index(a[tail], c[tail], eta.a_support, eta.c_support)
+    same_rows = level_index(a, c, eta.a_support, eta.c_support)
+    assert not np.array_equal(np.stack([a[head], c[head]]), np.stack([a[tail], c[tail]]))
+    assert not np.array_equal(np.stack([a, c]), np.stack([a[back], c[back]]))
+    for tag in ALL_TAGS:
+        with pytest.raises(DomainError, match="level index"):
+            evaluate_m(tag, c[head], a[head], z[head], y[head], eta, PAIR, levels=other_fold)
+        with pytest.raises(DomainError, match="level index"):
+            evaluate_m(tag, c[back], a[back], z[back], y[back], eta, PAIR, levels=same_rows)
