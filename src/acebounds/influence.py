@@ -320,12 +320,15 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
         return _call(eta, outcome, a=_col(la), z=zz, c=lc_col)
 
     w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
+    # the law at the rows' (z, c) for each treatment arm read below, evaluated once per arm
+    arms = {pair.a_star, pair.a_ref, *(eta.a_support if mass == "mix" else ())}
+    law_at = {ab: _call(eta, law, z=z, a=ab, c=c) for ab in arms}
     if mass == "own":
         denom = _check_pos(_call(eta, law, z=z, a=a, c=c), law_text + " at the observed rows")
     else:
-        denom = sum(_call(eta, law, z=z, a=ab, c=c) * _at_rows(eta, "p_a_given_c", ab, levels) for ab in eta.a_support)
+        denom = sum(law_at[ab] * _at_rows(eta, "p_a_given_c", ab, levels) for ab in eta.a_support)
         _check_pos(denom, f"sum_a {law_text} p(a|c)")
-    shift = _call(eta, law, z=z, a=pair.a_star, c=c) - _call(eta, law, z=z, a=pair.a_ref, c=c)
+    shift = law_at[pair.a_star] - law_at[pair.a_ref]
     pooled_bar = _gather(expect_z(rule, pz, pooled_at_levels, *cond(la)), inv)
     t1 = (y - _call(eta, outcome, a=a, z=z, c=c)) * shift / denom
     t2 = (pooled(z, c, p_at_rows) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)

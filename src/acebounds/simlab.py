@@ -2,15 +2,28 @@
 
 Child seeds are spawned from the master seed by (size index, replicate index),
 so a single replicate can be reproduced in isolation and results do not depend
-on scheduling.  Replicates run concurrently; the summary is reduced from the
-index-ordered vector of estimates, so output is bitwise identical for any
-thread count.
+on scheduling.  With ``threads > 1`` replicates run in worker processes of one
+persistent ``spawn`` pool, started on first use and reused while the worker
+count stays the same; the summary is reduced from the index-ordered vector of
+estimates.  numpy's bundled OpenBLAS is pinned to one thread in the workers and,
+for the length of the call, in a serial run, so output is bitwise identical for
+any worker count.
+
+Workers start from a fresh interpreter that imports the caller's main module,
+so a script that calls :func:`run_mc` with ``threads > 1`` must make that call
+under ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import atexit
+import ctypes
+import glob
+import os
+from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -56,6 +69,8 @@ class McConfig:
             raise DomainError("sample sizes below 10 are not supported")
         if self.setting not in MISSPECIFICATION_SETTINGS:
             raise DomainError(f"setting must be one of {MISSPECIFICATION_SETTINGS}")
+        if self.threads < 1:
+            raise DomainError("threads (replicates in flight) must be at least 1")
         unknown = set(self.tags) - set(ESTIMATOR_TAGS)
         if unknown:
             raise DomainError(f"unknown estimator tags {sorted(unknown)}")
@@ -193,6 +208,118 @@ def _one_replicate(config: McConfig, specs, z_rule, size_index: int, rep_index: 
     return {r.tag: r.theta_hat for r in estimate_all(data, eta, config.tags, td_reduced=True)}
 
 
+def _work(config: McConfig, specs, z_rule, size_index: int, n: int, k: int):
+    """Replicate k: its estimates by tag, or the package error it raised."""
+    try:
+        return _one_replicate(config, specs, z_rule, size_index, k, n)
+    except AceboundsError as exc:
+        return exc
+
+
+@cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None without one."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+def _pin_blas():
+    """Worker initializer: one BLAS thread, as in the serial path."""
+    if (blas := _blas_threads()) is not None:
+        blas[1](1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin BLAS to one thread for the block, then restore the previous count."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _pool_size(threads: int, replicates: int) -> int:
+    """Worker processes for a run: no more than the replicates or the usable cores."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(threads, replicates, cores)
+
+
+_pool = None  # (worker count, executor) of the pool this process started
+
+
+def _executor(workers: int):
+    """The persistent pool of `workers` processes, started on first use."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        # imported here, so that importing simlab loads no multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        _drop_pool()
+        atexit.unregister(_teardown)
+        atexit.register(_teardown, os.getpid())
+        executor = ProcessPoolExecutor(workers, mp_context=get_context("spawn"), initializer=_pin_blas)
+        _pool = (workers, executor)
+    return _pool[1]
+
+
+def _drop_pool():
+    """Shut down this process's pool, if any; the next pooled run starts a fresh one."""
+    global _pool
+    if _pool is not None:
+        _pool, (_, executor) = None, _pool
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _teardown(owner: int):
+    """At exit of the pool's owner: stop the workers, then stop and reap the resource tracker.
+
+    Left alone, the tracker outlives the interpreter for about a second and
+    then stays an unreaped zombie.  ``_stop`` is private API; a test checks
+    that no process outlives a script that ran the pool.
+    """
+    if os.getpid() != owner:
+        return
+    from multiprocessing import resource_tracker
+
+    _drop_pool()
+    tracker = resource_tracker._resource_tracker
+    if tracker._pid is not None:  # started here, not inherited from a parent process
+        tracker._stop()
+
+
+def _replicates(config: McConfig, specs, z_rule, size_index: int, n: int, workers: int) -> list:
+    """Every replicate's estimates (or error) at one size, in replicate order."""
+    work = partial(_work, config, specs, z_rule, size_index, n)
+    if workers == 1:
+        with _one_blas_thread():
+            return [work(k) for k in range(config.replicates)]
+    try:
+        return list(_executor(workers).map(work, range(config.replicates)))
+    except BrokenExecutor as exc:  # the pool's BrokenProcessPool
+        _drop_pool()
+        raise AceboundsError(
+            f"a run_mc worker process died ({exc}); workers import the caller's main module, "
+            'so a script must call run_mc with threads > 1 under `if __name__ == "__main__":`'
+        ) from exc
+
+
 def run_mc(config: McConfig) -> McSummary:
     """Run the study: per size, `replicates` seeded draws, fit, estimate, aggregate.
 
@@ -203,24 +330,11 @@ def run_mc(config: McConfig) -> McSummary:
     pair = TreatmentPair(1.0, 0.0)
     theta = simdgp_theta(config.params, pair)
     z_rule = GaussHermiteZRule(config.gh_nodes)
+    workers = _pool_size(config.threads, config.replicates)
     rows = []
     failed = {}
     for size_index, n in enumerate(config.sizes):
-        results = [None] * config.replicates
-
-        def work(k, _n=n, _si=size_index):
-            try:
-                return k, _one_replicate(config, specs, z_rule, _si, k, _n)
-            except AceboundsError as exc:
-                return k, exc
-
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                for k, res in pool.map(work, range(config.replicates)):
-                    results[k] = res
-        else:
-            for k in range(config.replicates):
-                results[k] = work(k)[1]
+        results = _replicates(config, specs, z_rule, size_index, n, workers)
         errors = [r for r in results if isinstance(r, Exception)]
         failed[n] = len(errors)
         if errors and len(errors) >= 0.01 * config.replicates:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -288,6 +290,33 @@ def test_grid_size_does_not_grow_with_rows(monkeypatch):
     for tag in ALL_TAGS:
         assert totals[tag, 1000] == totals[tag, 5000], tag
         assert (totals[tag, 1000] > 0) == (tag != "BD"), tag
+
+
+class _CountingLaw:
+    """A Gaussian mediator law that counts its evaluations; quadrature reads location_scale only."""
+
+    def __init__(self, law):
+        self.law, self.calls = law, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.law(*args)
+
+    def location_scale(self, *cond):
+        return self.law.location_scale(*cond)
+
+
+@pytest.mark.parametrize("tag", sorted(influence._MEDIATOR_MODELS))
+def test_mediator_law_is_evaluated_once_per_treatment_arm(tag):
+    # the arms a* and a (the mix tags' support {0, 1} is the same two arms), plus the observed rows for "own"
+    law_slot, _, mass, _ = influence._MEDIATOR_MODELS[tag]
+    data = sample_dgp(STUDY_PARAMS, 400, 5)
+    eta = fit(data, setting_model_specs(0))
+    want = evaluate_m(tag, data.c, data.a, data.z, data.y, eta, data.pair)
+    law = _CountingLaw(getattr(eta, law_slot))
+    got = evaluate_m(tag, data.c, data.a, data.z, data.y, replace(eta, **{law_slot: law}), data.pair)
+    assert law.calls == (2 if mass == "mix" else 3)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_truth_tables_on_unsorted_supports_pass_undefined_cells_through():

@@ -1,6 +1,16 @@
+import multiprocessing
+import multiprocessing.connection
+import os
+import pickle
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import acebounds.simlab as simlab
 from acebounds.bounds import SimDgpParams
 from acebounds.errors import AceboundsError, DomainError
 from acebounds.simlab import (
@@ -78,8 +88,6 @@ def test_run_mc_metric_identity():
 
 
 def test_run_mc_failure_policy(monkeypatch):
-    import acebounds.simlab as simlab
-
     original = simlab._one_replicate
 
     def flaky(config, specs, z_rule, size_index, rep_index, n):
@@ -106,6 +114,9 @@ def test_mc_config_validation():
         McConfig(params=PARAMS, setting=9)
     with pytest.raises(DomainError):
         McConfig(params=PARAMS, tags=("XX",))
+    for threads in (0, -2):
+        with pytest.raises(DomainError, match="threads"):
+            McConfig(params=PARAMS, threads=threads)
 
 
 def test_theta_tracks_parameters():
@@ -146,3 +157,95 @@ def test_scaled_variance_stabilizes_across_large_sizes():
         small, large = summary.row(5000, tag), summary.row(20000, tag)
         spread = 5.0 * np.hypot(small.scaled_var_se, large.scaled_var_se)
         assert abs(small.scaled_var - large.scaled_var) < spread, tag
+
+
+SRC = Path(simlab.__file__).resolve().parents[1]
+TWO_WORKERS = pytest.mark.skipif(simlab._pool_size(2, 2) < 2, reason="a worker pool needs two usable cores")
+SCRIPT = """
+from acebounds.bounds import SimDgpParams
+from acebounds.simlab import McConfig, run_mc
+
+def main():
+    params = SimDgpParams(alpha=1.0, beta=1.5, gamma1=0.5, gamma2=0.5)
+    print(run_mc(McConfig(params=params, sizes=(200,), replicates=4, seed=3, threads=2)).to_csv())
+"""
+
+
+def _run_script(path, text, **kwargs):
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen(
+        [sys.executable, str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, **kwargs
+    )
+
+
+def test_pool_size_is_bounded_by_replicates_and_cores():
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert simlab._pool_size(10**6, 200) == min(200, cores)
+    assert simlab._pool_size(10**6, 2) == min(2, cores)
+    assert simlab._pool_size(1, 200) == 1
+
+
+@TWO_WORKERS
+def test_killed_worker_is_reported_and_the_next_run_starts_a_fresh_pool():
+    config = McConfig(params=PARAMS, sizes=(200,), replicates=20, setting=0, seed=5, threads=2)
+    want = run_mc(config).to_csv()
+    broken = simlab._pool[1]
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    # wait for the death without reaping: the pool's own thread reaps its workers
+    assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
+    with pytest.raises(AceboundsError, match="worker process died"):
+        run_mc(config)
+    assert simlab._pool is None
+    assert run_mc(config).to_csv() == want
+    assert simlab._pool[1] is not broken
+
+
+@TWO_WORKERS
+def test_unguarded_script_names_the_main_guard(tmp_path):
+    proc = _run_script(tmp_path / "unguarded.py", SCRIPT + "\nmain()\n")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode != 0, out
+    assert "AceboundsError" in err
+    assert 'if __name__ == "__main__":' in err
+
+
+def _process_group(pgid):
+    """Pids whose process group is pgid, zombies included (from /proc/<pid>/stat)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # exited meanwhile
+            continue
+        # after the parenthesised command name: state, ppid, pgrp, ...
+        if int(stat[stat.rindex(")") + 2 :].split()[2]) == pgid:
+            members.append(int(entry))
+    return members
+
+
+@TWO_WORKERS
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process groups from /proc")
+def test_no_process_outlives_a_script_that_ran_the_pool(tmp_path):
+    guarded = SCRIPT + '\nif __name__ == "__main__":\n    main()\n'
+    proc = _run_script(tmp_path / "guarded.py", guarded, start_new_session=True)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out.startswith("setting,n,tag,")
+    assert _process_group(proc.pid) == []
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("cls", [AceboundsError, *_subclasses(AceboundsError)], ids=lambda c: c.__name__)
+def test_package_errors_survive_pickling(cls):
+    # a worker returns a failed replicate's error to the parent by pickling it
+    back = pickle.loads(pickle.dumps(cls("replicate 3: boom")))
+    assert type(back) is cls and str(back) == "replicate 3: boom"
