@@ -10,8 +10,7 @@ import itertools
 
 from acebounds.bounds import SimDgpParams, simdgp_bound
 from acebounds.dist import TreatmentPair, csv_text
-
-MODELS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
+from acebounds.influence import MODEL_TAGS
 
 
 def bound_cell(value) -> str:
@@ -31,9 +30,9 @@ def main():
     rows = []
     for beta, g1, g2 in itertools.product(levels, repeat=3):
         params = SimDgpParams(alpha=args.alpha, beta=beta, gamma1=g1, gamma2=g2)
-        values = [simdgp_bound(params, pair, m, n_nodes=args.nodes).value for m in MODELS]
+        values = [simdgp_bound(params, pair, m, n_nodes=args.nodes).value for m in MODEL_TAGS]
         rows.append([f"{beta:g}", f"{g1:g}", f"{g2:g}"] + values)
-    print(csv_text(("beta", "gamma1", "gamma2") + MODELS, rows, bound_cell), end="")
+    print(csv_text(("beta", "gamma1", "gamma2") + MODEL_TAGS, rows, bound_cell), end="")
 
 
 if __name__ == "__main__":

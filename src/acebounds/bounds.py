@@ -49,6 +49,8 @@ from .dist import (
     fsum,
 )
 from .errors import DomainError, PositivityViolation, QuadratureNonConvergence
+from .influence import MODEL_TAGS as MODELS
+from .quadrature import _gauss_hermite
 from .special import expit, norm_pdf
 
 __all__ = [
@@ -69,9 +71,6 @@ __all__ = [
     "simdgp_td_bd_crossing",
     "simdgp_theta",
 ]
-
-MODELS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -315,14 +314,6 @@ def simdgp_td_bd_crossing(params: SimDgpParams) -> float:
     return params.sigma_z * math.sqrt(math.log1p(_inv_prop_sum(params)))
 
 
-# Gauss-Hermite machinery for the pairwise/triple bounds.
-
-
-def _gh_nodes(n: int):
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return x, w / math.sqrt(math.pi)
-
-
 def _combo_value(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes: int) -> float:
     beta, sz, sy = params.beta, params.sigma_z, params.sigma_y
     g1, g2 = params.gamma1, params.gamma2
@@ -331,7 +322,7 @@ def _combo_value(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes:
     w_c = np.stack([1.0 - pa1c, pa1c], axis=1)  # w_c[c, a] = p(a|c)
     pa = {1: params.p_a_marginal(1), 0: params.p_a_marginal(0)}
     mu = {0: 0.0, 1: beta}
-    x, w = _gh_nodes(n_nodes)
+    x, w = _gauss_hermite(n_nodes)
 
     def nodes(level):
         return mu[level] + math.sqrt(2.0) * sz * x

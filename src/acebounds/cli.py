@@ -33,6 +33,14 @@ def _emit(text: str, out: str | None) -> None:
     write_text(text, sys.stdout if out is None else out)
 
 
+def _report(args, header, records, payload=None) -> None:
+    """Dict records as csv columns `header`, or as json (`payload` in their place when given)."""
+    if args.format == "json":
+        _emit(json.dumps(records if payload is None else payload, indent=2, sort_keys=True), args.out)
+    else:
+        _emit(csv_text(header, ([r[k] for k in header] for r in records), report_cell), args.out)
+
+
 def read_config(path: str | None) -> dict:
     """Flat `key = value` lines; '#' starts a comment; later keys win."""
     cfg: dict = {}
@@ -74,15 +82,16 @@ def _parse_dgp(cfg: dict) -> SimDgpParams:
     return SimDgpParams(**kwargs)
 
 
-def _parse_models(cfg: dict):
-    raw = cfg.get("models", "all")
+def _parse_names(cfg: dict, key: str, known: tuple) -> tuple:
+    """The comma list under `key`, upper-cased, or every known name for "all" (the default)."""
+    raw = cfg.get(key, "all")
     if raw == "all":
-        return MODELS
-    models = tuple(tok.strip().upper() for tok in raw.split(",") if tok.strip())
-    unknown = set(models) - set(MODELS)
+        return known
+    names = tuple(tok.strip().upper() for tok in raw.split(",") if tok.strip())
+    unknown = set(names) - set(known)
     if unknown:
-        raise DomainError(f"unknown models {sorted(unknown)}")
-    return models
+        raise DomainError(f"unknown {key} {sorted(unknown)}")
+    return names
 
 
 def _parse_spec_value(slot: str, value: str) -> ModelSpec:
@@ -129,28 +138,16 @@ def _parse_model_specs(cfg: dict):
     return list(specs.values())
 
 
-def _parse_tags(cfg: dict):
-    raw = cfg.get("tags", "all")
-    if raw == "all":
-        return ESTIMATOR_TAGS
-    tags = tuple(tok.strip().upper() for tok in raw.split(",") if tok.strip())
-    unknown = set(tags) - set(ESTIMATOR_TAGS)
-    if unknown:
-        raise DomainError(f"unknown tags {sorted(unknown)}")
-    return tags
-
-
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_bounds(args) -> int:
-    cfg = _apply_overrides(read_config(args.config), args.set)
+def cmd_bounds(args, cfg: dict) -> int:
     if args.dgp:
         _apply_overrides(cfg, args.dgp.split(","))
     if args.dist:
         cfg["dist"] = args.dist
     pair = _parse_pair(cfg)
-    models = _parse_models(cfg)
+    models = _parse_names(cfg, "models", MODELS)
     nodes = int(cfg.get("gh_nodes", 64))
     if "dist" in cfg:
         dist = read_dist_csv(cfg["dist"])
@@ -158,16 +155,11 @@ def cmd_bounds(args) -> int:
     else:
         params = _parse_dgp(cfg)
         reports = [simdgp_bound(params, pair, model, n_nodes=nodes) for model in models]
-    if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True), args.out)
-    else:
-        rows = [(r.model, r.value, r.method, r.pair.a_star, r.pair.a_ref) for r in reports]
-        _emit(csv_text(("model", "value", "method", "a_star", "a_ref"), rows, report_cell), args.out)
+    _report(args, ("model", "value", "method", "a_star", "a_ref"), [r.to_dict() for r in reports])
     return 0
 
 
-def cmd_estimate(args) -> int:
-    cfg = _apply_overrides(read_config(args.config), args.set)
+def cmd_estimate(args, cfg: dict) -> int:
     if args.data:
         cfg["data"] = args.data
     if "data" not in cfg:
@@ -179,18 +171,14 @@ def cmd_estimate(args) -> int:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     plan = CrossFitPlan(folds=folds, seed=seed)
     eta = fit(data, specs, plan=plan, gh_nodes=int(cfg.get("gh_nodes", 64)))
-    tags = _parse_tags(cfg)
+    tags = _parse_names(cfg, "tags", ESTIMATOR_TAGS)
     td_reduced = cfg.get("td_form", "general") == "reduced"
     results = estimate_all(data, eta, tags, td_reduced=td_reduced)
-    if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in results], indent=2, sort_keys=True), args.out)
-    else:
-        _emit(csv_text(EstimationResult.CSV_HEADER, [r.csv_row() for r in results], report_cell), args.out)
+    _report(args, EstimationResult.CSV_HEADER, [r.to_dict() for r in results])
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(read_config(args.config), args.set)
+def cmd_simulate(args, cfg: dict) -> int:
     params = _parse_dgp(cfg)
     sizes = tuple(int(x) for x in str(cfg.get("sizes", "5000")).split(",") if x)
     replicates = int(cfg.get("replicates", 200))
@@ -200,27 +188,19 @@ def cmd_simulate(args) -> int:
         params=params,
         sizes=sizes,
         replicates=replicates,
-        tags=_parse_tags(cfg),
+        tags=_parse_names(cfg, "tags", ESTIMATOR_TAGS),
         setting=int(cfg.get("setting", 0)),
         seed=args.seed if args.seed is not None else int(cfg.get("seed", 0)),
         threads=args.threads if args.threads else int(cfg.get("threads", 1)),
         gh_nodes=int(cfg.get("gh_nodes", 64)),
     )
     summary = run_mc(config)
-    if args.format == "json":
-        payload = {
-            "theta": summary.theta,
-            "failed": summary.failed,
-            "rows": [vars(r) for r in summary.rows],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(summary.to_csv(), args.out)
+    rows = [vars(r) for r in summary.rows]
+    _report(args, summary.CSV_HEADER, rows, {"theta": summary.theta, "failed": summary.failed, "rows": rows})
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _apply_overrides(read_config(args.config), args.set)
+def cmd_compare(args, cfg: dict) -> int:
     if args.interval is not None:
         low, high = cmp_mod.density_ratio_interval(args.interval)
         if args.format == "json":
@@ -264,26 +244,17 @@ def cmd_compare(args) -> int:
     raise DomainError("compare needs one of --interval, --scan or --dist")
 
 
-def cmd_oracle(args) -> int:
-    cfg = _apply_overrides(read_config(args.config), args.set)
+def cmd_oracle(args, cfg: dict) -> int:
     dist = read_dist_csv(args.dist)
     pair = _parse_pair(cfg)
     tol = float(cfg.get("tol", 1e-9))
     rows = []
-    worst = 0.0
     for model in MODELS:
         closed = bound(dist, pair, model).value
         enum = brute_force_variance(dist, pair, model)
-        diff = abs(closed - enum)
-        worst = max(worst, diff)
-        rows.append((model, closed, enum, diff))
-    if args.format == "json":
-        payload = [
-            {"model": m, "formula": c, "enumeration": e, "abs_diff": d} for m, c, e, d in rows
-        ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(csv_text(("model", "formula", "enumeration", "abs_diff"), rows, report_cell), args.out)
+        rows.append({"model": model, "formula": closed, "enumeration": enum, "abs_diff": abs(closed - enum)})
+    _report(args, ("model", "formula", "enumeration", "abs_diff"), rows)
+    worst = max(0.0, *(r["abs_diff"] for r in rows))
     if worst > tol:
         sys.stderr.write(f"oracle discrepancy {worst:.3e} exceeds tolerance {tol:.1e}\n")
         return 1
@@ -334,14 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except AceboundsError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+        return args.handler(args, _apply_overrides(read_config(args.config), args.set))
+    except (AceboundsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, chain_joint, csv_text, fsum, report_cell, write_text
+from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, _pair_indices, chain_joint, csv_text, fsum, report_cell, write_text
 from .errors import AssumptionViolation, DomainError, PositivityViolation
 from .special import expit
 
@@ -87,7 +87,7 @@ def _cell_brackets(dist: DiscreteJoint, pair: TreatmentPair):
     threshold at every treatment level; raises if no cell qualifies.
     """
     t = dist._cache()
-    i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
+    i_s, i_r = _pair_indices(dist, pair)
     live = np.flatnonzero(t["pc"] > 0)
     ic, iz = np.nonzero(np.all(t["p_z_given_ac"][live] > POSITIVITY_EPS, axis=1))
     if ic.size == 0:
@@ -167,7 +167,7 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
             f"E(Y|z={dist.z_support[iz]}, c={dist.c_support[live[ic]]}) = {got[ic, iz]!r} is not the "
             f"stated linear function ({want[ic, iz]!r})"
         )
-    i_s, i_r = dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
+    i_s, i_r = _pair_indices(dist, pair)
     pac, pa = t["p_a_given_c"], t["pa"]
     gaps = {name: 1.0 / pa[ia] - fsum(pc[live] / pac[live, ia]) for name, ia in (("a_star", i_s), ("a_ref", i_r))}
     recip_holds = all(v > 0 for v in gaps.values())

@@ -60,10 +60,7 @@ class EstimationResult:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    CSV_HEADER = ("tag", "theta_hat", "se_hat", "n", "clipped")
-
-    def csv_row(self):
-        return (self.tag, self.theta_hat, self.se_hat, self.n, self.clipped)
+    CSV_HEADER = ("tag", "theta_hat", "se_hat", "n", "clipped")  # the csv columns, keys of to_dict
 
 
 def naive_difference(data: Dataset):

@@ -21,6 +21,13 @@ on the same supports the fitted NuisanceSet carries.  One IRLS loop
 the row-wise design passes counts of 1.  A Gaussian law's residual variance
 still sums over all n rows.
 
+Logistic, linear-mean and Gaussian-density components share one base class,
+``_Linear``: it holds ``arg_names``, ``predictors`` and ``coef`` and computes
+the linear predictor.  ``arg_names`` are the arguments the component
+conditions on, in call order: the slot's call arguments (``influence.SLOTS``,
+importable from here too) minus its response, which a probability or a law
+takes first.  The Gaussian density is ``special.norm_pdf``.
+
 Empirical and fixed-value slots are ``influence._Table`` lookups.  Their
 ``reads`` are the slot arguments that are fitted predictors (plus the response
 of a probability), and their ``observed`` mask holds the groups seen in the
@@ -45,9 +52,9 @@ from .errors import (
     RankDeficient,
     SeparationDetected,
 )
-from .influence import NuisanceSet, _Table, level_index
+from .influence import SLOTS, NuisanceSet, _Table, level_index
 from .quadrature import FiniteZRule, GaussHermiteZRule
-from .special import expit
+from .special import expit, norm_pdf
 
 __all__ = [
     "CLIP_EPS",
@@ -67,19 +74,6 @@ __all__ = [
 CLIP_EPS = 1e-6
 VARIANCE_FLOOR = 1e-8
 _MAX_TABLE_CELLS = 1 << 24  # an empirical table over several continuous columns grows as n^k
-
-# slot -> (call-argument names in canonical order, response variable, kind)
-SLOTS = {
-    "p_c": (("c",), "c", "prob"),
-    "p_a": (("a",), "a", "prob"),
-    "p_a_given_c": (("a", "c"), "a", "prob"),
-    "p_z_given_a": (("z", "a"), "z", "law"),
-    "p_z_given_ac": (("z", "a", "c"), "z", "law"),
-    "mean_y_ac": (("a", "c"), "y", "mean"),
-    "mean_y_az": (("a", "z"), "y", "mean"),
-    "mean_y_zc": (("z", "c"), "y", "mean"),
-    "mean_y_azc": (("a", "z", "c"), "y", "mean"),
-}
 
 _FAMILIES = {
     "prob": ("empirical", "logistic", "fixed-value"),
@@ -277,31 +271,39 @@ def _fit_design(data: Dataset, preds: tuple, values: np.ndarray, cells=None):
     return _design([data.column(p) for p in preds], data.n), values, np.ones(data.n), None
 
 
-def _linear_predictor(coef, predictors, arg_names, args):
-    """coef[0] + sum_j coef[j] * x_j, each predictor x_j picked from `args` by its name."""
-    named = dict(zip(arg_names, args))
-    out = coef[0]
-    for j, p in enumerate(predictors, start=1):
-        out = out + coef[j] * np.asarray(named[p], dtype=float)
-    return out
+class _Linear:
+    """A component linear in named predictors, read from the conditioning arguments of its call.
+
+    `arg_names` names the conditioning arguments in call order (a response
+    argument, which comes first, is not among them).
+    """
+
+    def __init__(self, arg_names: tuple, predictors: tuple, coef):
+        self.arg_names = tuple(arg_names)
+        self.predictors = tuple(predictors)
+        self.coef = np.asarray(coef, dtype=float)
+
+    def linear(self, cond):
+        """coef[0] + sum_j coef[j] * x_j, each predictor x_j picked from `cond` by its name."""
+        named = dict(zip(self.arg_names, cond))
+        out = self.coef[0]
+        for j, p in enumerate(self.predictors, start=1):
+            out = out + self.coef[j] * np.asarray(named[p], dtype=float)
+        return out
 
 
-class GaussianConditional:
+class GaussianConditional(_Linear):
     """Gaussian law for a response given predictors: mean linear in them, constant sd."""
 
-    def __init__(self, arg_names: tuple, predictors: tuple, coef: np.ndarray, sd: float):
-        self.arg_names = arg_names  # conditioning args in canonical call order
-        self.predictors = predictors
-        self.coef = np.asarray(coef, dtype=float)
+    def __init__(self, arg_names: tuple, predictors: tuple, coef, sd: float):
+        super().__init__(arg_names, predictors, coef)
         self.sd = float(sd)
 
     def location_scale(self, *cond):
-        return _linear_predictor(self.coef, self.predictors, self.arg_names, cond), self.sd
+        return self.linear(cond), self.sd
 
     def __call__(self, value, *cond):
-        mu, sd = self.location_scale(*cond)
-        value = np.asarray(value, dtype=float)
-        return np.exp(-0.5 * ((value - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
+        return norm_pdf(value, self.linear(cond), self.sd)
 
 
 def gaussian_density_fit(data: Dataset, response: str, predictors: Sequence[str], arg_names: tuple = None) -> GaussianConditional:
@@ -332,28 +334,21 @@ def _spread(out, args):
     return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
-class _LinearMean:
-    def __init__(self, arg_names, predictors, coef):
-        self.arg_names = arg_names
-        self.predictors = predictors
-        self.coef = np.asarray(coef, dtype=float)
-
+class _LinearMean(_Linear):
     def __call__(self, *args):
-        return _spread(_linear_predictor(self.coef, self.predictors, self.arg_names, args), args)
+        return _spread(self.linear(args), args)
 
 
-class _Logistic:
+class _Logistic(_Linear):
     """p(response = level | predictors) from a logistic fit on a binary response."""
 
     def __init__(self, arg_names, predictors, coef, hi_level, lo_level):
-        self.arg_names = arg_names
-        self.predictors = predictors
-        self.coef = np.asarray(coef, dtype=float)
+        super().__init__(arg_names, predictors, coef)
         self.hi_level = hi_level
         self.lo_level = lo_level
 
     def __call__(self, value, *cond):
-        p_hi = expit(_linear_predictor(self.coef, self.predictors, self.arg_names[1:], cond))
+        p_hi = expit(self.linear(cond))
         value = np.asarray(value, dtype=float)
         out = np.where(value == self.hi_level, p_hi, np.where(value == self.lo_level, 1.0 - p_hi, np.nan))
         if np.any(np.isnan(out)):
@@ -415,6 +410,7 @@ def _binary_levels(values: np.ndarray, what: str):
 def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict, supports: dict, cells):
     """One slot's component and manifest entry; `supports` and `cells` are shared by every slot of a fit."""
     args, response, kind = SLOTS[spec.component]
+    given = tuple(v for v in args if v != response)  # what the components condition on
     preds = spec.effective_predictors()
     applied = {
         "family": spec.family,
@@ -429,21 +425,20 @@ def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict, supports: dict, cel
         return fn, applied
     if spec.family == "empirical":
         # only the fitted predictors condition the table; other call args are ignored
-        given = tuple(v for v in args if v in preds and v != response)
-        fn = _empirical_table(data, args, given, None if kind == "mean" else response)
+        fn = _empirical_table(data, args, tuple(v for v in given if v in preds), None if kind == "mean" else response)
         return (_Clipped(fn, counter, spec.component) if kind == "prob" else fn), applied
     if spec.family == "linear-mean":
         coef = _least_squares(*_fit_design(data, preds, data.y, cells)[:3])
         applied["coef"] = [float(v) for v in coef]
-        return _LinearMean(args, preds, coef), applied
+        return _LinearMean(given, preds, coef), applied
     if spec.family == "logistic":
         hi, lo = _binary_levels(supports[response], response)
         coef = _irls(*_fit_design(data, preds, (data.column(response) == hi).astype(float), cells)[:3])
         applied["coef"] = [float(v) for v in coef]
-        fn = _Clipped(_Logistic(args, preds, coef, hi, lo), counter, spec.component)
+        fn = _Clipped(_Logistic(given, preds, coef, hi, lo), counter, spec.component)
         return fn, applied
     if spec.family == "gaussian-density":
-        fn = _gaussian_law(data, response, preds, args[1:], cells)
+        fn = _gaussian_law(data, response, preds, given, cells)
         applied["coef"] = [float(v) for v in fn.coef]
         applied["sd"] = fn.sd
         return fn, applied
@@ -503,7 +498,6 @@ def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFit
         train_mask[eval_idx] = False
         eta = _fit_single(data.subset(train_mask), specs, z_rule=z_rule, gh_nodes=gh_nodes)
         eta.manifest["fold"] = k
-        eta.manifest["train_rows"] = np.nonzero(train_mask)[0].tolist()
         folds.append((np.sort(eval_idx), eta))
     manifest = {
         "folds": plan.folds,

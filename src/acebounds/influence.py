@@ -14,6 +14,11 @@ its m has the same three terms:
 * the plug-in contrast of the row's outcome regression, integrated under the
   mediator law at a* and at a.
 
+Every slot is called through ``SLOTS``, the one table of the nine nuisance
+slots: for each, the variables it takes in call order, its response, and its
+kind (probability, mediator law or outcome mean).  ``fitting`` reads the same
+table to check and fit model specs.
+
 One kernel evaluates all six from a table row per tag, which names the slots
 it reads:
 
@@ -49,15 +54,20 @@ with a continuous covariate).  ``estimators.estimate_all`` builds one index
 per dataset or fold and passes it to every tag; :func:`evaluate_m` builds its
 own when given none.  The slots of (a, c) alone (p_a_given_c, mean_y_ac, p_a)
 are evaluated once per level and gathered back to the rows, and the sums over
-the mediator are integrated once per level (levels x nodes grid).  FD reads
-no slot that takes c, so it is levelled by the treatment alone: with a
-continuous covariate it integrates |A| levels.  The other mediator models
-read c, and there every row may be its own level, which costs what per-row
-integration would.
+the mediator are integrated once per level (levels x nodes grid).  A sum that
+reads no c is integrated once per treatment level instead: every sum of FD,
+and the centring of the pooled outcome of FD_TD and BD_FD_TD, whose marginal
+weights already sum it over every live covariate level.  With a continuous
+covariate these integrate |A| levels.  The other sums read c, and there every
+row may be its own level, which costs what per-row integration would.  The
+pooled outcome of FD_TD and BD_FD_TD at the rows still covers live covariate
+levels x rows; above ``quadrature._MAX_GRID_ELEMENTS`` it raises DomainError
+before it is evaluated (about n = 2048 with a continuous covariate).
 
 Discrete nuisances are one table class, ``_Table``: dense values over sorted
 supports, each axis read from the call argument its ``reads`` entry names and
-found by binary search plus an exact-match check.  :func:`truth_nuisances`
+found by ``_lookup``, the binary search plus exact-match check that also codes
+the columns of a level index.  :func:`truth_nuisances`
 builds it over every argument, with undefined (NaN) cells passed through;
 ``fitting`` builds its empirical and fixed-value slots with it, passing an
 ``observed`` mask so that cells never seen raise :class:`DomainError`.
@@ -73,7 +83,7 @@ import numpy as np
 
 from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, ace_twodoor, fsum
 from .errors import DomainError, MissingNuisance, PositivityViolation
-from .quadrature import FiniteZRule, expect_z
+from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, expect_z
 
 __all__ = [
     "Observation",
@@ -95,6 +105,19 @@ __all__ = [
 ]
 
 MODEL_TAGS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
+
+# slot -> (call-argument names in call order, response variable, kind)
+SLOTS = {
+    "p_c": (("c",), "c", "prob"),
+    "p_a": (("a",), "a", "prob"),
+    "p_a_given_c": (("a", "c"), "a", "prob"),
+    "p_z_given_a": (("z", "a"), "z", "law"),
+    "p_z_given_ac": (("z", "a", "c"), "z", "law"),
+    "mean_y_ac": (("a", "c"), "y", "mean"),
+    "mean_y_az": (("a", "z"), "y", "mean"),
+    "mean_y_zc": (("z", "c"), "y", "mean"),
+    "mean_y_azc": (("a", "z", "c"), "y", "mean"),
+}
 
 
 @dataclass(frozen=True)
@@ -170,12 +193,17 @@ class LevelIndex:
         return a, of_level[self.inv]
 
 
+def _lookup(support, x):
+    """Positions of `x` in the sorted `support` by binary search, or None when a value is not in it."""
+    idx = np.minimum(np.searchsorted(support, x), support.size - 1)
+    return idx if np.array_equal(support[idx], x) else None
+
+
 def _codes(col, support):
     """Codes of `col` in the sorted `support`; over the column's own values when one lies outside."""
     if support is not None and len(support):
         support = np.sort(np.asarray(support, dtype=float))
-        idx = np.minimum(np.searchsorted(support, col), support.size - 1)
-        if np.array_equal(support[idx], col):
+        if (idx := _lookup(support, col)) is not None:
             return support, idx
     return np.unique(col, return_inverse=True)
 
@@ -243,17 +271,12 @@ _MEDIATOR_MODELS = {
     "BD_FD_TD": ("p_z_given_a", "mean_y_zc", "mix", "marginal"),
 }
 
-# the variables each slot takes, in call order
-_SIGNATURE = {
-    "p_a": "a", "p_a_given_c": "ac", "p_z_given_a": "za", "p_z_given_ac": "zac",
-    "mean_y_ac": "ac", "mean_y_az": "az", "mean_y_azc": "azc", "mean_y_zc": "zc"
-}
 _WEIGHT_LABEL = {"p_a": "p({})", "p_a_given_c": "p({}|c)", "marginal": "sum_c p(c) p({}|c)"}
 
 
 def _call(eta: NuisanceSet, slot: str, **values):
-    """Evaluate a slot at the variables its signature names, e.g. mean_y_azc(a, z, c)."""
-    return getattr(eta, slot)(*(values[v] for v in _SIGNATURE[slot]))
+    """Evaluate a slot at the variables its SLOTS entry names, e.g. mean_y_azc(a, z, c)."""
+    return getattr(eta, slot)(*(values[v] for v in SLOTS[slot][0]))
 
 
 def _at_rows(eta: NuisanceSet, slot: str, arm, levels: LevelIndex):
@@ -268,11 +291,6 @@ def _live_c(eta: NuisanceSet):
     return [(w, cv) for cv in eta.c_support if (w := float(eta.p_c(cv))) > 0]
 
 
-def _marginal_treatment(eta: NuisanceSet, level):
-    """p(level) assembled as sum_c p(c) p(level|c)."""
-    return fsum(w * float(eta.p_a_given_c(level, cv)) for w, cv in _live_c(eta))
-
-
 def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None):
     """m per row for one mediator model: t1 residual, t2 centred pooled outcome, t3 plug-in contrast."""
     law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
@@ -282,44 +300,58 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
     c, a, z, y = _rows(c, a, z, y)
     levels = _index_of(eta, a, c, levels)
     rule, pz = eta.z_integrator, getattr(eta, law)
-    law_given_c = "c" in _SIGNATURE[law]
+    law_given_c, outcome_given_c = "c" in SLOTS[law][0], "c" in SLOTS[outcome][0]
     law_text = "p(z|a,c)" if law_given_c else "p(z|a)"
     slot = "p_a" if weights == "p_a" else "p_a_given_c"
-    if law_given_c or "c" in _SIGNATURE[outcome] or weights == "p_a_given_c":
-        la, lc, inv = levels.a, levels.c, levels.inv
-    else:  # FD: no slot it reads takes c, so its mediator sums depend on a row through a alone
-        (la, inv), lc = levels.by_a(), None
-    lc_col = None if lc is None else _col(lc)
+    live = _live_c(eta) if weights == "marginal" else None
+
+    def sum_levels(reads_c):
+        """(treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
+        if reads_c:
+            return levels.a, _col(levels.c), levels.inv
+        la, inv = levels.by_a()
+        return la, None, inv
+
+    # the pooled outcome reads c through the law, the weights, or an outcome not already summed over c
+    ka, kc, kinv = sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and live is None))
+    ta, tc, tinv = sum_levels(law_given_c or outcome_given_c)
 
     def cond(arm):
-        return (arm, lc) if law_given_c else (arm,)
+        return (arm, levels.c) if law_given_c else (arm,)
 
     def weight(arm, label):
-        w = _marginal_treatment(eta, arm) if weights == "marginal" else _at_rows(eta, weights, arm, levels)
+        if live is not None:
+            w = fsum(p * float(eta.p_a_given_c(arm, cv)) for p, cv in live)
+        else:
+            w = _at_rows(eta, weights, arm, levels)
         return _check_pos(w, _WEIGHT_LABEL[weights].format(label))
 
     def pooled_given_c(zz, cv, p_at):
         """sum_a outcome(a, z, c) p_at(a), where p_at(a) is the weight of a at cv."""
-        if "a" not in _SIGNATURE[outcome]:
+        if "a" not in SLOTS[outcome][0]:
             return _call(eta, outcome, z=zz, c=cv)
         return sum(_call(eta, outcome, a=ab, z=zz, c=cv) * p_at(ab) for ab in eta.a_support)
 
     def pooled(zz, cv, p_at):
         """The outcome averaged over the treatment weights of the arm denominators."""
-        if weights == "marginal":
-            return sum(w * pooled_given_c(zz, v, lambda ab, v=v: eta.p_a_given_c(ab, v)) for w, v in _live_c(eta))
+        if live is not None:
+            return sum(w * pooled_given_c(zz, v, lambda ab, v=v: eta.p_a_given_c(ab, v)) for w, v in live)
         return pooled_given_c(zz, cv, p_at)
 
     def pooled_at_levels(zz):
-        return pooled(zz, lc_col, lambda ab: _call(eta, slot, a=ab, c=lc_col))
+        return pooled(zz, kc, lambda ab: _call(eta, slot, a=ab, c=kc))
 
     def p_at_rows(ab):
         return _at_rows(eta, slot, ab, levels)
 
     def own_arm(zz):
-        return _call(eta, outcome, a=_col(la), z=zz, c=lc_col)
+        return _call(eta, outcome, a=_col(ta), z=zz, c=tc)
 
     w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
+    if live is not None and len(live) * y.size > _MAX_GRID_ELEMENTS:
+        raise DomainError(
+            f"the pooled outcome over {len(live)} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements"
+        )
     # the law at the rows' (z, c) for each treatment arm read below, evaluated once per arm
     arms = {pair.a_star, pair.a_ref, *(eta.a_support if mass == "mix" else ())}
     law_at = {ab: _call(eta, law, z=z, a=ab, c=c) for ab in arms}
@@ -329,10 +361,10 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
         denom = sum(law_at[ab] * _at_rows(eta, "p_a_given_c", ab, levels) for ab in eta.a_support)
         _check_pos(denom, f"sum_a {law_text} p(a|c)")
     shift = law_at[pair.a_star] - law_at[pair.a_ref]
-    pooled_bar = _gather(expect_z(rule, pz, pooled_at_levels, *cond(la)), inv)
+    pooled_bar = _gather(expect_z(rule, pz, pooled_at_levels, *cond(ka)), kinv)
     t1 = (y - _call(eta, outcome, a=a, z=z, c=c)) * shift / denom
     t2 = (pooled(z, c, p_at_rows) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)
-    t3 = _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), inv)
+    t3 = _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), tinv)
     return t1 + t2 + t3
 
 
@@ -394,9 +426,7 @@ class _Table:
         self.what = what
 
     def _index(self, x, k):
-        support, x = self.supports[k], np.asarray(x, dtype=float)
-        idx = np.minimum(np.searchsorted(support, x), support.size - 1)
-        if not np.all(support[idx] == x):
+        if (idx := _lookup(self.supports[k], np.asarray(x, dtype=float))) is None:
             raise DomainError(f"argument {self.reads[k]} of {self.what} takes values outside its support")
         return idx
 

@@ -31,6 +31,12 @@ def _node_shape(x):
     return x[..., None] if x.ndim else x
 
 
+def _gauss_hermite(n_nodes: int):
+    """Nodes x and weights w with sum_i w_i f(mu + sqrt(2) sd x_i) ~ E f(Z), Z ~ N(mu, sd^2)."""
+    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    return x, w / math.sqrt(math.pi)
+
+
 class FiniteZRule:
     """Exact summation over a finite mediator support.
 
@@ -70,9 +76,7 @@ class GaussHermiteZRule:
         if n_nodes < 1:
             raise ValueError("n_nodes must be positive")
         self.n_nodes = n_nodes
-        x, w = np.polynomial.hermite.hermgauss(n_nodes)
-        self._x = x
-        self._w = w / math.sqrt(math.pi)
+        self._x, self._w = _gauss_hermite(n_nodes)
 
     def grid(self, density, *cond):
         loc_scale = getattr(density, "location_scale", None)

@@ -9,6 +9,11 @@ estimates.  numpy's bundled OpenBLAS is pinned to one thread in the workers and,
 for the length of the call, in a serial run, so output is bitwise identical for
 any worker count.
 
+The misspecification settings are one table, ``_SETTINGS``: per setting, the
+slots whose correct model (``_CORRECT_SPECS``) drops predictors before fitting,
+or whose probability (p_c, p_a) is fixed at a value instead.  Setting 0 changes
+nothing, and ``MISSPECIFICATION_SETTINGS`` lists the table's keys.
+
 Workers start from a fresh interpreter that imports the caller's main module,
 so a script that calls :func:`run_mc` with ``threads > 1`` must make that call
 under ``if __name__ == "__main__":``.
@@ -47,7 +52,31 @@ __all__ = [
     "MISSPECIFICATION_SETTINGS",
 ]
 
-MISSPECIFICATION_SETTINGS = (0, 1, 2, 3, 4)
+# the correctly specified model of every slot
+_CORRECT_SPECS = (
+    ModelSpec("p_c", "empirical"),
+    ModelSpec("p_a", "empirical"),
+    ModelSpec("p_a_given_c", "logistic", predictors=("c",)),
+    ModelSpec("p_z_given_a", "gaussian-density", predictors=("a",)),
+    ModelSpec("p_z_given_ac", "gaussian-density", predictors=("a",)),
+    ModelSpec("mean_y_ac", "linear-mean", predictors=("a", "c")),
+    ModelSpec("mean_y_az", "linear-mean", predictors=("a", "z")),
+    ModelSpec("mean_y_zc", "linear-mean", predictors=("z", "c")),
+    ModelSpec("mean_y_azc", "linear-mean", predictors=("z", "c")),
+)
+
+# setting -> {slot: the predictors it drops, or the value p_c / p_a is fixed at}
+_SETTINGS = {
+    0: {},  # every model correct
+    1: {"p_z_given_a": ("a",), "p_z_given_ac": ("a",)},  # the mediator law drops the treatment
+    2: {  # everything but the mediator law is wrong
+        "p_c": 0.25, "p_a": 0.25, "p_a_given_c": ("c",), "mean_y_ac": ("c",),
+        "mean_y_az": ("z",), "mean_y_zc": ("z",), "mean_y_azc": ("z",),
+    },
+    3: {"p_c": 0.25, "p_z_given_a": ("a",), "p_z_given_ac": ("a",)},  # p(C=1) fixed, the law drops a
+    4: {"p_a_given_c": ("c",), "mean_y_zc": ("z",), "mean_y_azc": ("z",)},  # propensity and (z, c) means wrong
+}
+MISSPECIFICATION_SETTINGS = tuple(_SETTINGS)
 
 
 @dataclass(frozen=True)
@@ -142,7 +171,7 @@ def simdgp_truth_nuisances(params: SimDgpParams, gh_nodes: int = 64):
         c_support=(0.0, 1.0),
         p_c=_Table([1.0 - params.p_c, params.p_c], ((0.0, 1.0),), what="p(c)"),
         p_a=_Table([1.0 - p1, p1], ((0.0, 1.0),), what="p(a)"),
-        p_a_given_c=_Logistic(("a", "c"), ("c",), [0.0, al], 1.0, 0.0),
+        p_a_given_c=_Logistic(("c",), ("c",), [0.0, al], 1.0, 0.0),
         p_z_given_a=law,
         p_z_given_ac=law,
         mean_y_ac=_LinearMean(("a", "c"), ("a", "c"), [0.0, g1 * params.beta, g2]),
@@ -155,50 +184,18 @@ def simdgp_truth_nuisances(params: SimDgpParams, gh_nodes: int = 64):
 
 
 def setting_model_specs(setting: int) -> list:
-    """ModelSpec list for a misspecification setting (0 = everything correct).
-
-    The settings:
-      1: the mediator law drops the treatment;
-      2: everything except the mediator law is wrong: p(A=1) and p(C=1) pinned
-         to 1/4, covariate dropped from the treated-outcome mean and the
-         propensity, mediator dropped from both outcome means that use it;
-      3: p(C=1) pinned to 1/4 and the mediator law drops the treatment;
-      4: the propensity drops the covariate and the (z, c) outcome means drop
-         the mediator.
-    """
-    if setting not in MISSPECIFICATION_SETTINGS:
+    """ModelSpec list for a misspecification setting of ``_SETTINGS`` (0 = everything correct)."""
+    if setting not in _SETTINGS:
         raise DomainError(f"setting must be one of {MISSPECIFICATION_SETTINGS}")
-    specs = {
-        "p_c": ModelSpec("p_c", "empirical"),
-        "p_a": ModelSpec("p_a", "empirical"),
-        "p_a_given_c": ModelSpec("p_a_given_c", "logistic", predictors=("c",)),
-        "p_z_given_a": ModelSpec("p_z_given_a", "gaussian-density", predictors=("a",)),
-        "p_z_given_ac": ModelSpec("p_z_given_ac", "gaussian-density", predictors=("a",)),
-        "mean_y_ac": ModelSpec("mean_y_ac", "linear-mean", predictors=("a", "c")),
-        "mean_y_az": ModelSpec("mean_y_az", "linear-mean", predictors=("a", "z")),
-        "mean_y_zc": ModelSpec("mean_y_zc", "linear-mean", predictors=("z", "c")),
-        "mean_y_azc": ModelSpec("mean_y_azc", "linear-mean", predictors=("z", "c")),
-    }
-    if setting == 1:
-        specs["p_z_given_a"] = replace(specs["p_z_given_a"], omit=("a",))
-        specs["p_z_given_ac"] = replace(specs["p_z_given_ac"], omit=("a",))
-    elif setting == 2:
-        specs["p_a"] = ModelSpec("p_a", "fixed-value", fix_value=0.25)
-        specs["p_c"] = ModelSpec("p_c", "fixed-value", fix_value=0.25)
-        specs["p_a_given_c"] = replace(specs["p_a_given_c"], omit=("c",))
-        specs["mean_y_ac"] = replace(specs["mean_y_ac"], omit=("c",))
-        specs["mean_y_az"] = replace(specs["mean_y_az"], omit=("z",))
-        specs["mean_y_zc"] = replace(specs["mean_y_zc"], omit=("z",))
-        specs["mean_y_azc"] = replace(specs["mean_y_azc"], omit=("z",))
-    elif setting == 3:
-        specs["p_c"] = ModelSpec("p_c", "fixed-value", fix_value=0.25)
-        specs["p_z_given_a"] = replace(specs["p_z_given_a"], omit=("a",))
-        specs["p_z_given_ac"] = replace(specs["p_z_given_ac"], omit=("a",))
-    elif setting == 4:
-        specs["p_a_given_c"] = replace(specs["p_a_given_c"], omit=("c",))
-        specs["mean_y_zc"] = replace(specs["mean_y_zc"], omit=("z",))
-        specs["mean_y_azc"] = replace(specs["mean_y_azc"], omit=("z",))
-    return list(specs.values())
+    specs = []
+    for spec in _CORRECT_SPECS:
+        change = _SETTINGS[setting].get(spec.component)
+        if isinstance(change, float):
+            spec = ModelSpec(spec.component, "fixed-value", fix_value=change)
+        elif change:
+            spec = replace(spec, omit=change)
+        specs.append(spec)
+    return specs
 
 
 def _one_replicate(config: McConfig, specs, z_rule, size_index: int, rep_index: int, n: int):

@@ -251,6 +251,121 @@ def test_cli_tables_golden_bytes(capsys):
     assert capsys.readouterr().out == "p_star,low,high\n0.5,0.171573,5.82843\n"
 
 
+# json carries full precision.  The bounds, oracle and estimate inputs keep every value
+# exact or a few correctly rounded operations away from exact, and the simulation reads
+# only the difference in means, so no value goes through a BLAS or LAPACK kernel.
+GOLDEN_BOUNDS_JSON = """[
+  {
+    "a_ref": 0.0,
+    "a_star": 1.0,
+    "method": "closed-form",
+    "model": "BD",
+    "value": 5.0
+  },
+  {
+    "a_ref": 0.0,
+    "a_star": 1.0,
+    "method": "closed-form",
+    "model": "TD",
+    "value": 1.2840254166877414
+  }
+]
+"""
+
+GOLDEN_ORACLE_JSON = "[\n" + ",\n".join(
+    f'  {{\n    "abs_diff": 0.0,\n    "enumeration": {v},\n    "formula": {v},\n    "model": "{m}"\n  }}'
+    for m, v in (("BD", "1.0"), ("FD", "0.0"), ("TD", "0.0"), ("BD_TD", "0.0"), ("FD_TD", "0.0"), ("BD_FD_TD", "0.0"))
+) + "\n]\n"
+
+GOLDEN_ESTIMATE_JSON = """[
+  {
+    "clipped": 0,
+    "manifest": {
+      "estimator": "difference-in-means"
+    },
+    "n": 8,
+    "se_hat": 1.0307764064044151,
+    "tag": "NAIVE",
+    "theta_hat": 0.75
+  },
+  {
+    "clipped": 0,
+    "manifest": {
+      "estimator": "BD",
+      "slots": {
+        "mean_y_ac": {
+          "family": "empirical",
+          "omitted": [],
+          "predictors": [
+            "a",
+            "c"
+          ]
+        },
+        "p_a_given_c": {
+          "family": "empirical",
+          "omitted": [],
+          "predictors": [
+            "c"
+          ]
+        }
+      }
+    },
+    "n": 8,
+    "se_hat": 0.9496239857363094,
+    "tag": "BD",
+    "theta_hat": 0.75
+  }
+]
+"""
+
+GOLDEN_SIMULATE_JSON = """{
+  "failed": {
+    "10": 0
+  },
+  "rows": [
+    {
+      "bias": 0.5682918373490267,
+      "bias_se": 0.20041562986877537,
+      "emp_se": 0.2834305018719685,
+      "mse": 0.36312203709323054,
+      "mse_se": 0.2277891330631776,
+      "n": 10,
+      "scaled_var": 0.8033284939139594,
+      "scaled_var_se": 0.8033284939139594,
+      "setting": 0,
+      "tag": "NAIVE"
+    }
+  ],
+  "theta": 0.25
+}
+"""
+
+
+def test_cli_json_golden_bytes(tmp_path, capsys):
+    dist = tmp_path / "uniform.csv"
+    write_dist_csv(DiscreteJoint(BINARY, BINARY, BINARY, BINARY, np.full((2, 2, 2, 2), 1.0 / 16.0)), dist)
+    c, a, z = np.array(np.meshgrid(BINARY, BINARY, BINARY, indexing="ij")).reshape(3, -1)
+    data = tmp_path / "obs.csv"
+    write_data_csv(Dataset(c, a, z, np.array([0.0, 1.0, 2.0, 4.0, 1.0, 3.0, 0.0, 2.0]), PAIR), data)
+    dgp = "alpha=0,beta=0.5,gamma1=0.5,gamma2=0.5"
+
+    assert run_cli("bounds", "--dgp", dgp, "--set", "models=BD,TD", "--format", "json") == 0
+    assert capsys.readouterr().out == GOLDEN_BOUNDS_JSON
+    assert run_cli("oracle", "--dist", str(dist), "--format", "json") == 0
+    assert capsys.readouterr().out == GOLDEN_ORACLE_JSON
+    code = run_cli(
+        "estimate", "--data", str(data), "--format", "json", "--set", "tags=NAIVE,BD",
+        "--set", "nuisance.p_a_given_c=empirical predictors=c", "--set", "nuisance.mean_y_ac=empirical predictors=a+c",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == GOLDEN_ESTIMATE_JSON
+    settings = [f"--set={kv}" for kv in (dgp + ",sizes=10,replicates=2,tags=NAIVE,seed=3").split(",")]
+    assert run_cli("simulate", *settings, "--format", "json") == 0
+    assert capsys.readouterr().out == GOLDEN_SIMULATE_JSON
+    assert run_cli("compare", "--interval", "0.5", "--format", "json") == 0
+    assert capsys.readouterr().out == '{"p_star": 0.5, "low": 0.1715728752538097, "high": 5.82842712474619}\n'
+
+
 @pytest.mark.parametrize("command", [["bounds", "--dgp", DGP], ["compare", "--interval", "0.5"], ["oracle", "--dist", "d.csv"]])
 @pytest.mark.parametrize("flag", [["--seed", "9"], ["--threads", "8"]])
 def test_seed_and_threads_only_where_read(command, flag, capsys):

@@ -155,13 +155,15 @@ def test_clipping_counts_are_reported():
 def test_crossfit_rows_held_out():
     data = _toy(40, seed=3)
     plan = CrossFitPlan(folds=4, seed=11)
-    folded = fit(data, [ModelSpec("mean_y_zc", "linear-mean", predictors=("z", "c"))], plan=plan)
+    spec = ModelSpec("mean_y_zc", "linear-mean", predictors=("z", "c"))
+    folded = fit(data, [spec], plan=plan)
     seen = np.zeros(data.n, dtype=int)
     for eval_idx, eta in folded.folds:
         seen[eval_idx] += 1
-        train_rows = set(eta.manifest["train_rows"])
-        assert train_rows.isdisjoint(eval_idx.tolist())
-        assert len(train_rows) + len(eval_idx) == data.n
+        assert eta.manifest["n"] == data.n - len(eval_idx)
+        # the fold's fit is the fit on every row outside its evaluation chunk
+        train = fit(data.subset(np.setdiff1d(np.arange(data.n), eval_idx)), [spec])
+        assert eta.manifest["slots"] == train.manifest["slots"]
     assert np.all(seen == 1)
 
 

@@ -391,6 +391,48 @@ def test_fd_integrates_per_treatment_level_on_a_continuous_covariate():
     np.testing.assert_allclose(batch[rows], single, rtol=0, atol=1e-12)
 
 
+def _continuous_c_fit(n):
+    rng = np.random.default_rng(6)
+    c = rng.standard_normal(n)
+    a = (rng.random(n) < 0.5).astype(float)
+    z = a + rng.standard_normal(n)
+    y = z + c + rng.standard_normal(n)
+    return (c, a, z, y), fit(Dataset(c, a, z, y, PAIR), setting_model_specs(0))
+
+
+class _CountingOutcome:
+    """An outcome regression that counts the elements it returns."""
+
+    def __init__(self, fn):
+        self.fn, self.elements = fn, 0
+
+    def __call__(self, *args):
+        out = self.fn(*args)
+        self.elements += np.size(out)
+        return out
+
+
+@pytest.mark.parametrize("tag", ["FD_TD", "BD_FD_TD"])
+def test_marginal_weight_tags_centre_the_pooled_outcome_per_treatment_level(tag):
+    # the pooled outcome already sums over every live covariate level, so its expectation depends on a
+    # row through a alone; per (a, c) level it would cost n levels x 64 nodes x n covariate levels
+    n = 300
+    cols, eta = _continuous_c_fit(n)
+    outcome = influence._MEDIATOR_MODELS[tag][1]
+    counted = _CountingOutcome(getattr(eta, outcome))
+    got = evaluate_m(tag, *cols, replace(eta, **{outcome: counted}), PAIR)
+    assert counted.elements < 8 * n * n
+    assert got.tobytes() == evaluate_m(tag, *cols, eta, PAIR).tobytes()
+
+
+@pytest.mark.parametrize("tag", ["FD_TD", "BD_FD_TD"])
+def test_marginal_weight_tags_refuse_an_oversized_pooled_outcome(tag):
+    # the pooled outcome at the rows sums over every live covariate level: 2100 x 2100 elements exceed 2^22
+    cols, eta = _continuous_c_fit(2100)
+    with pytest.raises(DomainError, match="pooled outcome over 2100 covariate levels x 2100 rows"):
+        evaluate_m(tag, *cols, eta, PAIR)
+
+
 def _same_index(x, y):
     return all(np.array_equal(getattr(x, f), getattr(y, f)) for f in ("a", "c", "inv"))
 
