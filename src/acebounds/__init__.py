@@ -4,17 +4,7 @@ from .bounds import (
     BoundReport,
     SimDgpParams,
     bound,
-    bound_bd,
-    bound_bd_fd_td,
-    bound_bd_td,
-    bound_fd,
-    bound_fd_td,
-    bound_td,
     simdgp_bound,
-    simdgp_bound_bd,
-    simdgp_bound_combo,
-    simdgp_bound_fd,
-    simdgp_bound_td,
     simdgp_theta,
 )
 from .dist import (
@@ -25,9 +15,6 @@ from .dist import (
     ace_twodoor,
     chain_joint,
     factorized_joint,
-    cond_mean_var,
-    conditional,
-    marginal,
     read_dist_csv,
     write_dist_csv,
 )
@@ -48,17 +35,9 @@ from .errors import (
 from .influence import (
     MODEL_TAGS,
     NuisanceSet,
-    Observation,
     brute_force_mean,
     brute_force_variance,
     evaluate_m,
-    m_bd,
-    m_bd_fd_td,
-    m_bd_td,
-    m_fd,
-    m_fd_td,
-    m_td,
-    m_td_reduced,
     truth_nuisances,
 )
 from .quadrature import FiniteZRule, GaussHermiteZRule, expect_z

@@ -56,17 +56,7 @@ from .special import expit, norm_pdf
 __all__ = [
     "BoundReport",
     "bound",
-    "bound_bd",
-    "bound_fd",
-    "bound_td",
-    "bound_bd_td",
-    "bound_fd_td",
-    "bound_bd_fd_td",
     "SimDgpParams",
-    "simdgp_bound_bd",
-    "simdgp_bound_td",
-    "simdgp_bound_fd",
-    "simdgp_bound_combo",
     "simdgp_bound",
     "simdgp_td_bd_crossing",
     "simdgp_theta",
@@ -103,7 +93,7 @@ def _finish(model, value, method, pair):
 # -- exact summation on a DiscreteJoint -------------------------------------
 
 
-def bound_bd(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
+def _bd_value(dist: DiscreteJoint, pair: TreatmentPair) -> float:
     t = dist._cache()
     i_s, i_r = _pair_indices(dist, pair)
     live = t["pc"] > 0
@@ -112,7 +102,7 @@ def bound_bd(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
     theta = ace_twodoor(dist, pair)
     ipw = pc * (vy[:, i_s] / pac[:, i_s] + vy[:, i_r] / pac[:, i_r])
     gap = pc * (ey[:, i_s] - ey[:, i_r] - theta) ** 2
-    return _finish("BD", fsum(ipw) + fsum(gap), "exact-sum", pair)
+    return fsum(ipw) + fsum(gap)
 
 
 def _by_cell(x):
@@ -182,23 +172,7 @@ def _exact_sum(dist: DiscreteJoint, pair: TreatmentPair, model: str) -> float:
     return fsum(np.concatenate([x.ravel() for x in terms])) - theta**2
 
 
-def bound_fd(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
-    return _finish("FD", _exact_sum(dist, pair, "FD"), "exact-sum", pair)
-
-
-def bound_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
-    return _finish("TD", _exact_sum(dist, pair, "TD"), "exact-sum", pair)
-
-
-def bound_fd_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
-    return _finish("FD_TD", _exact_sum(dist, pair, "FD_TD"), "exact-sum", pair)
-
-
-def bound_bd_fd_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
-    return _finish("BD_FD_TD", _exact_sum(dist, pair, "BD_FD_TD"), "exact-sum", pair)
-
-
-def bound_bd_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
+def _bd_td_value(dist: DiscreteJoint, pair: TreatmentPair) -> float:
     """The TD bound plus a correction for the outcome regression on (z, c) alone."""
     base = _exact_sum(dist, pair, "TD")
     t = dist._cache()
@@ -211,25 +185,20 @@ def bound_bd_td(dist: DiscreteJoint, pair: TreatmentPair) -> BoundReport:
     harm = np.einsum("ca,caz->cz", pac, 1.0 / pzac)
     shift = pzac[:, i_s] - pzac[:, i_r]
     corr = shift**2 * t["pc"][live, None] * t["vy_zc"][live] * (1.0 / mix - harm)
-    return _finish("BD_TD", base + fsum(corr), "exact-sum", pair)
-
-
-_EXACT = {
-    "BD": bound_bd,
-    "FD": bound_fd,
-    "TD": bound_td,
-    "BD_TD": bound_bd_td,
-    "FD_TD": bound_fd_td,
-    "BD_FD_TD": bound_bd_fd_td,
-}
+    return base + fsum(corr)
 
 
 def bound(dist: DiscreteJoint, pair: TreatmentPair, model: str) -> BoundReport:
-    try:
-        fn = _EXACT[model]
-    except KeyError:
-        raise DomainError(f"unknown model {model!r}; expected one of {MODELS}") from None
-    return fn(dist, pair)
+    """The exact efficiency bound of `model` on `dist`, summed over its cells."""
+    if model == "BD":
+        value = _bd_value(dist, pair)
+    elif model == "BD_TD":
+        value = _bd_td_value(dist, pair)
+    elif model in _MEDIATOR_MODELS:
+        value = _exact_sum(dist, pair, model)
+    else:
+        raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+    return _finish(model, value, "exact-sum", pair)
 
 
 # -- the Gaussian-mediator simulation family --------------------------------
@@ -286,19 +255,16 @@ def _inv_prop_sum(params: SimDgpParams) -> float:
     return float(np.dot(params.p_c_vec(), 1.0 / pa1 + 1.0 / (1.0 - pa1)))
 
 
-def simdgp_bound_bd(params: SimDgpParams, pair: TreatmentPair) -> float:
-    _check_pair(pair)
+def _simdgp_bd(params: SimDgpParams) -> float:
     return (params.sigma_y**2 + params.gamma1**2 * params.sigma_z**2) * _inv_prop_sum(params)
 
 
-def simdgp_bound_td(params: SimDgpParams, pair: TreatmentPair) -> float:
-    _check_pair(pair)
+def _simdgp_td(params: SimDgpParams) -> float:
     ratio = math.expm1((params.beta / params.sigma_z) ** 2)
-    return simdgp_bound_bd(params, pair) + params.sigma_y**2 * (ratio - _inv_prop_sum(params))
+    return _simdgp_bd(params) + params.sigma_y**2 * (ratio - _inv_prop_sum(params))
 
 
-def simdgp_bound_fd(params: SimDgpParams, pair: TreatmentPair) -> float:
-    _check_pair(pair)
+def _simdgp_fd(params: SimDgpParams) -> float:
     ratio = math.expm1((params.beta / params.sigma_z) ** 2)
     pa1_c1 = float(expit(params.alpha))
     pa = {1: params.p_a_marginal(1), 0: params.p_a_marginal(0)}
@@ -371,48 +337,33 @@ def _combo_value(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes:
                 lambda z: dens(z, 1)
             )
             corr += pcv[ic] * sy**2 * (sq_over(mix) - harm_c)
-        return simdgp_bound_td(params, pair) + corr
+        return _simdgp_td(params) + corr
     if model == "FD_TD":
         resid = sy**2 * fsum(pa[level] * sq_over(lambda z: dens(z, level)) for level in (0, 1))
         return resid + ipw_spread() + drift_term()
-    if model == "BD_FD_TD":
-        resid = 0.0
-        for ic in range(2):
-            mix = lambda z, ic=ic: w_c[ic, 0] * dens(z, 0) + w_c[ic, 1] * dens(z, 1)
-            resid += pcv[ic] * sy**2 * sq_over(mix)
-        return resid + ipw_spread() + drift_term()
-    raise DomainError(f"model {model!r} has no quadrature combo; expected BD_TD, FD_TD or BD_FD_TD")
+    resid = 0.0  # BD_FD_TD
+    for ic in range(2):
+        mix = lambda z, ic=ic: w_c[ic, 0] * dens(z, 0) + w_c[ic, 1] * dens(z, 1)
+        resid += pcv[ic] * sy**2 * sq_over(mix)
+    return resid + ipw_spread() + drift_term()
 
 
-def simdgp_bound_combo(
-    params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes: int = 64
-) -> float:
-    """Pairwise/triple bounds for the Gaussian-mediator family via quadrature.
+def simdgp_bound(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes: int = 64) -> BoundReport:
+    """BoundReport for any of the six models on the Gaussian-mediator family.
 
-    The value must be stable to 1e-4 under doubling of the node count,
-    otherwise QuadratureNonConvergence is raised.
+    BD, FD and TD are closed forms; the others use quadrature at `n_nodes` >= 64, stable to 1e-4 as the nodes double.
     """
     _check_pair(pair)
+    closed = {"BD": _simdgp_bd, "FD": _simdgp_fd, "TD": _simdgp_td}
+    if model in closed:
+        return _finish(model, closed[model](params), "closed-form", pair)
+    if model not in MODELS:
+        raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
     if n_nodes < 64:
         raise DomainError("quadrature order must be at least 64")
-    coarse = _combo_value(params, pair, model, n_nodes)
-    fine = _combo_value(params, pair, model, 2 * n_nodes)
+    coarse, fine = (_combo_value(params, pair, model, k) for k in (n_nodes, 2 * n_nodes))
     if abs(fine - coarse) > 1e-4:
         raise QuadratureNonConvergence(
             f"{model} combo moved by {abs(fine - coarse):.3e} when doubling nodes from {n_nodes}"
         )
-    return fine
-
-
-def simdgp_bound(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes: int = 64) -> BoundReport:
-    """BoundReport for any of the six models on the Gaussian-mediator family."""
-    _check_pair(pair)
-    if model == "BD":
-        return _finish("BD", simdgp_bound_bd(params, pair), "closed-form", pair)
-    if model == "FD":
-        return _finish("FD", simdgp_bound_fd(params, pair), "closed-form", pair)
-    if model == "TD":
-        return _finish("TD", simdgp_bound_td(params, pair), "closed-form", pair)
-    if model in ("BD_TD", "FD_TD", "BD_FD_TD"):
-        return _finish(model, simdgp_bound_combo(params, pair, model, n_nodes), "quadrature", pair)
-    raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+    return _finish(model, fine, "quadrature", pair)

@@ -164,8 +164,8 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
     if off.size:
         ic, iz = off[0]
         raise AssumptionViolation(
-            f"E(Y|z={dist.z_support[iz]}, c={dist.c_support[live[ic]]}) = {got[ic, iz]!r} is not the "
-            f"stated linear function ({want[ic, iz]!r})"
+            f"E(Y|z={float(dist.z_support[iz])!r}, c={float(dist.c_support[live[ic]])!r}) = {float(got[ic, iz])!r} "
+            f"is not the stated linear function ({float(want[ic, iz])!r})"
         )
     i_s, i_r = _pair_indices(dist, pair)
     pac, pa = t["p_a_given_c"], t["pa"]

@@ -35,9 +35,6 @@ __all__ = [
     "POSITIVITY_EPS",
     "TreatmentPair",
     "DiscreteJoint",
-    "marginal",
-    "conditional",
-    "cond_mean_var",
     "ace_backdoor",
     "ace_frontdoor",
     "ace_twodoor",
@@ -230,21 +227,6 @@ class DiscreteJoint:
 
 
 # -- module-level operations ---------------------------------------------
-
-
-def marginal(dist: DiscreteJoint, variables) -> np.ndarray:
-    """Marginal probability table over `variables` (canonical axis order)."""
-    return dist.table(variables)
-
-
-def conditional(dist: DiscreteJoint, target, given: dict) -> np.ndarray:
-    """Conditional probability table p(target | given)."""
-    return dist.conditional_table(target, given)
-
-
-def cond_mean_var(dist: DiscreteJoint, given: dict):
-    """(E[Y | given], var[Y | given])."""
-    return dist.cond_mean_var(given)
 
 
 def _pair_indices(dist: DiscreteJoint, pair: TreatmentPair):

@@ -8,7 +8,6 @@ supported by evaluating each fold's rows with the nuisances fitted off-fold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -56,9 +55,6 @@ class EstimationResult:
             "clipped": self.clipped,
             "manifest": self.manifest,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     CSV_HEADER = ("tag", "theta_hat", "se_hat", "n", "clipped")  # the csv columns, keys of to_dict
 

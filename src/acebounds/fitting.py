@@ -63,9 +63,6 @@ __all__ = [
     "CrossFitPlan",
     "FoldedNuisances",
     "fit",
-    "logistic_fit",
-    "gaussian_density_fit",
-    "linear_mean_fit",
     "GaussianConditional",
     "read_data_csv",
     "write_data_csv",
@@ -239,24 +236,6 @@ def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray, max_iter: in
     raise MaxIterExceeded(f"IRLS did not converge in {max_iter} iterations")
 
 
-def linear_mean_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """OLS coefficients for y on X (X includes the intercept column)."""
-    return _least_squares(X, y, np.ones(len(y)))
-
-
-def logistic_fit(X: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float = 1e-8) -> np.ndarray:
-    """Bernoulli MLE by iteratively reweighted least squares (Newton steps).
-
-    Converged when the score norm drops below `tol`; perfectly separated data
-    raise SeparationDetected instead of drifting off to infinity.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if set(np.unique(y)) - {0.0, 1.0}:
-        raise DomainError("logistic responses must be coded 0/1")
-    return _irls(X, y, np.ones(y.size), max_iter, tol)
-
-
 def _fit_design(data: Dataset, preds: tuple, values: np.ndarray, cells=None):
     """(X, response sums, counts, group of each row or None) for a fit of `values` on `preds`.
 
@@ -306,12 +285,8 @@ class GaussianConditional(_Linear):
         return norm_pdf(value, self.linear(cond), self.sd)
 
 
-def gaussian_density_fit(data: Dataset, response: str, predictors: Sequence[str], arg_names: tuple = None) -> GaussianConditional:
+def _gaussian_law(data: Dataset, response: str, predictors: tuple, arg_names: tuple, cells=None):
     """Least-squares conditional mean plus residual-mean-square variance."""
-    return _gaussian_law(data, response, tuple(predictors), arg_names)
-
-
-def _gaussian_law(data: Dataset, response: str, predictors: tuple, arg_names: tuple = None, cells=None):
     n = data.n
     if n <= len(predictors) + 1:
         raise DomainError("need n > #predictors + 1 for a residual variance")
@@ -323,8 +298,6 @@ def _gaussian_law(data: Dataset, response: str, predictors: tuple, arg_names: tu
     variance = float(resid @ resid) / (n - X.shape[1])
     if variance < VARIANCE_FLOOR:
         raise DegenerateModel(f"residual variance {variance!r} below the {VARIANCE_FLOOR} floor")
-    if arg_names is None:
-        arg_names = tuple(predictors)
     return GaussianConditional(arg_names, predictors, coef, np.sqrt(variance))
 
 

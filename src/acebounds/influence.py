@@ -1,9 +1,9 @@
-"""Pointwise evaluation of m(x, eta) = phi(x, eta, theta) + theta for each influence function.
+"""Evaluation of m(x, eta) = phi(x, eta, theta) + theta for each influence function.
 
 One estimating function per identification model, plus a reduced two-door
 form (``TD_REDUCED``) for data where the outcome does not depend on treatment
 given (Z, C) and the mediator law does not depend on C given A.  BD is
-written out in ``eval_bd``.  Every other model goes through the mediator, and
+written out in ``_eval_bd``.  Every other model goes through the mediator, and
 its m has the same three terms:
 
 * the outcome residual times the mediator shift p(z|a*,.) - p(z|a,.), over a
@@ -40,10 +40,10 @@ sum_c p(c) p(a|c), which reads p_c and p_a_given_c rather than the p_a slot:
 FD_TD and BD_FD_TD are the models whose consistency trades on exactly that
 pair.  Every mediator model also needs ``z_integrator``.
 
-:func:`evaluate_m` takes aligned 1-d arrays and returns the m value per row,
-which is what the plug-in estimators average; the public ``m_*`` functions
-take a single :class:`Observation`.  Nuisance components must broadcast like
-numpy ufuncs over their arguments.
+:func:`evaluate_m` is the one entry point: it takes aligned 1-d arrays (a
+single observation is a 1-row array) and returns the m value per row, which
+is what the plug-in estimators average.  Nuisance components must broadcast
+like numpy ufuncs over their arguments.
 
 Everything that depends on a row only through its (a, c) is worked out once
 per level.  A :class:`LevelIndex` lists the distinct (a, c) levels of the
@@ -62,7 +62,8 @@ covariate these integrate |A| levels.  The other sums read c, and there every
 row may be its own level, which costs what per-row integration would.  The
 pooled outcome of FD_TD and BD_FD_TD at the rows still covers live covariate
 levels x rows; above ``quadrature._MAX_GRID_ELEMENTS`` it raises DomainError
-before it is evaluated (about n = 2048 with a continuous covariate).
+right after one p_c call finds the live levels, before any per-level work
+(about n = 2048 with a continuous covariate).
 
 Discrete nuisances are one table class, ``_Table``: dense values over sorted
 supports, each axis read from the call argument its ``reads`` entry names and
@@ -86,16 +87,8 @@ from .errors import DomainError, MissingNuisance, PositivityViolation
 from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, expect_z
 
 __all__ = [
-    "Observation",
     "NuisanceSet",
     "MODEL_TAGS",
-    "m_bd",
-    "m_fd",
-    "m_td",
-    "m_td_reduced",
-    "m_bd_td",
-    "m_fd_td",
-    "m_bd_fd_td",
     "evaluate_m",
     "LevelIndex",
     "level_index",
@@ -118,14 +111,6 @@ SLOTS = {
     "mean_y_zc": (("z", "c"), "y", "mean"),
     "mean_y_azc": (("a", "z", "c"), "y", "mean"),
 }
-
-
-@dataclass(frozen=True)
-class Observation:
-    c: float
-    a: float
-    z: float
-    y: float
 
 
 @dataclass
@@ -248,7 +233,7 @@ def _gather(vals, inv):
 # -- the estimating functions (vectorized) ----------------------------------
 
 
-def eval_bd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None):
+def _eval_bd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None):
     eta.require("p_a_given_c", "mean_y_ac")
     c, a, z, y = _rows(c, a, z, y)
     levels = _index_of(eta, a, c, levels)
@@ -285,10 +270,12 @@ def _at_rows(eta: NuisanceSet, slot: str, arm, levels: LevelIndex):
 
 
 def _live_c(eta: NuisanceSet):
-    """(p(c), c) over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
+    """(p(c), c) arrays over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
     if eta.c_support is None:
         raise MissingNuisance("c_support is required to assemble the marginal treatment probability")
-    return [(w, cv) for cv in eta.c_support if (w := float(eta.p_c(cv))) > 0]
+    cv = np.asarray(eta.c_support, dtype=float)
+    pc = np.asarray(eta.p_c(cv), dtype=float)
+    return pc[pc > 0], cv[pc > 0]
 
 
 def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None):
@@ -303,7 +290,13 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
     law_given_c, outcome_given_c = "c" in SLOTS[law][0], "c" in SLOTS[outcome][0]
     law_text = "p(z|a,c)" if law_given_c else "p(z|a)"
     slot = "p_a" if weights == "p_a" else "p_a_given_c"
-    live = _live_c(eta) if weights == "marginal" else None
+    marginal = weights == "marginal"
+    if marginal:
+        pc_live, c_live = _live_c(eta)
+        if c_live.size * y.size > _MAX_GRID_ELEMENTS:
+            raise DomainError(
+                f"the pooled outcome over {c_live.size} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements"
+            )
 
     def sum_levels(reads_c):
         """(treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
@@ -313,17 +306,14 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
         return la, None, inv
 
     # the pooled outcome reads c through the law, the weights, or an outcome not already summed over c
-    ka, kc, kinv = sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and live is None))
+    ka, kc, kinv = sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and not marginal))
     ta, tc, tinv = sum_levels(law_given_c or outcome_given_c)
 
     def cond(arm):
         return (arm, levels.c) if law_given_c else (arm,)
 
     def weight(arm, label):
-        if live is not None:
-            w = fsum(p * float(eta.p_a_given_c(arm, cv)) for p, cv in live)
-        else:
-            w = _at_rows(eta, weights, arm, levels)
+        w = fsum(pc_live * eta.p_a_given_c(arm, c_live)) if marginal else _at_rows(eta, weights, arm, levels)
         return _check_pos(w, _WEIGHT_LABEL[weights].format(label))
 
     def pooled_given_c(zz, cv, p_at):
@@ -334,8 +324,8 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
 
     def pooled(zz, cv, p_at):
         """The outcome averaged over the treatment weights of the arm denominators."""
-        if live is not None:
-            return sum(w * pooled_given_c(zz, v, lambda ab, v=v: eta.p_a_given_c(ab, v)) for w, v in live)
+        if marginal:
+            return sum(w * pooled_given_c(zz, v, lambda ab, v=v: eta.p_a_given_c(ab, v)) for w, v in zip(pc_live, c_live))
         return pooled_given_c(zz, cv, p_at)
 
     def pooled_at_levels(zz):
@@ -348,10 +338,6 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
         return _call(eta, outcome, a=_col(ta), z=zz, c=tc)
 
     w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
-    if live is not None and len(live) * y.size > _MAX_GRID_ELEMENTS:
-        raise DomainError(
-            f"the pooled outcome over {len(live)} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements"
-        )
     # the law at the rows' (z, c) for each treatment arm read below, evaluated once per arm
     arms = {pair.a_star, pair.a_ref, *(eta.a_support if mass == "mix" else ())}
     law_at = {ab: _call(eta, law, z=z, a=ab, c=c) for ab in arms}
@@ -368,7 +354,7 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
     return t1 + t2 + t3
 
 
-_EVALUATORS = {"BD": eval_bd, **{tag: partial(_eval_mediator, tag) for tag in _MEDIATOR_MODELS}}
+_EVALUATORS = {"BD": _eval_bd, **{tag: partial(_eval_mediator, tag) for tag in _MEDIATOR_MODELS}}
 
 
 def evaluate_m(
@@ -385,23 +371,6 @@ def evaluate_m(
     except KeyError:
         raise DomainError(f"unknown model tag {tag!r}; expected one of {sorted(_EVALUATORS)}") from None
     return np.asarray(fn(c, a, z, y, eta, pair, levels=levels), dtype=float)
-
-
-def _pointwise(tag):
-    def m(x: Observation, eta: NuisanceSet, pair: TreatmentPair) -> float:
-        return float(evaluate_m(tag, x.c, x.a, x.z, x.y, eta, pair)[0])
-
-    m.__name__ = f"m_{tag.lower()}"
-    return m
-
-
-m_bd = _pointwise("BD")
-m_fd = _pointwise("FD")
-m_td = _pointwise("TD")
-m_td_reduced = _pointwise("TD_REDUCED")
-m_bd_td = _pointwise("BD_TD")
-m_fd_td = _pointwise("FD_TD")
-m_bd_fd_td = _pointwise("BD_FD_TD")
 
 
 # -- ground-truth nuisances from an exact joint -----------------------------

@@ -77,7 +77,7 @@ def test_criterion_2_oracle_equivalence():
     started = time.time()
     failures = []
     rng = np.random.default_rng(8021)
-    from acebounds.bounds import bound, bound_bd, bound_td
+    from acebounds.bounds import bound
 
     for i in range(24):
         dist = random_chain_dist(rng)
@@ -87,7 +87,7 @@ def test_criterion_2_oracle_equivalence():
             if abs(formula - enum) > 1e-9:
                 failures.append(f"dist {i} {model}: |{formula} - {enum}| > 1e-9")
         gap = td_minus_bd_gap(dist, PAIR)
-        direct = bound_td(dist, PAIR).value - bound_bd(dist, PAIR).value
+        direct = bound(dist, PAIR, "TD").value - bound(dist, PAIR, "BD").value
         if abs(gap - direct) > 1e-9:
             failures.append(f"dist {i} gap: |{gap} - {direct}| > 1e-9")
     elapsed = time.time() - started

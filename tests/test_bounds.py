@@ -10,13 +10,7 @@ from acebounds.bounds import (
     MODELS,
     SimDgpParams,
     bound,
-    bound_bd,
-    bound_td,
     simdgp_bound,
-    simdgp_bound_bd,
-    simdgp_bound_combo,
-    simdgp_bound_fd,
-    simdgp_bound_td,
     simdgp_td_bd_crossing,
     simdgp_theta,
 )
@@ -96,7 +90,7 @@ def test_td_equals_bd_plus_gap_on_compatible_dists():
     for _ in range(6):
         dist = random_confounded_mediator_dist(rng)
         gap = td_minus_bd_gap(dist, PAIR)
-        assert bound_td(dist, PAIR).value - bound_bd(dist, PAIR).value == pytest.approx(gap, abs=1e-9)
+        assert bound(dist, PAIR, "TD").value - bound(dist, PAIR, "BD").value == pytest.approx(gap, abs=1e-9)
 
 
 def test_bound_orderings(chain_dists):
@@ -112,11 +106,11 @@ def test_positivity_violation_in_bounds(pair):
     pmf[:, :, 1] = 1.0 / 8.0  # mediator never 0
     dist = DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
     with pytest.raises(PositivityViolation):
-        bound_td(dist, pair)
+        bound(dist, pair, "TD")
 
 
 def test_bound_report_serialization(chain_dists, pair):
-    report = bound_bd(chain_dists[0], pair)
+    report = bound(chain_dists[0], pair, "BD")
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["model"] == "BD"
     assert payload["method"] == "exact-sum"
@@ -136,11 +130,11 @@ def test_simdgp_reference_values(combo, pair):
     beta, g1, g2 = combo
     params = SimDgpParams(alpha=1.0, beta=beta, gamma1=g1, gamma2=g2)
     refs = REFERENCE[combo]
-    assert simdgp_bound_bd(params, pair) == pytest.approx(refs["BD"], abs=0.01)
-    assert simdgp_bound_fd(params, pair) == pytest.approx(refs["FD"], abs=0.01)
-    assert simdgp_bound_td(params, pair) == pytest.approx(refs["TD"], abs=0.01)
+    assert simdgp_bound(params, pair, "BD").value == pytest.approx(refs["BD"], abs=0.01)
+    assert simdgp_bound(params, pair, "FD").value == pytest.approx(refs["FD"], abs=0.01)
+    assert simdgp_bound(params, pair, "TD").value == pytest.approx(refs["TD"], abs=0.01)
     for model in ("BD_TD", "FD_TD", "BD_FD_TD"):
-        assert simdgp_bound_combo(params, pair, model) == pytest.approx(refs[model], abs=0.02)
+        assert simdgp_bound(params, pair, model).value == pytest.approx(refs[model], abs=0.02)
 
 
 def test_simdgp_bd_without_mediator_effect(pair):
@@ -148,12 +142,12 @@ def test_simdgp_bd_without_mediator_effect(pair):
     alpha = 1.3
     params = SimDgpParams(alpha=alpha, beta=0.7, gamma1=0.0, gamma2=0.9)
     e = float(expit(alpha))
-    assert simdgp_bound_bd(params, pair) == pytest.approx(2.0 + 0.5 / e + 0.5 / (1 - e), abs=1e-12)
+    assert simdgp_bound(params, pair, "BD").value == pytest.approx(2.0 + 0.5 / e + 0.5 / (1 - e), abs=1e-12)
 
 
 def test_simdgp_fd_collapses_without_outcome_effects(pair):
     params = SimDgpParams(alpha=1.0, beta=0.8, gamma1=0.0, gamma2=0.0)
-    assert simdgp_bound_fd(params, pair) == pytest.approx(math.expm1(0.8**2), abs=1e-12)
+    assert simdgp_bound(params, pair, "FD").value == pytest.approx(math.expm1(0.8**2), abs=1e-12)
 
 
 def test_simdgp_td_bd_crossing_near_one_point_three():
@@ -162,22 +156,22 @@ def test_simdgp_td_bd_crossing_near_one_point_three():
     assert crossing == pytest.approx(1.3, abs=0.01)
     below = SimDgpParams(alpha=1.0, beta=crossing - 0.05, gamma1=1.0, gamma2=1.0)
     above = SimDgpParams(alpha=1.0, beta=crossing + 0.05, gamma1=1.0, gamma2=1.0)
-    assert simdgp_bound_td(below, PAIR) < simdgp_bound_bd(below, PAIR)
-    assert simdgp_bound_td(above, PAIR) > simdgp_bound_bd(above, PAIR)
+    assert simdgp_bound(below, PAIR, "TD").value < simdgp_bound(below, PAIR, "BD").value
+    assert simdgp_bound(above, PAIR, "TD").value > simdgp_bound(above, PAIR, "BD").value
 
 
 def test_combo_quadrature_stable_under_node_doubling(pair):
     params = SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=0.5)
     for model in ("BD_TD", "FD_TD", "BD_FD_TD"):
-        v64 = simdgp_bound_combo(params, pair, model, n_nodes=64)
-        v128 = simdgp_bound_combo(params, pair, model, n_nodes=128)
+        v64 = simdgp_bound(params, pair, model, n_nodes=64).value
+        v128 = simdgp_bound(params, pair, model, n_nodes=128).value
         assert abs(v64 - v128) < 1e-4
 
 
 def test_combo_rejects_low_order(pair):
     params = SimDgpParams(alpha=1.0, beta=0.5, gamma1=0.5, gamma2=0.5)
     with pytest.raises(DomainError):
-        simdgp_bound_combo(params, pair, "BD_TD", n_nodes=32)
+        simdgp_bound(params, pair, "BD_TD", n_nodes=32)
 
 
 def test_combo_flags_unstable_quadrature(pair):
@@ -187,7 +181,7 @@ def test_combo_flags_unstable_quadrature(pair):
 
     params = SimDgpParams(alpha=1.0, beta=5.5, gamma1=1.0, gamma2=1.0)
     with pytest.raises(QuadratureNonConvergence):
-        simdgp_bound_combo(params, pair, "BD_TD")
+        simdgp_bound(params, pair, "BD_TD")
 
 
 def test_triple_bound_smallest_across_parameters(pair):
@@ -215,7 +209,7 @@ def test_simdgp_theta_identity(pair):
 def test_simdgp_rejects_nonbinary_pair():
     params = SimDgpParams(alpha=1.0, beta=0.5, gamma1=0.5, gamma2=0.5)
     with pytest.raises(DomainError):
-        simdgp_bound_bd(params, TreatmentPair(2.0, 0.0))
+        simdgp_bound(params, TreatmentPair(2.0, 0.0), "BD")
 
 
 def _continuous_eif_variance(params, tag, nodes=160, trim=5.0):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acebounds.bounds import bound_bd, bound_td
+from acebounds.bounds import bound
 from acebounds.compare import (
     BINARY_EXAMPLE_BAND,
     RATIO_INTERVAL_CORE,
@@ -76,7 +76,7 @@ def test_gap_matches_bound_difference():
     for _ in range(10):
         dist = random_confounded_mediator_dist(rng)
         gap = td_minus_bd_gap(dist, PAIR)
-        assert gap == pytest.approx(bound_td(dist, PAIR).value - bound_bd(dist, PAIR).value, abs=1e-9)
+        assert gap == pytest.approx(bound(dist, PAIR, "TD").value - bound(dist, PAIR, "BD").value, abs=1e-9)
 
 
 def test_gap_negative_when_mediator_ignores_treatment():
@@ -158,7 +158,7 @@ def test_comparisons_refuse_when_no_cell_qualifies():
         lambda y, z, c: (0.2 + 0.3 * z + 0.1 * c) if y == 1 else 0.8 - 0.3 * z - 0.1 * c,
     )
     with pytest.raises(PositivityViolation):
-        bound_td(dist, PAIR)
+        bound(dist, PAIR, "TD")
     with pytest.raises(PositivityViolation):
         td_minus_bd_gap(dist, PAIR)
     with pytest.raises(PositivityViolation):
@@ -243,6 +243,15 @@ def test_fd_vs_bd_rejects_nonlinear_outcome():
         fd_vs_bd_verdict(dist, PAIR, (0.0, 1.0, 1.0))
 
 
+def test_fd_vs_bd_violation_message_prints_plain_floats():
+    dist = binary_example_joint(0.3, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(AssumptionViolation) as info:
+        fd_vs_bd_verdict(dist, PAIR, (0.0, 1.0, 1.0))
+    message = str(info.value)
+    assert "np.float64" not in message
+    assert message == "E(Y|z=0.0, c=0.0) = 0.5 is not the stated linear function (0.0)"
+
+
 # -- the all-binary example family scan ----------------------------------------
 
 
@@ -288,7 +297,7 @@ def test_scan_spot_values_via_bounds():
     for point in ((0.3, 1.0, 1.0, 1.0, 1.0), (0.1, -2.0, 3.0, 2.0, -1.0), (0.9, 0.0, -3.0, -2.0, 4.0)):
         dist = binary_example_joint(*point)
         gap = td_minus_bd_gap(dist, PAIR)
-        assert gap == pytest.approx(bound_td(dist, PAIR).value - bound_bd(dist, PAIR).value, abs=1e-10)
+        assert gap == pytest.approx(bound(dist, PAIR, "TD").value - bound(dist, PAIR, "BD").value, abs=1e-10)
 
 
 def test_scan_csv_layout():

@@ -12,9 +12,6 @@ from acebounds.dist import (
     ace_backdoor,
     ace_frontdoor,
     ace_twodoor,
-    cond_mean_var,
-    conditional,
-    marginal,
     read_dist_csv,
     write_dist_csv,
     write_text,
@@ -49,19 +46,19 @@ def test_pmf_must_be_nonnegative():
 
 
 def test_marginal_uniform_treatment(uniform_dist):
-    table = marginal(uniform_dist, ("a",))
+    table = uniform_dist.table(("a",))
     assert table == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_marginal_full_set_is_identity(uniform_dist):
-    table = marginal(uniform_dist, ("c", "a", "z", "y"))
+    table = uniform_dist.table(("c", "a", "z", "y"))
     assert np.array_equal(table, uniform_dist.pmf)
 
 
 def test_marginal_example_family_alpha_zero():
     # with a flat treatment logit, hand summation over c gives p(A=1) = 1/2
     dist = binary_logit_dist(0.3, 0.0, 1.0, 1.0, 1.0)
-    assert marginal(dist, ("a",))[1] == pytest.approx(0.5, abs=1e-12)
+    assert dist.table(("a",))[1] == pytest.approx(0.5, abs=1e-12)
 
 
 @given(probs, probs, probs, probs)
@@ -74,12 +71,12 @@ def test_marginal_sums_to_one(pc1, pa1, pz1, py1):
                     pmf[ic, ia, iz, iy] = pc * pa * pz * py
     dist = DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf / pmf.sum())
     for vars_ in (("a",), ("c", "z"), ("y",), ("a", "z", "y")):
-        assert math.fsum(marginal(dist, vars_).ravel().tolist()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(dist.table(vars_).ravel().tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_independent_treatment(uniform_dist):
-    assert conditional(uniform_dist, ("a",), {"c": 1.0}) == pytest.approx(
-        marginal(uniform_dist, ("a",)), abs=1e-15
+    assert uniform_dist.conditional_table(("a",), {"c": 1.0}) == pytest.approx(
+        uniform_dist.table(("a",)), abs=1e-15
     )
 
 
@@ -87,7 +84,7 @@ def test_conditional_example_family_propensity():
     # A | C=1 is Bernoulli(expit(alpha)) in the all-binary example family
     alpha = 0.7
     dist = binary_logit_dist(0.2, alpha, 0.9, 0.5, -0.3)
-    table = conditional(dist, ("a",), {"c": 1.0})
+    table = dist.conditional_table(("a",), {"c": 1.0})
     assert table[1] == pytest.approx(float(expit(alpha)), abs=1e-12)
 
 
@@ -96,17 +93,17 @@ def test_conditional_zero_event_raises():
     pmf[0] = 1.0 / 8.0  # all mass on c=0
     dist = DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
     with pytest.raises(ZeroConditioningEvent):
-        conditional(dist, ("a",), {"c": 1.0})
+        dist.conditional_table(("a",), {"c": 1.0})
 
 
 def test_conditional_times_margin_reconstructs_joint():
     rng = np.random.default_rng(5)
     dist = random_chain_dist(rng)
-    pa = marginal(dist, ("c", "a"))
+    pa = dist.table(("c", "a"))
     rebuilt = np.zeros_like(dist.pmf)
     for ic, c in enumerate(dist.c_support):
         for ia, a in enumerate(dist.a_support):
-            block = conditional(dist, ("z", "y"), {"c": c, "a": a})
+            block = dist.conditional_table(("z", "y"), {"c": c, "a": a})
             rebuilt[ic, ia] = block * pa[ic, ia]
     assert np.max(np.abs(rebuilt - dist.pmf)) < 1e-12
 
@@ -115,7 +112,7 @@ def test_cond_mean_var_deterministic_outcome():
     pmf = np.zeros((2, 2, 2, 2))
     pmf[:, :, :, 1] = 1.0 / 8.0  # y == 1 always
     dist = DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
-    mean, var = cond_mean_var(dist, {"z": 0.0, "c": 0.0})
+    mean, var = dist.cond_mean_var({"z": 0.0, "c": 0.0})
     assert mean == pytest.approx(1.0, abs=1e-15)
     assert var == pytest.approx(0.0, abs=1e-15)
 
@@ -124,7 +121,7 @@ def test_cond_mean_var_deterministic_outcome():
 def test_cond_mean_var_bernoulli_identity(q):
     dist = binary_logit_dist(0.0, 0.0, 0.0, math.log(q / (1 - q)), 0.0)
     # outcome given (z=1, c) is Bernoulli(q) by construction
-    mean, var = cond_mean_var(dist, {"z": 1.0, "c": 0.0})
+    mean, var = dist.cond_mean_var({"z": 1.0, "c": 0.0})
     assert mean == pytest.approx(q, abs=1e-12)
     assert var == pytest.approx(q * (1 - q), abs=1e-12)
 
@@ -133,7 +130,7 @@ def test_cond_mean_var_flat_logit_quarter_variance():
     dist = binary_logit_dist(0.4, 1.0, 1.0, 0.0, 0.0)
     for z in (0.0, 1.0):
         for c in (0.0, 1.0):
-            _, var = cond_mean_var(dist, {"z": z, "c": c})
+            _, var = dist.cond_mean_var({"z": z, "c": c})
             assert var == pytest.approx(0.25, abs=1e-12)
 
 
@@ -147,7 +144,7 @@ def test_ace_randomized_treatment_matches_conditional_means(pair):
     dist = binary_logit_dist(0.3, 0.0, 1.2, 0.8, -0.4)  # alpha=0: randomized
     ey = {}
     for a in (0.0, 1.0):
-        table = conditional(dist, ("y",), {"a": a})
+        table = dist.conditional_table(("y",), {"a": a})
         ey[a] = float(table @ dist.y_support)
     assert ace_backdoor(dist, pair) == pytest.approx(ey[1.0] - ey[0.0], abs=1e-12)
 

@@ -17,9 +17,6 @@ from acebounds.fitting import (
     Dataset,
     ModelSpec,
     fit,
-    gaussian_density_fit,
-    linear_mean_fit,
-    logistic_fit,
     read_data_csv,
     write_data_csv,
 )
@@ -78,7 +75,7 @@ def test_linear_mean_interpolates_noiseless_data():
 def test_logistic_intercept_only_closed_form():
     y = np.array([1.0] * 30 + [0.0] * 70)
     X = np.ones((100, 1))
-    coef = logistic_fit(X, y)
+    coef = fitting._irls(X, y, np.ones(y.size))
     assert coef[0] == pytest.approx(float(logit(0.3)), abs=1e-8)
 
 
@@ -87,7 +84,7 @@ def test_logistic_slope_recovery():
     n = 100_000
     c = rng.standard_normal(n)
     y = (rng.random(n) < expit(c)).astype(float)
-    coef = logistic_fit(np.column_stack([np.ones(n), c]), y)
+    coef = fitting._irls(np.column_stack([np.ones(n), c]), y, np.ones(n))
     assert coef[1] == pytest.approx(1.0, abs=0.05)
 
 
@@ -95,12 +92,12 @@ def test_logistic_separation_detected():
     x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     y = (x > 0).astype(float)
     with pytest.raises(SeparationDetected):
-        logistic_fit(np.column_stack([np.ones(6), x]), y)
+        fitting._irls(np.column_stack([np.ones(6), x]), y, np.ones(6))
 
 
 def test_logistic_constant_response_rejected():
     with pytest.raises(SeparationDetected):
-        logistic_fit(np.ones((5, 1)), np.ones(5))
+        fitting._irls(np.ones((5, 1)), np.ones(5), np.ones(5))
 
 
 def test_gaussian_density_recovers_slope_and_variance():
@@ -109,7 +106,7 @@ def test_gaussian_density_recovers_slope_and_variance():
     a = (rng.random(n) < 0.6).astype(float)
     z = 1.5 * a + rng.standard_normal(n)
     data = Dataset(np.zeros(n), a, z, z, PAIR)
-    law = gaussian_density_fit(data, "z", ("a",))
+    law = fitting._gaussian_law(data, "z", ("a",), ("a",))
     assert law.coef[1] == pytest.approx(1.5, abs=0.02)
     assert law.sd**2 == pytest.approx(1.0, abs=0.02)
 
@@ -119,7 +116,7 @@ def test_gaussian_density_zero_variance_rejected():
     a = (np.arange(n) % 2).astype(float)
     data = Dataset(np.zeros(n), a, 2.0 * a, np.zeros(n), PAIR)
     with pytest.raises(DegenerateModel):
-        gaussian_density_fit(data, "z", ("a",))
+        fitting._gaussian_law(data, "z", ("a",), ("a",))
 
 
 def test_gaussian_density_omitted_treatment_is_flat():
@@ -344,14 +341,14 @@ def test_collapsed_fits_match_row_wise_fits(levels, preds):
     data = _cells_design(levels, seed=len(levels))
     X = np.column_stack([np.ones(data.n)] + [data.column(p) for p in preds])
     mean = fit(data, [ModelSpec("mean_y_ac", "linear-mean", predictors=preds)]).manifest["slots"]["mean_y_ac"]
-    np.testing.assert_allclose(mean["coef"], linear_mean_fit(X, data.y), rtol=1e-12)
+    np.testing.assert_allclose(mean["coef"], fitting._least_squares(X, data.y, np.ones(data.n)), rtol=1e-12)
     law = fit(data, [ModelSpec("p_z_given_ac", "gaussian-density", predictors=preds)]).p_z_given_ac
-    row_law = gaussian_density_fit(data, "z", preds)
+    row_law = fitting._gaussian_law(data, "z", preds, preds)
     np.testing.assert_allclose(law.coef, row_law.coef, rtol=1e-12)
     assert law.sd == pytest.approx(row_law.sd, rel=1e-12)
     if len(levels) == 2 and preds == ("c",):
         got = fit(data, [ModelSpec("p_a_given_c", "logistic", predictors=preds)]).manifest["slots"]["p_a_given_c"]
-        np.testing.assert_allclose(got["coef"], logistic_fit(X, (data.a == 1.0).astype(float)), rtol=1e-12)
+        np.testing.assert_allclose(got["coef"], fitting._irls(X, (data.a == 1.0).astype(float), np.ones(data.n)), rtol=1e-12)
 
 
 def test_collapsed_fits_raise_the_row_wise_errors():
@@ -359,7 +356,7 @@ def test_collapsed_fits_raise_the_row_wise_errors():
     x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     separated = Dataset(x, (x > 0).astype(float), np.zeros(6), np.zeros(6), PAIR)
     with pytest.raises(SeparationDetected) as row_wise:
-        logistic_fit(np.column_stack([np.ones(6), x]), (x > 0).astype(float))
+        fitting._irls(np.column_stack([np.ones(6), x]), (x > 0).astype(float), np.ones(6))
     with pytest.raises(SeparationDetected) as collapsed:
         fit(separated, [ModelSpec("p_a_given_c", "logistic", predictors=("c",))])
     assert str(collapsed.value) == str(row_wise.value) == "classes are perfectly separated"

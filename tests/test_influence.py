@@ -12,13 +12,10 @@ from acebounds.errors import DomainError, MissingNuisance, PositivityViolation
 from acebounds.influence import (
     MODEL_TAGS,
     NuisanceSet,
-    Observation,
     brute_force_mean,
     brute_force_variance,
     evaluate_m,
     level_index,
-    m_bd,
-    m_fd,
     truth_nuisances,
 )
 from acebounds.fitting import Dataset, ModelSpec, fit
@@ -58,9 +55,8 @@ def test_bd_off_pair_rows_reduce_to_regression_contrast():
     dist = _three_level_dist()
     eta = truth_nuisances(dist)
     pair = TreatmentPair(1.0, 0.0)
-    x = Observation(c=1.0, a=2.0, z=1.0, y=1.0)
     contrast = float(eta.mean_y_ac(1.0, 1.0) - eta.mean_y_ac(0.0, 1.0))
-    assert m_bd(x, eta, pair) == pytest.approx(contrast, abs=1e-12)
+    assert evaluate_m("BD", [1.0], [2.0], [1.0], [1.0], eta, pair)[0] == pytest.approx(contrast, abs=1e-12)
     assert brute_force_mean(dist, pair, "BD") == pytest.approx(ace_backdoor(dist, pair), abs=1e-10)
 
 
@@ -70,8 +66,7 @@ def test_bd_vanishing_outcome_gives_zero():
         p_a_given_c=lambda a, c: 0.5 + 0.0 * np.asarray(c, dtype=float),
         mean_y_ac=lambda a, c: 0.0 * np.asarray(c, dtype=float),
     )
-    x = Observation(c=0.0, a=1.0, z=0.0, y=0.0)
-    assert m_bd(x, eta, TreatmentPair(1.0, 0.0)) == 0.0
+    assert evaluate_m("BD", [0.0], [1.0], [0.0], [0.0], eta, TreatmentPair(1.0, 0.0))[0] == 0.0
 
 
 def test_fd_mediator_shift_factor_vanishes_when_z_independent():
@@ -87,8 +82,7 @@ def test_fd_mediator_shift_factor_vanishes_when_z_independent():
         z_integrator=eta.z_integrator,
     )
     pair = TreatmentPair(1.0, 0.0)
-    x = Observation(c=0.0, a=1.0, z=1.0, y=7.0)
-    got = m_fd(x, flat, pair)
+    got = evaluate_m("FD", [0.0], [1.0], [1.0], [7.0], flat, pair)[0]
     pooled = sum(float(flat.mean_y_az(ab, 1.0)) * float(flat.p_a(ab)) for ab in (0.0, 1.0))
     # centering terms equal the pooled outcome at z (flat mediator law), and the
     # final shift-weighted term is exactly zero
@@ -195,7 +189,7 @@ def test_positivity_guard_in_evaluators():
         mean_y_ac=lambda a, c: 0.0 * np.asarray(c, dtype=float),
     )
     with pytest.raises(PositivityViolation):
-        m_bd(Observation(0.0, 1.0, 0.0, 0.0), eta, TreatmentPair(1.0, 0.0))
+        evaluate_m("BD", [0.0], [1.0], [0.0], [0.0], eta, TreatmentPair(1.0, 0.0))
 
 
 def test_truth_nuisances_components_match_tables():
@@ -431,6 +425,28 @@ def test_marginal_weight_tags_refuse_an_oversized_pooled_outcome(tag):
     cols, eta = _continuous_c_fit(2100)
     with pytest.raises(DomainError, match="pooled outcome over 2100 covariate levels x 2100 rows"):
         evaluate_m(tag, *cols, eta, PAIR)
+
+
+class _CountingSlot:
+    """A nuisance component that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.mark.parametrize("tag", ["FD_TD", "BD_FD_TD"])
+def test_oversized_pooled_outcome_is_refused_before_any_per_level_call(tag):
+    # one vector p_c call finds the 2100 live covariate levels, and the refusal comes next: no scalar
+    # call per covariate level (p_c) or per level and arm (the p_a_given_c of the marginal weights)
+    cols, eta = _continuous_c_fit(2100)
+    counted = {slot: _CountingSlot(getattr(eta, slot)) for slot in influence.SLOTS if getattr(eta, slot) is not None}
+    with pytest.raises(DomainError, match="pooled outcome over 2100 covariate levels"):
+        evaluate_m(tag, *cols, replace(eta, **counted), PAIR)
+    assert {slot: fn.calls for slot, fn in counted.items() if fn.calls} == {"p_c": 1}
 
 
 def _same_index(x, y):
