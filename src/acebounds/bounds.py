@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (
-    POSITIVITY_EPS,
     DiscreteJoint,
     TreatmentPair,
     _pair_indices,
@@ -48,7 +47,7 @@ from .dist import (
     ace_twodoor,
     fsum,
 )
-from .errors import DomainError, PositivityViolation, QuadratureNonConvergence
+from .errors import DomainError, QuadratureNonConvergence
 from .influence import MODEL_TAGS as MODELS
 from .quadrature import _gauss_hermite
 from .special import expit, norm_pdf
@@ -70,6 +69,8 @@ class BoundReport:
     pair: TreatmentPair
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise DomainError(f"bound for {self.model} is not finite: {float(self.value)}")
         if self.value < 0:
             raise DomainError(f"bound for {self.model} is negative: {self.value!r}")
 
@@ -157,8 +158,8 @@ def _exact_sum(dist: DiscreteJoint, pair: TreatmentPair, model: str) -> float:
     if law_text:
         _require_positive(law, law_text)
     theta = ace_twodoor(dist, pair)
-    if mass_text and np.any(mass <= POSITIVITY_EPS):
-        raise PositivityViolation(f"{mass_text} fell below {POSITIVITY_EPS}")
+    if mass_text:
+        _require_positive(mass, mass_text)
     pi = np.asarray(pi)[..., None]
     shift = law[..., i_s, :] - law[..., i_r, :]
     pooled = np.einsum("...k,...kz->...z", omega, mean)
@@ -179,9 +180,7 @@ def _bd_td_value(dist: DiscreteJoint, pair: TreatmentPair) -> float:
     i_s, i_r = _pair_indices(dist, pair)
     live = t["pc"] > 0
     pac, pzac = t["p_a_given_c"][live], t["p_z_given_ac"][live]
-    mix = np.einsum("caz,ca->cz", pzac, pac)
-    if np.any(mix <= POSITIVITY_EPS):
-        raise PositivityViolation("sum_a p(z|a,c) p(a|c) fell below 1e-12")
+    mix = _require_positive(np.einsum("caz,ca->cz", pzac, pac), "sum_a p(z|a,c) p(a|c)")
     harm = np.einsum("ca,caz->cz", pac, 1.0 / pzac)
     shift = pzac[:, i_s] - pzac[:, i_r]
     corr = shift**2 * t["pc"][live, None] * t["vy_zc"][live] * (1.0 / mix - harm)
@@ -225,6 +224,8 @@ class SimDgpParams:
             raise DomainError("sigma_z and sigma_y must be positive")
         if not 0.0 < self.p_c < 1.0:
             raise DomainError("p_c must lie strictly inside (0, 1)")
+        pa1 = self.p_a1_given_c()
+        _require_positive(np.stack([1.0 - pa1, pa1]), "p(a|c)")
 
     def p_c_vec(self):
         return np.array([1.0 - self.p_c, self.p_c])
@@ -259,13 +260,22 @@ def _simdgp_bd(params: SimDgpParams) -> float:
     return (params.sigma_y**2 + params.gamma1**2 * params.sigma_z**2) * _inv_prop_sum(params)
 
 
+def _shift_ratio(params: SimDgpParams) -> float:
+    """exp((beta/sigma_z)^2) - 1 = integral of p(z|1)^2 / p(z|0) dz - 1; DomainError where it overflows."""
+    try:
+        return math.expm1((params.beta / params.sigma_z) ** 2)
+    except OverflowError:
+        raise DomainError(
+            f"(beta/sigma_z)^2 is too large for a finite bound (beta={params.beta!r}, sigma_z={params.sigma_z!r})"
+        ) from None
+
+
 def _simdgp_td(params: SimDgpParams) -> float:
-    ratio = math.expm1((params.beta / params.sigma_z) ** 2)
-    return _simdgp_bd(params) + params.sigma_y**2 * (ratio - _inv_prop_sum(params))
+    return _simdgp_bd(params) + params.sigma_y**2 * (_shift_ratio(params) - _inv_prop_sum(params))
 
 
 def _simdgp_fd(params: SimDgpParams) -> float:
-    ratio = math.expm1((params.beta / params.sigma_z) ** 2)
+    ratio = _shift_ratio(params)
     pa1_c1 = float(expit(params.alpha))
     pa = {1: params.p_a_marginal(1), 0: params.p_a_marginal(0)}
     g2, pc1 = params.gamma2, params.p_c
@@ -302,6 +312,10 @@ def _combo_value(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes:
     def delta(z):
         return dens(z, 1) - dens(z, 0)
 
+    def mix(ic):
+        # sum_a p(a|c) p(z|a) at covariate level ic
+        return lambda z: w_c[ic, 0] * dens(z, 0) + w_c[ic, 1] * dens(z, 1)
+
     def sq_over(denom_fn):
         # integral of (p1 - p0)^2 / denom dz as a difference of two expectations
         return gh(1, lambda z: delta(z) / denom_fn(z)) - gh(0, lambda z: delta(z) / denom_fn(z))
@@ -332,19 +346,17 @@ def _combo_value(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes:
     if model == "BD_TD":
         corr = 0.0
         for ic in range(2):
-            mix = lambda z, ic=ic: w_c[ic, 0] * dens(z, 0) + w_c[ic, 1] * dens(z, 1)
             harm_c = w_c[ic, 0] * sq_over(lambda z: dens(z, 0)) + w_c[ic, 1] * sq_over(
                 lambda z: dens(z, 1)
             )
-            corr += pcv[ic] * sy**2 * (sq_over(mix) - harm_c)
+            corr += pcv[ic] * sy**2 * (sq_over(mix(ic)) - harm_c)
         return _simdgp_td(params) + corr
     if model == "FD_TD":
         resid = sy**2 * fsum(pa[level] * sq_over(lambda z: dens(z, level)) for level in (0, 1))
         return resid + ipw_spread() + drift_term()
     resid = 0.0  # BD_FD_TD
     for ic in range(2):
-        mix = lambda z, ic=ic: w_c[ic, 0] * dens(z, 0) + w_c[ic, 1] * dens(z, 1)
-        resid += pcv[ic] * sy**2 * sq_over(mix)
+        resid += pcv[ic] * sy**2 * sq_over(mix(ic))
     return resid + ipw_spread() + drift_term()
 
 
@@ -361,9 +373,9 @@ def simdgp_bound(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
     if n_nodes < 64:
         raise DomainError("quadrature order must be at least 64")
-    coarse, fine = (_combo_value(params, pair, model, k) for k in (n_nodes, 2 * n_nodes))
-    if abs(fine - coarse) > 1e-4:
-        raise QuadratureNonConvergence(
-            f"{model} combo moved by {abs(fine - coarse):.3e} when doubling nodes from {n_nodes}"
-        )
+    with np.errstate(divide="ignore", invalid="ignore"):  # BoundReport refuses a non-finite value
+        coarse, fine = (_combo_value(params, pair, model, k) for k in (n_nodes, 2 * n_nodes))
+        moved = abs(fine - coarse)
+    if moved > 1e-4:
+        raise QuadratureNonConvergence(f"{model} combo moved by {moved:.3e} when doubling nodes from {n_nodes}")
     return _finish(model, fine, "quadrature", pair)

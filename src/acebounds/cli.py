@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,15 +68,34 @@ def _apply_overrides(cfg: dict, pairs) -> dict:
     return cfg
 
 
+def _number(key: str, text, kind=float):
+    """`text` read as a finite float (or an int); a DomainError names the config key otherwise."""
+    try:
+        value = kind(text)
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{key}: expected {'an integer' if kind is int else 'a finite number'}, got {text!r}")
+
+
+def _numbers(key: str, text, kind=float) -> tuple:
+    """The non-empty comma list `text`, each entry read by :func:`_number`."""
+    values = tuple(_number(key, tok, kind) for tok in str(text).split(",") if tok.strip())
+    if not values:
+        raise DomainError(f"{key}: expected a comma list of numbers, got {text!r}")
+    return values
+
+
 def _parse_pair(cfg: dict) -> TreatmentPair:
-    return TreatmentPair(float(cfg.get("a_star", 1.0)), float(cfg.get("a_ref", 0.0)))
+    return TreatmentPair(_number("a_star", cfg.get("a_star", 1.0)), _number("a_ref", cfg.get("a_ref", 0.0)))
 
 
 def _parse_dgp(cfg: dict) -> SimDgpParams:
     kwargs = {}
     for key in ("alpha", "beta", "gamma1", "gamma2", "sigma_z", "sigma_y", "p_c"):
         if key in cfg:
-            kwargs[key] = float(cfg[key])
+            kwargs[key] = _number(key, cfg[key])
     missing = {"alpha", "beta", "gamma1", "gamma2"} - set(kwargs)
     if missing:
         raise DomainError(f"dgp parameters missing: {sorted(missing)}")
@@ -111,7 +131,7 @@ def _parse_spec_value(slot: str, value: str) -> ModelSpec:
         elif key == "omit":
             omit = tuple(p for p in val.split("+") if p)
         elif key == "fix":
-            fix = float(val)
+            fix = _number(f"nuisance.{slot} fix", val)
         else:
             raise DomainError(f"unknown spec option {key!r} for {slot}")
     return ModelSpec(slot, family, predictors=predictors, omit=omit, fix_value=fix)
@@ -122,7 +142,7 @@ def _parse_model_specs(cfg: dict):
     specs = {}
     if preset is not None:
         if preset.startswith("sim-setting-"):
-            for spec in setting_model_specs(int(preset.rsplit("-", 1)[1])):
+            for spec in setting_model_specs(_number("preset", preset.rsplit("-", 1)[1], int)):
                 specs[spec.component] = spec
         elif preset == "empirical":
             for slot, (args, response, _) in SLOTS.items():
@@ -148,7 +168,7 @@ def cmd_bounds(args, cfg: dict) -> int:
         cfg["dist"] = args.dist
     pair = _parse_pair(cfg)
     models = _parse_names(cfg, "models", MODELS)
-    nodes = int(cfg.get("gh_nodes", 64))
+    nodes = _number("gh_nodes", cfg.get("gh_nodes", 64), int)
     if "dist" in cfg:
         dist = read_dist_csv(cfg["dist"])
         reports = [bound(dist, pair, model) for model in models]
@@ -167,21 +187,21 @@ def cmd_estimate(args, cfg: dict) -> int:
     pair = _parse_pair(cfg)
     data = read_data_csv(cfg["data"], pair)
     specs = _parse_model_specs(cfg)
-    folds = int(cfg.get("crossfit_folds", 0))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    folds = _number("crossfit_folds", cfg.get("crossfit_folds", 0), int)
+    seed = args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int)
     plan = CrossFitPlan(folds=folds, seed=seed)
-    eta = fit(data, specs, plan=plan, gh_nodes=int(cfg.get("gh_nodes", 64)))
+    eta = fit(data, specs, plan=plan, gh_nodes=_number("gh_nodes", cfg.get("gh_nodes", 64), int))
     tags = _parse_names(cfg, "tags", ESTIMATOR_TAGS)
     td_reduced = cfg.get("td_form", "general") == "reduced"
     results = estimate_all(data, eta, tags, td_reduced=td_reduced)
-    _report(args, EstimationResult.CSV_HEADER, [r.to_dict() for r in results])
+    _report(args, EstimationResult.CSV_HEADER, [vars(r) for r in results])
     return 0
 
 
 def cmd_simulate(args, cfg: dict) -> int:
     params = _parse_dgp(cfg)
-    sizes = tuple(int(x) for x in str(cfg.get("sizes", "5000")).split(",") if x)
-    replicates = int(cfg.get("replicates", 200))
+    sizes = _numbers("sizes", cfg.get("sizes", "5000"), int)
+    replicates = _number("replicates", cfg.get("replicates", 200), int)
     if args.paper_scale:
         sizes, replicates = (50000,), 1000
     config = McConfig(
@@ -189,10 +209,10 @@ def cmd_simulate(args, cfg: dict) -> int:
         sizes=sizes,
         replicates=replicates,
         tags=_parse_names(cfg, "tags", ESTIMATOR_TAGS),
-        setting=int(cfg.get("setting", 0)),
-        seed=args.seed if args.seed is not None else int(cfg.get("seed", 0)),
-        threads=args.threads if args.threads else int(cfg.get("threads", 1)),
-        gh_nodes=int(cfg.get("gh_nodes", 64)),
+        setting=_number("setting", cfg.get("setting", 0), int),
+        seed=args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int),
+        threads=args.threads if args.threads else _number("threads", cfg.get("threads", 1), int),
+        gh_nodes=_number("gh_nodes", cfg.get("gh_nodes", 64), int),
     )
     summary = run_mc(config)
     rows = [vars(r) for r in summary.rows]
@@ -212,8 +232,11 @@ def cmd_compare(args, cfg: dict) -> int:
         grid = cmp_mod.default_scan_grid()
         for key in grid:
             if key in cfg:
-                grid[key] = np.array([float(v) for v in cfg[key].split(",")])
+                grid[key] = np.array(_numbers(key, cfg[key]))
         rows = cmp_mod.binary_family_scan(grid)
+        inside = rows["diff"][rows["interval_member"]]
+        gap = f"{inside.max():.3e}" if inside.size else "none"
+        sys.stderr.write(f"{rows.size} grid points, {inside.size} inside the band, max in-band gap {gap}\n")
         cmp_mod.scan_to_csv(rows, sys.stdout if args.out is None else args.out)
         violations = int(np.sum(rows["interval_member"] & (rows["diff"] > 1e-10)))
         if violations:
@@ -233,7 +256,7 @@ def cmd_compare(args, cfg: dict) -> int:
             "cells": {f"z={z},c={c}": v for (z, c), v in verdict.cell_values.items()},
         }
         if "coef" in cfg:
-            coef = [float(v) for v in cfg["coef"].split(",")]
+            coef = _numbers("coef", cfg["coef"])
             fd_verdict = cmp_mod.fd_vs_bd_verdict(dist, pair, coef)
             payload["fd_vs_bd"] = {
                 "ordering": fd_verdict.ordering,
@@ -247,7 +270,7 @@ def cmd_compare(args, cfg: dict) -> int:
 def cmd_oracle(args, cfg: dict) -> int:
     dist = read_dist_csv(args.dist)
     pair = _parse_pair(cfg)
-    tol = float(cfg.get("tol", 1e-9))
+    tol = _number("tol", cfg.get("tol", 1e-9))
     rows = []
     for model in MODELS:
         closed = bound(dist, pair, model).value

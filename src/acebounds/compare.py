@@ -10,7 +10,11 @@
 
 Comparison conditions quantify over support cells with p(z | a, c) above the
 positivity threshold; zero-probability cells are excluded, and with no such
-cell the comparisons raise PositivityViolation, as the TD bound does.
+cell the comparisons raise PositivityViolation, as the TD bound does.  The
+propensities p(a | c) they divide by pass the package's one positivity guard,
+``dist._require_positive``, on every covariate level of positive mass, as they
+do in the TD and BD bounds: a live stratum without some treatment level raises
+instead of dropping out.
 """
 
 from __future__ import annotations
@@ -21,7 +25,18 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, _pair_indices, chain_joint, csv_text, fsum, report_cell, write_text
+from .dist import (
+    POSITIVITY_EPS,
+    DiscreteJoint,
+    TreatmentPair,
+    _pair_indices,
+    _require_positive,
+    chain_joint,
+    csv_text,
+    fsum,
+    report_cell,
+    write_text,
+)
 from .errors import AssumptionViolation, DomainError, PositivityViolation
 from .special import expit
 
@@ -84,11 +99,13 @@ def _cell_brackets(dist: DiscreteJoint, pair: TreatmentPair):
     """Live-c indices, z indices and (shift^2 * harmonic mediator mass) - propensity-weighted shares.
 
     One entry per (c, z) cell, c-major, whose p(z|a,c) is above the positivity
-    threshold at every treatment level; raises if no cell qualifies.
+    threshold at every treatment level.  Raises if p(a|c) is not positive on
+    every live stratum, as the TD bound does, or if no cell qualifies.
     """
     t = dist._cache()
     i_s, i_r = _pair_indices(dist, pair)
     live = np.flatnonzero(t["pc"] > 0)
+    _require_positive(t["p_a_given_c"][live], "p(a|c)")
     ic, iz = np.nonzero(np.all(t["p_z_given_ac"][live] > POSITIVITY_EPS, axis=1))
     if ic.size == 0:
         raise PositivityViolation(f"no (z, c) cell has p(z|a,c) above {POSITIVITY_EPS} at every treatment level")
@@ -154,7 +171,10 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
     Note the harmonic-mean inequalities can never hold strictly (Jensen), so
     the verdict is conclusive only in the degenerate everywhere-false sense.
     """
-    g0, g1, g2 = (float(v) for v in outcome_coef)
+    coef = tuple(float(v) for v in outcome_coef)
+    if len(coef) != 3:
+        raise DomainError(f"outcome_coef holds (intercept, slope_z, slope_c), got {len(coef)} values")
+    g0, g1, g2 = coef
     t = dist._cache()
     pc = t["pc"]
     live = np.flatnonzero(pc > 0)
@@ -167,11 +187,11 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
             f"E(Y|z={float(dist.z_support[iz])!r}, c={float(dist.c_support[live[ic]])!r}) = {float(got[ic, iz])!r} "
             f"is not the stated linear function ({float(want[ic, iz])!r})"
         )
+    cellwise, vals = _cell_condition_values(dist, pair)  # checks p(a|c) before the reciprocals below
     i_s, i_r = _pair_indices(dist, pair)
     pac, pa = t["p_a_given_c"], t["pa"]
     gaps = {name: 1.0 / pa[ia] - fsum(pc[live] / pac[live, ia]) for name, ia in (("a_star", i_s), ("a_ref", i_r))}
     recip_holds = all(v > 0 for v in gaps.values())
-    cellwise, vals = _cell_condition_values(dist, pair)
     cells_positive = bool(np.all(vals > 0))
     conclusive = recip_holds and cells_positive
     return ComparisonVerdict(
@@ -203,18 +223,16 @@ def binary_example_joint(beta0: float, alpha: float, beta: float, gamma1: float,
     )
 
 
+# the grid keys of the example family, outermost first
+_SCAN_KEYS = ("beta0", "alpha", "beta", "gamma1", "gamma2")
+
+
 def default_scan_grid():
     """The full example-family grid: beta0 in {.1,.3,.6,.9}; alpha, gamma1, gamma2
     in {-4,...,4}; beta in {-4,-3.8,...,4}."""
     coarse = np.arange(-4.0, 4.0 + 1e-9, 1.0)
     fine = np.round(np.arange(-4.0, 4.0 + 1e-9, 0.2), 10)
-    return {
-        "beta0": np.array([0.1, 0.3, 0.6, 0.9]),
-        "alpha": coarse,
-        "beta": fine,
-        "gamma1": coarse,
-        "gamma2": coarse,
-    }
+    return dict(zip(_SCAN_KEYS, (np.array([0.1, 0.3, 0.6, 0.9]), coarse, fine, coarse, coarse)))
 
 
 def binary_family_scan(grid: Optional[dict] = None) -> np.ndarray:
@@ -226,11 +244,8 @@ def binary_family_scan(grid: Optional[dict] = None) -> np.ndarray:
     independent, so they are evaluated as one broadcast computation.
     """
     grid = default_scan_grid() if grid is None else grid
-    b0 = np.asarray(grid["beta0"], dtype=float)[:, None, None, None, None]
-    al = np.asarray(grid["alpha"], dtype=float)[None, :, None, None, None]
-    be = np.asarray(grid["beta"], dtype=float)[None, None, :, None, None]
-    g1 = np.asarray(grid["gamma1"], dtype=float)[None, None, None, :, None]
-    g2 = np.asarray(grid["gamma2"], dtype=float)[None, None, None, None, :]
+    axes = [np.asarray(grid[key], dtype=float) for key in _SCAN_KEYS]
+    b0, al, be, g1, g2 = np.ix_(*axes)  # each key on its own axis, beta0 outermost
 
     pz1 = {0: 0.5, 1: expit(be)}  # p(Z=1 | A=a); expit(0) = 1/2
     pa1 = {0: 0.5 + 0.0 * al, 1: expit(al)}  # p(A=1 | C=c)
@@ -250,24 +265,12 @@ def binary_family_scan(grid: Optional[dict] = None) -> np.ndarray:
             diff = diff + w_c * var_y * bracket
     member = (expit(be) >= BINARY_EXAMPLE_BAND[0]) & (expit(be) <= BINARY_EXAMPLE_BAND[1])
 
-    shape = np.broadcast_shapes(diff.shape, member.shape, (b0.size, al.size, be.size, g1.size, g2.size))
-    out = np.empty(
-        int(np.prod(shape)),
-        dtype=[
-            ("beta0", float),
-            ("alpha", float),
-            ("beta", float),
-            ("gamma1", float),
-            ("gamma2", float),
-            ("diff", float),
-            ("interval_member", bool),
-        ],
-    )
-    mesh = np.meshgrid(
-        grid["beta0"], grid["alpha"], grid["beta"], grid["gamma1"], grid["gamma2"], indexing="ij"
-    )
-    for name, arr in zip(("beta0", "alpha", "beta", "gamma1", "gamma2"), mesh):
-        out[name] = arr.ravel()
+    mesh = np.meshgrid(*axes, indexing="ij")
+    shape = mesh[0].shape
+    fields = [(key, float) for key in _SCAN_KEYS] + [("diff", float), ("interval_member", bool)]
+    out = np.empty(mesh[0].size, dtype=fields)
+    for key, arr in zip(_SCAN_KEYS, mesh):
+        out[key] = arr.ravel()
     out["diff"] = np.broadcast_to(diff, shape).ravel()
     out["interval_member"] = np.broadcast_to(member, shape).ravel()
     return out

@@ -4,7 +4,10 @@ The joint is stored as a dense probability table.  All reductions that feed a
 1e-12 tolerance budget go through ``math.fsum`` so that large supports do not
 eat the error budget.  Conditionals with denominators below ``POSITIVITY_EPS``
 raise instead of propagating Inf/NaN: the downstream bound formulas are
-undefined there.
+undefined there.  ``_require_positive`` is the package's one positivity guard:
+bounds, comparisons and estimating functions pass every denominator through
+it, and it raises PositivityViolation ``{what} has entries below 1e-12``
+unless every entry is above ``POSITIVITY_EPS`` (a NaN entry fails too).
 
 Every table the package reads or writes goes through the one CSV codec here:
 :func:`read_csv_table` reads, :func:`csv_text` formats with one cell
@@ -185,39 +188,19 @@ class DiscreteJoint:
         pac = p.sum(axis=(2, 3))  # joint over (c, a)
         pzac = p.sum(axis=3)  # joint over (c, a, z)
         pza = p.sum(axis=(0, 3))  # joint over (a, z)
+        pzc = pzac.sum(axis=1)  # joint over (c, z)
         y = self.y_support
+        ysum, y2sum = (np.tensordot(p, v, axes=([3], [0])) for v in (y, y * y))  # sum_y y^k p(c,a,z,y)
+        cache = {"pc": pc, "pa": pa, "pzc": pzc}
         with np.errstate(divide="ignore", invalid="ignore"):
-            p_a_given_c = np.where(pc[:, None] > 0, pac / pc[:, None], np.nan)
-            p_z_given_ac = np.where(pac[..., None] > 0, pzac / pac[..., None], np.nan)
-            p_z_given_a = np.where(pa[:, None] > 0, pza / pa[:, None], np.nan)
-            ysum_azc = np.tensordot(p, y, axes=([3], [0]))  # sum_y y p(c,a,z,y)
-            y2sum_azc = np.tensordot(p, y * y, axes=([3], [0]))
-            ey_azc = np.where(pzac > 0, ysum_azc / pzac, np.nan)
-            vy_azc = np.where(pzac > 0, y2sum_azc / pzac - ey_azc**2, np.nan)
-            pzc = pzac.sum(axis=1)
-            ey_zc = np.where(pzc > 0, ysum_azc.sum(axis=1) / pzc, np.nan)
-            vy_zc = np.where(pzc > 0, y2sum_azc.sum(axis=1) / pzc - ey_zc**2, np.nan)
-            pza_j = pzac.sum(axis=0)
-            ey_az = np.where(pza_j > 0, ysum_azc.sum(axis=0) / pza_j, np.nan)
-            vy_az = np.where(pza_j > 0, y2sum_azc.sum(axis=0) / pza_j - ey_az**2, np.nan)
-            ey_ac = np.where(pac > 0, ysum_azc.sum(axis=2) / pac, np.nan)
-            vy_ac = np.where(pac > 0, y2sum_azc.sum(axis=2) / pac - ey_ac**2, np.nan)
-        cache = {
-            "pc": pc,
-            "pa": pa,
-            "pzc": pzc,
-            "p_a_given_c": p_a_given_c,  # [c, a]
-            "p_z_given_ac": p_z_given_ac,  # [c, a, z]
-            "p_z_given_a": p_z_given_a,  # [a, z]
-            "ey_azc": ey_azc,  # [c, a, z]
-            "vy_azc": np.clip(vy_azc, 0.0, None),
-            "ey_zc": ey_zc,  # [c, z]
-            "vy_zc": np.clip(vy_zc, 0.0, None),
-            "ey_az": ey_az,  # [a, z]
-            "vy_az": np.clip(vy_az, 0.0, None),
-            "ey_ac": ey_ac,  # [c, a]
-            "vy_ac": np.clip(vy_ac, 0.0, None),
-        }
+            cache["p_a_given_c"] = np.where(pc[:, None] > 0, pac / pc[:, None], np.nan)  # [c, a]
+            cache["p_z_given_ac"] = np.where(pac[..., None] > 0, pzac / pac[..., None], np.nan)  # [c, a, z]
+            cache["p_z_given_a"] = np.where(pa[:, None] > 0, pza / pa[:, None], np.nan)  # [a, z]
+            # E(Y|.) and Var(Y|.) given (a,z,c) [c, a, z], (z,c) [c, z], (a,z) [a, z] and (a,c) [c, a]
+            for given, denom, summed in (("azc", pzac, ()), ("zc", pzc, 1), ("az", pzac.sum(axis=0), 0), ("ac", pac, 2)):
+                ey = np.where(denom > 0, ysum.sum(axis=summed) / denom, np.nan)
+                vy = np.where(denom > 0, y2sum.sum(axis=summed) / denom - ey**2, np.nan)
+                cache["ey_" + given], cache["vy_" + given] = ey, np.clip(vy, 0.0, None)
         object.__setattr__(self, "_tables", cache)
         return cache
 
@@ -234,8 +217,14 @@ def _pair_indices(dist: DiscreteJoint, pair: TreatmentPair):
 
 
 def _require_positive(value, what: str):
-    if not np.all(np.asarray(value) > POSITIVITY_EPS):
+    """`value` as an array, once every entry is above POSITIVITY_EPS; NaN fails too.
+
+    The one positivity guard: every denominator in the package passes through it.
+    """
+    value = np.asarray(value)
+    if not np.all(value > POSITIVITY_EPS):
         raise PositivityViolation(f"{what} has entries below {POSITIVITY_EPS}")
+    return value
 
 
 def ace_backdoor(dist: DiscreteJoint, pair: TreatmentPair) -> float:

@@ -46,17 +46,7 @@ class EstimationResult:
         if not (math.isfinite(self.se_hat) and self.se_hat >= 0):
             raise DomainError(f"{self.tag}: se_hat {self.se_hat!r} is not a finite non-negative number")
 
-    def to_dict(self):
-        return {
-            "tag": self.tag,
-            "theta_hat": self.theta_hat,
-            "se_hat": self.se_hat,
-            "n": self.n,
-            "clipped": self.clipped,
-            "manifest": self.manifest,
-        }
-
-    CSV_HEADER = ("tag", "theta_hat", "se_hat", "n", "clipped")  # the csv columns, keys of to_dict
+    CSV_HEADER = ("tag", "theta_hat", "se_hat", "n", "clipped")  # the csv columns: every field but the manifest
 
 
 def naive_difference(data: Dataset):

@@ -8,10 +8,10 @@ value.  Every applied directive is recorded in the returned manifest.
 
 Fitted probability components are clipped to [1e-6, 1 - 1e-6] before use and
 every clipped value they return is counted; conditional densities are left
-unclipped (the influence evaluators enforce their own positivity threshold on
-denominators).  The evaluators call the probability slots once per distinct
-(a, c) level or support value, never once per row, so a count is a number of
-clipped levels per call, not of rows.
+unclipped (the influence evaluators pass every denominator through the one
+positivity guard, ``dist._require_positive``).  The evaluators call the
+probability slots once per distinct (a, c) level or support value, never once
+per row, so a count is a number of clipped levels per call, not of rows.
 
 Logistic, linear-mean and Gaussian-density fits whose predictors are all a or
 c are collapsed: they run on the distinct (a, c) cells of the data, each with
@@ -28,7 +28,9 @@ conditions on, in call order: the slot's call arguments (``influence.SLOTS``,
 importable from here too) minus its response, which a probability or a law
 takes first.  The Gaussian density is ``special.norm_pdf``.
 
-Empirical and fixed-value slots are ``influence._Table`` lookups.  Their
+Empirical and fixed-value slots are ``influence._Table`` lookups, and every
+component broadcasts its result to its call arguments through the same
+``influence._spread``.  Their
 ``reads`` are the slot arguments that are fitted predictors (plus the response
 of a probability), and their ``observed`` mask holds the groups seen in the
 data: a response level unseen within an observed group has frequency 0, while
@@ -52,7 +54,7 @@ from .errors import (
     RankDeficient,
     SeparationDetected,
 )
-from .influence import SLOTS, NuisanceSet, _Table, level_index
+from .influence import SLOTS, NuisanceSet, _spread, _Table, level_index
 from .quadrature import FiniteZRule, GaussHermiteZRule
 from .special import expit, norm_pdf
 
@@ -299,12 +301,6 @@ def _gaussian_law(data: Dataset, response: str, predictors: tuple, arg_names: tu
     if variance < VARIANCE_FLOOR:
         raise DegenerateModel(f"residual variance {variance!r} below the {VARIANCE_FLOOR} floor")
     return GaussianConditional(arg_names, predictors, coef, np.sqrt(variance))
-
-
-def _spread(out, args):
-    """Broadcast `out` to the common shape of all call arguments (as a view)."""
-    shape = np.broadcast_shapes(np.shape(out), *(np.shape(v) for v in args))
-    return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
 class _LinearMean(_Linear):

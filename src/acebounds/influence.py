@@ -82,8 +82,8 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .dist import POSITIVITY_EPS, DiscreteJoint, TreatmentPair, ace_twodoor, fsum
-from .errors import DomainError, MissingNuisance, PositivityViolation
+from .dist import DiscreteJoint, TreatmentPair, _require_positive, ace_twodoor, fsum
+from .errors import DomainError, MissingNuisance
 from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, expect_z
 
 __all__ = [
@@ -143,17 +143,16 @@ class NuisanceSet:
         return self
 
 
-def _check_pos(values, what: str):
-    values = np.asarray(values)
-    if not np.all(values > POSITIVITY_EPS):
-        raise PositivityViolation(f"{what} fell below {POSITIVITY_EPS}")
-    return values
-
-
 def _rows(*xs):
     arrs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
     n = max(a.size for a in arrs)
     return [np.broadcast_to(a, (n,)) for a in arrs]
+
+
+def _spread(out, args):
+    """`out` broadcast to the common shape of itself and all call arguments; a view where it grows."""
+    shape = np.broadcast_shapes(np.shape(out), *(np.shape(v) for v in args))
+    return out if np.shape(out) == shape else np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
 def _col(x):
@@ -237,8 +236,8 @@ def _eval_bd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optio
     eta.require("p_a_given_c", "mean_y_ac")
     c, a, z, y = _rows(c, a, z, y)
     levels = _index_of(eta, a, c, levels)
-    ps = _check_pos(_at_rows(eta, "p_a_given_c", pair.a_star, levels), "p(a*|c)")
-    pr = _check_pos(_at_rows(eta, "p_a_given_c", pair.a_ref, levels), "p(a|c)")
+    ps = _require_positive(_at_rows(eta, "p_a_given_c", pair.a_star, levels), "p(a*|c)")
+    pr = _require_positive(_at_rows(eta, "p_a_given_c", pair.a_ref, levels), "p(a|c)")
     ms = _at_rows(eta, "mean_y_ac", pair.a_star, levels)
     mr = _at_rows(eta, "mean_y_ac", pair.a_ref, levels)
     ind_s = (a == pair.a_star).astype(float)
@@ -314,7 +313,7 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
 
     def weight(arm, label):
         w = fsum(pc_live * eta.p_a_given_c(arm, c_live)) if marginal else _at_rows(eta, weights, arm, levels)
-        return _check_pos(w, _WEIGHT_LABEL[weights].format(label))
+        return _require_positive(w, _WEIGHT_LABEL[weights].format(label))
 
     def pooled_given_c(zz, cv, p_at):
         """sum_a outcome(a, z, c) p_at(a), where p_at(a) is the weight of a at cv."""
@@ -342,10 +341,10 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
     arms = {pair.a_star, pair.a_ref, *(eta.a_support if mass == "mix" else ())}
     law_at = {ab: _call(eta, law, z=z, a=ab, c=c) for ab in arms}
     if mass == "own":
-        denom = _check_pos(_call(eta, law, z=z, a=a, c=c), law_text + " at the observed rows")
+        denom = _require_positive(_call(eta, law, z=z, a=a, c=c), law_text + " at the observed rows")
     else:
-        denom = sum(law_at[ab] * _at_rows(eta, "p_a_given_c", ab, levels) for ab in eta.a_support)
-        _check_pos(denom, f"sum_a {law_text} p(a|c)")
+        mix = sum(law_at[ab] * _at_rows(eta, "p_a_given_c", ab, levels) for ab in eta.a_support)
+        denom = _require_positive(mix, f"sum_a {law_text} p(a|c)")
     shift = law_at[pair.a_star] - law_at[pair.a_ref]
     pooled_bar = _gather(expect_z(rule, pz, pooled_at_levels, *cond(ka)), kinv)
     t1 = (y - _call(eta, outcome, a=a, z=z, c=c)) * shift / denom
@@ -403,9 +402,7 @@ class _Table:
         idx = tuple(self._index(args[pos], k) for k, pos in enumerate(self.reads))
         if self.observed is not None and not np.all(self.observed[idx]):
             raise DomainError(f"{self.what} requested at a combination never observed")
-        out = self.values[idx]
-        shape = np.broadcast_shapes(*(np.shape(x) for x in args))
-        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
+        return _spread(self.values[idx], args)
 
 
 def truth_nuisances(dist: DiscreteJoint) -> NuisanceSet:

@@ -47,7 +47,7 @@ class FiniteZRule:
     def __init__(self, support):
         self.support = np.asarray(support, dtype=float)
         if self.support.ndim != 1 or self.support.size == 0:
-            raise ValueError("mediator support must be a non-empty 1-d sequence")
+            raise DomainError("mediator support must be a non-empty 1-d sequence")
 
     def grid(self, density, *cond):
         levels = math.prod(np.broadcast_shapes(*(np.shape(x) for x in cond)))
@@ -74,7 +74,7 @@ class GaussHermiteZRule:
 
     def __init__(self, n_nodes: int = 64):
         if n_nodes < 1:
-            raise ValueError("n_nodes must be positive")
+            raise DomainError(f"a Gauss-Hermite rule needs at least one node (gh_nodes), got {n_nodes!r}")
         self.n_nodes = n_nodes
         self._x, self._w = _gauss_hermite(n_nodes)
 

@@ -27,7 +27,7 @@ import glob
 import os
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cache, partial
 
 import numpy as np
@@ -36,7 +36,7 @@ from .bounds import SimDgpParams, simdgp_theta
 from .dist import TreatmentPair, csv_text, report_cell, write_text
 from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, estimate_all
-from .fitting import CrossFitPlan, Dataset, GaussianConditional, ModelSpec, _LinearMean, _Logistic, fit
+from .fitting import Dataset, GaussianConditional, ModelSpec, _LinearMean, _Logistic, fit
 from .influence import NuisanceSet, _Table
 from .quadrature import GaussHermiteZRule
 from .special import expit
@@ -89,15 +89,13 @@ class McConfig:
     seed: int = 0
     threads: int = 1
     gh_nodes: int = 64
-    crossfit: CrossFitPlan = field(default_factory=CrossFitPlan)
 
     def __post_init__(self):
         if self.replicates < 2:
             raise DomainError("need at least two replicates")
         if any(n < 10 for n in self.sizes):
             raise DomainError("sample sizes below 10 are not supported")
-        if self.setting not in MISSPECIFICATION_SETTINGS:
-            raise DomainError(f"setting must be one of {MISSPECIFICATION_SETTINGS}")
+        setting_model_specs(self.setting)  # raises DomainError for an unknown setting
         if self.threads < 1:
             raise DomainError("threads (replicates in flight) must be at least 1")
         unknown = set(self.tags) - set(ESTIMATOR_TAGS)
@@ -201,7 +199,7 @@ def setting_model_specs(setting: int) -> list:
 def _one_replicate(config: McConfig, specs, z_rule, size_index: int, rep_index: int, n: int):
     seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(size_index, rep_index))
     data = sample_dgp(config.params, n, seed)
-    eta = fit(data, specs, plan=config.crossfit, z_rule=z_rule)
+    eta = fit(data, specs, z_rule=z_rule)
     return {r.tag: r.theta_hat for r in estimate_all(data, eta, config.tags, td_reduced=True)}
 
 

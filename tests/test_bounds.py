@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from acebounds.bounds import (
     MODELS,
+    BoundReport,
     SimDgpParams,
     bound,
     simdgp_bound,
@@ -107,6 +108,19 @@ def test_positivity_violation_in_bounds(pair):
     dist = DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
     with pytest.raises(PositivityViolation):
         bound(dist, pair, "TD")
+
+
+def test_simdgp_family_refuses_what_has_no_finite_bound(pair):
+    # expit(800) is exactly 1.0, so p(A=0|C=1) = 0
+    with pytest.raises(PositivityViolation, match=r"p\(a\|c\) has entries below 1e-12"):
+        SimDgpParams(alpha=800.0, beta=1.0, gamma1=1.0, gamma2=1.0)
+    huge = SimDgpParams(alpha=1.0, beta=30.0, gamma1=1.0, gamma2=1.0)  # exp(900) overflows
+    for model in ("FD", "TD"):
+        with pytest.raises(DomainError, match="too large"):
+            simdgp_bound(huge, pair, model)
+    for value in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="not finite"):
+            BoundReport("BD", value, "closed-form", pair)
 
 
 def test_bound_report_serialization(chain_dists, pair):

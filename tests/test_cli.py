@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from acebounds.cli import main
-from acebounds.dist import DiscreteJoint, ace_backdoor, write_dist_csv
+from acebounds.dist import DiscreteJoint, ace_backdoor, chain_joint, write_dist_csv
 from acebounds.fitting import Dataset, write_data_csv
 
 from conftest import BINARY, PAIR, random_chain_dist
@@ -386,3 +386,68 @@ def test_estimate_rejects_a_predictor_its_slot_cannot_read(tmp_path, capsys):
     )
     assert code == 2
     assert "'z' is not a conditioning argument of p_a_given_c" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dgp",
+    [
+        "alpha=1,beta=30,gamma1=1,gamma2=1",  # exp((beta/sigma_z)^2) overflows
+        "alpha=800,beta=1,gamma1=1,gamma2=1",  # expit(800) is exactly 1, so p(A=0|C=1) = 0
+        "alpha=1,beta=26,gamma1=1,gamma2=1",  # the quadrature of BD_TD divides by a zero density
+    ],
+)
+def test_bounds_dgp_out_of_range_is_a_typed_error(dgp, capsys):
+    assert run_cli("bounds", "--dgp", dgp) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_compare_refuses_a_live_stratum_without_a_treatment_level(tmp_path, capsys):
+    # p(C=1) = 1/2 and p(A=1|C=1) = 0: the propensity check that bound makes
+    dist = chain_joint(
+        BINARY,
+        BINARY,
+        BINARY,
+        BINARY,
+        lambda c: 0.5,
+        lambda a, c: (0.0 if c == 1 else 0.5) if a == 1 else (1.0 if c == 1 else 0.5),
+        lambda z, a: (0.3 + 0.4 * a) if z == 1 else 0.7 - 0.4 * a,
+        lambda y, z, c: 0.5,
+    )
+    path = tmp_path / "dist.csv"
+    write_dist_csv(dist, path)
+    for argv in (["bounds", "--dist", str(path)], ["compare", "--dist", str(path), "--set", "coef=0.5,0,0"]):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: p(a|c) has entries below 1e-12\n"
+
+
+SIM = [f"--set={kv}" for kv in (DGP + ",sizes=20,replicates=2").split(",")]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate", *SIM, "--set", "threads=abc"], "threads"),
+        (["simulate", *SIM, "--set", "gh_nodes=0"], "gh_nodes"),
+        (["simulate", *SIM, "--set", "sizes=20,x"], "sizes"),
+        (["simulate", *SIM, "--set", "sizes="], "sizes"),
+        (["simulate", *SIM, "--set", "setting=1.5"], "setting"),
+        (["bounds", "--dgp", "alpha=1,beta=x,gamma1=1,gamma2=1"], "beta"),
+        (["bounds", "--dgp", "alpha=1,beta=nan,gamma1=1,gamma2=1"], "beta"),
+        (["bounds", "--dgp", DGP, "--set", "a_star=one"], "a_star"),
+        (["compare", "--scan", "--set", "alpha=0,q"], "alpha"),
+        (["compare", "--scan", "--set", "beta="], "beta"),
+        (["estimate", "--data", "obs.csv", "--set", "preset=sim-setting-x"], "preset"),
+        (["estimate", "--data", "obs.csv", "--set", "nuisance.p_c=fixed-value fix=half"], "nuisance.p_c fix"),
+    ],
+)
+def test_bad_config_value_names_its_key(argv, key, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(4)
+    write_data_csv(Dataset(*(rng.random((4, 50)) < 0.5).astype(float), PAIR), "obs.csv")
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,23 +168,55 @@ def test_comparisons_refuse_when_no_cell_qualifies():
         fd_vs_bd_verdict(dist, PAIR, (0.2, 0.3, 0.1))
 
 
-def test_cells_with_an_undefined_mediator_law_do_not_qualify():
-    # p(A=1 | C=0) = 0 leaves p(z | a=1, c=0) undefined: the c=0 cells must
-    # drop out of the comparison instead of carrying NaN into it
+@pytest.mark.parametrize("empty_c", [0, 1])
+def test_comparisons_refuse_a_live_stratum_without_a_treatment_level(empty_c):
+    # p(A=1 | C=empty_c) = 0 on a covariate level of mass 1/2: both bounds are
+    # undefined there, so the gap and the verdicts raise as bound does, instead
+    # of dropping the stratum (or, for the reciprocal gaps, returning -inf)
     dist = factorized_joint(
         BINARY,
         BINARY,
         BINARY,
         BINARY,
         lambda c: 0.5,
-        lambda a, c: (0.0 if c == 0 else 0.6) if a == 1 else (1.0 if c == 0 else 0.4),
+        lambda a, c: (0.0 if c == empty_c else 0.6) if a == 1 else (1.0 if c == empty_c else 0.4),
         lambda z, a, c: (0.3 + 0.4 * a) if z == 1 else 0.7 - 0.4 * a,
         lambda y, z, c: (0.2 + 0.3 * z + 0.1 * c) if y == 1 else 0.8 - 0.3 * z - 0.1 * c,
     )
+    message = "p(a|c) has entries below 1e-12"
+    with pytest.raises(PositivityViolation, match=re.escape(message)):
+        bound(dist, PAIR, "TD")
+    with pytest.raises(PositivityViolation, match=re.escape(message)):
+        td_minus_bd_gap(dist, PAIR)
+    with pytest.raises(PositivityViolation, match=re.escape(message)):
+        td_vs_bd_verdict(dist, PAIR)
+    with pytest.raises(PositivityViolation, match=re.escape(message)):
+        fd_vs_bd_verdict(dist, PAIR, (0.2, 0.3, 0.1))
+
+
+def test_cells_with_a_zero_mediator_mass_do_not_qualify():
+    # p(Z=1 | A=1, C=0) = 0 with every propensity positive: the (z=1, c=0)
+    # cell drops out of the comparison, the others stay
+    dist = factorized_joint(
+        BINARY,
+        BINARY,
+        BINARY,
+        BINARY,
+        lambda c: 0.5,
+        lambda a, c: 0.4 if a == 1 else 0.6,
+        lambda z, a, c: (0.0 if (a, c) == (1, 0) else 0.3 + 0.4 * a) * (z == 1)
+        + (1.0 if (a, c) == (1, 0) else 0.7 - 0.4 * a) * (z == 0),
+        lambda y, z, c: (0.2 + 0.3 * z + 0.1 * c) if y == 1 else 0.8 - 0.3 * z - 0.1 * c,
+    )
     verdict = td_vs_bd_verdict(dist, PAIR)
-    assert [c for _, c in verdict.cell_values] == [1.0, 1.0]
+    assert sorted(verdict.cell_values) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     assert all(math.isfinite(v) for v in verdict.cell_values.values())
     assert math.isfinite(td_minus_bd_gap(dist, PAIR))
+
+
+def test_fd_vs_bd_rejects_a_wrong_coefficient_count():
+    with pytest.raises(DomainError, match="got 2 values"):
+        fd_vs_bd_verdict(_linear_outcome_dist((0.4, 0.6)), PAIR, (0.2, 0.25))
 
 
 # -- FD-vs-BD sufficient conditions --------------------------------------------
