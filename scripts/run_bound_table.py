@@ -2,7 +2,7 @@
 """Efficiency bounds for the Gaussian-mediator family over the study grid.
 
 Prints one row per (beta, gamma1, gamma2) combination with all six bounds,
-closed forms for BD / FD / TD and Gauss-Hermite quadrature for the rest.
+closed forms for BD / FD / TD / FD_TD and Gauss-Hermite quadrature for the rest.
 """
 
 import argparse

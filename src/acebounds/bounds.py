@@ -4,11 +4,26 @@ Two evaluation routes are provided:
 
 * exact summation of each bound formula over a :class:`DiscreteJoint`
   (method ``exact-sum``), and
-* the Gaussian-mediator family used by the simulation studies, where the
-  BD / FD / TD bounds have closed forms (method ``closed-form``) and the
-  pairwise / triple bounds are obtained by Gauss-Hermite integration over the
-  mediator combined with exact sums over the binary (a, c) grid (method
-  ``quadrature``).
+* the Gaussian-mediator family used by the simulation studies, where each
+  bound is gamma1^2 sigma_z^2 times a treatment-weight sum plus a noise factor
+  times a mediator term:
+
+  ==========  ======  ==========  ========  ===========
+  model       weight  noise       mediator  method
+  ==========  ======  ==========  ========  ===========
+  BD          S       sigma_y^2   S         closed-form
+  TD          S       sigma_y^2   R         closed-form
+  FD          P       kappa       R         closed-form
+  BD_TD       S       sigma_y^2   M         quadrature
+  FD_TD       P       sigma_y^2   R         closed-form
+  BD_FD_TD    P       sigma_y^2   M         quadrature
+  ==========  ======  ==========  ========  ===========
+
+  with S = sum_c p(c) [1/p(A=1|c) + 1/p(A=0|c)], P = 1/p(A=1) + 1/p(A=0),
+  R = exp((beta/sigma_z)^2) - 1, kappa = sigma_y^2 + gamma2^2 E Var(C|A) and
+  M = sum_c p(c) integral (p(z|1) - p(z|0))^2 / sum_a p(a|c) p(z|a) dz, the
+  one term integrated (Gauss-Hermite, checked by node doubling).  M <= R,
+  M <= S and P <= S give the orderings of the six bounds.
 
 Whenever a formula subtracts theta**2 (or centers on theta), theta is the
 two-door functional of the same distribution, so there is a single source of
@@ -49,8 +64,8 @@ from .dist import (
 )
 from .errors import DomainError, QuadratureNonConvergence
 from .influence import MODEL_TAGS as MODELS
-from .quadrature import _gauss_hermite
-from .special import expit, norm_pdf
+from .quadrature import _MAX_GH_NODES, _gauss_hermite
+from .special import expit
 
 __all__ = [
     "BoundReport",
@@ -251,17 +266,18 @@ def simdgp_theta(params: SimDgpParams, pair: TreatmentPair) -> float:
 
 
 def _inv_prop_sum(params: SimDgpParams) -> float:
-    """sum_c p(c) [1/p(A=1|c) + 1/p(A=0|c)]."""
+    """S = sum_c p(c) [1/p(A=1|c) + 1/p(A=0|c)]."""
     pa1 = params.p_a1_given_c()
     return float(np.dot(params.p_c_vec(), 1.0 / pa1 + 1.0 / (1.0 - pa1)))
 
 
-def _simdgp_bd(params: SimDgpParams) -> float:
-    return (params.sigma_y**2 + params.gamma1**2 * params.sigma_z**2) * _inv_prop_sum(params)
+def _marginal_inv_sum(params: SimDgpParams) -> float:
+    """P = 1/p(A=1) + 1/p(A=0)."""
+    return 1.0 / params.p_a_marginal(1) + 1.0 / params.p_a_marginal(0)
 
 
 def _shift_ratio(params: SimDgpParams) -> float:
-    """exp((beta/sigma_z)^2) - 1 = integral of p(z|1)^2 / p(z|0) dz - 1; DomainError where it overflows."""
+    """R = exp((beta/sigma_z)^2) - 1 = integral of p(z|1)^2 / p(z|0) dz - 1; DomainError where it overflows."""
     try:
         return math.expm1((params.beta / params.sigma_z) ** 2)
     except OverflowError:
@@ -270,19 +286,43 @@ def _shift_ratio(params: SimDgpParams) -> float:
         ) from None
 
 
-def _simdgp_td(params: SimDgpParams) -> float:
-    return _simdgp_bd(params) + params.sigma_y**2 * (_shift_ratio(params) - _inv_prop_sum(params))
+def _mixture_term(params: SimDgpParams, n_nodes: int) -> float:
+    """M = sum_c p(c) integral (p(z|1) - p(z|0))^2 / sum_a p(a|c) p(z|a) dz, per level c as E_{z|1}[d] - E_{z|0}[d].
+
+    d = (p(z|1) - p(z|0)) / sum_a p(a|c) p(z|a) comes from the log density ratio l, divided through by the larger
+    density: d = sign(l) (1 - e^-|l|) / (p(a_small|c) e^-|l| + p(a_large|c)), bounded by 1/p(a|c).
+    """
+    b = params.beta / params.sigma_z
+    x, w = _gauss_hermite(n_nodes)
+    log_ratio = math.sqrt(2.0) * b * x + np.array([[-0.5], [0.5]]) * b * b  # [arm, node]: at the nodes of z|0, z|1
+    pa1 = params.p_a1_given_c()[:, None, None]  # [c, arm, node]
+    p_large = np.where(log_ratio > 0, pa1, 1.0 - pa1)
+    far = np.exp(-np.abs(log_ratio))  # the smaller density over the larger
+    d = np.copysign(-np.expm1(-np.abs(log_ratio)), log_ratio) / ((1.0 - p_large) * far + p_large)
+    return float(np.dot(params.p_c_vec(), [fsum(d[ic, 1] * w) - fsum(d[ic, 0] * w) for ic in range(2)]))
 
 
-def _simdgp_fd(params: SimDgpParams) -> float:
-    ratio = _shift_ratio(params)
+def _fd_noise(params: SimDgpParams) -> float:
+    """kappa = sigma_y^2 + gamma2^2 E Var(C|A): the outcome variance that the front door leaves given (a, z)."""
     pa1_c1 = float(expit(params.alpha))
-    pa = {1: params.p_a_marginal(1), 0: params.p_a_marginal(0)}
     g2, pc1 = params.gamma2, params.p_c
-    factor = params.sigma_y**2 + g2**2 * pc1
-    factor -= g2**2 * pc1**2 * (pa1_c1**2 / pa[1] + (1.0 - pa1_c1) ** 2 / pa[0])
-    ipw = params.gamma1**2 * params.sigma_z**2 * (1.0 / pa[1] + 1.0 / pa[0])
-    return ratio * factor + ipw
+    spread = pa1_c1**2 / params.p_a_marginal(1) + (1.0 - pa1_c1) ** 2 / params.p_a_marginal(0)
+    return params.sigma_y**2 + g2**2 * pc1 - g2**2 * pc1**2 * spread
+
+
+def _outcome_noise(params: SimDgpParams) -> float:
+    return params.sigma_y**2
+
+
+# model -> (weight term, noise factor, mediator term); the bound is gamma1^2 sigma_z^2 weight + noise mediator
+_SIMDGP_TERMS = {
+    "BD": (_inv_prop_sum, _outcome_noise, _inv_prop_sum),
+    "TD": (_inv_prop_sum, _outcome_noise, _shift_ratio),
+    "FD": (_marginal_inv_sum, _fd_noise, _shift_ratio),
+    "BD_TD": (_inv_prop_sum, _outcome_noise, _mixture_term),
+    "FD_TD": (_marginal_inv_sum, _outcome_noise, _shift_ratio),
+    "BD_FD_TD": (_marginal_inv_sum, _outcome_noise, _mixture_term),
+}
 
 
 def simdgp_td_bd_crossing(params: SimDgpParams) -> float:
@@ -290,92 +330,27 @@ def simdgp_td_bd_crossing(params: SimDgpParams) -> float:
     return params.sigma_z * math.sqrt(math.log1p(_inv_prop_sum(params)))
 
 
-def _combo_value(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes: int) -> float:
-    beta, sz, sy = params.beta, params.sigma_z, params.sigma_y
-    g1, g2 = params.gamma1, params.gamma2
-    pcv = params.p_c_vec()
-    pa1c = params.p_a1_given_c()
-    w_c = np.stack([1.0 - pa1c, pa1c], axis=1)  # w_c[c, a] = p(a|c)
-    pa = {1: params.p_a_marginal(1), 0: params.p_a_marginal(0)}
-    mu = {0: 0.0, 1: beta}
-    x, w = _gauss_hermite(n_nodes)
-
-    def nodes(level):
-        return mu[level] + math.sqrt(2.0) * sz * x
-
-    def gh(level, f):
-        return fsum(f(nodes(level)) * w)
-
-    def dens(z, level):
-        return norm_pdf(z, mu[level], sz)
-
-    def delta(z):
-        return dens(z, 1) - dens(z, 0)
-
-    def mix(ic):
-        # sum_a p(a|c) p(z|a) at covariate level ic
-        return lambda z: w_c[ic, 0] * dens(z, 0) + w_c[ic, 1] * dens(z, 1)
-
-    def sq_over(denom_fn):
-        # integral of (p1 - p0)^2 / denom dz as a difference of two expectations
-        return gh(1, lambda z: delta(z) / denom_fn(z)) - gh(0, lambda z: delta(z) / denom_fn(z))
-
-    def pooled_mean(z):
-        # sum over (a, c) of E(Y|a, z, c) p(a|c) p(c); a-free in this family
-        return g1 * z + g2 * params.p_c
-
-    def ipw_spread():
-        out = 0.0
-        for level in (int(pair.a_star), int(pair.a_ref)):
-            m1 = gh(level, pooled_mean)
-            m2 = gh(level, lambda z: pooled_mean(z) ** 2)
-            out += (m2 - m1 * m1) / pa[level]
-        return out
-
-    def drift_term():
-        # sum over (a, c) cells of p(a, c) (sum_z E(Y|a,z,c) shift)^2 - theta^2;
-        # the outcome mean is a-free, so the a-sum collapses onto p(c)
-        out = []
-        for ic in range(2):
-            shift = gh(int(pair.a_star), lambda z: g1 * z + g2 * ic) - gh(
-                int(pair.a_ref), lambda z: g1 * z + g2 * ic
-            )
-            out.append(pcv[ic] * shift**2)
-        return fsum(out) - simdgp_theta(params, pair) ** 2
-
-    if model == "BD_TD":
-        corr = 0.0
-        for ic in range(2):
-            harm_c = w_c[ic, 0] * sq_over(lambda z: dens(z, 0)) + w_c[ic, 1] * sq_over(
-                lambda z: dens(z, 1)
-            )
-            corr += pcv[ic] * sy**2 * (sq_over(mix(ic)) - harm_c)
-        return _simdgp_td(params) + corr
-    if model == "FD_TD":
-        resid = sy**2 * fsum(pa[level] * sq_over(lambda z: dens(z, level)) for level in (0, 1))
-        return resid + ipw_spread() + drift_term()
-    resid = 0.0  # BD_FD_TD
-    for ic in range(2):
-        resid += pcv[ic] * sy**2 * sq_over(mix(ic))
-    return resid + ipw_spread() + drift_term()
-
-
 def simdgp_bound(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes: int = 64) -> BoundReport:
-    """BoundReport for any of the six models on the Gaussian-mediator family.
+    """BoundReport for any of the six models on the Gaussian-mediator family (module docstring table).
 
-    BD, FD and TD are closed forms; the others use quadrature at `n_nodes` >= 64, stable to 1e-4 as the nodes double.
+    The mixture term M of BD_TD and BD_FD_TD uses quadrature at `n_nodes` >= 64, and the bound must stay
+    within 1e-4 as the nodes double; the other four bounds are closed forms.
     """
     _check_pair(pair)
-    closed = {"BD": _simdgp_bd, "FD": _simdgp_fd, "TD": _simdgp_td}
-    if model in closed:
-        return _finish(model, closed[model](params), "closed-form", pair)
-    if model not in MODELS:
+    if model not in _SIMDGP_TERMS:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
-    if n_nodes < 64:
-        raise DomainError("quadrature order must be at least 64")
-    with np.errstate(divide="ignore", invalid="ignore"):  # BoundReport refuses a non-finite value
-        coarse, fine = (_combo_value(params, pair, model, k) for k in (n_nodes, 2 * n_nodes))
-        moved = abs(fine - coarse)
-    if moved > 1e-4:
-        raise QuadratureNonConvergence(f"{model} combo moved by {moved:.3e} when doubling nodes from {n_nodes}")
-    return _finish(model, fine, "quadrature", pair)
+    weight, noise, mediator = _SIMDGP_TERMS[model]
+    if mediator is _mixture_term:
+        if n_nodes < 64:
+            raise DomainError("quadrature order must be at least 64")
+        if 2 * n_nodes > _MAX_GH_NODES:
+            raise DomainError(f"quadrature order {n_nodes} (gh_nodes) doubles past {_MAX_GH_NODES} Gauss-Hermite nodes")
+        coarse, term = (_mixture_term(params, k) for k in (n_nodes, 2 * n_nodes))
+        moved = noise(params) * abs(term - coarse)
+        if moved > 1e-4:
+            raise QuadratureNonConvergence(f"{model} moved by {moved:.3e} when doubling nodes from {n_nodes}")
+        method = "quadrature"
+    else:
+        term, method = mediator(params), "closed-form"
+    value = params.gamma1**2 * params.sigma_z**2 * weight(params) + noise(params) * term
+    return _finish(model, value, method, pair)

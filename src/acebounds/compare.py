@@ -170,6 +170,7 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
     condition of `td_vs_bd_verdict` holding with the opposite sign everywhere.
     Note the harmonic-mean inequalities can never hold strictly (Jensen), so
     the verdict is conclusive only in the degenerate everywhere-false sense.
+    A reciprocal gap counts as positive only above `tol`.
     """
     coef = tuple(float(v) for v in outcome_coef)
     if len(coef) != 3:
@@ -191,7 +192,7 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
     i_s, i_r = _pair_indices(dist, pair)
     pac, pa = t["p_a_given_c"], t["pa"]
     gaps = {name: 1.0 / pa[ia] - fsum(pc[live] / pac[live, ia]) for name, ia in (("a_star", i_s), ("a_ref", i_r))}
-    recip_holds = all(v > 0 for v in gaps.values())
+    recip_holds = all(v > tol for v in gaps.values())  # Jensen: the gaps are <= 0, and 0 up to round-off
     cells_positive = bool(np.all(vals > 0))
     conclusive = recip_holds and cells_positive
     return ComparisonVerdict(

@@ -31,8 +31,14 @@ def _node_shape(x):
     return x[..., None] if x.ndim else x
 
 
+# numpy's hermgauss builds an n x n matrix, and its weights turn non-finite from about 371 nodes
+_MAX_GH_NODES = 256
+
+
 def _gauss_hermite(n_nodes: int):
     """Nodes x and weights w with sum_i w_i f(mu + sqrt(2) sd x_i) ~ E f(Z), Z ~ N(mu, sd^2)."""
+    if n_nodes > _MAX_GH_NODES:
+        raise DomainError(f"a Gauss-Hermite rule of {n_nodes} nodes (gh_nodes) exceeds the {_MAX_GH_NODES}-node limit")
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     return x, w / math.sqrt(math.pi)
 

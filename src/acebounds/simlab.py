@@ -93,6 +93,8 @@ class McConfig:
     def __post_init__(self):
         if self.replicates < 2:
             raise DomainError("need at least two replicates")
+        if not self.sizes:
+            raise DomainError("sizes must name at least one sample size")
         if any(n < 10 for n in self.sizes):
             raise DomainError("sample sizes below 10 are not supported")
         setting_model_specs(self.setting)  # raises DomainError for an unknown setting

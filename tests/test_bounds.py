@@ -175,11 +175,15 @@ def test_simdgp_td_bd_crossing_near_one_point_three():
 
 
 def test_combo_quadrature_stable_under_node_doubling(pair):
-    params = SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=0.5)
-    for model in ("BD_TD", "FD_TD", "BD_FD_TD"):
-        v64 = simdgp_bound(params, pair, model, n_nodes=64).value
-        v128 = simdgp_bound(params, pair, model, n_nodes=128).value
-        assert abs(v64 - v128) < 1e-4
+    # beta = 5.5 separates the mediator laws by 5.5 sd: the mixture term stays bounded there
+    for params in (
+        SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=0.5),
+        SimDgpParams(alpha=1.0, beta=5.5, gamma1=1.0, gamma2=1.0),
+    ):
+        for model in ("BD_TD", "FD_TD", "BD_FD_TD"):
+            v64 = simdgp_bound(params, pair, model, n_nodes=64).value
+            v128 = simdgp_bound(params, pair, model, n_nodes=128).value
+            assert abs(v64 - v128) < 1e-4
 
 
 def test_combo_rejects_low_order(pair):
@@ -189,17 +193,19 @@ def test_combo_rejects_low_order(pair):
 
 
 def test_combo_flags_unstable_quadrature(pair):
-    # extreme mediator separation: the mixture integrands cancel catastrophically
-    # and the node-doubling check must refuse to return a value
+    # p(A=0|C=1) = expit(-10) with a 5.5 sd mediator separation: the mixture ratio steps
+    # from about -1/p(A=0|C=1) to 1 between nodes, and the node-doubling check must
+    # refuse to return a value
     from acebounds.errors import QuadratureNonConvergence
 
-    params = SimDgpParams(alpha=1.0, beta=5.5, gamma1=1.0, gamma2=1.0)
+    params = SimDgpParams(alpha=10.0, beta=5.5, gamma1=1.0, gamma2=1.0)
     with pytest.raises(QuadratureNonConvergence):
         simdgp_bound(params, pair, "BD_TD")
 
 
 def test_triple_bound_smallest_across_parameters(pair):
     rng = np.random.default_rng(7)
+    draws = []
     for _ in range(10):
         params = SimDgpParams(
             alpha=rng.uniform(-2, 2),
@@ -207,6 +213,22 @@ def test_triple_bound_smallest_across_parameters(pair):
             gamma1=rng.uniform(-2, 2),
             gamma2=rng.uniform(-2, 2),
         )
+        draws.append(params)
+    for _ in range(20):
+        # 3 < |beta/sigma_z| <= 5: the mediator laws barely overlap
+        sigma_z = rng.uniform(0.5, 2.0)
+        draws.append(
+            SimDgpParams(
+                alpha=rng.uniform(-2, 2),
+                beta=rng.choice([-1, 1]) * rng.uniform(3.0, 5.0) * sigma_z,
+                gamma1=rng.uniform(-2, 2),
+                gamma2=rng.uniform(-2, 2),
+                sigma_z=sigma_z,
+                sigma_y=rng.uniform(0.5, 2.0),
+                p_c=rng.uniform(0.1, 0.9),
+            )
+        )
+    for params in draws:
         vals = {m: simdgp_bound(params, pair, m).value for m in MODELS}
         assert vals["BD_FD_TD"] <= min(vals.values()) + 1e-6
         assert vals["BD_TD"] <= min(vals["BD"], vals["TD"]) + 1e-6

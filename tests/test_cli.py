@@ -393,7 +393,6 @@ def test_estimate_rejects_a_predictor_its_slot_cannot_read(tmp_path, capsys):
     [
         "alpha=1,beta=30,gamma1=1,gamma2=1",  # exp((beta/sigma_z)^2) overflows
         "alpha=800,beta=1,gamma1=1,gamma2=1",  # expit(800) is exactly 1, so p(A=0|C=1) = 0
-        "alpha=1,beta=26,gamma1=1,gamma2=1",  # the quadrature of BD_TD divides by a zero density
     ],
 )
 def test_bounds_dgp_out_of_range_is_a_typed_error(dgp, capsys):
@@ -401,6 +400,17 @@ def test_bounds_dgp_out_of_range_is_a_typed_error(dgp, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_bounds_dgp_far_apart_mediator_laws(tmp_path):
+    # beta = 26: the mediator densities underflow at each other's nodes, yet every bound is finite
+    out = tmp_path / "bounds.csv"
+    assert run_cli("bounds", "--dgp", "alpha=1,beta=26,gamma1=1,gamma2=1", "--out", str(out)) == 0
+    v = {row[0]: float(row[1]) for row in _read_csv(out)[1:]}
+    assert sorted(v) == sorted(["BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD"])
+    assert all(np.isfinite(list(v.values())))
+    assert v["BD_TD"] <= min(v["BD"], v["TD"])
+    assert v["BD_FD_TD"] <= min(v.values())
 
 
 def test_compare_refuses_a_live_stratum_without_a_treatment_level(tmp_path, capsys):
@@ -442,6 +452,8 @@ SIM = [f"--set={kv}" for kv in (DGP + ",sizes=20,replicates=2").split(",")]
         (["compare", "--scan", "--set", "beta="], "beta"),
         (["estimate", "--data", "obs.csv", "--set", "preset=sim-setting-x"], "preset"),
         (["estimate", "--data", "obs.csv", "--set", "nuisance.p_c=fixed-value fix=half"], "nuisance.p_c fix"),
+        (["simulate", *SIM, "--set", "gh_nodes=400"], "gh_nodes"),  # numpy's Gauss-Hermite weights overflow
+        (["bounds", "--dgp", DGP, "--set", "gh_nodes=200"], "gh_nodes"),  # doubled to 400 nodes
     ],
 )
 def test_bad_config_value_names_its_key(argv, key, tmp_path, monkeypatch, capsys):

@@ -20,7 +20,7 @@ from acebounds.compare import (
     td_minus_bd_gap,
     td_vs_bd_verdict,
 )
-from acebounds.dist import DiscreteJoint, factorized_joint
+from acebounds.dist import DiscreteJoint, chain_joint, factorized_joint
 from acebounds.errors import AssumptionViolation, DomainError, PositivityViolation
 from acebounds.special import expit
 
@@ -252,10 +252,31 @@ def test_fd_vs_bd_single_covariate_level_fails():
 
 
 def test_fd_vs_bd_binary_covariate_never_holds():
-    for pa in ((0.3, 0.7), (0.5, 0.5), (0.8, 0.35)):
+    # (0.19, 0.19): p(a|c) is c-free, so the gaps are exactly 0 and round to a few 1e-16
+    for pa in ((0.3, 0.7), (0.5, 0.5), (0.8, 0.35), (0.19, 0.19)):
         verdict = fd_vs_bd_verdict(_linear_outcome_dist(pa), PAIR, (0.2, 0.25, 0.25))
         assert not verdict.extras["reciprocal_holds"]
         assert verdict.ordering == "inconclusive"
+
+
+def test_fd_vs_bd_unconfounded_chain_is_inconclusive():
+    # p(a|c) is c-free and every cell condition holds: only the reciprocal gaps,
+    # 0 up to round-off, stand between this joint and a conclusive ">"
+    pc1, pa1, pz1 = 0.17063752752244826, 0.4128016878024163, (0.010969306793131333, 0.9628533536816506)
+    dist = chain_joint(
+        BINARY,
+        BINARY,
+        BINARY,
+        BINARY,
+        lambda c: pc1 if c == 1 else 1 - pc1,
+        lambda a, c: pa1 if a == 1 else 1 - pa1,
+        lambda z, a: pz1[int(a)] if z == 1 else 1 - pz1[int(a)],
+        lambda y, z, c: 0.5,
+    )
+    verdict = fd_vs_bd_verdict(dist, PAIR, (0.5, 0.0, 0.0))
+    assert verdict.extras["cells_positive"]
+    assert not verdict.extras["reciprocal_holds"]
+    assert verdict.ordering == "inconclusive"
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

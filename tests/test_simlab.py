@@ -110,6 +110,8 @@ def test_mc_config_validation():
         McConfig(params=PARAMS, replicates=1)
     with pytest.raises(DomainError):
         McConfig(params=PARAMS, sizes=(5,))
+    with pytest.raises(DomainError, match="sizes"):
+        McConfig(params=PARAMS, sizes=())
     with pytest.raises(DomainError):
         McConfig(params=PARAMS, setting=9)
     with pytest.raises(DomainError):
