@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fitting import Dataset, FoldedNuisances
-from .influence import MODEL_TAGS, evaluate_m, level_index
+from .influence import MODEL_TAGS, _Plan, evaluate_m
 
 __all__ = ["ESTIMATOR_TAGS", "EstimationResult", "estimate", "estimate_all", "naive_difference"]
 
@@ -26,11 +26,13 @@ ESTIMATOR_TAGS = ("NAIVE",) + MODEL_TAGS
 class EstimationResult:
     """One estimate: finite theta_hat, finite non-negative se_hat, and a clip count.
 
-    `clipped` counts the probability values that were clipped into
-    [CLIP_EPS, 1 - CLIP_EPS] while this estimate was evaluated.  The
-    estimators evaluate p(a|c) once per distinct (a, c) level of the rows (of
-    each fold, when cross-fitted) and p(c), p(a) at single support values, so
-    a clip counts once per level and evaluation, never once per row.
+    `clipped` counts the probability values clipped into [CLIP_EPS, 1 -
+    CLIP_EPS] over the distinct slot evaluations this estimate read (per fold,
+    when cross-fitted), whichever tag of an ``estimate_all`` call made them.
+    p(a|c) is evaluated once per distinct (a, c) level or live covariate value
+    and arm, p(c) and p(a) at support values, so a clip counts once per level
+    and evaluation, never once per row, and the same whether the tag is
+    estimated alone or with others.
     """
 
     tag: str
@@ -70,27 +72,10 @@ def naive_difference(data: Dataset):
     return diff, se
 
 
-def _clip_total(eta) -> int:
-    if isinstance(eta, FoldedNuisances):
-        return sum(_clip_total(fold_eta) for _, fold_eta in eta.folds)
-    return int(eta.manifest.get("clip_events", {}).get("total", 0))
-
-
 def _pieces(data: Dataset, eta):
-    """(rows, nuisances, columns c, a, z, y, level index) per cross-fitting fold, or once for all rows."""
+    """(rows, row plan) per cross-fitting fold, or once for all rows."""
     folds = eta.folds if isinstance(eta, FoldedNuisances) else [(slice(None), eta)]
-    pieces = []
-    for idx, fold_eta in folds:
-        c, a, z, y = data.c[idx], data.a[idx], data.z[idx], data.y[idx]
-        pieces.append((idx, fold_eta, (c, a, z, y), level_index(a, c, fold_eta.a_support, fold_eta.c_support)))
-    return pieces
-
-
-def _m_values(data: Dataset, pieces, tag: str) -> np.ndarray:
-    out = np.empty(data.n)
-    for idx, eta, cols, levels in pieces:
-        out[idx] = evaluate_m(tag, *cols, eta, data.pair, levels=levels)
-    return out
+    return [(idx, _Plan(fold_eta, (data.c[idx], data.a[idx], data.z[idx], data.y[idx]))) for idx, fold_eta in folds]
 
 
 def estimate(data: Dataset, eta, tag: str, td_reduced: bool = False) -> EstimationResult:
@@ -103,7 +88,7 @@ def estimate(data: Dataset, eta, tag: str, td_reduced: bool = False) -> Estimati
 
 
 def estimate_all(data: Dataset, eta, tags=ESTIMATOR_TAGS, td_reduced: bool = False):
-    """One estimate per tag, sharing the fitted nuisances and one level index per dataset or fold."""
+    """One estimate per tag, sharing the fitted nuisances and one row plan per dataset or fold."""
     pieces = None
     results = []
     for tag in tags:
@@ -115,9 +100,10 @@ def estimate_all(data: Dataset, eta, tags=ESTIMATOR_TAGS, td_reduced: bool = Fal
             raise DomainError(f"unknown estimator tag {tag!r}; expected one of {ESTIMATOR_TAGS}")
         pieces = _pieces(data, eta) if pieces is None else pieces
         eval_tag = "TD_REDUCED" if (tag == "TD" and td_reduced) else tag
-        before = _clip_total(eta)
-        m = _m_values(data, pieces, eval_tag)
-        clipped = _clip_total(eta) - before
+        m = np.empty(data.n)
+        for idx, plan in pieces:
+            m[idx] = evaluate_m(eval_tag, *plan.cols, plan.eta, data.pair, levels=plan)
+        clipped = sum(plan.clipped() for _, plan in pieces)
         summary = {
             "estimator": eval_tag,
             "slots": eta.manifest.get("slots", {}),

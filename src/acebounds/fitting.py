@@ -9,9 +9,15 @@ value.  Every applied directive is recorded in the returned manifest.
 Fitted probability components are clipped to [1e-6, 1 - 1e-6] before use and
 every clipped value they return is counted; conditional densities are left
 unclipped (the influence evaluators pass every denominator through the one
-positivity guard, ``dist._require_positive``).  The evaluators call the
-probability slots once per distinct (a, c) level or support value, never once
-per row, so a count is a number of clipped levels per call, not of rows.
+positivity guard, ``dist._require_positive``).  The evaluators call each
+probability slot once per distinct argument set of a dataset or fold, at its
+(a, c) levels or support values, never per row or per tag, so the counter
+holds clipped levels per distinct evaluation, not rows.
+
+Each distinct (family, response, effective predictors) is fitted once per
+dataset or fold (``_fit_model``), and every slot asking for it gets its own
+component on the shared parameters, with its own call signature, clip-counter
+name and manifest entry.
 
 Logistic, linear-mean and Gaussian-density fits whose predictors are all a or
 c are collapsed: they run on the distinct (a, c) cells of the data, each with
@@ -26,7 +32,9 @@ Logistic, linear-mean and Gaussian-density components share one base class,
 the linear predictor.  ``arg_names`` are the arguments the component
 conditions on, in call order: the slot's call arguments (``influence.SLOTS``,
 importable from here too) minus its response, which a probability or a law
-takes first.  The Gaussian density is ``special.norm_pdf``.
+takes first.  The Gaussian density is ``special.norm_pdf``.  Its
+``_plan_key`` (class, predictors, parameters) lets the row plan of
+``influence`` evaluate two slots on one model once.
 
 Empirical and fixed-value slots are ``influence._Table`` lookups, and every
 component broadcasts its result to its call arguments through the same
@@ -272,6 +280,11 @@ class _Linear:
             out = out + self.coef[j] * np.asarray(named[p], dtype=float)
         return out
 
+    def _plan_key(self):
+        """Class, predictors and parameters: equal keys give equal values at equal inputs, whatever the call signature."""
+        params = tuple(v for k, v in vars(self).items() if k not in ("arg_names", "predictors", "coef"))
+        return type(self), self.predictors, self.coef.tobytes(), params
+
 
 class GaussianConditional(_Linear):
     """Gaussian law for a response given predictors: mean linear in them, constant sd."""
@@ -325,8 +338,8 @@ class _Logistic(_Linear):
         return _spread(out, (value,) + cond)
 
 
-def _empirical_table(data: Dataset, args: tuple, given: tuple, response: Optional[str] = None) -> _Table:
-    """Frequencies of `response` within the observed groups of `given`; without a response, means of y.
+def _empirical_table(data: Dataset, given: tuple, response: Optional[str] = None):
+    """(values, supports, axes, observed, what) of the frequencies of `response` within the observed groups of `given`; without a response, of the means of y.
 
     Each column is coded with np.unique and the cells are counted with
     np.bincount.  A response level unseen within an observed group has
@@ -345,7 +358,7 @@ def _empirical_table(data: Dataset, args: tuple, given: tuple, response: Optiona
         total, what = count, f"empirical E(y|{','.join(given) or '-'})"
         sums = np.bincount(cell, weights=data.y, minlength=size).reshape(shape)
     values = np.divide(sums, total, out=np.zeros(shape), where=total > 0)
-    return _Table(values, supports, tuple(args.index(v) for v in axes), total > 0, what)
+    return values, supports, axes, total > 0, what
 
 
 class _Clipped:
@@ -376,8 +389,21 @@ def _binary_levels(values: np.ndarray, what: str):
     return float(levels[1]), float(levels[0])  # (hi, lo)
 
 
-def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict, supports: dict, cells):
-    """One slot's component and manifest entry; `supports` and `cells` are shared by every slot of a fit."""
+def _fit_model(data: Dataset, family: str, response: str, preds: tuple, supports: dict, cells):
+    """The fitted parameters of one model, shared by every slot that asks for the same (family, response, predictors)."""
+    if family == "empirical":
+        return _empirical_table(data, preds, None if response == "y" else response)
+    if family == "linear-mean":
+        return (_least_squares(*_fit_design(data, preds, data.y, cells)[:3]),)
+    if family == "logistic":
+        hi, lo = _binary_levels(supports[response], response)
+        return _irls(*_fit_design(data, preds, (data.column(response) == hi).astype(float), cells)[:3]), hi, lo
+    law = _gaussian_law(data, response, preds, preds, cells)
+    return law.coef, law.sd
+
+
+def _fit_slot(spec: ModelSpec, fitted, counter: dict, supports: dict):
+    """One slot's component and manifest entry, built on the parameters `fitted` returns for its model."""
     args, response, kind = SLOTS[spec.component]
     given = tuple(v for v in args if v != response)  # what the components condition on
     preds = spec.effective_predictors()
@@ -393,25 +419,18 @@ def _fit_slot(data: Dataset, spec: ModelSpec, counter: dict, supports: dict, cel
         applied["fixed_value"] = spec.fix_value
         return fn, applied
     if spec.family == "empirical":
-        # only the fitted predictors condition the table; other call args are ignored
-        fn = _empirical_table(data, args, tuple(v for v in given if v in preds), None if kind == "mean" else response)
+        # only the fitted predictors condition the table, in call order; other call args are ignored
+        values, supports_of, axes, observed, what = fitted(spec.family, response, tuple(v for v in given if v in preds))
+        fn = _Table(values, supports_of, tuple(args.index(v) for v in axes), observed, what)
         return (_Clipped(fn, counter, spec.component) if kind == "prob" else fn), applied
+    params = fitted(spec.family, response, preds)
+    applied["coef"] = [float(v) for v in params[0]]
     if spec.family == "linear-mean":
-        coef = _least_squares(*_fit_design(data, preds, data.y, cells)[:3])
-        applied["coef"] = [float(v) for v in coef]
-        return _LinearMean(given, preds, coef), applied
+        return _LinearMean(given, preds, *params), applied
     if spec.family == "logistic":
-        hi, lo = _binary_levels(supports[response], response)
-        coef = _irls(*_fit_design(data, preds, (data.column(response) == hi).astype(float), cells)[:3])
-        applied["coef"] = [float(v) for v in coef]
-        fn = _Clipped(_Logistic(given, preds, coef, hi, lo), counter, spec.component)
-        return fn, applied
-    if spec.family == "gaussian-density":
-        fn = _gaussian_law(data, response, preds, given, cells)
-        applied["coef"] = [float(v) for v in fn.coef]
-        applied["sd"] = fn.sd
-        return fn, applied
-    raise DomainError(f"unhandled family {spec.family!r}")
+        return _Clipped(_Logistic(given, preds, *params), counter, spec.component), applied
+    applied["sd"] = params[1]
+    return GaussianConditional(given, preds, *params), applied
 
 
 def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule=None, gh_nodes: int = 64) -> NuisanceSet:
@@ -426,10 +445,14 @@ def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule=None, gh_nodes
         index = level_index(data.a, data.c, supports["a"], supports["c"])
         return index, np.bincount(index.inv, minlength=index.a.size)
 
+    @functools.cache
+    def fitted(family, response, preds):
+        return _fit_model(data, family, response, preds, supports, cells)
+
     for spec in specs:
         if spec.component in slots:
             raise DomainError(f"duplicate ModelSpec for slot {spec.component!r}")
-        fn, applied = _fit_slot(data, spec, counter, supports, cells)
+        fn, applied = _fit_slot(spec, fitted, counter, supports)
         slots[spec.component] = fn
         families[spec.component] = spec.family
         manifest["slots"][spec.component] = applied

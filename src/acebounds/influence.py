@@ -48,30 +48,34 @@ like numpy ufuncs over their arguments.
 Everything that depends on a row only through its (a, c) is worked out once
 per level.  A :class:`LevelIndex` lists the distinct (a, c) levels of the
 rows and maps each row to its level; :func:`level_index` codes each column on
-the ``a_support``/``c_support`` the NuisanceSet carries, and falls back to the
-column's own distinct values when a row lies outside (a cross-fitting fold
-with a continuous covariate).  ``estimators.estimate_all`` builds one index
-per dataset or fold and passes it to every tag; :func:`evaluate_m` builds its
-own when given none.  The slots of (a, c) alone (p_a_given_c, mean_y_ac, p_a)
-are evaluated once per level and gathered back to the rows, and the sums over
-the mediator are integrated once per level (levels x nodes grid).  A sum that
-reads no c is integrated once per treatment level instead: every sum of FD,
-and the centring of the pooled outcome of FD_TD and BD_FD_TD, whose marginal
-weights already sum it over every live covariate level.  With a continuous
-covariate these integrate |A| levels.  The other sums read c, and there every
-row may be its own level, which costs what per-row integration would.  The
-pooled outcome of FD_TD and BD_FD_TD at the rows still covers live covariate
-levels x rows; above ``quadrature._MAX_GRID_ELEMENTS`` it raises DomainError
-right after one p_c call finds the live levels, before any per-level work
-(about n = 2048 with a continuous covariate).
+the NuisanceSet's supports, or on the column's own values when a row lies
+outside (a cross-fitting fold with a continuous covariate).  Slots of (a, c)
+alone are evaluated per level and gathered to the rows, and mediator sums are
+integrated per level (levels x nodes), or per treatment level when they read
+no c: every sum of FD, and the centring of the pooled outcome of FD_TD and
+BD_FD_TD, whose marginal weights already sum over the live covariate levels.
+That pooled outcome at the rows covers live covariate levels x rows; above
+``quadrature._MAX_GRID_ELEMENTS`` it raises DomainError right after one p_c
+call, before any per-level work (about n = 2048 with a continuous covariate).
 
-Discrete nuisances are one table class, ``_Table``: dense values over sorted
-supports, each axis read from the call argument its ``reads`` entry names and
-found by ``_lookup``, the binary search plus exact-match check that also codes
-the columns of a level index.  :func:`truth_nuisances`
-builds it over every argument, with undefined (NaN) cells passed through;
-``fitting`` builds its empirical and fixed-value slots with it, passing an
-``observed`` mask so that cells never seen raise :class:`DomainError`.
+The row plan (``_Plan``) holds the rows of one dataset or fold with their
+nuisances and level index, and evaluates each (model, argument set) at them
+once.  ``estimators.estimate_all`` shares one plan per dataset or fold across
+tags (as ``levels``) and drops it on return; :func:`evaluate_m` otherwise
+builds one per call.  Values are keyed by argument name, each a plan column
+("rows", "levels", "live") or a scalar arm or covariate value, never by array
+identity; integrands at mediator nodes call slots afresh.  A component with a
+``_plan_key`` (``fitting._Linear``, also behind an attribute-forwarding
+wrapper) is keyed by its class, predictors and parameters and reads only its
+predictors, plus the response of a law or probability, so mean_y_azc(a*, z,
+c) on (z, c) is one evaluation with mean_y_zc(z, c); any other callable is
+keyed by itself and reads every argument.  Each evaluation keeps its count
+of clipped probability values; an estimate's count sums those it read.
+
+Discrete nuisances are one table class, ``_Table`` (looked up by ``_lookup``,
+the binary search that also codes a level index): :func:`truth_nuisances`
+builds it over every argument, passing NaN cells through; ``fitting`` builds
+its empirical and fixed-value slots with it, with an ``observed`` mask.
 """
 
 from __future__ import annotations
@@ -86,16 +90,7 @@ from .dist import DiscreteJoint, TreatmentPair, _require_positive, ace_twodoor, 
 from .errors import DomainError, MissingNuisance
 from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, expect_z
 
-__all__ = [
-    "NuisanceSet",
-    "MODEL_TAGS",
-    "evaluate_m",
-    "LevelIndex",
-    "level_index",
-    "truth_nuisances",
-    "brute_force_mean",
-    "brute_force_variance",
-]
+__all__ = ["NuisanceSet", "MODEL_TAGS", "evaluate_m", "LevelIndex", "level_index", "truth_nuisances", "brute_force_mean", "brute_force_variance"]
 
 MODEL_TAGS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
 
@@ -212,37 +207,70 @@ def level_index(a, c, a_support=None, c_support=None) -> LevelIndex:
     return LevelIndex(ua[level // uc.size], uc[level % uc.size], inv)
 
 
-def _index_of(eta: NuisanceSet, a, c, levels: Optional[LevelIndex]) -> LevelIndex:
-    """The rows' level index: `levels` when given (and built on these rows), else built on eta's supports."""
-    if levels is None:
-        return level_index(a, c, eta.a_support, eta.c_support)
-    if levels.inv.shape != a.shape:
-        raise DomainError(f"a level index over {levels.inv.size} rows was given for {a.size} rows")
-    if not (np.array_equal(levels.a[levels.inv], a) and np.array_equal(levels.c[levels.inv], c)):
-        raise DomainError("the given level index does not restore the rows' (a, c) values")
-    return levels
-
-
 def _gather(vals, inv):
     """Per-level values copied back to rows; a level-free scalar stays a scalar and broadcasts."""
     vals = np.asarray(vals, dtype=float)
     return vals[inv] if vals.ndim else vals
 
 
+class _Plan:
+    """The row plan of one dataset or fold (see the module docstring); a given LevelIndex is checked here, once."""
+
+    def __init__(self, eta: NuisanceSet, cols, levels: Optional[LevelIndex] = None):
+        self.eta, self.cols = eta, tuple(cols)
+        c, a, z, y = self.rows = _rows(*cols)
+        if levels is None:
+            levels = level_index(a, c, eta.a_support, eta.c_support)
+        elif not (np.array_equal(levels.a[levels.inv], a) and np.array_equal(levels.c[levels.inv], c)):
+            raise DomainError(f"the given level index over {levels.inv.size} rows does not restore these {a.size} rows' (a, c)")
+        self.levels = levels
+        self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): levels.a, ("c", "levels"): levels.c}
+        self._memo, self._read = {}, set()  # key -> (value, values clipped); keys read since `clipped`
+
+    def value(self, slot: str, **args):
+        """`slot` at `args`: scalars and plan column names once per (model, shaping columns, values read); arrays afresh."""
+        fn, (names, response, kind) = getattr(self.eta.require(slot), slot), SLOTS[slot]
+        vals = [self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names]
+        if any(isinstance(args[v], np.ndarray) for v in names):  # mediator nodes or level columns of an integrand
+            return fn(*vals)
+        model = getattr(fn, "_plan_key", None)
+        ident, reads = (fn, names) if model is None else (model(), (response,) * (kind != "mean") + fn.predictors)
+        key = (ident, frozenset(args[v] for v in names if isinstance(args[v], str)), *((v, args[v]) for v in reads))
+        if key not in self._memo:
+            clips = self.eta.manifest.get("clip_events", {})
+            before = clips.get("total", 0)
+            self._memo[key] = fn(*vals), clips.get("total", 0) - before
+        self._read.add(key)
+        return self._memo[key][0]
+
+    def at_rows(self, slot: str, arm):
+        """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level."""
+        return _gather(self.value(slot, a=arm, c="levels"), self.levels.inv)
+
+    def live_c(self):
+        """(p(c), c) arrays over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
+        if self.eta.c_support is None:
+            raise MissingNuisance("c_support is required to assemble the marginal treatment probability")
+        cv = self._columns["c", "support"] = np.asarray(self.eta.c_support, dtype=float)
+        pc = np.asarray(self.value("p_c", c="support"), dtype=float)
+        self._columns["c", "live"] = cv[pc > 0]
+        return pc[pc > 0], cv[pc > 0]
+
+    def clipped(self) -> int:
+        """Clipped probability values over the evaluations read since the last call."""
+        read, self._read = self._read, set()
+        return sum(self._memo[key][1] for key in read)
+
+
 # -- the estimating functions (vectorized) ----------------------------------
 
 
-def _eval_bd(c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None):
-    eta.require("p_a_given_c", "mean_y_ac")
-    c, a, z, y = _rows(c, a, z, y)
-    levels = _index_of(eta, a, c, levels)
-    ps = _require_positive(_at_rows(eta, "p_a_given_c", pair.a_star, levels), "p(a*|c)")
-    pr = _require_positive(_at_rows(eta, "p_a_given_c", pair.a_ref, levels), "p(a|c)")
-    ms = _at_rows(eta, "mean_y_ac", pair.a_star, levels)
-    mr = _at_rows(eta, "mean_y_ac", pair.a_ref, levels)
-    ind_s = (a == pair.a_star).astype(float)
-    ind_r = (a == pair.a_ref).astype(float)
-    return ind_s / ps * (y - ms) - ind_r / pr * (y - mr) + ms - mr
+def _eval_bd(plan: _Plan, pair: TreatmentPair):
+    c, a, z, y = plan.rows
+    ps = _require_positive(plan.at_rows("p_a_given_c", pair.a_star), "p(a*|c)")
+    pr = _require_positive(plan.at_rows("p_a_given_c", pair.a_ref), "p(a|c)")
+    ms, mr = plan.at_rows("mean_y_ac", pair.a_star), plan.at_rows("mean_y_ac", pair.a_ref)
+    return (a == pair.a_star) / ps * (y - ms) - (a == pair.a_ref) / pr * (y - mr) + ms - mr
 
 
 # law, outcome, mass, weights: one row per mediator model (see the module docstring)
@@ -258,44 +286,20 @@ _MEDIATOR_MODELS = {
 _WEIGHT_LABEL = {"p_a": "p({})", "p_a_given_c": "p({}|c)", "marginal": "sum_c p(c) p({}|c)"}
 
 
-def _call(eta: NuisanceSet, slot: str, **values):
-    """Evaluate a slot at the variables its SLOTS entry names, e.g. mean_y_azc(a, z, c)."""
-    return getattr(eta, slot)(*(values[v] for v in SLOTS[slot][0]))
-
-
-def _at_rows(eta: NuisanceSet, slot: str, arm, levels: LevelIndex):
-    """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level."""
-    return _gather(_call(eta, slot, a=arm, c=levels.c), levels.inv)
-
-
-def _live_c(eta: NuisanceSet):
-    """(p(c), c) arrays over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
-    if eta.c_support is None:
-        raise MissingNuisance("c_support is required to assemble the marginal treatment probability")
-    cv = np.asarray(eta.c_support, dtype=float)
-    pc = np.asarray(eta.p_c(cv), dtype=float)
-    return pc[pc > 0], cv[pc > 0]
-
-
-def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None):
+def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     """m per row for one mediator model: t1 residual, t2 centred pooled outcome, t3 plug-in contrast."""
     law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
-    weight_slots = ("p_c", "p_a_given_c") if weights == "marginal" else (weights,)
-    mix_slots = ("p_a_given_c",) if mass == "mix" else ()
-    eta.require(*weight_slots, *mix_slots, law, outcome, "z_integrator")
-    c, a, z, y = _rows(c, a, z, y)
-    levels = _index_of(eta, a, c, levels)
-    rule, pz = eta.z_integrator, getattr(eta, law)
+    eta, levels, (c, a, z, y) = plan.eta, plan.levels, plan.rows
+    rule, pz = eta.require("z_integrator", law).z_integrator, getattr(eta, law)
     law_given_c, outcome_given_c = "c" in SLOTS[law][0], "c" in SLOTS[outcome][0]
     law_text = "p(z|a,c)" if law_given_c else "p(z|a)"
     slot = "p_a" if weights == "p_a" else "p_a_given_c"
     marginal = weights == "marginal"
     if marginal:
-        pc_live, c_live = _live_c(eta)
+        pc_live, c_live = plan.live_c()
         if c_live.size * y.size > _MAX_GRID_ELEMENTS:
-            raise DomainError(
-                f"the pooled outcome over {c_live.size} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements"
-            )
+            raise DomainError(f"the pooled outcome over {c_live.size} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements")
+        p_live = {ab: _spread(plan.value("p_a_given_c", a=ab, c="live"), (c_live,)) for ab in eta.a_support}
 
     def sum_levels(reads_c):
         """(treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
@@ -312,43 +316,38 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
         return (arm, levels.c) if law_given_c else (arm,)
 
     def weight(arm, label):
-        w = fsum(pc_live * eta.p_a_given_c(arm, c_live)) if marginal else _at_rows(eta, weights, arm, levels)
+        w = fsum(pc_live * plan.value("p_a_given_c", a=arm, c="live")) if marginal else plan.at_rows(weights, arm)
         return _require_positive(w, _WEIGHT_LABEL[weights].format(label))
 
-    def pooled_given_c(zz, cv, p_at):
-        """sum_a outcome(a, z, c) p_at(a), where p_at(a) is the weight of a at cv."""
-        if "a" not in SLOTS[outcome][0]:
-            return _call(eta, outcome, z=zz, c=cv)
-        return sum(_call(eta, outcome, a=ab, z=zz, c=cv) * p_at(ab) for ab in eta.a_support)
-
     def pooled(zz, cv, p_at):
-        """The outcome averaged over the treatment weights of the arm denominators."""
+        """The outcome averaged over the treatment weights of the arm denominators, at mediator values zz."""
+        def given_c(cv, p_at):
+            """sum_a outcome(a, z, c) p_at(a), where p_at(a) is the weight of a at cv."""
+            if "a" not in SLOTS[outcome][0]:
+                return plan.value(outcome, z=zz, c=cv)
+            return sum(plan.value(outcome, a=ab, z=zz, c=cv) * p_at(ab) for ab in eta.a_support)
+
         if marginal:
-            return sum(w * pooled_given_c(zz, v, lambda ab, v=v: eta.p_a_given_c(ab, v)) for w, v in zip(pc_live, c_live))
-        return pooled_given_c(zz, cv, p_at)
+            return sum(w * given_c(v, lambda ab, j=j: p_live[ab][j]) for j, (w, v) in enumerate(zip(pc_live, c_live)))
+        return given_c(cv, p_at)
 
-    def pooled_at_levels(zz):
-        return pooled(zz, kc, lambda ab: _call(eta, slot, a=ab, c=kc))
-
-    def p_at_rows(ab):
-        return _at_rows(eta, slot, ab, levels)
+    def p_at_levels(ab):  # a column over the sum levels, or one entry when they are treatment levels only
+        return _col(plan.value(slot, a=ab, c="levels"))
 
     def own_arm(zz):
-        return _call(eta, outcome, a=_col(ta), z=zz, c=tc)
+        return plan.value(outcome, a=_col(ta), z=zz, c=tc)
 
+    law_at = partial(plan.value, law, z="rows", c="rows")
     w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
-    # the law at the rows' (z, c) for each treatment arm read below, evaluated once per arm
-    arms = {pair.a_star, pair.a_ref, *(eta.a_support if mass == "mix" else ())}
-    law_at = {ab: _call(eta, law, z=z, a=ab, c=c) for ab in arms}
     if mass == "own":
-        denom = _require_positive(_call(eta, law, z=z, a=a, c=c), law_text + " at the observed rows")
+        denom = _require_positive(law_at(a="rows"), law_text + " at the observed rows")
     else:
-        mix = sum(law_at[ab] * _at_rows(eta, "p_a_given_c", ab, levels) for ab in eta.a_support)
+        mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support)
         denom = _require_positive(mix, f"sum_a {law_text} p(a|c)")
-    shift = law_at[pair.a_star] - law_at[pair.a_ref]
-    pooled_bar = _gather(expect_z(rule, pz, pooled_at_levels, *cond(ka)), kinv)
-    t1 = (y - _call(eta, outcome, a=a, z=z, c=c)) * shift / denom
-    t2 = (pooled(z, c, p_at_rows) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)
+    shift = law_at(a=pair.a_star) - law_at(a=pair.a_ref)
+    pooled_bar = _gather(expect_z(rule, pz, lambda zz: pooled(zz, kc, p_at_levels), *cond(ka)), kinv)
+    t1 = (y - plan.value(outcome, a="rows", z="rows", c="rows")) * shift / denom
+    t2 = (pooled("rows", "rows", lambda ab: plan.at_rows(slot, ab)) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)
     t3 = _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), tinv)
     return t1 + t2 + t3
 
@@ -356,20 +355,22 @@ def _eval_mediator(tag, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, le
 _EVALUATORS = {"BD": _eval_bd, **{tag: partial(_eval_mediator, tag) for tag in _MEDIATOR_MODELS}}
 
 
-def evaluate_m(
-    tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None
-) -> np.ndarray:
+def evaluate_m(tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None) -> np.ndarray:
     """Vectorized m values for the requested model tag.
 
-    `levels` is the rows' :class:`LevelIndex`; callers evaluating several tags
-    on the same rows build it once with :func:`level_index` and pass it here.
-    Without it, each call builds its own.
+    `levels` is the rows' :class:`LevelIndex`, built once with
+    :func:`level_index` to evaluate several tags on the same rows, or the row
+    plan of ``estimators.estimate_all``; without it, each call builds its own.
     """
     try:
         fn = _EVALUATORS[tag]
     except KeyError:
         raise DomainError(f"unknown model tag {tag!r}; expected one of {sorted(_EVALUATORS)}") from None
-    return np.asarray(fn(c, a, z, y, eta, pair, levels=levels), dtype=float)
+    if not isinstance(levels, _Plan):
+        levels = _Plan(eta, (c, a, z, y), levels)
+    elif levels.eta is not eta or any(x is not v for x, v in zip(levels.cols, (c, a, z, y))):
+        raise DomainError("the given row plan was built for other rows or nuisances")
+    return np.asarray(fn(levels, pair), dtype=float)
 
 
 # -- ground-truth nuisances from an exact joint -----------------------------
@@ -433,8 +434,7 @@ def _cell_values(dist: DiscreteJoint, tag: str, pair: TreatmentPair, eta: Option
     eta = truth_nuisances(dist) if eta is None else eta
     cells = dist.cells()
     c, a, z, y, p = cells[cells[:, 4] > 0.0].T
-    m = evaluate_m(tag, c, a, z, y, eta, pair)
-    return m, p
+    return evaluate_m(tag, c, a, z, y, eta, pair), p
 
 
 def brute_force_mean(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Optional[NuisanceSet] = None) -> float:

@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import acebounds.fitting as fitting
 from acebounds.bounds import SimDgpParams, simdgp_theta
 from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
 from acebounds.errors import DomainError, MissingNuisance
 from acebounds.estimators import ESTIMATOR_TAGS, EstimationResult, estimate, estimate_all
-from acebounds.fitting import SLOTS, CrossFitPlan, Dataset, ModelSpec, fit
+from acebounds.fitting import SLOTS, CrossFitPlan, Dataset, FoldedNuisances, ModelSpec, fit
 from acebounds.influence import evaluate_m, truth_nuisances
 from acebounds.simlab import sample_dgp, setting_model_specs, simdgp_truth_nuisances
 from acebounds.special import expit
@@ -72,20 +76,151 @@ def _continuous_c_data(n=300):
     return Dataset(c, a, z, y, PAIR)
 
 
-@pytest.mark.parametrize("case", ["plain", "cross-fitted", "continuous-c"])
-def test_estimate_all_equals_per_tag_estimates_bitwise(case):
-    # one level index per dataset or fold must give what each tag's own index gives
+def _clipping_case():
+    # a = 1 whenever c = 1, so the empirical p(a=0|c=1) is 0 and p(a=1|c=1) is 1: both clip
+    d = sample_dgp(SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5), 900, 8)
+    data = Dataset(d.c, np.where(d.c == 1.0, 1.0, d.a), d.z, d.y, PAIR)
+    empirical = ModelSpec("p_a_given_c", "empirical", predictors=("c",))
+    return data, fit(data, [empirical if s.component == "p_a_given_c" else s for s in setting_model_specs(0)])
+
+
+def _bitwise_case(case):
+    """(data, nuisances) of one case of the batch-versus-per-tag comparison."""
     params = SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5)
+    if case == "clipping":
+        return _clipping_case()
+    if case == "exact-joint-table":  # every slot a _Table
+        dist = _rational_chain_dist()
+        return _enumerated_dataset(dist), truth_nuisances(dist)
     data = _continuous_c_data() if case == "continuous-c" else sample_dgp(params, 900, 8)
+    if case == "study-family-truth":  # plain callables and unfitted linear components
+        return data, simdgp_truth_nuisances(params)
     plan = CrossFitPlan(folds=3, seed=4) if case == "cross-fitted" else CrossFitPlan()
-    eta = fit(data, setting_model_specs(0), plan=plan)
+    # in setting 2, mean_y_ac and mean_y_az share one fit on a, read at the (a, c) levels and at the rows
+    return data, fit(data, setting_model_specs(2 if case == "setting-2" else 0), plan=plan)
+
+
+def _bits(results):
+    return [np.array([r.theta_hat, r.se_hat, r.clipped]).tobytes() for r in results]
+
+
+@pytest.mark.parametrize(
+    "case", ["plain", "cross-fitted", "continuous-c", "clipping", "setting-2", "study-family-truth", "exact-joint-table"]
+)
+def test_estimate_all_equals_per_tag_estimates_bitwise(case):
+    # one row plan per dataset or fold, shared by every tag, must give what each tag's own plan gives,
+    # clip counts included: a value clipped once counts for every tag that reads it
+    data, eta = _bitwise_case(case)
     for td_reduced in (False, True):
         batch = estimate_all(data, eta, td_reduced=td_reduced)
         single = [estimate(data, eta, tag, td_reduced=td_reduced) for tag in ESTIMATOR_TAGS]
-        for x, y in zip(batch, single):
-            got = np.array([x.theta_hat, x.se_hat, x.clipped])
-            want = np.array([y.theta_hat, y.se_hat, y.clipped])
-            assert got.tobytes() == want.tobytes(), (case, x.tag)
+        assert _bits(batch) == _bits(single), (case, td_reduced)
+    if case == "clipping":
+        # p(a|c) at a = 0 and 1 clips once at the c = 1 level (BD, TD, BD_TD) and once at the live
+        # covariate value c = 1 (FD_TD); BD_FD_TD reads both evaluations, FD and NAIVE neither
+        assert [r.clipped for r in batch] == [0, 2, 0, 2, 2, 2, 4]
+
+
+def test_estimate_all_on_two_datasets_back_to_back_matches_each_per_tag_estimate():
+    # slot values must not outlive their estimate_all call: the second dataset has the same n and,
+    # in the last pair, the very same nuisance objects as the first.  The reference is each tag's own
+    # estimate, and its mean and standard error of evaluate_m on all rows, outside estimate_all
+    params = SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5)
+    first, second = sample_dgp(params, 900, 8), sample_dgp(params, 900, 9)
+    eta = fit(first, setting_model_specs(0))
+    pairs = [(first, eta), (second, fit(second, setting_model_specs(0))), (second, eta)]
+    batches = [estimate_all(data, nuisances, td_reduced=True) for data, nuisances in pairs]
+    for (data, nuisances), batch in zip(pairs, batches):
+        assert _bits(batch) == _bits([estimate(data, nuisances, tag, td_reduced=True) for tag in ESTIMATOR_TAGS])
+        for res in batch[1:]:
+            m = evaluate_m("TD_REDUCED" if res.tag == "TD" else res.tag, data.c, data.a, data.z, data.y, nuisances, PAIR)
+            assert (res.theta_hat, res.se_hat) == (float(m.mean()), float(m.std(ddof=1) / np.sqrt(data.n))), res.tag
+
+
+class _CountingComponent:
+    """A slot callable that logs the size of every result and forwards every other attribute."""
+
+    def __init__(self, fn, log):
+        self._fn, self._log = fn, log
+
+    def __call__(self, *args):
+        out = self._fn(*args)
+        self._log.append(np.size(out))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._fn, name)
+
+
+def test_each_distinct_model_is_fitted_once_and_each_row_value_evaluated_once(monkeypatch):
+    # setting 0 asks twice for gaussian-density z on a and twice for linear-mean y on (z, c): 7 fits
+    # for 9 slots.  Over the 7 tags the rows see the mediator law at (z, a*), (z, a) and (z, A); the
+    # outcome means at (A, z), (0, z) and (1, z) on (a, z), and at (z, C), (z, 0) and (z, 1) on (z, c)
+    data = sample_dgp(SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5), 2000, 5)
+    eta = fit(data, setting_model_specs(0))
+    log = []
+    counted = replace(eta, **{slot: _CountingComponent(getattr(eta, slot), log) for slot in SLOTS})
+    estimate_all(data, counted, td_reduced=True)
+    assert sum(size == data.n for size in log) == 9
+    fitted = []
+    fit_model = fitting._fit_model
+    monkeypatch.setattr(fitting, "_fit_model", lambda *args: fitted.append(args[1:4]) or fit_model(*args))
+    eta = fit(data, setting_model_specs(0))
+    assert len(fitted) == len(set(fitted)) == 7
+    assert eta.p_z_given_a.coef is eta.p_z_given_ac.coef and eta.mean_y_zc.coef is eta.mean_y_azc.coef
+    slots = eta.manifest["slots"]
+    assert slots["p_z_given_a"] == slots["p_z_given_ac"] and slots["mean_y_zc"] == slots["mean_y_azc"]
+    assert eta.p_z_given_a.arg_names == ("a",) and eta.p_z_given_ac.arg_names == ("a", "c")
+
+
+# Estimator symmetries, over random study-family draws, plain and 3-fold cross-fitted.  Both reorder a
+# floating-point sum only: swapping the arms turns each row's m, e.g. BD's a - b + c - d, into
+# b - a + d - c, and permuting the rows reorders the sums of the mean and standard deviation.  So
+# each holds within SYMMETRY_TOL times |theta_hat| + sqrt(n) se_hat, the scale of the m values; the
+# largest ratio seen over 150 draws was 2.6e-16.
+SYMMETRY_TOL = 1e-13
+
+_draws = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=60, max_value=400),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([0, 3]),
+)
+
+
+def _draw(seed, n, beta, folds):
+    data = sample_dgp(SimDgpParams(alpha=1.0, beta=beta, gamma1=1.5, gamma2=1.5), n, seed)
+    return data, fit(data, setting_model_specs(0), plan=CrossFitPlan(folds=folds, seed=seed))
+
+
+def _assert_same_up_to_order(got, want, n, sign=1.0):
+    for x, y in zip(got, want):
+        scale = abs(y.theta_hat) + math.sqrt(n) * y.se_hat
+        assert abs(x.theta_hat - sign * y.theta_hat) <= SYMMETRY_TOL * scale, x.tag
+        assert abs(x.se_hat - y.se_hat) <= SYMMETRY_TOL * scale, x.tag
+
+
+@given(_draws)
+def test_swapping_the_arms_negates_every_estimate(draw):
+    data, eta = _draw(*draw)
+    swapped = Dataset(data.c, data.a, data.z, data.y, TreatmentPair(data.pair.a_ref, data.pair.a_star))
+    for td_reduced in (False, True):
+        got, want = estimate_all(swapped, eta, td_reduced=td_reduced), estimate_all(data, eta, td_reduced=td_reduced)
+        _assert_same_up_to_order(got, want, data.n, sign=-1.0)
+
+
+@given(_draws)
+def test_permuting_the_rows_keeps_every_estimate(draw):
+    data, eta = _draw(*draw)
+    perm = np.random.default_rng(draw[0]).permutation(data.n)
+    shuffled = Dataset(data.c[perm], data.a[perm], data.z[perm], data.y[perm], data.pair)
+    moved = eta
+    if isinstance(eta, FoldedNuisances):  # each fold's rows keep their nuisances at their new positions
+        position = np.argsort(perm)
+        moved = FoldedNuisances([(np.sort(position[idx]), fold_eta) for idx, fold_eta in eta.folds], eta.manifest)
+    for td_reduced in (False, True):
+        got, want = estimate_all(shuffled, moved, td_reduced=td_reduced), estimate_all(data, eta, td_reduced=td_reduced)
+        _assert_same_up_to_order(got, want, data.n)
 
 
 @pytest.mark.parametrize("case", ["cross-fitted", "continuous-c", "cross-fitted-continuous-c"])
