@@ -19,13 +19,18 @@ dataset or fold (``_fit_model``), and every slot asking for it gets its own
 component on the shared parameters, with its own call signature, clip-counter
 name and manifest entry.
 
-Logistic, linear-mean and Gaussian-density fits whose predictors are all a or
-c are collapsed: they run on the distinct (a, c) cells of the data, each with
-its row count and its response sum (the successes, for the logistic), coded
-on the same supports the fitted NuisanceSet carries.  One IRLS loop
-(`_irls`) and one least-squares solve (`_least_squares`) serve both designs;
-the row-wise design passes counts of 1.  A Gaussian law's residual variance
-still sums over all n rows.
+The data's (a, c) cells are coded once per dataset or fold, as an
+``influence.LevelIndex`` on the supports the fitted NuisanceSet carries,
+with each cell's row count.  Logistic, linear-mean and Gaussian-density fits
+whose predictors are all a or c are collapsed onto these cells, each with
+its row count and its response sum (the successes, for the logistic).  One
+IRLS loop (`_irls`) and one least-squares solve (`_least_squares`) serve
+both designs; the row-wise design passes counts of 1.  A Gaussian law's
+residual variance still sums over all n rows.  Empirical tables over a and c
+alone (p_c, p_a, and empirical p_a_given_c or mean_y_ac) count the same
+cells instead of sorting n rows; a mean still sums y in row order.  The
+returned NuisanceSet keeps the index (``_levels``), and the row plan of
+``influence`` reuses it for the same rows.
 
 Logistic, linear-mean and Gaussian-density components share one base class,
 ``_Linear``: it holds ``arg_names``, ``predictors`` and ``coef`` and computes
@@ -338,25 +343,32 @@ class _Logistic(_Linear):
         return _spread(out, (value,) + cond)
 
 
-def _empirical_table(data: Dataset, given: tuple, response: Optional[str] = None):
+def _empirical_table(data: Dataset, given: tuple, response: Optional[str] = None, cells=None):
     """(values, supports, axes, observed, what) of the frequencies of `response` within the observed groups of `given`; without a response, of the means of y.
 
     Each column is coded with np.unique and the cells are counted with
-    np.bincount.  A response level unseen within an observed group has
-    frequency 0; a group never observed has no value.
+    np.bincount.  When `cells` is given and every axis is a or c, the codes
+    are those of the data's (a, c) levels and the counts are their row
+    counts, so no column of n rows is sorted.  A response level unseen within
+    an observed group has frequency 0; a group never observed has no value.
     """
     axes = ((response,) if response else ()) + given
-    supports, codes = zip(*(np.unique(data.column(v), return_inverse=True) for v in axes)) if axes else ((), ())
+    if cells is not None and set(axes) <= {"a", "c"}:
+        index, weights = cells()
+        columns, rows = [getattr(index, v) for v in axes], index.inv
+    else:
+        columns, weights, rows = [data.column(v) for v in axes], None, None
+    supports, codes = zip(*(np.unique(col, return_inverse=True) for col in columns)) if axes else ((), ())
     shape = tuple(s.size for s in supports)
     if (size := math.prod(shape)) > _MAX_TABLE_CELLS:
         raise DomainError(f"an empirical table over {axes} would hold {size} cells (limit {_MAX_TABLE_CELLS})")
-    cell = np.ravel_multi_index(codes, shape) if axes else np.zeros(data.n, dtype=np.intp)
-    count = np.bincount(cell, minlength=size).reshape(shape)
+    cell = np.ravel_multi_index(codes, shape) if axes else np.zeros(data.n if rows is None else weights.size, dtype=np.intp)
+    count = np.bincount(cell, weights, minlength=size).reshape(shape)
     if response:
         total, sums, what = count.sum(axis=0), count, f"empirical p({response}|{','.join(given) or '-'})"
     else:
         total, what = count, f"empirical E(y|{','.join(given) or '-'})"
-        sums = np.bincount(cell, weights=data.y, minlength=size).reshape(shape)
+        sums = np.bincount(cell if rows is None else cell[rows], weights=data.y, minlength=size).reshape(shape)
     values = np.divide(sums, total, out=np.zeros(shape), where=total > 0)
     return values, supports, axes, total > 0, what
 
@@ -392,7 +404,7 @@ def _binary_levels(values: np.ndarray, what: str):
 def _fit_model(data: Dataset, family: str, response: str, preds: tuple, supports: dict, cells):
     """The fitted parameters of one model, shared by every slot that asks for the same (family, response, predictors)."""
     if family == "empirical":
-        return _empirical_table(data, preds, None if response == "y" else response)
+        return _empirical_table(data, preds, None if response == "y" else response, cells)
     if family == "linear-mean":
         return (_least_squares(*_fit_design(data, preds, data.y, cells)[:3]),)
     if family == "logistic":
@@ -462,13 +474,16 @@ def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule=None, gh_nodes
             z_rule = GaussHermiteZRule(gh_nodes)
         else:
             z_rule = FiniteZRule(np.unique(data.z))
-    return NuisanceSet(
+    eta = NuisanceSet(
         a_support=tuple(supports["a"].tolist()),
         c_support=tuple(supports["c"].tolist()),
         z_integrator=z_rule,
         manifest=manifest,
         **slots,
     )
+    if cells.cache_info().currsize:  # a fit coded the rows' (a, c): a row plan over the same rows reuses it
+        eta._levels = cells()[0]
+    return eta
 
 
 def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFitPlan(), z_rule=None, gh_nodes: int = 64):

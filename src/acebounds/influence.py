@@ -60,7 +60,10 @@ call, before any per-level work (about n = 2048 with a continuous covariate).
 
 The row plan (``_Plan``) holds the rows of one dataset or fold with their
 nuisances and level index, and evaluates each (model, argument set) at them
-once.  ``estimators.estimate_all`` shares one plan per dataset or fold across
+once.  Its level index is the one given, checked to restore the rows' (a,
+c); else the one ``fitting.fit`` coded for the rows it fitted on
+(``NuisanceSet._levels``), used when it passes the same check; else a fresh
+one.  ``estimators.estimate_all`` shares one plan per dataset or fold across
 tags (as ``levels``) and drops it on return; :func:`evaluate_m` otherwise
 builds one per call.  Values are keyed by argument name, each a plan column
 ("rows", "levels", "live") or a scalar arm or covariate value, never by array
@@ -71,6 +74,21 @@ predictors, plus the response of a law or probability, so mean_y_azc(a*, z,
 c) on (z, c) is one evaluation with mean_y_zc(z, c); any other callable is
 keyed by itself and reads every argument.  Each evaluation keeps its count
 of clipped probability values; an estimate's count sums those it read.
+
+A plan shared across tags (``estimate_all``'s) also keeps the terms the
+mediator models share (``_Plan.keep``): the gathered (a, c) slots, the
+treatment-weight contrast, the mediator mass (own or mixed), the mediator
+shift, and both integral terms (the centring of the pooled outcome and the
+plug-in contrast); a plan built for one :func:`evaluate_m` call computes
+them directly, as their keys would cost more than they save there (about
+4% of an ``exact-bounds`` operation).  Each is keyed by its
+formula and the keys of the slot evaluations it reads, the mediator nodes,
+the sum levels and the treatment support named like plan columns ("nodes",
+"levels", "by_a", "support"), so the key holds the models, their call
+signatures, the conditioning levels and the arms.  Model identity alone is not enough: FD_TD and BD_FD_TD pool one
+outcome model, but FD_TD's call signature takes a and averages it over the
+treatment weights, which can move the last bit.  A kept term also counts
+as a read of every evaluation it read, so the clip counts are unchanged.
 
 Discrete nuisances are one table class, ``_Table`` (looked up by ``_lookup``,
 the binary search that also codes a level index): :func:`truth_nuisances`
@@ -130,6 +148,8 @@ class NuisanceSet:
     mean_y_azc: Optional[Callable] = None
     z_integrator: Any = None
     manifest: dict = field(default_factory=dict)
+    # the LevelIndex of the rows ``fitting.fit`` fitted on, which a row plan over those rows reuses
+    _levels: Optional[LevelIndex] = field(default=None, init=False, repr=False, compare=False)
 
     def require(self, *names):
         for name in names:
@@ -213,29 +233,59 @@ def _gather(vals, inv):
     return vals[inv] if vals.ndim else vals
 
 
+def _restores(levels: LevelIndex, a, c) -> bool:
+    """Whether `levels` maps each of these rows to its own (a, c)."""
+    return levels.inv.shape == a.shape and np.array_equal(levels.a[levels.inv], a) and np.array_equal(levels.c[levels.inv], c)
+
+
 class _Plan:
     """The row plan of one dataset or fold (see the module docstring); a given LevelIndex is checked here, once."""
 
-    def __init__(self, eta: NuisanceSet, cols, levels: Optional[LevelIndex] = None):
-        self.eta, self.cols = eta, tuple(cols)
+    def __init__(self, eta: NuisanceSet, cols, levels: Optional[LevelIndex] = None, shared: bool = False):
+        self.eta, self.cols, self.shared = eta, tuple(cols), shared
         c, a, z, y = self.rows = _rows(*cols)
-        if levels is None:
-            levels = level_index(a, c, eta.a_support, eta.c_support)
-        elif not (np.array_equal(levels.a[levels.inv], a) and np.array_equal(levels.c[levels.inv], c)):
+        if levels is not None and not _restores(levels, a, c):
             raise DomainError(f"the given level index over {levels.inv.size} rows does not restore these {a.size} rows' (a, c)")
-        self.levels = levels
-        self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): levels.a, ("c", "levels"): levels.c}
-        self._memo, self._read = {}, set()  # key -> (value, values clipped); keys read since `clipped`
+        if levels is None and eta._levels is not None and _restores(eta._levels, a, c):
+            levels = eta._levels  # the coding of the rows the nuisances were fitted on
+        self.levels = level_index(a, c, eta.a_support, eta.c_support) if levels is None else levels
+        self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): self.levels.a, ("c", "levels"): self.levels.c}
+        # evaluation key -> (value, values clipped); kept term key -> (value, evaluations it read); keys read since `clipped`
+        self._memo, self._kept, self._read = {}, {}, set()
+        self._models = {}  # slot -> (identity, arguments read) of its component
+
+    def key(self, slot: str, **args):
+        """The memo key of `slot` at `args`, each a plan column name or a scalar: its model, the columns that shape it, the values it reads."""
+        if slot not in self._models:
+            fn, (names, response, kind) = getattr(self.eta.require(slot), slot), SLOTS[slot]
+            model = getattr(fn, "_plan_key", None)
+            self._models[slot] = (fn, names) if model is None else (model(), (response,) * (kind != "mean") + fn.predictors)
+        ident, reads = self._models[slot]
+        return ident, frozenset(args[v] for v in SLOTS[slot][0] if isinstance(args[v], str)), *((v, args[v]) for v in reads)
+
+    def keep(self, key, compute):
+        """compute(), once per key() in a plan shared across tags; each use also reads the slot evaluations it read."""
+        if not self.shared:
+            return compute()
+        key = key()
+        if key not in self._kept:
+            outer, self._read = self._read, set()
+            try:
+                self._kept[key] = compute(), self._read
+            finally:
+                outer |= self._read
+                self._read = outer
+        value, read = self._kept[key]
+        self._read.update(read)
+        return value
 
     def value(self, slot: str, **args):
-        """`slot` at `args`: scalars and plan column names once per (model, shaping columns, values read); arrays afresh."""
-        fn, (names, response, kind) = getattr(self.eta.require(slot), slot), SLOTS[slot]
+        """`slot` at `args`: scalars and plan column names once per key (see :meth:`key`); arrays afresh."""
+        fn, names = getattr(self.eta.require(slot), slot), SLOTS[slot][0]
         vals = [self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names]
         if any(isinstance(args[v], np.ndarray) for v in names):  # mediator nodes or level columns of an integrand
             return fn(*vals)
-        model = getattr(fn, "_plan_key", None)
-        ident, reads = (fn, names) if model is None else (model(), (response,) * (kind != "mean") + fn.predictors)
-        key = (ident, frozenset(args[v] for v in names if isinstance(args[v], str)), *((v, args[v]) for v in reads))
+        key = self.key(slot, **args)
         if key not in self._memo:
             clips = self.eta.manifest.get("clip_events", {})
             before = clips.get("total", 0)
@@ -244,8 +294,15 @@ class _Plan:
         return self._memo[key][0]
 
     def at_rows(self, slot: str, arm):
-        """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level."""
-        return _gather(self.value(slot, a=arm, c="levels"), self.levels.inv)
+        """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level and gathered to the rows once."""
+        return self.keep(lambda: ("rows", self.key(slot, a=arm, c="levels")), lambda: _gather(self.value(slot, a=arm, c="levels"), self.levels.inv))
+
+    def sum_levels(self, reads_c: bool):
+        """(name, treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
+        if reads_c:
+            return "levels", self.levels.a, _col(self.levels.c), self.levels.inv
+        la, inv = self.keep(lambda: ("by_a",), self.levels.by_a)
+        return "by_a", la, None, inv
 
     def live_c(self):
         """(p(c), c) arrays over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
@@ -287,11 +344,16 @@ _WEIGHT_LABEL = {"p_a": "p({})", "p_a_given_c": "p({}|c)", "marginal": "sum_c p(
 
 
 def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
-    """m per row for one mediator model: t1 residual, t2 centred pooled outcome, t3 plug-in contrast."""
+    """m per row for one mediator model: t1 residual, t2 centred pooled outcome, t3 plug-in contrast.
+
+    In a plan shared across tags, the weight contrast, the mediator mass and shift and both integral
+    terms are kept under the keys of the evaluations they read, so a model sharing them reuses them.
+    """
     law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
     eta, levels, (c, a, z, y) = plan.eta, plan.levels, plan.rows
     rule, pz = eta.require("z_integrator", law).z_integrator, getattr(eta, law)
     law_given_c, outcome_given_c = "c" in SLOTS[law][0], "c" in SLOTS[outcome][0]
+    outcome_given_a = "a" in SLOTS[outcome][0]
     law_text = "p(z|a,c)" if law_given_c else "p(z|a)"
     slot = "p_a" if weights == "p_a" else "p_a_given_c"
     marginal = weights == "marginal"
@@ -301,29 +363,29 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
             raise DomainError(f"the pooled outcome over {c_live.size} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements")
         p_live = {ab: _spread(plan.value("p_a_given_c", a=ab, c="live"), (c_live,)) for ab in eta.a_support}
 
-    def sum_levels(reads_c):
-        """(treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
-        if reads_c:
-            return levels.a, _col(levels.c), levels.inv
-        la, inv = levels.by_a()
-        return la, None, inv
-
     # the pooled outcome reads c through the law, the weights, or an outcome not already summed over c
-    ka, kc, kinv = sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and not marginal))
-    ta, tc, tinv = sum_levels(law_given_c or outcome_given_c)
+    k, ka, kc, kinv = plan.sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and not marginal))
+    t, ta, tc, tinv = plan.sum_levels(law_given_c or outcome_given_c)
 
     def cond(arm):
         return (arm, levels.c) if law_given_c else (arm,)
+
+    def at_nodes(arm):
+        """The law's key at its mediator nodes given `arm`, a scalar or the name of a treatment column."""
+        return plan.key(law, z="nodes", a=arm, c="levels")
 
     def weight(arm, label):
         w = fsum(pc_live * plan.value("p_a_given_c", a=arm, c="live")) if marginal else plan.at_rows(weights, arm)
         return _require_positive(w, _WEIGHT_LABEL[weights].format(label))
 
+    def weight_key(arm):
+        return ("live", plan.key("p_c", c="support"), plan.key("p_a_given_c", a=arm, c="live")) if marginal else plan.key(weights, a=arm, c="levels")
+
     def pooled(zz, cv, p_at):
         """The outcome averaged over the treatment weights of the arm denominators, at mediator values zz."""
         def given_c(cv, p_at):
             """sum_a outcome(a, z, c) p_at(a), where p_at(a) is the weight of a at cv."""
-            if "a" not in SLOTS[outcome][0]:
+            if not outcome_given_a:
                 return plan.value(outcome, z=zz, c=cv)
             return sum(plan.value(outcome, a=ab, z=zz, c=cv) * p_at(ab) for ab in eta.a_support)
 
@@ -331,24 +393,52 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
             return sum(w * given_c(v, lambda ab, j=j: p_live[ab][j]) for j, (w, v) in enumerate(zip(pc_live, c_live)))
         return given_c(cv, p_at)
 
+    def pooled_key(zz, cv):
+        """The keys of what `pooled` reads at the mediator values and covariate column named `zz` and `cv`.
+
+        "support" stands for each treatment arm and "live" for each live covariate value in turn.
+        """
+        if marginal:
+            c_at, p_at = "live", plan.key("p_a_given_c", a="support", c="live")
+        else:
+            c_at, p_at = cv, plan.key(slot, a="support", c="levels")
+        pc = plan.key("p_c", c="support") if marginal else None
+        return pc, plan.key(outcome, a="support", z=zz, c=c_at), p_at if outcome_given_a else None
+
     def p_at_levels(ab):  # a column over the sum levels, or one entry when they are treatment levels only
         return _col(plan.value(slot, a=ab, c="levels"))
 
     def own_arm(zz):
         return plan.value(outcome, a=_col(ta), z=zz, c=tc)
 
-    law_at = partial(plan.value, law, z="rows", c="rows")
-    w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
-    if mass == "own":
-        denom = _require_positive(law_at(a="rows"), law_text + " at the observed rows")
-    else:
+    def weight_contrast():
+        w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
+        return (a == pair.a_star) / w_s - (a == pair.a_ref) / w_r
+
+    def mixed_mass():
         mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support)
-        denom = _require_positive(mix, f"sum_a {law_text} p(a|c)")
-    shift = law_at(a=pair.a_star) - law_at(a=pair.a_ref)
-    pooled_bar = _gather(expect_z(rule, pz, lambda zz: pooled(zz, kc, p_at_levels), *cond(ka)), kinv)
+        return _require_positive(mix, f"sum_a {law_text} p(a|c)")
+
+    def law_key(arm):
+        return plan.key(law, z="rows", a=arm, c="rows")
+
+    law_at = partial(plan.value, law, z="rows", c="rows")
+    contrast = plan.keep(lambda: ("contrast", pair.a_star, pair.a_ref, weight_key(pair.a_star), weight_key(pair.a_ref)), weight_contrast)
+    if mass == "own":
+        denom = plan.keep(lambda: ("own", law_key("rows")), lambda: _require_positive(law_at(a="rows"), law_text + " at the observed rows"))
+    else:
+        denom = plan.keep(lambda: ("mix", *((law_key(ab), plan.key("p_a_given_c", a=ab, c="levels")) for ab in eta.a_support)), mixed_mass)
+    shift = plan.keep(lambda: ("shift", law_key(pair.a_star), law_key(pair.a_ref)), lambda: law_at(a=pair.a_star) - law_at(a=pair.a_ref))
+    pooled_bar = plan.keep(
+        lambda: ("pooled", at_nodes(k), pooled_key("nodes", k)),
+        lambda: _gather(expect_z(rule, pz, lambda zz: pooled(zz, kc, p_at_levels), *cond(ka)), kinv),
+    )
     t1 = (y - plan.value(outcome, a="rows", z="rows", c="rows")) * shift / denom
-    t2 = (pooled("rows", "rows", lambda ab: plan.at_rows(slot, ab)) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)
-    t3 = _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), tinv)
+    t2 = (pooled("rows", "rows", lambda ab: plan.at_rows(slot, ab)) - pooled_bar) * contrast
+    t3 = plan.keep(
+        lambda: ("own arm", at_nodes(pair.a_star), at_nodes(pair.a_ref), plan.key(outcome, a=t, z="nodes", c=t)),
+        lambda: _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), tinv),
+    )
     return t1 + t2 + t3
 
 
@@ -360,7 +450,8 @@ def evaluate_m(tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, l
 
     `levels` is the rows' :class:`LevelIndex`, built once with
     :func:`level_index` to evaluate several tags on the same rows, or the row
-    plan of ``estimators.estimate_all``; without it, each call builds its own.
+    plan of ``estimators.estimate_all``; without it, each call builds its own
+    plan, on the index ``fitting.fit`` coded when it restores these rows.
     """
     try:
         fn = _EVALUATORS[tag]

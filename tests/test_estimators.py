@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import acebounds.fitting as fitting
+import acebounds.influence as influence
 from acebounds.bounds import SimDgpParams, simdgp_theta
 from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
 from acebounds.errors import DomainError, MissingNuisance
@@ -152,25 +153,54 @@ class _CountingComponent:
         return getattr(self._fn, name)
 
 
+def _counting(module, name, monkeypatch):
+    """Replace module.name with a wrapper that logs each call; return the log."""
+    log, original = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: log.append(args) or original(*args, **kwargs))
+    return log
+
+
 def test_each_distinct_model_is_fitted_once_and_each_row_value_evaluated_once(monkeypatch):
     # setting 0 asks twice for gaussian-density z on a and twice for linear-mean y on (z, c): 7 fits
     # for 9 slots.  Over the 7 tags the rows see the mediator law at (z, a*), (z, a) and (z, A); the
     # outcome means at (A, z), (0, z) and (1, z) on (a, z), and at (z, C), (z, 0) and (z, 1) on (z, c)
     data = sample_dgp(SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5), 2000, 5)
+    coded = [_counting(module, "level_index", monkeypatch) for module in (fitting, influence)]
+    integrals = _counting(influence, "expect_z", monkeypatch)
     eta = fit(data, setting_model_specs(0))
+    batch = estimate_all(data, eta, td_reduced=True)
+    # fit codes the rows' (a, c) once, for its collapsed designs, p_c, p_a and the row plan
+    assert [len(log) for log in coded] == [1, 0]
+    # 15 integrals, 3 per mediator model, of which 10 differ in what they read: FD's 3; TD's (reduced)
+    # 3, its centring shared by BD_TD, its plug-in contrast by FD_TD and BD_FD_TD; BD_TD's contrast,
+    # which conditions on the covariate levels; the centrings of FD_TD and BD_FD_TD, which differ in
+    # whether the outcome is averaged over the treatment weights
+    assert len(integrals) == 10
+    assert [r.clipped for r in batch] == [0] * 7
+    assert _bits(batch) == _bits([estimate(data, eta, tag, td_reduced=True) for tag in ESTIMATOR_TAGS])
     log = []
     counted = replace(eta, **{slot: _CountingComponent(getattr(eta, slot), log) for slot in SLOTS})
     estimate_all(data, counted, td_reduced=True)
     assert sum(size == data.n for size in log) == 9
-    fitted = []
-    fit_model = fitting._fit_model
-    monkeypatch.setattr(fitting, "_fit_model", lambda *args: fitted.append(args[1:4]) or fit_model(*args))
+    fitted = _counting(fitting, "_fit_model", monkeypatch)
     eta = fit(data, setting_model_specs(0))
-    assert len(fitted) == len(set(fitted)) == 7
+    assert len(fitted) == len({args[1:4] for args in fitted}) == 7
     assert eta.p_z_given_a.coef is eta.p_z_given_ac.coef and eta.mean_y_zc.coef is eta.mean_y_azc.coef
     slots = eta.manifest["slots"]
     assert slots["p_z_given_a"] == slots["p_z_given_ac"] and slots["mean_y_zc"] == slots["mean_y_azc"]
     assert eta.p_z_given_a.arg_names == ("a",) and eta.p_z_given_ac.arg_names == ("a", "c")
+
+
+def test_the_fitted_level_index_is_reused_only_while_it_restores_the_rows(monkeypatch):
+    data = sample_dgp(SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5), 900, 8)
+    eta = fit(data, setting_model_specs(0))
+    coded = _counting(influence, "level_index", monkeypatch)
+    estimate_all(data, eta)
+    assert coded == []
+    data.c[:5] = 1.0 - data.c[:5]  # the columns change in place after the fit
+    got = estimate_all(data, eta)
+    assert len(coded) == 1
+    assert _bits(got) == _bits(estimate_all(data, replace(eta)))  # a replaced set carries no index
 
 
 # Estimator symmetries, over random study-family draws, plain and 3-fold cross-fitted.  Both reorder a
@@ -188,16 +218,21 @@ _draws = st.tuples(
 )
 
 
+def _fitted(data, seed, folds):
+    return fit(data, setting_model_specs(0), plan=CrossFitPlan(folds=folds, seed=seed))
+
+
 def _draw(seed, n, beta, folds):
     data = sample_dgp(SimDgpParams(alpha=1.0, beta=beta, gamma1=1.5, gamma2=1.5), n, seed)
-    return data, fit(data, setting_model_specs(0), plan=CrossFitPlan(folds=folds, seed=seed))
+    return data, _fitted(data, seed, folds)
 
 
-def _assert_same_up_to_order(got, want, n, sign=1.0):
+def _assert_same_up_to_order(got, want, n, factor=1.0):
+    """Each got estimate is `factor` times its want estimate, and its se |factor| times, within the m scale."""
     for x, y in zip(got, want):
-        scale = abs(y.theta_hat) + math.sqrt(n) * y.se_hat
-        assert abs(x.theta_hat - sign * y.theta_hat) <= SYMMETRY_TOL * scale, x.tag
-        assert abs(x.se_hat - y.se_hat) <= SYMMETRY_TOL * scale, x.tag
+        scale = abs(factor) * (abs(y.theta_hat) + math.sqrt(n) * y.se_hat)
+        assert abs(x.theta_hat - factor * y.theta_hat) <= SYMMETRY_TOL * scale, x.tag
+        assert abs(x.se_hat - abs(factor) * y.se_hat) <= SYMMETRY_TOL * scale, x.tag
 
 
 @given(_draws)
@@ -206,7 +241,26 @@ def test_swapping_the_arms_negates_every_estimate(draw):
     swapped = Dataset(data.c, data.a, data.z, data.y, TreatmentPair(data.pair.a_ref, data.pair.a_star))
     for td_reduced in (False, True):
         got, want = estimate_all(swapped, eta, td_reduced=td_reduced), estimate_all(data, eta, td_reduced=td_reduced)
-        _assert_same_up_to_order(got, want, data.n, sign=-1.0)
+        _assert_same_up_to_order(got, want, data.n, factor=-1.0)
+
+
+@given(
+    _draws,
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=0.2, max_value=5.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_an_affine_map_of_the_outcome_maps_every_estimate(draw, b0, b1, sign):
+    # y -> b0 + b1 y refits every outcome mean to b0 + b1 times it and leaves the probabilities and
+    # the mediator law alone, so each m value becomes b1 times its own; the largest ratio seen over
+    # 150 draws was 7.8e-16
+    data, eta = _draw(*draw)
+    b1 *= sign
+    mapped = Dataset(data.c, data.a, data.z, b0 + b1 * data.y, data.pair)
+    refit = _fitted(mapped, draw[0], draw[3])
+    for td_reduced in (False, True):
+        got, want = estimate_all(mapped, refit, td_reduced=td_reduced), estimate_all(data, eta, td_reduced=td_reduced)
+        _assert_same_up_to_order(got, want, data.n, factor=b1)
 
 
 @given(_draws)

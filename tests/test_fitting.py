@@ -351,6 +351,23 @@ def test_collapsed_fits_match_row_wise_fits(levels, preds):
         np.testing.assert_allclose(got["coef"], fitting._irls(X, (data.a == 1.0).astype(float), np.ones(data.n)), rtol=1e-12)
 
 
+@pytest.mark.parametrize("levels", [(0.0, 1.0), (0.0, 1.0, 2.5)], ids=["binary-a", "three-a"])
+@pytest.mark.parametrize("response, given", [("c", ()), ("a", ()), ("a", ("c",)), (None, ()), (None, ("a",)), (None, ("c",)), (None, ("a", "c"))])
+def test_tables_over_a_and_c_from_the_cells_equal_the_row_tables_bitwise(levels, response, given):
+    # p_c, p_a, empirical p_a_given_c and mean_y_ac count the coded (a, c) cells; a mean still sums y
+    # over the rows in row order, so every value, support and mask keeps its bits
+    data = _cells_design(levels, seed=len(levels))
+    index = fitting.level_index(data.a, data.c, np.unique(data.a), np.unique(data.c))
+
+    def cells():
+        return index, np.bincount(index.inv, minlength=index.a.size)
+
+    values, supports, axes, observed, what = fitting._empirical_table(data, given, response, cells)
+    want = fitting._empirical_table(data, given, response)
+    assert values.tobytes() == want[0].tobytes() and [s.tobytes() for s in supports] == [s.tobytes() for s in want[1]]
+    assert (axes, what) == (want[2], want[4]) and np.array_equal(observed, want[3])
+
+
 def test_collapsed_fits_raise_the_row_wise_errors():
     # the sign of c decides a: every (a, c) cell is pure and on its side, as every row is
     x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])

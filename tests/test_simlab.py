@@ -1,7 +1,10 @@
+import functools
+import hashlib
 import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -49,6 +52,23 @@ def test_sample_dgp_deterministic():
     one = sample_dgp(PARAMS, 100, 11)
     two = sample_dgp(PARAMS, 100, 11)
     assert np.array_equal(one.y, two.y)
+
+
+# sha256 of the bytes of (c, a, z, y) from sample_dgp(n=5000, seed=11, beta=gamma1=gamma2=1.5), taken
+# when p(A=1|c) was still evaluated at every row rather than at the two covariate levels
+SAMPLE_SHA256 = {
+    0.0: "a1c51878ec9cd31ed2b73cf36a26d17916bc3c4a9cfd6ff3b6a49bfad64f44bc",
+    1.0: "441f0ee89572711e4adf9309a8d69e118cf0fd252b4b8826bb1879bb1c33e852",
+    -2.3: "cb6c372b46d6ac9adb78994b12df30d78165ff3c75f7cc3b4e629950298a330f",
+    7.1: "ab91a2e57668f550ff29db3689d2754d4565b2f7eed2c4e4558f26cda6cbeb18",
+    25.0: "039acab6b7954812c27e8e1fa9807985283c250174f05d1df84cce546219264f",
+}
+
+
+@pytest.mark.parametrize("alpha", SAMPLE_SHA256)
+def test_sample_dgp_columns_are_pinned(alpha):
+    data = sample_dgp(SimDgpParams(alpha=alpha, beta=1.5, gamma1=1.5, gamma2=1.5), 5000, 11)
+    assert hashlib.sha256(np.concatenate([data.c, data.a, data.z, data.y]).tobytes()).hexdigest() == SAMPLE_SHA256[alpha]
 
 
 def test_setting_specs_misspecification_map():
@@ -186,6 +206,45 @@ def test_pool_size_is_bounded_by_replicates_and_cores():
     assert simlab._pool_size(10**6, 200) == min(200, cores)
     assert simlab._pool_size(10**6, 2) == min(2, cores)
     assert simlab._pool_size(1, 200) == 1
+
+
+def test_worker_set_up_pins_blas_and_fixes_both_malloc_thresholds(monkeypatch):
+    calls, threads = [], []
+    monkeypatch.setattr(simlab, "_mallopt", lambda: lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(simlab, "_blas_threads", lambda: (None, threads.append))
+    simlab._set_up_worker()
+    assert threads == [1]
+    # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB: either alone turns off
+    # glibc's dynamic thresholds and leaves more page faults than neither
+    assert sorted(calls) == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()], ids=["no-libc", "no-mallopt"])
+def test_worker_set_up_skips_a_c_library_without_mallopt(monkeypatch, cdll):
+    threads = []
+    monkeypatch.setattr(simlab.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(simlab, "_mallopt", functools.cache(simlab._mallopt.__wrapped__))  # a fresh lookup
+    monkeypatch.setattr(simlab, "_blas_threads", lambda: (None, threads.append))
+    simlab._set_up_worker()
+    assert simlab._mallopt() is None and threads == [1]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="looks for glibc's mallopt")
+def test_mallopt_is_found_in_the_c_library():
+    assert simlab._mallopt() is not None
+
+
+@TWO_WORKERS
+def test_run_mc_above_the_default_mmap_threshold_is_worker_count_invariant():
+    # at n = 20000 every row-length temporary (160 kB) lies above glibc's default 128 KiB mmap
+    # threshold, so the workers' heaps, set up differently from this process's, serve them
+    config = dict(params=PARAMS, sizes=(20000,), replicates=4, setting=0, seed=8)
+    serial, pooled = run_mc(McConfig(threads=1, **config)), run_mc(McConfig(threads=2, **config))
+    assert serial.rows == pooled.rows
 
 
 @TWO_WORKERS
