@@ -75,7 +75,7 @@ def naive_difference(data: Dataset):
 def _pieces(data: Dataset, eta):
     """(rows, row plan) per cross-fitting fold, or once for all rows."""
     folds = eta.folds if isinstance(eta, FoldedNuisances) else [(slice(None), eta)]
-    return [(idx, _Plan(fold_eta, (data.c[idx], data.a[idx], data.z[idx], data.y[idx]), shared=True)) for idx, fold_eta in folds]
+    return [(idx, _Plan(fold_eta, (data.c[idx], data.a[idx], data.z[idx], data.y[idx]))) for idx, fold_eta in folds]
 
 
 def estimate(data: Dataset, eta, tag: str, td_reduced: bool = False) -> EstimationResult:

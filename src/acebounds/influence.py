@@ -75,20 +75,22 @@ c) on (z, c) is one evaluation with mean_y_zc(z, c); any other callable is
 keyed by itself and reads every argument.  Each evaluation keeps its count
 of clipped probability values; an estimate's count sums those it read.
 
-A plan shared across tags (``estimate_all``'s) also keeps the terms the
-mediator models share (``_Plan.keep``): the gathered (a, c) slots, the
-treatment-weight contrast, the mediator mass (own or mixed), the mediator
-shift, and both integral terms (the centring of the pooled outcome and the
-plug-in contrast); a plan built for one :func:`evaluate_m` call computes
-them directly, as their keys would cost more than they save there (about
-4% of an ``exact-bounds`` operation).  Each is keyed by its
-formula and the keys of the slot evaluations it reads, the mediator nodes,
-the sum levels and the treatment support named like plan columns ("nodes",
+The plan also keeps (``_Plan.keep``) the gathering of each level value to
+the rows (keyed by that value's key), the per-treatment row map
+(``LevelIndex.by_a``), and the two integral terms of a mediator model: the
+centring of the pooled outcome and the plug-in contrast, the terms that
+call ``expect_z``.  An integral term is keyed by its formula
+and the keys of the slot evaluations it reads, with the mediator nodes, the
+sum levels and the treatment support named like plan columns ("nodes",
 "levels", "by_a", "support"), so the key holds the models, their call
-signatures, the conditioning levels and the arms.  Model identity alone is not enough: FD_TD and BD_FD_TD pool one
-outcome model, but FD_TD's call signature takes a and averages it over the
-treatment weights, which can move the last bit.  A kept term also counts
-as a read of every evaluation it read, so the clip counts are unchanged.
+signatures, the conditioning levels and the arms.  Model identity alone is
+not enough: FD_TD and BD_FD_TD pool one outcome model, but FD_TD's call
+signature takes a and averages it over the treatment weights, which can
+move the last bit.  A kept term also counts as a read of every evaluation
+it read, so the clip counts are unchanged.  The other row-length terms (the
+weight contrast, the mediator mass and shift) are computed afresh from the
+kept evaluations: keeping them saved about 0.8 ms of a 24 ms replicate at
+n=50000, and each would need a key restating what it reads.
 
 Discrete nuisances are one table class, ``_Table`` (looked up by ``_lookup``,
 the binary search that also codes a level index): :func:`truth_nuisances`
@@ -241,8 +243,8 @@ def _restores(levels: LevelIndex, a, c) -> bool:
 class _Plan:
     """The row plan of one dataset or fold (see the module docstring); a given LevelIndex is checked here, once."""
 
-    def __init__(self, eta: NuisanceSet, cols, levels: Optional[LevelIndex] = None, shared: bool = False):
-        self.eta, self.cols, self.shared = eta, tuple(cols), shared
+    def __init__(self, eta: NuisanceSet, cols, levels: Optional[LevelIndex] = None):
+        self.eta, self.cols = eta, tuple(cols)
         c, a, z, y = self.rows = _rows(*cols)
         if levels is not None and not _restores(levels, a, c):
             raise DomainError(f"the given level index over {levels.inv.size} rows does not restore these {a.size} rows' (a, c)")
@@ -264,10 +266,7 @@ class _Plan:
         return ident, frozenset(args[v] for v in SLOTS[slot][0] if isinstance(args[v], str)), *((v, args[v]) for v in reads)
 
     def keep(self, key, compute):
-        """compute(), once per key() in a plan shared across tags; each use also reads the slot evaluations it read."""
-        if not self.shared:
-            return compute()
-        key = key()
+        """compute(), once per key; each use also reads the slot evaluations it read."""
         if key not in self._kept:
             outer, self._read = self._read, set()
             try:
@@ -295,14 +294,7 @@ class _Plan:
 
     def at_rows(self, slot: str, arm):
         """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level and gathered to the rows once."""
-        return self.keep(lambda: ("rows", self.key(slot, a=arm, c="levels")), lambda: _gather(self.value(slot, a=arm, c="levels"), self.levels.inv))
-
-    def sum_levels(self, reads_c: bool):
-        """(name, treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
-        if reads_c:
-            return "levels", self.levels.a, _col(self.levels.c), self.levels.inv
-        la, inv = self.keep(lambda: ("by_a",), self.levels.by_a)
-        return "by_a", la, None, inv
+        return self.keep(("rows", self.key(slot, a=arm, c="levels")), lambda: _gather(self.value(slot, a=arm, c="levels"), self.levels.inv))
 
     def live_c(self):
         """(p(c), c) arrays over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
@@ -346,8 +338,8 @@ _WEIGHT_LABEL = {"p_a": "p({})", "p_a_given_c": "p({}|c)", "marginal": "sum_c p(
 def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     """m per row for one mediator model: t1 residual, t2 centred pooled outcome, t3 plug-in contrast.
 
-    In a plan shared across tags, the weight contrast, the mediator mass and shift and both integral
-    terms are kept under the keys of the evaluations they read, so a model sharing them reuses them.
+    Both integral terms are kept in the plan under the keys of the evaluations they read, so a
+    model sharing one reuses it.
     """
     law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
     eta, levels, (c, a, z, y) = plan.eta, plan.levels, plan.rows
@@ -363,9 +355,16 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
             raise DomainError(f"the pooled outcome over {c_live.size} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements")
         p_live = {ab: _spread(plan.value("p_a_given_c", a=ab, c="live"), (c_live,)) for ab in eta.a_support}
 
+    def sum_levels(reads_c):
+        """(name, treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
+        if reads_c:
+            return "levels", levels.a, _col(levels.c), levels.inv
+        la, inv = plan.keep(("by_a",), levels.by_a)
+        return "by_a", la, None, inv
+
     # the pooled outcome reads c through the law, the weights, or an outcome not already summed over c
-    k, ka, kc, kinv = plan.sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and not marginal))
-    t, ta, tc, tinv = plan.sum_levels(law_given_c or outcome_given_c)
+    k, ka, kc, kinv = sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and not marginal))
+    t, ta, tc, tinv = sum_levels(law_given_c or outcome_given_c)
 
     def cond(arm):
         return (arm, levels.c) if law_given_c else (arm,)
@@ -377,9 +376,6 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     def weight(arm, label):
         w = fsum(pc_live * plan.value("p_a_given_c", a=arm, c="live")) if marginal else plan.at_rows(weights, arm)
         return _require_positive(w, _WEIGHT_LABEL[weights].format(label))
-
-    def weight_key(arm):
-        return ("live", plan.key("p_c", c="support"), plan.key("p_a_given_c", a=arm, c="live")) if marginal else plan.key(weights, a=arm, c="levels")
 
     def pooled(zz, cv, p_at):
         """The outcome averaged over the treatment weights of the arm denominators, at mediator values zz."""
@@ -411,32 +407,22 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     def own_arm(zz):
         return plan.value(outcome, a=_col(ta), z=zz, c=tc)
 
-    def weight_contrast():
-        w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
-        return (a == pair.a_star) / w_s - (a == pair.a_ref) / w_r
-
-    def mixed_mass():
-        mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support)
-        return _require_positive(mix, f"sum_a {law_text} p(a|c)")
-
-    def law_key(arm):
-        return plan.key(law, z="rows", a=arm, c="rows")
-
     law_at = partial(plan.value, law, z="rows", c="rows")
-    contrast = plan.keep(lambda: ("contrast", pair.a_star, pair.a_ref, weight_key(pair.a_star), weight_key(pair.a_ref)), weight_contrast)
+    w_s, w_r = weight(pair.a_star, "a*"), weight(pair.a_ref, "a")
     if mass == "own":
-        denom = plan.keep(lambda: ("own", law_key("rows")), lambda: _require_positive(law_at(a="rows"), law_text + " at the observed rows"))
+        denom = _require_positive(law_at(a="rows"), law_text + " at the observed rows")
     else:
-        denom = plan.keep(lambda: ("mix", *((law_key(ab), plan.key("p_a_given_c", a=ab, c="levels")) for ab in eta.a_support)), mixed_mass)
-    shift = plan.keep(lambda: ("shift", law_key(pair.a_star), law_key(pair.a_ref)), lambda: law_at(a=pair.a_star) - law_at(a=pair.a_ref))
+        mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support)
+        denom = _require_positive(mix, f"sum_a {law_text} p(a|c)")
+    shift = law_at(a=pair.a_star) - law_at(a=pair.a_ref)
     pooled_bar = plan.keep(
-        lambda: ("pooled", at_nodes(k), pooled_key("nodes", k)),
+        ("pooled", at_nodes(k), pooled_key("nodes", k)),
         lambda: _gather(expect_z(rule, pz, lambda zz: pooled(zz, kc, p_at_levels), *cond(ka)), kinv),
     )
     t1 = (y - plan.value(outcome, a="rows", z="rows", c="rows")) * shift / denom
-    t2 = (pooled("rows", "rows", lambda ab: plan.at_rows(slot, ab)) - pooled_bar) * contrast
+    t2 = (pooled("rows", "rows", lambda ab: plan.at_rows(slot, ab)) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)
     t3 = plan.keep(
-        lambda: ("own arm", at_nodes(pair.a_star), at_nodes(pair.a_ref), plan.key(outcome, a=t, z="nodes", c=t)),
+        ("own arm", at_nodes(pair.a_star), at_nodes(pair.a_ref), plan.key(outcome, a=t, z="nodes", c=t)),
         lambda: _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), tinv),
     )
     return t1 + t2 + t3

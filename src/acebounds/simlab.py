@@ -19,7 +19,8 @@ faults and 4-7 ms of system time per replicate).  Where the C library has
 at 64 MiB: freed blocks stay in the heap, and a replicate takes no page
 faults and no system time.  Both are set because setting either one turns
 off glibc's dynamic threshold, so either alone leaves more faults than
-neither.  The serial path runs in the caller's process, where a mallopt
+neither; where glibc rejects the mmap threshold, the trim threshold is
+left alone too.  The serial path runs in the caller's process, where a mallopt
 setting cannot be undone, so it is left alone.
 
 The misspecification settings are one table, ``_SETTINGS``: per setting, the
@@ -262,14 +263,16 @@ _TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
 def _set_up_worker():
     """Worker initializer: one BLAS thread, as in the serial path, and a heap that keeps its pages.
 
-    Both malloc thresholds are fixed where the C library has ``mallopt``.  The
-    serial path runs in the caller's process, where they cannot be undone, so
-    it leaves them alone.
+    Both malloc thresholds are fixed where the C library has ``mallopt``; the
+    trim threshold only once the mmap threshold is accepted (mallopt returns
+    1), as the trim threshold alone faults more than neither and glibc
+    rejects an mmap threshold above HEAP_MAX_SIZE/2 (16 MiB on 32-bit
+    builds).  The serial path runs in the caller's process, where they cannot
+    be undone, so it leaves them alone.
     """
     if (blas := _blas_threads()) is not None:
         blas[1](1)
-    if (mallopt := _mallopt()) is not None:
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    if (mallopt := _mallopt()) is not None and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 

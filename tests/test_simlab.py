@@ -208,15 +208,24 @@ def test_pool_size_is_bounded_by_replicates_and_cores():
     assert simlab._pool_size(1, 200) == 1
 
 
-def test_worker_set_up_pins_blas_and_fixes_both_malloc_thresholds(monkeypatch):
+def _fake_mallopt(calls, accepts_mmap):
+    def mallopt(param, value):
+        calls.append((param, value))
+        return int(accepts_mmap or param != -3)  # glibc's mallopt returns 1 on success, 0 on error
+    return mallopt
+
+
+@pytest.mark.parametrize("accepts_mmap", [True, False], ids=["accepted", "mmap-rejected"])
+def test_worker_set_up_pins_blas_and_fixes_both_malloc_thresholds(monkeypatch, accepts_mmap):
     calls, threads = [], []
-    monkeypatch.setattr(simlab, "_mallopt", lambda: lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(simlab, "_mallopt", lambda: _fake_mallopt(calls, accepts_mmap))
     monkeypatch.setattr(simlab, "_blas_threads", lambda: (None, threads.append))
     simlab._set_up_worker()
     assert threads == [1]
-    # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB: either alone turns off
-    # glibc's dynamic thresholds and leaves more page faults than neither
-    assert sorted(calls) == [(-3, 32 << 20), (-1, 64 << 20)]
+    # M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 64 MiB: either alone turns off
+    # glibc's dynamic thresholds and leaves more page faults than neither, so a rejected mmap
+    # threshold (above HEAP_MAX_SIZE/2 on 32-bit builds) leaves the trim threshold alone too
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)] if accepts_mmap else calls == [(-3, 32 << 20)]
 
 
 def _no_c_library(name):
