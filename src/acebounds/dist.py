@@ -76,6 +76,11 @@ class DiscreteJoint:
     """Dense probability table over finite supports of (C, A, Z, Y).
 
     Immutable after construction; every query is a pure function of the table.
+    The joint keeps, built lazily on first use, what its queries derive from
+    the table: the marginal and conditional tables (``_cache``) and the state
+    of the enumeration oracles (``influence._oracle``: truth nuisances, cells
+    of positive mass, one row plan over them and theta per treatment pair).
+    Keeping them changes no result, only how often it is computed.
     """
 
     def __init__(self, c_support, a_support, z_support, y_support, pmf):

@@ -64,7 +64,10 @@ once.  Its level index is the one given, checked to restore the rows' (a,
 c); else the one ``fitting.fit`` coded for the rows it fitted on
 (``NuisanceSet._levels``), used when it passes the same check; else a fresh
 one.  ``estimators.estimate_all`` shares one plan per dataset or fold across
-tags (as ``levels``) and drops it on return; :func:`evaluate_m` otherwise
+tags (as ``levels``) and drops it on return.  The enumeration oracles
+(:func:`brute_force_mean`, :func:`brute_force_variance`) share one plan per
+joint over its cells of positive mass under its truth nuisances, kept on the
+joint for every model and pair enumerated on it; :func:`evaluate_m` otherwise
 builds one per call.  Values are keyed by argument name, each a plan column
 ("rows", "levels", "live") or a scalar arm or covariate value, never by array
 identity; integrands at mediator nodes call slots afresh.  A component with a
@@ -507,21 +510,64 @@ def truth_nuisances(dist: DiscreteJoint) -> NuisanceSet:
 # -- brute-force oracles ----------------------------------------------------
 
 
+class _Oracle:
+    """What the enumeration oracles read of one joint, built once and kept on it (``DiscreteJoint._oracle``).
+
+    The joint's truth nuisances, its cells of positive mass as aligned (c, a, z, y)
+    columns with their probabilities, one row plan over those cells, and the
+    two-door theta per treatment pair.  It holds no reference to the joint, so
+    the two form no cycle and a dropped joint is freed at once.
+    """
+
+    def __init__(self, dist: DiscreteJoint):
+        cells = dist.cells()
+        *cols, self.p = cells[cells[:, 4] > 0.0].T
+        self.plan = _Plan(truth_nuisances(dist), cols)
+        self._theta = {}
+
+    def theta(self, dist: DiscreteJoint, pair: TreatmentPair) -> float:
+        if pair not in self._theta:
+            self._theta[pair] = ace_twodoor(dist, pair)
+        return self._theta[pair]
+
+
+def _oracle(dist: DiscreteJoint) -> _Oracle:
+    """The joint's oracle state, built on first use like ``DiscreteJoint._cache``."""
+    state = getattr(dist, "_oracle", None)
+    if state is None:
+        state = dist._oracle = _Oracle(dist)
+    return state
+
+
 def _cell_values(dist: DiscreteJoint, tag: str, pair: TreatmentPair, eta: Optional[NuisanceSet]):
-    eta = truth_nuisances(dist) if eta is None else eta
+    """m at every cell of positive mass, and the cell masses: on the joint's oracle plan, or on a fresh one under `eta`."""
+    if eta is None:
+        state = _oracle(dist)
+        return evaluate_m(tag, *state.plan.cols, state.plan.eta, pair, levels=state.plan), state.p
     cells = dist.cells()
     c, a, z, y, p = cells[cells[:, 4] > 0.0].T
     return evaluate_m(tag, c, a, z, y, eta, pair), p
 
 
 def brute_force_mean(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Optional[NuisanceSet] = None) -> float:
-    """E[m(X, eta)] by exact enumeration of the joint."""
+    """E[m(X, eta)] by exact enumeration of the joint.
+
+    Without `eta`, m is evaluated under the joint's truth nuisances on the one
+    row plan the joint keeps for its oracles, so every model and pair
+    enumerated on one joint shares its slot evaluations and mediator sums.  An
+    explicit `eta` is evaluated on a fresh plan and leaves that state alone.
+    """
     m, p = _cell_values(dist, tag, pair, eta)
     return fsum(m * p)
 
 
 def brute_force_variance(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Optional[NuisanceSet] = None) -> float:
-    """E[(m(X, eta) - theta)^2] by exact enumeration, theta from the two-door functional."""
-    theta = ace_twodoor(dist, pair)
+    """E[(m(X, eta) - theta)^2] by exact enumeration, theta from the two-door functional.
+
+    Without `eta`, theta and m come from the state the joint keeps for its
+    oracles (see :func:`brute_force_mean`), theta once per pair; an explicit
+    `eta` computes both afresh.
+    """
+    theta = ace_twodoor(dist, pair) if eta is not None else _oracle(dist).theta(dist, pair)
     m, p = _cell_values(dist, tag, pair, eta)
     return fsum((m - theta) ** 2 * p)

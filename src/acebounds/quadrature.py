@@ -13,6 +13,7 @@ and copy the per-level results back to their rows (see
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,12 +36,20 @@ def _node_shape(x):
 _MAX_GH_NODES = 256
 
 
+@functools.cache
 def _gauss_hermite(n_nodes: int):
-    """Nodes x and weights w with sum_i w_i f(mu + sqrt(2) sd x_i) ~ E f(Z), Z ~ N(mu, sd^2)."""
+    """Nodes x and weights w with sum_i w_i f(mu + sqrt(2) sd x_i) ~ E f(Z), Z ~ N(mu, sd^2).
+
+    Built once per node count (hermgauss takes about 1 ms at 64 nodes).  Every rule of that
+    count shares the arrays, so they are read-only; a refusal is raised, so it is never cached.
+    """
     if n_nodes > _MAX_GH_NODES:
         raise DomainError(f"a Gauss-Hermite rule of {n_nodes} nodes (gh_nodes) exceeds the {_MAX_GH_NODES}-node limit")
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
-    return x, w / math.sqrt(math.pi)
+    w = w / math.sqrt(math.pi)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 class FiniteZRule:

@@ -186,6 +186,25 @@ def test_combo_quadrature_stable_under_node_doubling(pair):
             assert abs(v64 - v128) < 1e-4
 
 
+def test_gauss_hermite_rule_is_built_once_per_node_count(monkeypatch):
+    from acebounds import quadrature
+
+    built, hermgauss = [], np.polynomial.hermite.hermgauss
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", lambda n: built.append(n) or hermgauss(n))
+    quadrature._gauss_hermite.cache_clear()
+    first, second = quadrature.GaussHermiteZRule(64), quadrature.GaussHermiteZRule(64)
+    assert built == [64]
+    assert first._x is second._x and first._w is second._w
+    for arr in (first._x, first._w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    cached = quadrature._gauss_hermite.cache_info().currsize
+    for _ in range(2):  # a refusal is raised each time and never cached
+        with pytest.raises(DomainError, match="256-node limit"):
+            quadrature.GaussHermiteZRule(quadrature._MAX_GH_NODES + 1)
+    assert quadrature._gauss_hermite.cache_info().currsize == cached and built == [64]
+
+
 def test_combo_rejects_low_order(pair):
     params = SimDgpParams(alpha=1.0, beta=0.5, gamma1=0.5, gamma2=0.5)
     with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from acebounds.fitting import Dataset, ModelSpec, fit
 from acebounds.quadrature import FiniteZRule
 from acebounds.simlab import sample_dgp, setting_model_specs, simdgp_truth_nuisances
 
-from conftest import PAIR, random_chain_dist
+from conftest import BINARY, PAIR, random_chain_dist, random_confounded_mediator_dist
 
 ALL_TAGS = MODEL_TAGS + ("TD_REDUCED",)
 
@@ -490,3 +491,77 @@ def test_evaluate_m_rejects_a_level_index_of_other_rows_of_the_same_length():
             evaluate_m(tag, c[head], a[head], z[head], y[head], eta, PAIR, levels=other_fold)
         with pytest.raises(DomainError, match="level index"):
             evaluate_m(tag, c[back], a[back], z[back], y[back], eta, PAIR, levels=same_rows)
+
+
+# -- the oracle state a joint keeps --------------------------------------------
+
+
+def _copy(dist):
+    return DiscreteJoint(*dist.supports(), dist.pmf)
+
+
+def test_oracle_state_is_built_once_per_joint(monkeypatch):
+    calls = {"truth_nuisances": 0, "cells": 0, "level_index": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(influence, "truth_nuisances", counted("truth_nuisances", influence.truth_nuisances))
+    monkeypatch.setattr(influence, "level_index", counted("level_index", influence.level_index))
+    monkeypatch.setattr(DiscreteJoint, "cells", counted("cells", DiscreteJoint.cells))
+    dist = _dist(31)
+    for tag in MODEL_TAGS:
+        brute_force_variance(dist, PAIR, tag)
+    brute_force_mean(dist, PAIR, "TD")
+    assert calls == {"truth_nuisances": 1, "cells": 1, "level_index": 1}
+
+
+def test_oracle_state_gives_the_values_of_fresh_joints(chain_dists):
+    rng = np.random.default_rng(47)
+    dists = chain_dists + [random_confounded_mediator_dist(rng) for _ in range(10)]
+    pairs = (TreatmentPair(1.0, 0.0), TreatmentPair(0.0, 1.0))
+    for dist in dists:
+        brute_force_mean(dist, pairs[0], "BD")
+        state = dist._oracle
+        for pair in pairs:
+            for tag in ALL_TAGS:
+                assert brute_force_variance(dist, pair, tag) == brute_force_variance(_copy(dist), pair, tag)
+                assert brute_force_mean(dist, pair, tag) == brute_force_mean(_copy(dist), pair, tag)
+        assert dist._oracle is state  # one state served every call on this joint
+
+
+def test_explicit_nuisances_neither_build_nor_read_the_oracle_state():
+    dist = _dist(37)
+    truth = truth_nuisances(dist)
+    shifted = replace(truth, mean_y_ac=lambda a, c: truth.mean_y_ac(a, c) + 0.25 * np.asarray(a, dtype=float))
+    for eta in (truth, shifted):
+        brute_force_variance(dist, PAIR, "BD", eta)
+        brute_force_mean(dist, PAIR, "BD", eta)
+    assert getattr(dist, "_oracle", None) is None
+    exact = brute_force_variance(dist, PAIR, "BD")
+    state = dist._oracle
+    kept = len(state.plan._memo)
+    assert brute_force_variance(dist, PAIR, "BD", shifted) == brute_force_variance(_copy(dist), PAIR, "BD", shifted) != exact
+    assert brute_force_mean(dist, PAIR, "BD", truth) == brute_force_mean(_copy(dist), PAIR, "BD", truth)
+    assert dist._oracle is state and len(state.plan._memo) == kept
+
+
+def test_positivity_failure_repeats_on_the_kept_state(monkeypatch):
+    pmf = np.full((2, 2, 2, 2), 1.0 / 12.0)
+    pmf[0, 1] = 0.0  # treatment level 1 never occurs at c = 0
+    dist = DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
+    built = []
+    monkeypatch.setattr(influence, "truth_nuisances", lambda d: built.append(d) or truth_nuisances(d))
+    calls = [partial(brute_force_variance, dist, PAIR, tag) for tag in ALL_TAGS] + [partial(brute_force_mean, dist, PAIR, "BD")]
+    for call in calls:
+        errors = []
+        for _ in range(3):
+            with pytest.raises(PositivityViolation) as info:
+                call()
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == errors[2] and "has entries below 1e-12" in errors[0]
+    assert built == [dist]
