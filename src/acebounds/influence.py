@@ -60,23 +60,24 @@ call, before any per-level work (about n = 2048 with a continuous covariate).
 
 The row plan (``_Plan``) holds the rows of one dataset or fold with their
 nuisances and level index, and evaluates each (model, argument set) at them
-once.  Its level index is the one given, checked to restore the rows' (a,
-c); else the one ``fitting.fit`` coded for the rows it fitted on
+once.  Its level index is the one given, checked to restore the rows' (a, c);
+else the one ``fitting.fit`` coded for the rows it fitted on
 (``NuisanceSet._levels``), used when it passes the same check; else a fresh
 one.  ``estimators.estimate_all`` shares one plan per dataset or fold across
 tags (as ``levels``) and drops it on return.  The enumeration oracles
 (:func:`brute_force_mean`, :func:`brute_force_variance`) share one plan per
 joint over its cells of positive mass under its truth nuisances, kept on the
 joint for every model and pair enumerated on it; :func:`evaluate_m` otherwise
-builds one per call.  Values are keyed by argument name, each a plan column
-("rows", "levels", "live") or a scalar arm or covariate value, never by array
-identity; integrands at mediator nodes call slots afresh.  A component with a
-``_plan_key`` (``fitting._Linear``, also behind an attribute-forwarding
-wrapper) is keyed by its class, predictors and parameters and reads only its
-predictors, plus the response of a law or probability, so mean_y_azc(a*, z,
-c) on (z, c) is one evaluation with mean_y_zc(z, c); any other callable is
-keyed by itself and reads every argument.  Each evaluation keeps its count
-of clipped probability values; an estimate's count sums those it read.
+builds one per call.  Values and table codes are keyed by argument name, each a
+plan column ("rows", "levels", "live", "support") or a scalar arm or covariate
+value, never by array identity; integrands at mediator nodes call afresh.  A
+component with a ``_plan_key`` (``fitting._Linear``, also behind an
+attribute-forwarding wrapper) is keyed by its class, predictors and parameters
+and reads only its predictors, plus the response of a law or probability, so
+mean_y_azc(a*, z, c) on (z, c) is one evaluation with mean_y_zc(z, c); any
+other callable is keyed by itself and reads every argument.  Each evaluation
+keeps its count of clipped probability values; an estimate's count sums those
+it read.
 
 The plan also keeps (``_Plan.keep``) the gathering of each level value to
 the rows (keyed by that value's key), the per-treatment row map
@@ -95,10 +96,12 @@ weight contrast, the mediator mass and shift) are computed afresh from the
 kept evaluations: keeping them saved about 0.8 ms of a 24 ms replicate at
 n=50000, and each would need a key restating what it reads.
 
-Discrete nuisances are one table class, ``_Table`` (looked up by ``_lookup``,
-the binary search that also codes a level index): :func:`truth_nuisances`
+Discrete nuisances are one table class, ``_Table``: :func:`truth_nuisances`
 builds it over every argument, passing NaN cells through; ``fitting`` builds
-its empirical and fixed-value slots with it, with an ``observed`` mask.
+its empirical and fixed-value slots with it, with an ``observed`` mask.  Its
+values are read at codes (``_Table.at``): a call codes its arguments with
+``_lookup``, which also codes a level index; a plan reads a table (also behind
+``fitting._Clipped``) at its own codes, a row's a and c by its level's.
 """
 
 from __future__ import annotations
@@ -116,6 +119,7 @@ from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, expect_z
 __all__ = ["NuisanceSet", "MODEL_TAGS", "evaluate_m", "LevelIndex", "level_index", "truth_nuisances", "brute_force_mean", "brute_force_variance"]
 
 MODEL_TAGS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
+_COMPARE_MAX = 2  # supports of at most this many values are coded by comparison passes, wider ones by binary search
 
 # slot -> (call-argument names in call order, response variable, kind)
 SLOTS = {
@@ -198,8 +202,9 @@ class LevelIndex:
 
 
 def _lookup(support, x):
-    """Positions of `x` in the sorted `support` by binary search, or None when a value is not in it."""
-    idx = np.minimum(np.searchsorted(support, x), support.size - 1)
+    """Positions of `x` in the sorted `support` (see ``_COMPARE_MAX``), or None when a value is not in it."""
+    passes = 1 < support.size <= _COMPARE_MAX
+    idx = sum((x >= s for s in support[2:]), (x >= support[1]).astype(np.intp)) if passes else np.minimum(np.searchsorted(support, x), support.size - 1)
     return idx if np.array_equal(support[idx], x) else None
 
 
@@ -258,6 +263,7 @@ class _Plan:
         # evaluation key -> (value, values clipped); kept term key -> (value, evaluations it read); keys read since `clipped`
         self._memo, self._kept, self._read = {}, {}, set()
         self._models = {}  # slot -> (identity, arguments read) of its component
+        self._codes = {}  # (variable, column name or scalar, support bytes) -> codes on that support
 
     def key(self, slot: str, **args):
         """The memo key of `slot` at `args`, each a plan column name or a scalar: its model, the columns that shape it, the values it reads."""
@@ -285,6 +291,9 @@ class _Plan:
         """`slot` at `args`: scalars and plan column names once per key (see :meth:`key`); arrays afresh."""
         fn, names = getattr(self.eta.require(slot), slot), SLOTS[slot][0]
         vals = [self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names]
+        # a table, also behind fitting._Clipped, is read at the plan's codes (``at`` on the class: a forwarding wrapper is called)
+        if hasattr(type(fn), "at") and (table := getattr(fn, "table", fn)) is not None:
+            at, fn = fn.at, lambda *xs: at(tuple(self._code(table, k, names[pos], args[names[pos]]) for k, pos in enumerate(table.reads)), xs)
         if any(isinstance(args[v], np.ndarray) for v in names):  # mediator nodes or level columns of an integrand
             return fn(*vals)
         key = self.key(slot, **args)
@@ -294,6 +303,17 @@ class _Plan:
             self._memo[key] = fn(*vals), clips.get("total", 0) - before
         self._read.add(key)
         return self._memo[key][0]
+
+    def _code(self, table, k, name, arg):
+        """The codes of argument `name` at `arg` on axis k of `table`: an array's afresh; a plan column's or scalar's once per support."""
+        if np.ndim(arg):
+            return table._index(arg, k)
+        if (key := (name, arg if isinstance(arg, str) else float(arg), table.supports[k].tobytes())) not in self._codes:
+            if key[1] == "rows" and name != "z":  # a row's code is its (a, c) level's
+                self._codes[key] = self._code(table, k, name, "levels")[self.levels.inv]
+            else:
+                self._codes[key] = table._index(self._columns.get((name, key[1]), arg), k)
+        return self._codes[key]
 
     def at_rows(self, slot: str, arm):
         """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level and gathered to the rows once."""
@@ -347,6 +367,8 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
     eta, levels, (c, a, z, y) = plan.eta, plan.levels, plan.rows
     rule, pz = eta.require("z_integrator", law).z_integrator, getattr(eta, law)
+    if hasattr(type(pz), "at") and isinstance(rule, FiniteZRule):  # a table law, read through the plan, which codes the arms once
+        pz = lambda *vals: plan.value(law, **dict(zip(SLOTS[law][0], vals)))  # noqa: E731
     law_given_c, outcome_given_c = "c" in SLOTS[law][0], "c" in SLOTS[outcome][0]
     outcome_given_a = "a" in SLOTS[outcome][0]
     law_text = "p(z|a,c)" if law_given_c else "p(z|a)"
@@ -479,11 +501,14 @@ class _Table:
             raise DomainError(f"argument {self.reads[k]} of {self.what} takes values outside its support")
         return idx
 
-    def __call__(self, *args):
-        idx = tuple(self._index(args[pos], k) for k, pos in enumerate(self.reads))
+    def at(self, idx, args):
+        """The values at `idx`, one code array per axis, spread over the call arguments `args`."""
         if self.observed is not None and not np.all(self.observed[idx]):
             raise DomainError(f"{self.what} requested at a combination never observed")
         return _spread(self.values[idx], args)
+
+    def __call__(self, *args):
+        return self.at(tuple(self._index(args[pos], k) for k, pos in enumerate(self.reads)), args)
 
 
 def truth_nuisances(dist: DiscreteJoint) -> NuisanceSet:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import acebounds.influence as influence
 from acebounds.bounds import SimDgpParams
-from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
-from acebounds.errors import DomainError, MissingNuisance, PositivityViolation
+from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor, chain_joint
+from acebounds.errors import AceboundsError, DomainError, MissingNuisance, PositivityViolation
 from acebounds.influence import (
     MODEL_TAGS,
     NuisanceSet,
@@ -19,7 +19,8 @@ from acebounds.influence import (
     level_index,
     truth_nuisances,
 )
-from acebounds.fitting import Dataset, ModelSpec, fit
+from acebounds.estimators import ESTIMATOR_TAGS, estimate_all
+from acebounds.fitting import CrossFitPlan, Dataset, FoldedNuisances, ModelSpec, fit
 from acebounds.quadrature import FiniteZRule
 from acebounds.simlab import sample_dgp, setting_model_specs, simdgp_truth_nuisances
 
@@ -565,3 +566,129 @@ def test_positivity_failure_repeats_on_the_kept_state(monkeypatch):
             errors.append(str(info.value))
         assert errors[0] == errors[1] == errors[2] and "has entries below 1e-12" in errors[0]
     assert built == [dist]
+
+
+# -- tables read by code on a row plan -------------------------------------------
+
+
+def _wide_joint(seed):
+    """A chain joint positive on all 4 x 3 x 20 x 20 = 4800 cells, the shape of the exact-bounds benchmark."""
+    rng = np.random.default_rng(seed)
+    pc, pa = rng.dirichlet(np.full(4, 2.0)), rng.dirichlet(np.full(3, 2.0), size=4)  # [c], [c, a]
+    pz, py = rng.dirichlet(np.full(20, 2.0), size=3), rng.dirichlet(np.full(20, 2.0), size=(20, 4))  # [a, z], [z, c, y]
+    y_sup = np.linspace(-2.0, 2.0, 20)
+    return chain_joint(
+        np.arange(4.0),
+        np.arange(3.0),
+        np.arange(20.0),
+        y_sup,
+        lambda c: pc[int(c)],
+        lambda a, c: pa[int(c), int(a)],
+        lambda z, a: pz[int(a), int(z)],
+        lambda y, z, c: py[int(z), int(c), np.searchsorted(y_sup, y)],
+    )
+
+
+def test_oracle_codes_each_cell_column_once(monkeypatch):
+    lookup, sizes = influence._lookup, []
+    monkeypatch.setattr(influence, "_lookup", lambda support, x: sizes.append(np.size(x)) or lookup(support, x))
+    dist = _wide_joint(5)
+    for tag in MODEL_TAGS:
+        brute_force_variance(dist, PAIR, tag)
+    # the level index codes the (a, c) cell columns and the plan the z column; the tables then read
+    # every cell column by those codes, and each scalar arm or covariate value is coded once per support
+    assert sizes.count(4800) <= 3
+    assert len(sizes) <= 100
+
+
+def _hidden(eta):
+    """`eta` with every slot behind a plain forwarding lambda, so a row plan calls it instead of reading its table by code."""
+    if isinstance(eta, FoldedNuisances):
+        return FoldedNuisances([(idx, _hidden(fold)) for idx, fold in eta.folds], eta.manifest)
+    slots = {slot: getattr(eta, slot) for slot in influence.SLOTS if getattr(eta, slot) is not None}
+    return replace(eta, **{slot: (lambda fn: lambda *args: fn(*args))(fn) for slot, fn in slots.items()})
+
+
+def _outcome(fn):
+    """The bytes of fn()'s value, or the error it raised."""
+    try:
+        return np.asarray(fn(), dtype=float).tobytes()
+    except AceboundsError as exc:
+        return repr(exc)
+
+
+PAIRS = (TreatmentPair(1.0, 0.0), TreatmentPair(0.0, 1.0))
+
+
+def test_tables_read_by_code_match_tables_called(chain_dists):
+    rng = np.random.default_rng(53)
+    for dist in chain_dists + [random_confounded_mediator_dist(rng) for _ in range(10)]:
+        cells = dist.cells()
+        c, a, z, y, _ = cells[cells[:, 4] > 0.0].T
+        eta = truth_nuisances(dist)
+        for pair in PAIRS:
+            for tag in ALL_TAGS:
+                coded = evaluate_m(tag, c, a, z, y, eta, pair)
+                assert coded.tobytes() == evaluate_m(tag, c, a, z, y, _hidden(eta), pair).tobytes(), (tag, pair)
+
+
+def _discrete_rows(seed, n):
+    """Rows on c, a in {0, 1, 2} and z in {0, 1, 2, 3}, where a = 2 never occurs at c = 0."""
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, 3, n).astype(float)
+    a = np.where(c == 0.0, rng.integers(0, 2, n), rng.integers(0, 3, n)).astype(float)
+    z = np.minimum(rng.poisson(0.8 + 0.3 * a + 0.2 * c), 3).astype(float)
+    return c, a, z, np.round(0.4 * z + 0.3 * c + rng.normal(0.0, 1.0, n), 1)
+
+
+def _estimates(data, eta, tags, reduced):
+    """(theta_hat, se_hat, clipped) of each tag, or the error raised."""
+    try:
+        return [(r.theta_hat, r.se_hat, r.clipped) for r in estimate_all(data, eta, tags, td_reduced=reduced)]
+    except AceboundsError as exc:
+        return repr(exc)
+
+
+def test_fitted_tables_read_by_code_match_tables_called():
+    # empirical probabilities and mediator laws, with p(a = 2 | c = 0) = 0 clipped and the mediator law
+    # undefined at (a, c) = (2, 0); linear outcome means, which are defined at every (a, z, c)
+    specs = [
+        ModelSpec(slot, "linear-mean" if kind == "mean" else "empirical", predictors=tuple(v for v in args if v != response))
+        for slot, (args, response, kind) in influence.SLOTS.items()
+    ]
+    clipped = 0
+    for seed in range(4):
+        c, a, z, y = _discrete_rows(seed, 240)
+        for pair in PAIRS:
+            data = Dataset(c, a, z, y, pair)
+            for folds in (0, 3):
+                eta = fit(data, specs, CrossFitPlan(folds=folds, seed=seed))
+                for tags, reduced in [(ESTIMATOR_TAGS, False)] + [((tag,), reduced) for tag in ESTIMATOR_TAGS for reduced in (False, True)]:
+                    got = _estimates(data, eta, tags, reduced)
+                    assert got == _estimates(data, _hidden(eta), tags, reduced), (seed, pair, folds, tags, reduced)
+                    clipped += 0 if isinstance(got, str) else sum(r[2] for r in got)
+            eta = fit(data, specs)
+            for tag in ALL_TAGS:
+                assert _outcome(lambda: evaluate_m(tag, c, a, z, y, eta, pair)) == _outcome(lambda: evaluate_m(tag, c, a, z, y, _hidden(eta), pair))
+    assert clipped > 0
+
+
+def test_table_errors_are_the_same_read_by_code():
+    dist = _dist(59)
+    cells = dist.cells()
+    c, a, z, y = cells[:, :4].T
+    truth = truth_nuisances(dist)
+    # every slot empirical, fitted on binary rows that never show (c, a, z) = (1, 1, 1)
+    seen = np.array([cell for cell in np.ndindex(2, 2, 2) if cell != (1, 1, 1)], dtype=float).T
+    data = Dataset(*np.repeat(seen, 3, axis=1), np.arange(21) % 4 * 0.5, PAIR)
+    specs = [ModelSpec(slot, "empirical", predictors=tuple(v for v in args if v != response)) for slot, (args, response, _) in influence.SLOTS.items()]
+    fitted = fit(data, specs)
+    cases = [
+        (truth, (c, a, np.where(z == 1.0, 0.5, z), y), "outside its support"),
+        (truth, (np.where(c == 1.0, 2.0, c), a, z, y), "outside its support"),
+        (fitted, (c, a, z, y), "never observed"),
+    ]
+    for eta, cols, message in cases:
+        coded = [_outcome(lambda: evaluate_m(tag, *cols, eta, PAIR)) for tag in ALL_TAGS]
+        assert coded == [_outcome(lambda: evaluate_m(tag, *cols, _hidden(eta), PAIR)) for tag in ALL_TAGS]
+        assert any(isinstance(got, str) and message in got for got in coded), message
