@@ -6,10 +6,11 @@ of sample sizes and writes the tidy summary CSV (one row per size x estimator,
 columns bias / SE / scaled variance / MSE with their Monte Carlo SEs).
 
 Desk scale by default; --paper-scale switches to n up to 50000 with 1000
-replicates per size.  On one core of a 2-core x86 box (numpy 2.4, Python 3.11)
-100 replicates of one combination take 8 s at n=50000 and 28 s over the whole
-paper-scale size ladder; scaling the latter by 10 (1000 replicates) and by 8
-(combinations) puts the paper-scale run at about 40 minutes on one thread.
+replicates per size.  On a 2-core x86 box (numpy 2.4, Python 3.11), 100
+replicates of one combination over the whole paper-scale size ladder take
+14 s with --threads 1 and 6-7 s with --threads 2; scaling by 10 (1000
+replicates) and by 8 (combinations) puts the paper-scale run at about 18
+minutes on one thread and 8-9 minutes on two.
 """
 
 import argparse

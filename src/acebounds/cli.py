@@ -211,7 +211,7 @@ def cmd_simulate(args, cfg: dict) -> int:
         tags=_parse_names(cfg, "tags", ESTIMATOR_TAGS),
         setting=_number("setting", cfg.get("setting", 0), int),
         seed=args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int),
-        threads=args.threads if args.threads else _number("threads", cfg.get("threads", 1), int),
+        threads=args.threads if args.threads is not None else _number("threads", cfg.get("threads", 1), int),
         gh_nodes=_number("gh_nodes", cfg.get("gh_nodes", 64), int),
     )
     summary = run_mc(config)
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo study of the estimators")
     common(p)
     p.add_argument("--seed", type=int, default=None, help="overrides the seed config key")
-    p.add_argument("--threads", type=int, default=0, help="replicates in flight; overrides the threads config key")
+    p.add_argument("--threads", type=int, default=None, help="replicates in flight; overrides the threads config key")
     p.add_argument("--paper-scale", action="store_true", help="n=50000, 1000 replicates")
     p.set_defaults(handler=cmd_simulate)
 

@@ -79,22 +79,15 @@ other callable is keyed by itself and reads every argument.  Each evaluation
 keeps its count of clipped probability values; an estimate's count sums those
 it read.
 
-The plan also keeps (``_Plan.keep``) the gathering of each level value to
-the rows (keyed by that value's key), the per-treatment row map
-(``LevelIndex.by_a``), and the two integral terms of a mediator model: the
-centring of the pooled outcome and the plug-in contrast, the terms that
-call ``expect_z``.  An integral term is keyed by its formula
-and the keys of the slot evaluations it reads, with the mediator nodes, the
-sum levels and the treatment support named like plan columns ("nodes",
-"levels", "by_a", "support"), so the key holds the models, their call
-signatures, the conditioning levels and the arms.  Model identity alone is
-not enough: FD_TD and BD_FD_TD pool one outcome model, but FD_TD's call
-signature takes a and averages it over the treatment weights, which can
-move the last bit.  A kept term also counts as a read of every evaluation
-it read, so the clip counts are unchanged.  The other row-length terms (the
-weight contrast, the mediator mass and shift) are computed afresh from the
-kept evaluations: keeping them saved about 0.8 ms of a 24 ms replicate at
-n=50000, and each would need a key restating what it reads.
+Beyond slot evaluations the plan keeps only row gathers: each level value
+gathered to the rows (``_Plan.at_rows``, under that value's evaluation key),
+and ``LevelIndex.by_a``, once per index.  Every term built on them is
+computed afresh per model, the two integral terms (the centring of the pooled
+outcome and the plug-in contrast, which call ``expect_z``) as well as the
+weight contrast, mediator mass and shift: sharing the integrals across tags
+saved about 0.1 ms of a 3.5 to 12.5 ms ``estimate_all`` (n=500 to 50000), the
+row terms about 0.8 ms of a 24 ms replicate, and each needed a key
+restating what it reads.
 
 Discrete nuisances are one table class, ``_Table``: :func:`truth_nuisances`
 builds it over every argument, passing NaN cells through; ``fitting`` builds
@@ -107,7 +100,7 @@ values are read at codes (``_Table.at``): a call codes its arguments with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -195,8 +188,9 @@ class LevelIndex:
     c: np.ndarray
     inv: np.ndarray
 
+    @cached_property
     def by_a(self):
-        """The distinct treatment values and the treatment level of each row."""
+        """The distinct treatment values and the treatment level of each row, worked out once per index."""
         a, of_level = np.unique(self.a, return_inverse=True)
         return a, of_level[self.inv]
 
@@ -260,8 +254,8 @@ class _Plan:
             levels = eta._levels  # the coding of the rows the nuisances were fitted on
         self.levels = level_index(a, c, eta.a_support, eta.c_support) if levels is None else levels
         self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): self.levels.a, ("c", "levels"): self.levels.c}
-        # evaluation key -> (value, values clipped); kept term key -> (value, evaluations it read); keys read since `clipped`
-        self._memo, self._kept, self._read = {}, {}, set()
+        # evaluation key -> (value, values clipped); evaluation key of a level value -> it at the rows; keys read since `clipped`
+        self._memo, self._gathered, self._read = {}, {}, set()
         self._models = {}  # slot -> (identity, arguments read) of its component
         self._codes = {}  # (variable, column name or scalar, support bytes) -> codes on that support
 
@@ -273,19 +267,6 @@ class _Plan:
             self._models[slot] = (fn, names) if model is None else (model(), (response,) * (kind != "mean") + fn.predictors)
         ident, reads = self._models[slot]
         return ident, frozenset(args[v] for v in SLOTS[slot][0] if isinstance(args[v], str)), *((v, args[v]) for v in reads)
-
-    def keep(self, key, compute):
-        """compute(), once per key; each use also reads the slot evaluations it read."""
-        if key not in self._kept:
-            outer, self._read = self._read, set()
-            try:
-                self._kept[key] = compute(), self._read
-            finally:
-                outer |= self._read
-                self._read = outer
-        value, read = self._kept[key]
-        self._read.update(read)
-        return value
 
     def value(self, slot: str, **args):
         """`slot` at `args`: scalars and plan column names once per key (see :meth:`key`); arrays afresh."""
@@ -317,7 +298,10 @@ class _Plan:
 
     def at_rows(self, slot: str, arm):
         """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level and gathered to the rows once."""
-        return self.keep(("rows", self.key(slot, a=arm, c="levels")), lambda: _gather(self.value(slot, a=arm, c="levels"), self.levels.inv))
+        level = self.value(slot, a=arm, c="levels")
+        if (key := self.key(slot, a=arm, c="levels")) not in self._gathered:
+            self._gathered[key] = _gather(level, self.levels.inv)
+        return self._gathered[key]
 
     def live_c(self):
         """(p(c), c) arrays over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
@@ -359,11 +343,7 @@ _WEIGHT_LABEL = {"p_a": "p({})", "p_a_given_c": "p({}|c)", "marginal": "sum_c p(
 
 
 def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
-    """m per row for one mediator model: t1 residual, t2 centred pooled outcome, t3 plug-in contrast.
-
-    Both integral terms are kept in the plan under the keys of the evaluations they read, so a
-    model sharing one reuses it.
-    """
+    """m per row for one mediator model: t1 residual, t2 centred pooled outcome, t3 plug-in contrast."""
     law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
     eta, levels, (c, a, z, y) = plan.eta, plan.levels, plan.rows
     rule, pz = eta.require("z_integrator", law).z_integrator, getattr(eta, law)
@@ -381,22 +361,18 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
         p_live = {ab: _spread(plan.value("p_a_given_c", a=ab, c="live"), (c_live,)) for ab in eta.a_support}
 
     def sum_levels(reads_c):
-        """(name, treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
+        """(treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
         if reads_c:
-            return "levels", levels.a, _col(levels.c), levels.inv
-        la, inv = plan.keep(("by_a",), levels.by_a)
-        return "by_a", la, None, inv
+            return levels.a, _col(levels.c), levels.inv
+        la, inv = levels.by_a
+        return la, None, inv
 
     # the pooled outcome reads c through the law, the weights, or an outcome not already summed over c
-    k, ka, kc, kinv = sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and not marginal))
-    t, ta, tc, tinv = sum_levels(law_given_c or outcome_given_c)
+    ka, kc, kinv = sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and not marginal))
+    ta, tc, tinv = sum_levels(law_given_c or outcome_given_c)
 
     def cond(arm):
         return (arm, levels.c) if law_given_c else (arm,)
-
-    def at_nodes(arm):
-        """The law's key at its mediator nodes given `arm`, a scalar or the name of a treatment column."""
-        return plan.key(law, z="nodes", a=arm, c="levels")
 
     def weight(arm, label):
         w = fsum(pc_live * plan.value("p_a_given_c", a=arm, c="live")) if marginal else plan.at_rows(weights, arm)
@@ -414,18 +390,6 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
             return sum(w * given_c(v, lambda ab, j=j: p_live[ab][j]) for j, (w, v) in enumerate(zip(pc_live, c_live)))
         return given_c(cv, p_at)
 
-    def pooled_key(zz, cv):
-        """The keys of what `pooled` reads at the mediator values and covariate column named `zz` and `cv`.
-
-        "support" stands for each treatment arm and "live" for each live covariate value in turn.
-        """
-        if marginal:
-            c_at, p_at = "live", plan.key("p_a_given_c", a="support", c="live")
-        else:
-            c_at, p_at = cv, plan.key(slot, a="support", c="levels")
-        pc = plan.key("p_c", c="support") if marginal else None
-        return pc, plan.key(outcome, a="support", z=zz, c=c_at), p_at if outcome_given_a else None
-
     def p_at_levels(ab):  # a column over the sum levels, or one entry when they are treatment levels only
         return _col(plan.value(slot, a=ab, c="levels"))
 
@@ -440,16 +404,10 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
         mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support)
         denom = _require_positive(mix, f"sum_a {law_text} p(a|c)")
     shift = law_at(a=pair.a_star) - law_at(a=pair.a_ref)
-    pooled_bar = plan.keep(
-        ("pooled", at_nodes(k), pooled_key("nodes", k)),
-        lambda: _gather(expect_z(rule, pz, lambda zz: pooled(zz, kc, p_at_levels), *cond(ka)), kinv),
-    )
+    pooled_bar = _gather(expect_z(rule, pz, lambda zz: pooled(zz, kc, p_at_levels), *cond(ka)), kinv)
     t1 = (y - plan.value(outcome, a="rows", z="rows", c="rows")) * shift / denom
     t2 = (pooled("rows", "rows", lambda ab: plan.at_rows(slot, ab)) - pooled_bar) * ((a == pair.a_star) / w_s - (a == pair.a_ref) / w_r)
-    t3 = plan.keep(
-        ("own arm", at_nodes(pair.a_star), at_nodes(pair.a_ref), plan.key(outcome, a=t, z="nodes", c=t)),
-        lambda: _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), tinv),
-    )
+    t3 = _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), tinv)
     return t1 + t2 + t3
 
 
@@ -579,7 +537,7 @@ def brute_force_mean(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Op
 
     Without `eta`, m is evaluated under the joint's truth nuisances on the one
     row plan the joint keeps for its oracles, so every model and pair
-    enumerated on one joint shares its slot evaluations and mediator sums.  An
+    enumerated on one joint shares its slot evaluations and table codes.  An
     explicit `eta` is evaluated on a fresh plan and leaves that state alone.
     """
     m, p = _cell_values(dist, tag, pair, eta)

@@ -97,8 +97,12 @@ def _bitwise_case(case):
     if case == "study-family-truth":  # plain callables and unfitted linear components
         return data, simdgp_truth_nuisances(params)
     plan = CrossFitPlan(folds=3, seed=4) if case == "cross-fitted" else CrossFitPlan()
-    # in setting 2, mean_y_ac and mean_y_az share one fit on a, read at the (a, c) levels and at the rows
-    return data, fit(data, setting_model_specs(2 if case == "setting-2" else 0), plan=plan)
+    # the settings change which slots share a fit and a memo key: in setting 2, mean_y_ac and mean_y_az
+    # share one fit on a, read at the (a, c) levels and at the rows; in settings 1 and 3 the mediator
+    # laws read no treatment, and setting 3 fixes p_c; in setting 4 the propensity reads no covariate
+    # and the two (z, c) means read c alone
+    setting = int(case[-1]) if case.startswith("setting-") else 0
+    return data, fit(data, setting_model_specs(setting), plan=plan)
 
 
 def _bits(results):
@@ -106,7 +110,8 @@ def _bits(results):
 
 
 @pytest.mark.parametrize(
-    "case", ["plain", "cross-fitted", "continuous-c", "clipping", "setting-2", "study-family-truth", "exact-joint-table"]
+    "case",
+    ["plain", "cross-fitted", "continuous-c", "clipping", "setting-1", "setting-2", "setting-3", "setting-4", "study-family-truth", "exact-joint-table"],
 )
 def test_estimate_all_equals_per_tag_estimates_bitwise(case):
     # one row plan per dataset or fold, shared by every tag, must give what each tag's own plan gives,
@@ -171,11 +176,9 @@ def test_each_distinct_model_is_fitted_once_and_each_row_value_evaluated_once(mo
     batch = estimate_all(data, eta, td_reduced=True)
     # fit codes the rows' (a, c) once, for its collapsed designs, p_c, p_a and the row plan
     assert [len(log) for log in coded] == [1, 0]
-    # 15 integrals, 3 per mediator model, of which 10 differ in what they read: FD's 3; TD's (reduced)
-    # 3, its centring shared by BD_TD, its plug-in contrast by FD_TD and BD_FD_TD; BD_TD's contrast,
-    # which conditions on the covariate levels; the centrings of FD_TD and BD_FD_TD, which differ in
-    # whether the outcome is averaged over the treatment weights
-    assert len(integrals) == 10
+    # each of the 5 mediator models makes its own 3 integrals, the centring of its pooled outcome and
+    # the plug-in contrast at a* and at a, even where another model integrates the same values
+    assert len(integrals) == 15
     assert [r.clipped for r in batch] == [0] * 7
     assert _bits(batch) == _bits([estimate(data, eta, tag, td_reduced=True) for tag in ESTIMATOR_TAGS])
     log = []
