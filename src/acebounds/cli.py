@@ -5,11 +5,18 @@ Configuration is a flat key=value text file; any key can be overridden on the
 command line with --set key=value.  Output files are written atomically
 (temp file + rename).  CSV output carries 6 significant digits; json carries
 full precision.
+
+`bounds --dgp` and `simulate` read each Gaussian-family key (alpha, beta,
+gamma1, gamma2, sigma_z, sigma_y, p_c) and `simulate` its `setting` as comma
+lists, grid points first key outermost, settings innermost; `--dgp` takes one
+value per key.  Each key given several values leads the CSV rows as a column
+and enters each json record (`simulate`: a list of per-run payloads).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -91,15 +98,14 @@ def _parse_pair(cfg: dict) -> TreatmentPair:
     return TreatmentPair(_number("a_star", cfg.get("a_star", 1.0)), _number("a_ref", cfg.get("a_ref", 0.0)))
 
 
-def _parse_dgp(cfg: dict) -> SimDgpParams:
-    kwargs = {}
-    for key in ("alpha", "beta", "gamma1", "gamma2", "sigma_z", "sigma_y", "p_c"):
-        if key in cfg:
-            kwargs[key] = _number(key, cfg[key])
-    missing = {"alpha", "beta", "gamma1", "gamma2"} - set(kwargs)
+def _dgp_grid(cfg: dict) -> list:
+    """Per grid point (first key outermost): its SimDgpParams and the values of the keys given several values."""
+    lists = {key: _numbers(key, cfg[key]) for key in ("alpha", "beta", "gamma1", "gamma2", "sigma_z", "sigma_y", "p_c") if key in cfg}
+    missing = {"alpha", "beta", "gamma1", "gamma2"} - set(lists)
     if missing:
         raise DomainError(f"dgp parameters missing: {sorted(missing)}")
-    return SimDgpParams(**kwargs)
+    points = [dict(zip(lists, values)) for values in itertools.product(*lists.values())]
+    return [(SimDgpParams(**point), {key: point[key] for key in lists if len(lists[key]) > 1}) for point in points]
 
 
 def _parse_names(cfg: dict, key: str, known: tuple) -> tuple:
@@ -171,11 +177,12 @@ def cmd_bounds(args, cfg: dict) -> int:
     nodes = _number("gh_nodes", cfg.get("gh_nodes", 64), int)
     if "dist" in cfg:
         dist = read_dist_csv(cfg["dist"])
-        reports = [bound(dist, pair, model) for model in models]
+        keys, records = {}, [bound(dist, pair, model).to_dict() for model in models]
     else:
-        params = _parse_dgp(cfg)
-        reports = [simdgp_bound(params, pair, model, n_nodes=nodes) for model in models]
-    _report(args, ("model", "value", "method", "a_star", "a_ref"), [r.to_dict() for r in reports])
+        records = []
+        for params, keys in _dgp_grid(cfg):  # every point varies the same keys
+            records += [{**keys, **simdgp_bound(params, pair, model, n_nodes=nodes).to_dict()} for model in models]
+    _report(args, (*keys, "model", "value", "method", "a_star", "a_ref"), records)
     return 0
 
 
@@ -199,24 +206,29 @@ def cmd_estimate(args, cfg: dict) -> int:
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    params = _parse_dgp(cfg)
+    grid = _dgp_grid(cfg)
+    settings = _numbers("setting", cfg.get("setting", 0), int)
     sizes = _numbers("sizes", cfg.get("sizes", "5000"), int)
     replicates = _number("replicates", cfg.get("replicates", 200), int)
     if args.paper_scale:
         sizes, replicates = (50000,), 1000
-    config = McConfig(
-        params=params,
+    options = dict(
         sizes=sizes,
         replicates=replicates,
         tags=_parse_names(cfg, "tags", ESTIMATOR_TAGS),
-        setting=_number("setting", cfg.get("setting", 0), int),
         seed=args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int),
         threads=args.threads if args.threads is not None else _number("threads", cfg.get("threads", 1), int),
         gh_nodes=_number("gh_nodes", cfg.get("gh_nodes", 64), int),
     )
-    summary = run_mc(config)
-    rows = [vars(r) for r in summary.rows]
-    _report(args, summary.CSV_HEADER, rows, {"theta": summary.theta, "failed": summary.failed, "rows": rows})
+    runs = [(keys, McConfig(params=params, setting=setting, **options)) for (params, keys), setting in itertools.product(grid, settings)]
+    records, payloads = [], []
+    for keys, config in runs:  # every point varies the same keys; each row carries its setting
+        summary = run_mc(config)
+        rows = [vars(r) for r in summary.rows]
+        records += [{**keys, **r} for r in rows]
+        run_keys = {**keys, "setting": config.setting} if len(settings) > 1 else keys
+        payloads.append({**run_keys, "theta": summary.theta, "failed": summary.failed, "rows": rows})
+    _report(args, (*keys, *summary.CSV_HEADER), records, payloads if len(payloads) > 1 else payloads[0])
     return 0
 
 
@@ -237,7 +249,10 @@ def cmd_compare(args, cfg: dict) -> int:
         inside = rows["diff"][rows["interval_member"]]
         gap = f"{inside.max():.3e}" if inside.size else "none"
         sys.stderr.write(f"{rows.size} grid points, {inside.size} inside the band, max in-band gap {gap}\n")
-        cmp_mod.scan_to_csv(rows, sys.stdout if args.out is None else args.out)
+        if args.format == "json":
+            _report(args, rows.dtype.names, [dict(zip(rows.dtype.names, r)) for r in rows.tolist()])
+        else:
+            cmp_mod.scan_to_csv(rows, sys.stdout if args.out is None else args.out)
         violations = int(np.sum(rows["interval_member"] & (rows["diff"] > 1e-10)))
         if violations:
             sys.stderr.write(f"{violations} grid points violate the ratio-band ordering\n")

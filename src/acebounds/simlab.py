@@ -111,6 +111,8 @@ class McConfig:
             raise DomainError("sizes must name at least one sample size")
         if any(n < 10 for n in self.sizes):
             raise DomainError("sample sizes below 10 are not supported")
+        if len(set(self.sizes)) < len(self.sizes):
+            raise DomainError(f"sizes repeat a sample size: {list(self.sizes)}")  # failed counts are keyed by n
         setting_model_specs(self.setting)  # raises DomainError for an unknown setting
         if self.threads < 1:
             raise DomainError("threads (replicates in flight) must be at least 1")

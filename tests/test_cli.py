@@ -198,6 +198,20 @@ def test_compare_scan_reduced_grid(tmp_path):
     assert inside and all(float(r[5]) <= 1e-10 for r in inside)
 
 
+def test_compare_scan_json_records(tmp_path):
+    grid = ["--set", "beta0=0.1", "--set", "alpha=0,2", "--set", "beta=0,4", "--set", "gamma1=1", "--set", "gamma2=-1"]
+    out_csv, out_json = tmp_path / "scan.csv", tmp_path / "scan.json"
+    assert run_cli("compare", "--scan", *grid, "--out", str(out_csv)) == 0
+    assert run_cli("compare", "--scan", *grid, "--format", "json", "--out", str(out_json)) == 0
+    records = json.loads(out_json.read_text())
+    rows = _read_csv(out_csv)
+    assert len(records) == len(rows) - 1 == 2 * 2
+    for record, row in zip(records, rows[1:]):
+        assert sorted(record) == sorted(rows[0])
+        assert record["interval_member"] is (row[6] == "1")
+        assert [f"{record[k]:.6g}" for k in rows[0][:6]] == row[:6]
+
+
 def test_compare_dist_verdict(tmp_path):
     _, path = _write_chain_dist(tmp_path, seed=21)
     out = tmp_path / "verdict.json"
@@ -455,6 +469,7 @@ SIM = [f"--set={kv}" for kv in (DGP + ",sizes=20,replicates=2").split(",")]
         (["simulate", *SIM, "--set", "gh_nodes=400"], "gh_nodes"),  # numpy's Gauss-Hermite weights overflow
         (["bounds", "--dgp", DGP, "--set", "gh_nodes=200"], "gh_nodes"),  # doubled to 400 nodes
         (["simulate", *SIM, "--threads", "0"], "threads"),
+        (["simulate", *SIM, "--set", "sizes=20,20"], "sizes"),
     ],
 )
 def test_bad_config_value_names_its_key(argv, key, tmp_path, monkeypatch, capsys):
@@ -464,3 +479,58 @@ def test_bad_config_value_names_its_key(argv, key, tmp_path, monkeypatch, capsys
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+GRID = ["--set", "alpha=1", "--set", "beta=0.5,1.5", "--set", "gamma1=0.5,1.5", "--set", "gamma2=0.5,1.5"]
+
+
+def test_bounds_grid_runs_every_point(capsys):
+    from acebounds.bounds import SimDgpParams, simdgp_bound
+
+    assert run_cli("bounds", *GRID, "--format", "json") == 0
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 8 * 6
+    points = [(r["beta"], r["gamma1"], r["gamma2"]) for r in records[::6]]
+    assert points == [(b, g1, g2) for b in (0.5, 1.5) for g1 in (0.5, 1.5) for g2 in (0.5, 1.5)]
+    for r in records:
+        assert "alpha" not in r
+        params = SimDgpParams(alpha=1.0, beta=r["beta"], gamma1=r["gamma1"], gamma2=r["gamma2"])
+        assert r["value"] == simdgp_bound(params, PAIR, r["model"]).value
+    assert run_cli("bounds", *GRID) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "beta,gamma1,gamma2,model,value,method,a_star,a_ref"
+    assert len(lines) == 1 + 48 and lines[1].startswith("0.5,0.5,0.5,BD,")
+
+
+def test_a_key_with_one_value_adds_no_column(capsys):
+    assert run_cli("bounds", "--set", "alpha=1", "--set", "beta=0.5,1.5", "--set", "gamma1=1", "--set", "gamma2=1") == 0
+    assert capsys.readouterr().out.splitlines()[0] == "beta,model,value,method,a_star,a_ref"
+    assert run_cli("simulate", *SIM, "--set", "tags=NAIVE", "--set", "setting=1,2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "setting,n,tag,bias,bias_se,emp_se,scaled_var,scaled_var_se,mse,mse_se"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_grid_joins_one_point_runs(threads, capsys):
+    base = ["--set=alpha=1", "--set=gamma1=1.5", "--set=gamma2=1.5", "--set=sizes=60,80", "--set=replicates=3", "--threads", threads]
+    one_point = {}
+    for beta in ("0.5", "1.5"):
+        for setting in ("1", "2"):
+            for fmt in ("csv", "json"):
+                assert run_cli("simulate", *base, f"--set=beta={beta}", f"--set=setting={setting}", "--format", fmt) == 0
+                one_point[beta, setting, fmt] = capsys.readouterr().out
+    assert run_cli("simulate", *base, "--set=beta=0.5,1.5", "--set=setting=1,2") == 0
+    header, *_ = one_point["0.5", "1", "csv"].splitlines(keepends=True)
+    expected = "beta," + header + "".join(
+        f"{beta},{line}" for (beta, _, fmt), text in one_point.items() if fmt == "csv" for line in text.splitlines(keepends=True)[1:]
+    )
+    assert capsys.readouterr().out == expected
+    assert run_cli("simulate", *base, "--set=beta=0.5,1.5", "--set=setting=1,2", "--format", "json") == 0
+    payloads = json.loads(capsys.readouterr().out)
+    expected = [
+        {"beta": float(beta), "setting": int(setting), **json.loads(text)}
+        for (beta, setting, fmt), text in one_point.items()
+        if fmt == "json"
+    ]
+    assert payloads == expected

@@ -132,6 +132,8 @@ def test_mc_config_validation():
         McConfig(params=PARAMS, sizes=(5,))
     with pytest.raises(DomainError, match="sizes"):
         McConfig(params=PARAMS, sizes=())
+    with pytest.raises(DomainError, match="sizes"):  # failed counts and McSummary.row are keyed by n
+        McConfig(params=PARAMS, sizes=(20, 50, 20))
     with pytest.raises(DomainError):
         McConfig(params=PARAMS, setting=9)
     with pytest.raises(DomainError):
