@@ -87,10 +87,15 @@ def _number(key: str, text, kind=float):
 
 
 def _numbers(key: str, text, kind=float) -> tuple:
-    """The non-empty comma list `text`, each entry read by :func:`_number`."""
+    """The non-empty comma list `text` of distinct values, each entry read by :func:`_number`.
+
+    Each value is a point of a grid or a run, so a repeat would run the same one twice.
+    """
     values = tuple(_number(key, tok, kind) for tok in str(text).split(",") if tok.strip())
     if not values:
         raise DomainError(f"{key}: expected a comma list of numbers, got {text!r}")
+    if len(set(values)) < len(values):
+        raise DomainError(f"{key}: the list {text!r} repeats a value")
     return values
 
 
@@ -169,7 +174,11 @@ def _parse_model_specs(cfg: dict):
 
 def cmd_bounds(args, cfg: dict) -> int:
     if args.dgp:
-        _apply_overrides(cfg, args.dgp.split(","))
+        items = args.dgp.split(",")
+        for item in items:
+            if "=" not in item:
+                raise DomainError(f"--dgp entry {item!r} is not key=value: --dgp takes one value per key; give a list with --set key=v1,v2 or in the config file")
+        _apply_overrides(cfg, items)
     if args.dist:
         cfg["dist"] = args.dist
     pair = _parse_pair(cfg)
@@ -271,7 +280,7 @@ def cmd_compare(args, cfg: dict) -> int:
             "cells": {f"z={z},c={c}": v for (z, c), v in verdict.cell_values.items()},
         }
         if "coef" in cfg:
-            coef = _numbers("coef", cfg["coef"])
+            coef = tuple(_number("coef", tok) for tok in cfg["coef"].split(",") if tok.strip())  # a vector: values may repeat
             fd_verdict = cmp_mod.fd_vs_bd_verdict(dist, pair, coef)
             payload["fd_vs_bd"] = {
                 "ordering": fd_verdict.ordering,

@@ -58,7 +58,7 @@ def naive_difference(data: Dataset):
     """
     arms = []
     for level in (data.pair.a_star, data.pair.a_ref):
-        ys = data.y[data.a == level]
+        ys = data.y.compress(data.a == level)
         if ys.size < 2:
             raise DomainError(f"treatment level {level!r} has {ys.size} row(s); the difference in means needs 2 per arm")
         arms.append(ys)

@@ -24,8 +24,9 @@ The data's (a, c) cells are coded once per dataset or fold, as an
 with each cell's row count.  Logistic, linear-mean and Gaussian-density fits
 whose predictors are all a or c are collapsed onto these cells, each with
 its row count and its response sum (the successes, for the logistic).  One
-IRLS loop (`_irls`) and one least-squares solve (`_least_squares`) serve
-both designs; the row-wise design passes counts of 1.  A Gaussian law's
+IRLS loop (`_irls`) and one least-squares solve (`_least_squares`, from
+column cross-products, never a copy of the design) serve both designs; the
+row-wise design passes no counts.  A Gaussian law's
 residual variance still sums over all n rows.  Empirical tables over a and c
 alone (p_c, p_a, and empirical p_a_given_c or mean_y_ac) count the same
 cells instead of sorting n rows; a mean still sums y in row order.  The
@@ -199,28 +200,71 @@ class FoldedNuisances:
 # -- low-level fitters -------------------------------------------------------
 
 
-def _design(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
-    return np.column_stack([np.ones(n)] + [np.asarray(col, dtype=float) for col in columns])
+def _design(columns: Sequence[np.ndarray], n: int) -> list:
+    """The columns of a design over n groups: the intercept (ones) first, then `columns`."""
+    return [np.ones(n)] + [np.asarray(col, dtype=float) for col in columns]
 
 
-def _least_squares(X: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients over grouped rows.
+_RANK_CUTOFF = 1e-8  # see _least_squares: no column within about 1.4e-4 rad of the span of the others
 
-    Row g of X stands for counts[g] data rows whose responses sum to sums[g].
-    Minimises sum_g counts[g] (sums[g] / counts[g] - X[g] b)^2, which differs
-    from the row-wise residual sum of squares by a constant.  The rank cutoff
-    is the one lstsq applies to the ungrouped rows; with counts of 1 this is
-    lstsq on the rows itself.  The scaling is skipped there: copying an n-row
-    design for the row-wise outcome fits cost about 11% of Monte Carlo
-    throughput on a 2-core x86 box.
+
+def _least_squares(X, sums: np.ndarray, counts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Least-squares coefficients of a design with an intercept, over grouped rows.
+
+    X is the design, its intercept column of ones first: an array with one
+    row per group, or the list of its columns.  Row g stands for counts[g]
+    data rows whose responses sum to sums[g]; without counts, each row stands
+    for itself.  Minimises sum_g counts[g] (sums[g] / counts[g] - X[g] b)^2,
+    which differs from the row-wise residual sum of squares by a constant.
+
+    The solve works on the p x p cross-product matrix, formed from p(p+1)/2
+    column dot products with each group weighted by its count; no copy of
+    the design is made.  The predictor columns are centred on their weighted
+    means first, so an offset in a predictor does not square the condition
+    number.
+
+    Rank rule: the cross-product matrix of the centred columns, intercept
+    included, is equilibrated by its diagonal (a zero column stays zero).
+    The design has full rank when every eigenvalue of that matrix exceeds
+    ``_RANK_CUTOFF`` = 1e-8, that is when no centred column lies within about
+    1.4e-4 rad of the span of the others; otherwise RankDeficient gives the
+    number of eigenvalues above the cutoff as the rank.  A constant predictor
+    centres to zero or to a multiple of the intercept, so it, like two equal
+    predictors, leaves rank p - 1.  The cutoff also bounds the condition
+    number of the equilibrated system that is solved by p / 1e-8.
+
+    Refinement: after the solve, the residual sums of the fit are formed over
+    the groups, and one correction, solved from their dot products with the
+    centred columns, is added to the coefficients.
     """
-    rcond = np.finfo(float).eps * max(float(counts.sum()), X.shape[1])
-    if np.any(counts != 1):
-        root = np.sqrt(counts)
-        X, sums = X * root[:, None], sums / root
-    coef, _, rank, _ = np.linalg.lstsq(X, sums, rcond=rcond)
-    if rank < X.shape[1]:
-        raise RankDeficient(f"design has rank {rank} < {X.shape[1]} columns")
+    ones, *preds = list(X.T) if isinstance(X, np.ndarray) else X
+    total = float(sums.size if counts is None else counts.sum())
+    means = np.array([(ones if counts is None else counts) @ x for x in preds]) / total
+    centred = [ones] + [x - m for x, m in zip(preds, means)]
+    weighted = centred if counts is None else [counts * x for x in centred]
+    p = len(centred)
+    gram = np.empty((p, p))
+    for j in range(p):
+        for k in range(j, p):
+            gram[j, k] = gram[k, j] = weighted[j] @ centred[k]
+    diag = np.diag(gram)
+    scale = np.divide(1.0, np.sqrt(diag), out=np.zeros(p), where=diag > 0)
+    eig, vec = np.linalg.eigh(scale[:, None] * gram * scale)
+    rank = int(np.count_nonzero(eig > _RANK_CUTOFF))
+    if rank < p:
+        raise RankDeficient(f"design has rank {rank} < {p} columns")
+
+    def solve(resp):
+        """Coefficients on the centred columns for the normal equations with right-hand side X~' resp."""
+        rhs = scale * np.array([x @ resp for x in centred])
+        return scale * (vec @ ((rhs @ vec) / eig))
+
+    coef = solve(sums)
+    fitted = np.full(sums.shape, coef[0])
+    for b, x in zip(coef[1:], centred[1:]):
+        fitted += b * x
+    coef += solve(sums - (fitted if counts is None else counts * fitted))
+    coef[0] -= means @ coef[1:]
     return coef
 
 
@@ -254,17 +298,18 @@ def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray, max_iter: in
 
 
 def _fit_design(data: Dataset, preds: tuple, values: np.ndarray, cells=None):
-    """(X, response sums, counts, group of each row or None) for a fit of `values` on `preds`.
+    """(design columns, response sums, counts, group of each row) for a fit of `values` on `preds`.
 
     `cells` returns the data's (a, c) LevelIndex and its row counts.  When it
     is given and every predictor is a or c, the groups are the distinct (a, c)
-    cells: the collapsed design.  Otherwise every row is its own group.
+    cells: the collapsed design.  Otherwise every row is its own group, and
+    the counts and groups are None.
     """
     if cells is not None and set(preds) <= {"a", "c"}:
         index, counts = cells()
         X = _design([getattr(index, p) for p in preds], counts.size)
         return X, np.bincount(index.inv, weights=values, minlength=counts.size), counts, index.inv
-    return _design([data.column(p) for p in preds], data.n), values, np.ones(data.n), None
+    return _design([data.column(p) for p in preds], data.n), values, None, None
 
 
 class _Linear:
@@ -315,9 +360,9 @@ def _gaussian_law(data: Dataset, response: str, predictors: tuple, arg_names: tu
     yv = data.column(response)
     X, sums, counts, groups = _fit_design(data, predictors, yv, cells)
     coef = _least_squares(X, sums, counts)
-    fitted = X @ coef
+    fitted = sum(b * x for b, x in zip(coef, X))
     resid = yv - (fitted if groups is None else fitted[groups])  # over all n rows either way
-    variance = float(resid @ resid) / (n - X.shape[1])
+    variance = float(resid @ resid) / (n - len(X))
     if variance < VARIANCE_FLOOR:
         raise DegenerateModel(f"residual variance {variance!r} below the {VARIANCE_FLOOR} floor")
     return GaussianConditional(arg_names, predictors, coef, np.sqrt(variance))
@@ -423,7 +468,9 @@ def _fit_model(data: Dataset, family: str, response: str, preds: tuple, supports
         return (_least_squares(*_fit_design(data, preds, data.y, cells)[:3]),)
     if family == "logistic":
         hi, lo = _binary_levels(supports[response], response)
-        return _irls(*_fit_design(data, preds, (data.column(response) == hi).astype(float), cells)[:3]), hi, lo
+        # a probability slot's predictors are a or c, so its design is always the collapsed one, with counts
+        X, successes, trials, _ = _fit_design(data, preds, (data.column(response) == hi).astype(float), cells)
+        return _irls(np.column_stack(X), successes, trials), hi, lo
     law = _gaussian_law(data, response, preds, preds, cells)
     return law.coef, law.sd
 

@@ -4,10 +4,12 @@ Child seeds are spawned from the master seed by (size index, replicate index),
 so a single replicate can be reproduced in isolation and results do not depend
 on scheduling.  With ``threads > 1`` replicates run in worker processes of one
 persistent ``spawn`` pool, started on first use and reused while the worker
-count stays the same; the summary is reduced from the index-ordered vector of
-estimates.  numpy's bundled OpenBLAS is pinned to one thread in the workers and,
-for the length of the call, in a serial run, so output is bitwise identical for
-any worker count.
+count stays the same.  Each worker gets one chunk of consecutive replicates per
+size (``ceil(replicates / workers)`` of them), so a size costs one pool round
+trip per worker, not one per replicate; the summary is reduced from the
+index-ordered vector of estimates.  numpy's bundled OpenBLAS is pinned to one
+thread in the workers and, for the length of the call, in a serial run, so
+output is bitwise identical for any worker count.
 
 The worker set-up (``_set_up_worker``) also keeps each worker's heap warm.  A
 replicate at n=50000 allocates and frees row-length temporaries of 400 kB,
@@ -162,9 +164,10 @@ class McSummary:
 def sample_dgp(params: SimDgpParams, n: int, seed) -> Dataset:
     """Draw n rows of (c, a, z, y); `seed` may be an int or a SeedSequence."""
     rng = np.random.default_rng(seed)
-    c = (rng.random(n) < params.p_c).astype(float)
+    c_is_1 = rng.random(n) < params.p_c
+    c = c_is_1.astype(float)
     p_a = expit(params.alpha * np.array([0.0, 1.0]))  # p(A=1|c) at the two covariate levels
-    a = (rng.random(n) < np.where(c == 1.0, p_a[1], p_a[0])).astype(float)
+    a = (rng.random(n) < p_a[c_is_1.view(np.uint8)]).astype(float)  # gathered by c's 0/1 byte
     z = params.beta * a + params.sigma_z * rng.standard_normal(n)
     y = params.gamma1 * z + params.gamma2 * c + params.sigma_y * rng.standard_normal(n)
     return Dataset(c, a, z, y, TreatmentPair(1.0, 0.0))
@@ -351,7 +354,7 @@ def _replicates(config: McConfig, specs, z_rule, size_index: int, n: int, worker
         with _one_blas_thread():
             return [work(k) for k in range(config.replicates)]
     try:
-        return list(_executor(workers).map(work, range(config.replicates)))
+        return list(_executor(workers).map(work, range(config.replicates), chunksize=-(-config.replicates // workers)))
     except BrokenExecutor as exc:  # the pool's BrokenProcessPool
         _drop_pool()
         raise AceboundsError(

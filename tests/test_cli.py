@@ -470,6 +470,12 @@ SIM = [f"--set={kv}" for kv in (DGP + ",sizes=20,replicates=2").split(",")]
         (["bounds", "--dgp", DGP, "--set", "gh_nodes=200"], "gh_nodes"),  # doubled to 400 nodes
         (["simulate", *SIM, "--threads", "0"], "threads"),
         (["simulate", *SIM, "--set", "sizes=20,20"], "sizes"),
+        # a repeated grid or setting value would run the same point twice
+        (["bounds", "--set", "alpha=1", "--set", "beta=0.5,0.5", "--set", "gamma1=1", "--set", "gamma2=1"], "beta"),
+        (["bounds", "--set", "alpha=1", "--set", "beta=0.5,1.5", "--set", "gamma1=1", "--set", "gamma2=1,1.0"], "gamma2"),
+        (["simulate", *SIM, "--set", "setting=1,1"], "setting"),
+        (["simulate", *SIM, "--set", "gamma1=0.5,2,0.5"], "gamma1"),
+        (["compare", "--scan", "--set", "alpha=0,0"], "alpha"),
     ],
 )
 def test_bad_config_value_names_its_key(argv, key, tmp_path, monkeypatch, capsys):
@@ -479,6 +485,16 @@ def test_bad_config_value_names_its_key(argv, key, tmp_path, monkeypatch, capsys
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+def test_dgp_list_points_to_set_and_the_config_file(capsys):
+    assert run_cli("bounds", "--dgp", "alpha=1,beta=0.5,1.5,gamma1=1,gamma2=1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --dgp entry '1.5' is not key=value: --dgp takes one value per key; "
+        "give a list with --set key=v1,v2 or in the config file\n"
+    )
 
 
 GRID = ["--set", "alpha=1", "--set", "beta=0.5,1.5", "--set", "gamma1=0.5,1.5", "--set", "gamma2=0.5,1.5"]

@@ -259,6 +259,28 @@ def test_run_mc_above_the_default_mmap_threshold_is_worker_count_invariant():
 
 
 @TWO_WORKERS
+def test_each_worker_gets_one_chunk_and_uneven_chunks_keep_the_summary(monkeypatch):
+    # 5 replicates on 2 workers: chunks of 3 and 2, one pool task per worker and size
+    chunks = []
+
+    class Recorder:
+        def __init__(self, executor):
+            self.executor = executor
+
+        def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
+            return self.executor.map(fn, items, chunksize=chunksize)
+
+    config = dict(params=PARAMS, sizes=(200, 300), replicates=5, setting=2, seed=13)
+    serial = run_mc(McConfig(threads=1, **config))
+    pooled_executor = simlab._executor
+    monkeypatch.setattr(simlab, "_executor", lambda workers: Recorder(pooled_executor(workers)))
+    pooled = run_mc(McConfig(threads=2, **config))
+    assert chunks == [3, 3]
+    assert serial.rows == pooled.rows and serial.failed == pooled.failed
+
+
+@TWO_WORKERS
 def test_killed_worker_is_reported_and_the_next_run_starts_a_fresh_pool():
     config = McConfig(params=PARAMS, sizes=(200,), replicates=20, setting=0, seed=5, threads=2)
     want = run_mc(config).to_csv()
