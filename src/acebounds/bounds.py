@@ -29,22 +29,23 @@ Whenever a formula subtracts theta**2 (or centers on theta), theta is the
 two-door functional of the same distribution, so there is a single source of
 truth for the target parameter.
 
-The exact sums of FD, TD, FD_TD and BD_FD_TD use one kernel.  Over strata
+The exact sums of the five mediator models use one kernel.  Over strata
 of weight pi it adds a residual term, the spread of the pooled outcome under
 the mediator law at a* and at a over the treatment weights, and a drift term,
 then subtracts theta**2.  The models differ only in:
 
-==========  ========  =======  ===================  =======
-model       strata s  cells k  mass                 weights
-==========  ========  =======  ===================  =======
-FD          --        a        p(z|a)               p(a)
-TD          live c    a        p(z|a,c)             p(a|c)
-FD_TD       --        (c, a)   p(z|a)               p(a)
-BD_FD_TD    --        c        sum_a p(a|c) p(z|a)  p(a)
-==========  ========  =======  ===================  =======
+==========  ========  =======  =====================  =======
+model       strata s  cells k  mass                   weights
+==========  ========  =======  =====================  =======
+FD          --        a        p(z|a)                 p(a)
+TD          live c    a        p(z|a,c)               p(a|c)
+BD_TD       live c    one      sum_a p(z|a,c) p(a|c)  p(a|c)
+FD_TD       --        (c, a)   p(z|a)                 p(a)
+BD_FD_TD    --        c        sum_a p(a|c) p(z|a)    p(a)
+==========  ========  =======  =====================  =======
 
-Strata have weight p(c) and law p(z|a,c); without them the law is p(z|a).  BD
-is written out, and BD_TD is TD plus a correction for the outcome on (z, c).
+Strata have weight p(c) and law p(z|a,c); without them the law is p(z|a).
+BD is written out.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _by_cell(x):
 # model -> (weights text, law text, mass text, cells): the weights and the law are checked before
 # theta, the mass after it, and a None text is not checked.  cells(t, c) gives pi, law[a,z], w[a],
 # omega[k], mean[k,z], var[k,z] and mass[k,z] over the live covariate levels c, with a leading
-# stratum axis for TD (module docstring).
+# stratum axis for TD and BD_TD (module docstring).
 _MEDIATOR_MODELS = {
     "FD": (
         "p(a)", "p(z|a)", None,
@@ -139,6 +140,13 @@ _MEDIATOR_MODELS = {
         "p(a|c)", "p(z|a,c)", None,
         lambda t, c: tuple(
             t[k][c] for k in ("pc", "p_z_given_ac", "p_a_given_c", "p_a_given_c", "ey_azc", "vy_azc", "p_z_given_ac")
+        ),
+    ),
+    "BD_TD": (
+        "p(a|c)", "p(z|a,c)", "sum_a p(z|a,c) p(a|c)",
+        lambda t, c: (
+            t["pc"][c], t["p_z_given_ac"][c], t["p_a_given_c"][c], np.ones((c.size, 1)), t["ey_zc"][c, None], t["vy_zc"][c, None],
+            np.einsum("caz,ca->cz", t["p_z_given_ac"][c], t["p_a_given_c"][c])[:, None],
         ),
     ),
     "FD_TD": (
@@ -188,26 +196,10 @@ def _exact_sum(dist: DiscreteJoint, pair: TreatmentPair, model: str) -> float:
     return fsum(np.concatenate([x.ravel() for x in terms])) - theta**2
 
 
-def _bd_td_value(dist: DiscreteJoint, pair: TreatmentPair) -> float:
-    """The TD bound plus a correction for the outcome regression on (z, c) alone."""
-    base = _exact_sum(dist, pair, "TD")
-    t = dist._cache()
-    i_s, i_r = _pair_indices(dist, pair)
-    live = t["pc"] > 0
-    pac, pzac = t["p_a_given_c"][live], t["p_z_given_ac"][live]
-    mix = _require_positive(np.einsum("caz,ca->cz", pzac, pac), "sum_a p(z|a,c) p(a|c)")
-    harm = np.einsum("ca,caz->cz", pac, 1.0 / pzac)
-    shift = pzac[:, i_s] - pzac[:, i_r]
-    corr = shift**2 * t["pc"][live, None] * t["vy_zc"][live] * (1.0 / mix - harm)
-    return base + fsum(corr)
-
-
 def bound(dist: DiscreteJoint, pair: TreatmentPair, model: str) -> BoundReport:
     """The exact efficiency bound of `model` on `dist`, summed over its cells."""
     if model == "BD":
         value = _bd_value(dist, pair)
-    elif model == "BD_TD":
-        value = _bd_td_value(dist, pair)
     elif model in _MEDIATOR_MODELS:
         value = _exact_sum(dist, pair, model)
     else:

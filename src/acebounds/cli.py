@@ -34,6 +34,8 @@ from .simlab import McConfig, run_mc, setting_model_specs
 
 __all__ = ["main"]
 
+_ORACLE_TOL = 1e-9  # `oracle` exits 1 when a bound formula and its enumeration differ by more
+
 
 def _emit(text: str, out: str | None) -> None:
     if out is None and not text.endswith("\n"):
@@ -86,17 +88,22 @@ def _number(key: str, text, kind=float):
     raise DomainError(f"{key}: expected {'an integer' if kind is int else 'a finite number'}, got {text!r}")
 
 
-def _numbers(key: str, text, kind=float) -> tuple:
-    """The non-empty comma list `text` of distinct values, each entry read by :func:`_number`.
+def _comma_list(key: str, text, read, what: str) -> tuple:
+    """The non-empty comma list `text` of distinct values, each entry read by `read`.
 
-    Each value is a point of a grid or a run, so a repeat would run the same one twice.
+    Each value is a point of a grid, a run or a report row, so a repeat would give the same one twice.
     """
-    values = tuple(_number(key, tok, kind) for tok in str(text).split(",") if tok.strip())
+    values = tuple(read(tok) for tok in str(text).split(",") if tok.strip())
     if not values:
-        raise DomainError(f"{key}: expected a comma list of numbers, got {text!r}")
+        raise DomainError(f"{key}: expected a comma list of {what}, got {text!r}")
     if len(set(values)) < len(values):
         raise DomainError(f"{key}: the list {text!r} repeats a value")
     return values
+
+
+def _numbers(key: str, text, kind=float) -> tuple:
+    """The comma list `text` of distinct numbers (see :func:`_comma_list`), each read by :func:`_number`."""
+    return _comma_list(key, text, lambda tok: _number(key, tok, kind), "numbers")
 
 
 def _parse_pair(cfg: dict) -> TreatmentPair:
@@ -114,11 +121,11 @@ def _dgp_grid(cfg: dict) -> list:
 
 
 def _parse_names(cfg: dict, key: str, known: tuple) -> tuple:
-    """The comma list under `key`, upper-cased, or every known name for "all" (the default)."""
+    """The comma list of distinct names under `key`, upper-cased, or every known name for "all" (the default)."""
     raw = cfg.get(key, "all")
     if raw == "all":
         return known
-    names = tuple(tok.strip().upper() for tok in raw.split(",") if tok.strip())
+    names = _comma_list(key, raw, lambda tok: tok.strip().upper(), "names")
     unknown = set(names) - set(known)
     if unknown:
         raise DomainError(f"unknown {key} {sorted(unknown)}")
@@ -201,15 +208,17 @@ def cmd_estimate(args, cfg: dict) -> int:
     if "data" not in cfg:
         raise DomainError("estimate needs a dataset (--data or data=... in the config)")
     pair = _parse_pair(cfg)
+    tags = _parse_names(cfg, "tags", ESTIMATOR_TAGS)
+    td_form = cfg.get("td_form", "general")
+    if td_form not in ("general", "reduced"):
+        raise DomainError(f"td_form: expected 'general' or 'reduced', got {td_form!r}")
     data = read_data_csv(cfg["data"], pair)
     specs = _parse_model_specs(cfg)
     folds = _number("crossfit_folds", cfg.get("crossfit_folds", 0), int)
     seed = args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int)
     plan = CrossFitPlan(folds=folds, seed=seed)
     eta = fit(data, specs, plan=plan, gh_nodes=_number("gh_nodes", cfg.get("gh_nodes", 64), int))
-    tags = _parse_names(cfg, "tags", ESTIMATOR_TAGS)
-    td_reduced = cfg.get("td_form", "general") == "reduced"
-    results = estimate_all(data, eta, tags, td_reduced=td_reduced)
+    results = estimate_all(data, eta, tags, td_reduced=td_form == "reduced")
     _report(args, EstimationResult.CSV_HEADER, [vars(r) for r in results])
     return 0
 
@@ -294,7 +303,6 @@ def cmd_compare(args, cfg: dict) -> int:
 def cmd_oracle(args, cfg: dict) -> int:
     dist = read_dist_csv(args.dist)
     pair = _parse_pair(cfg)
-    tol = _number("tol", cfg.get("tol", 1e-9))
     rows = []
     for model in MODELS:
         closed = bound(dist, pair, model).value
@@ -302,8 +310,8 @@ def cmd_oracle(args, cfg: dict) -> int:
         rows.append({"model": model, "formula": closed, "enumeration": enum, "abs_diff": abs(closed - enum)})
     _report(args, ("model", "formula", "enumeration", "abs_diff"), rows)
     worst = max(0.0, *(r["abs_diff"] for r in rows))
-    if worst > tol:
-        sys.stderr.write(f"oracle discrepancy {worst:.3e} exceeds tolerance {tol:.1e}\n")
+    if worst > _ORACLE_TOL:
+        sys.stderr.write(f"oracle discrepancy {worst:.3e} exceeds tolerance {_ORACLE_TOL:.1e}\n")
         return 1
     return 0
 

@@ -48,9 +48,8 @@ component broadcasts its result to its call arguments through the same
 ``reads`` are the slot arguments that are fitted predictors (plus the response
 of a probability), and their ``observed`` mask holds the groups seen in the
 data: a response level unseen within an observed group has frequency 0, while
-an unseen group or a value outside the support raises.  A row plan reads them
-at its own codes of the arguments, a probability's through ``_Clipped.at``,
-which clips and counts as a call does.
+an unseen group or a value outside the support raises.  A row plan reads
+a bare table at its own codes and calls a clipped one.
 """
 
 from __future__ import annotations
@@ -430,19 +429,7 @@ class _Clipped:
         self.eps = eps
 
     def __call__(self, *args):
-        return self._clip(self.fn(*args))
-
-    @property
-    def table(self):
-        """The wrapped ``influence._Table``, whose codes :meth:`at` takes; None for any other component."""
-        return self.fn if isinstance(self.fn, _Table) else None
-
-    def at(self, idx, args):
-        """The wrapped table's values at the codes `idx`, clipped as a call is (see ``influence._Table.at``)."""
-        return self._clip(self.fn.at(idx, args))
-
-    def _clip(self, p):
-        p = np.asarray(p, dtype=float)
+        p = np.asarray(self.fn(*args), dtype=float)
         hits = int(np.count_nonzero(p < self.eps) + np.count_nonzero(p > 1.0 - self.eps))
         if hits:
             self.counter[self.slot] = self.counter.get(self.slot, 0) + hits

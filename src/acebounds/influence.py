@@ -95,8 +95,8 @@ Discrete nuisances are one table class, ``_Table``: :func:`truth_nuisances`
 builds it over every argument, passing NaN cells through; ``fitting`` builds
 its empirical and fixed-value slots with it, with an ``observed`` mask.  Its
 values are read at codes (``_Table.at``): a call codes its arguments with
-``_lookup``, which also codes a level index; a plan reads a table (also behind
-``fitting._Clipped``) at its own codes, a row's a and c by its level's.
+``_lookup``, which also codes a level index; a plan reads a bare table at its
+own codes, a row's a and c by its level's, and calls any other component.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ import numpy as np
 
 from .dist import DiscreteJoint, TreatmentPair, _require_positive, ace_twodoor, fsum
 from .errors import DomainError, MissingNuisance
-from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, expect_z
+from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, _node_shape, expect_z
 
 __all__ = ["NuisanceSet", "MODEL_TAGS", "evaluate_m", "LevelIndex", "level_index", "truth_nuisances", "brute_force_mean", "brute_force_variance"]
 
@@ -172,10 +172,6 @@ def _spread(out, args):
     """`out` broadcast to the common shape of itself and all call arguments; a view where it grows."""
     shape = np.broadcast_shapes(np.shape(out), *(np.shape(v) for v in args))
     return out if np.shape(out) == shape else np.broadcast_to(np.asarray(out, dtype=float), shape)
-
-
-def _col(x):
-    return np.asarray(x)[..., None]
 
 
 @dataclass(frozen=True)
@@ -274,9 +270,8 @@ class _Plan:
         """`slot` at `args`: scalars and plan column names once per key (see :meth:`key`); arrays afresh."""
         fn, names = getattr(self.eta.require(slot), slot), SLOTS[slot][0]
         vals = [self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names]
-        # a table, also behind fitting._Clipped, is read at the plan's codes (``at`` on the class: a forwarding wrapper is called)
-        if hasattr(type(fn), "at") and (table := getattr(fn, "table", fn)) is not None:
-            at, fn = fn.at, lambda *xs: at(tuple(self._code(table, k, names[pos], args[names[pos]]) for k, pos in enumerate(table.reads)), xs)
+        if isinstance(fn, _Table):  # read at the plan's codes; any wrapper, a clipping one included, is called
+            table, fn = fn, lambda *xs: table.at(tuple(self._code(table, k, names[pos], args[names[pos]]) for k, pos in enumerate(table.reads)), xs)
         if any(isinstance(args[v], np.ndarray) for v in names):  # mediator nodes or level columns of an integrand
             return fn(*vals)
         key = self.key(slot, **args)
@@ -349,7 +344,7 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
     eta, levels, y = plan.eta, plan.levels, plan.rows[3]
     rule, pz = eta.require("z_integrator", law).z_integrator, getattr(eta, law)
-    if hasattr(type(pz), "at") and isinstance(rule, FiniteZRule):  # a table law, read through the plan, which codes the arms once
+    if isinstance(pz, _Table) and isinstance(rule, FiniteZRule):  # a table law, read through the plan, which codes the arms once
         pz = lambda *vals: plan.value(law, **dict(zip(SLOTS[law][0], vals)))  # noqa: E731
     law_given_c, outcome_given_c = "c" in SLOTS[law][0], "c" in SLOTS[outcome][0]
     outcome_given_a = "a" in SLOTS[outcome][0]
@@ -365,7 +360,7 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     def sum_levels(reads_c):
         """(treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
         if reads_c:
-            return levels.a, _col(levels.c), levels.inv
+            return levels.a, _node_shape(levels.c), levels.inv
         la, inv = levels.by_a
         return la, None, inv
 
@@ -393,11 +388,11 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
             return sum(w * given_c(v, lambda ab, j=j: p_live[ab][j]) for j, (w, v) in enumerate(zip(pc_live, c_live)))
         return given_c(cv, p_at)
 
-    def p_at_levels(ab):  # a column over the sum levels, or one entry when they are treatment levels only
-        return _col(plan.value(slot, a=ab, c="levels"))
+    def p_at_levels(ab):  # a column over the sum levels, or one value when they are treatment levels only
+        return _node_shape(plan.value(slot, a=ab, c="levels"))
 
     def own_arm(zz):
-        return plan.value(outcome, a=_col(ta), z=zz, c=tc)
+        return plan.value(outcome, a=_node_shape(ta), z=zz, c=tc)
 
     law_at = partial(plan.value, law, z="rows", c="rows")
     # 1{A=a*}/w(a*) - 1{A=a}/w(a) per (a, c) level, gathered to the rows: each row divides the same 0/1 by the same weight

@@ -118,6 +118,8 @@ class McConfig:
         setting_model_specs(self.setting)  # raises DomainError for an unknown setting
         if self.threads < 1:
             raise DomainError("threads (replicates in flight) must be at least 1")
+        if not self.tags:
+            raise DomainError("tags must name at least one estimator tag")
         unknown = set(self.tags) - set(ESTIMATOR_TAGS)
         if unknown:
             raise DomainError(f"unknown estimator tags {sorted(unknown)}")

@@ -41,6 +41,16 @@ def test_bounds_match_enumeration_oracle(seed):
         assert exact == pytest.approx(enum, abs=1e-9)
 
 
+@pytest.mark.parametrize("pair", [PAIR, TreatmentPair(0.0, 1.0)], ids=["1-0", "0-1"])
+def test_stratified_bounds_match_oracle_when_the_mediator_reads_c(pair):
+    # p(z|a,c) depends on c: the strata of TD and BD_TD, and BD's outcome on (a, c), meet a mediator law per stratum
+    rng = np.random.default_rng(2024)
+    for _ in range(25):
+        dist = random_confounded_mediator_dist(rng)
+        for model in ("BD", "TD", "BD_TD"):
+            assert bound(dist, pair, model).value == pytest.approx(brute_force_variance(dist, pair, model), abs=1e-9), model
+
+
 def _binary_treatment_joint(rng):
     pc = rng.dirichlet(np.ones(3))
     pa1 = rng.uniform(0.25, 0.75, size=3)  # p(A=1 | c), by covariate level

@@ -476,6 +476,25 @@ SIM = [f"--set={kv}" for kv in (DGP + ",sizes=20,replicates=2").split(",")]
         (["simulate", *SIM, "--set", "setting=1,1"], "setting"),
         (["simulate", *SIM, "--set", "gamma1=0.5,2,0.5"], "gamma1"),
         (["compare", "--scan", "--set", "alpha=0,0"], "alpha"),
+        # a name list must be non-empty, distinct after upper-casing, and known
+        (["bounds", "--dgp", DGP, "--set", "models="], "models"),
+        (["bounds", "--dgp", DGP, "--set", "models=BD,bd"], "models"),
+        (["bounds", "--dgp", DGP, "--set", "models=BD,XX"], "models"),
+        (["simulate", *SIM, "--set", "tags="], "tags"),
+        (["simulate", *SIM, "--set", "tags=BD,BD"], "tags"),
+        (["simulate", *SIM, "--set", "tags=XX"], "tags"),
+        (["estimate", "--data", "obs.csv", "--set", "preset=empirical", "--set", "tags=NAIVE,naive"], "tags"),
+        (["estimate", "--data", "obs.csv", "--set", "preset=empirical", "--set", "td_form=reducd"], "td_form"),
+        (["bounds", "--dgp", DGP, "--set", "models"], "models"),  # --set without '='
+        (["bounds", "--dgp", "alpha=1,beta=0.5"], "gamma1"),
+        (["simulate", "--set", "alpha=1", "--set", "beta=0.5"], "gamma2"),
+        (["estimate", "--data", "obs.csv", "--set", "nuisance.p_c="], "p_c"),
+        (["estimate", "--data", "obs.csv", "--set", "nuisance.p_c=empirical c"], "p_c"),
+        (["estimate", "--data", "obs.csv", "--set", "nuisance.p_c=empirical degree=2"], "degree"),
+        (["estimate", "--data", "obs.csv", "--set", "preset=bogus"], "preset"),
+        (["estimate", "--data", "obs.csv"], "preset"),  # no nuisance specs at all
+        (["estimate", "--set", "preset=empirical"], "data"),
+        (["compare"], "--interval"),
     ],
 )
 def test_bad_config_value_names_its_key(argv, key, tmp_path, monkeypatch, capsys):
@@ -485,6 +504,98 @@ def test_bad_config_value_names_its_key(argv, key, tmp_path, monkeypatch, capsys
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+def test_config_file_skips_comments_and_blank_lines_and_names_a_bad_line(tmp_path, capsys):
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text("# the Gaussian family\n\nalpha = 1   # confounding\nbeta=0.5\ngamma1=0.5\ngamma2=0.5\nmodels = BD\n")
+    assert run_cli("bounds", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out == "model,value,method,a_star,a_ref\nBD,5.67885,closed-form,1,0\n"
+    cfg.write_text("alpha = 1\nbeta 0.5\n")
+    assert run_cli("bounds", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'beta 0.5'\n"
+
+
+def test_spec_omit_removes_a_predictor(tmp_path, capsys):
+    # README's own example line: the outcome regression on (z, c) loses z before fitting
+    rng = np.random.default_rng(8)
+    c = (rng.random(300) < 0.5).astype(float)
+    a = (rng.random(300) < 0.4 + 0.2 * c).astype(float)
+    z = a + rng.standard_normal(300)
+    data_path = tmp_path / "obs.csv"
+    write_data_csv(Dataset(c, a, z, z + c + rng.standard_normal(300), PAIR), data_path)
+    spec = "nuisance.mean_y_zc=linear-mean predictors=z+c omit=z"
+    argv = ["estimate", "--data", str(data_path), "--set", "preset=sim-setting-0", "--set", "tags=BD_TD", "--format", "json"]
+    assert run_cli(*argv, "--set", spec) == 0
+    slot = json.loads(capsys.readouterr().out)[0]["manifest"]["slots"]["mean_y_zc"]
+    assert slot["family"] == "linear-mean" and slot["predictors"] == ["c"] and slot["omitted"] == ["z"]
+
+
+def test_compare_dist_with_outcome_coef_adds_the_fd_verdict(tmp_path, capsys):
+    # E(Y|z,c) is exactly 0.1 + 0.5z + 0.2c on this joint
+    dist = chain_joint(
+        BINARY,
+        BINARY,
+        BINARY,
+        BINARY,
+        lambda c: 0.6 - 0.2 * c,
+        lambda a, c: 0.7 - 0.4 * c if a else 0.3 + 0.4 * c,
+        lambda z, a: 0.2 + 0.5 * a if z else 0.8 - 0.5 * a,
+        lambda y, z, c: 0.1 + 0.5 * z + 0.2 * c if y else 0.9 - 0.5 * z - 0.2 * c,
+    )
+    path = tmp_path / "chain.csv"
+    write_dist_csv(dist, path)
+    assert run_cli("compare", "--dist", str(path), "--set", "coef=0.1,0.5,0.2") == 0
+    fd = json.loads(capsys.readouterr().out)["fd_vs_bd"]
+    assert fd["ordering"] == "inconclusive"
+    assert sorted(fd["reciprocal_gaps"]) == ["a_ref", "a_star"]
+    assert all(gap <= 1e-12 for gap in fd["reciprocal_gaps"].values())  # Jensen
+    assert run_cli("compare", "--dist", str(path), "--set", "coef=0.1,0.5,0.3") == 2
+    assert "is not the stated linear function" in capsys.readouterr().err
+
+
+def test_simulate_paper_scale_sets_sizes_and_replicates(monkeypatch, capsys):
+    import acebounds.cli as cli
+    from acebounds.simlab import McSummary
+
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return McSummary(rows=[], theta=0.25, config=config, failed={})
+
+    monkeypatch.setattr(cli, "run_mc", record)
+    assert run_cli("simulate", *SIM, "--paper-scale") == 0
+    assert [(c.sizes, c.replicates) for c in seen] == [((50000,), 1000)]
+    assert capsys.readouterr().out == "setting,n,tag,bias,bias_se,emp_se,scaled_var,scaled_var_se,mse,mse_se\n"
+
+
+def test_compare_scan_exits_1_on_an_in_band_violation(monkeypatch, capsys):
+    import acebounds.cli as cli
+
+    scan = cli.cmp_mod.binary_family_scan
+
+    def violated(grid):
+        rows = scan(grid)
+        rows["diff"] = 1e-6
+        return rows
+
+    monkeypatch.setattr(cli.cmp_mod, "binary_family_scan", violated)
+    assert run_cli("compare", "--scan", "--set", "beta0=0.1", "--set", "alpha=0", "--set", "gamma1=1", "--set", "gamma2=1") == 1
+    captured = capsys.readouterr()
+    inside = sum(line.endswith(",1") for line in captured.out.splitlines())
+    assert inside > 0
+    assert captured.err.endswith(f"max in-band gap 1.000e-06\n{inside} grid points violate the ratio-band ordering\n")
+
+
+def test_oracle_tolerance_is_not_a_config_key(tmp_path, monkeypatch, capsys):
+    import acebounds.cli as cli
+
+    _, path = _write_chain_dist(tmp_path, seed=33)
+    enumerate_ = cli.brute_force_variance
+    monkeypatch.setattr(cli, "brute_force_variance", lambda dist, pair, model: enumerate_(dist, pair, model) + 2e-9)
+    assert run_cli("oracle", "--dist", str(path), "--set", "tol=1") == 1
+    assert capsys.readouterr().err.startswith("oracle discrepancy 2.0")
 
 
 def test_dgp_list_points_to_set_and_the_config_file(capsys):

@@ -143,6 +143,11 @@ def test_mc_config_validation():
             McConfig(params=PARAMS, threads=threads)
 
 
+def test_mc_config_refuses_empty_tags():
+    with pytest.raises(DomainError, match="tags must name at least one estimator tag"):
+        McConfig(params=PARAMS, tags=())
+
+
 def test_theta_tracks_parameters():
     summary = run_mc(McConfig(params=PARAMS, sizes=(200,), replicates=4, seed=2, tags=("NAIVE",)))
     assert summary.theta == pytest.approx(PARAMS.gamma1 * PARAMS.beta, abs=1e-15)
