@@ -2,7 +2,9 @@
 
 Subcommands: `bounds`, `estimate`, `simulate`, `compare`, `oracle`.
 Configuration is a flat key=value text file; any key can be overridden on the
-command line with --set key=value.  Output files are written atomically
+command line with --set key=value.  Each subcommand reads its own keys
+(``_KEYS``); a key it never reads, from the file, --set or --dgp, is refused
+(exit 2) before any work.  Output files are written atomically
 (temp file + rename).  CSV output carries 6 significant digits; json carries
 full precision.
 
@@ -110,9 +112,12 @@ def _parse_pair(cfg: dict) -> TreatmentPair:
     return TreatmentPair(_number("a_star", cfg.get("a_star", 1.0)), _number("a_ref", cfg.get("a_ref", 0.0)))
 
 
+_DGP_KEYS = ("alpha", "beta", "gamma1", "gamma2", "sigma_z", "sigma_y", "p_c")
+
+
 def _dgp_grid(cfg: dict) -> list:
     """Per grid point (first key outermost): its SimDgpParams and the values of the keys given several values."""
-    lists = {key: _numbers(key, cfg[key]) for key in ("alpha", "beta", "gamma1", "gamma2", "sigma_z", "sigma_y", "p_c") if key in cfg}
+    lists = {key: _numbers(key, cfg[key]) for key in _DGP_KEYS if key in cfg}
     missing = {"alpha", "beta", "gamma1", "gamma2"} - set(lists)
     if missing:
         raise DomainError(f"dgp parameters missing: {sorted(missing)}")
@@ -180,12 +185,6 @@ def _parse_model_specs(cfg: dict):
 
 
 def cmd_bounds(args, cfg: dict) -> int:
-    if args.dgp:
-        items = args.dgp.split(",")
-        for item in items:
-            if "=" not in item:
-                raise DomainError(f"--dgp entry {item!r} is not key=value: --dgp takes one value per key; give a list with --set key=v1,v2 or in the config file")
-        _apply_overrides(cfg, items)
     if args.dist:
         cfg["dist"] = args.dist
     pair = _parse_pair(cfg)
@@ -359,10 +358,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# subcommand -> every config key it reads; any other key is refused before any work
+_PAIR_KEYS = ("a_star", "a_ref")
+_KEYS = {
+    "bounds": (*_PAIR_KEYS, *_DGP_KEYS, "models", "gh_nodes", "dist"),
+    "estimate": (
+        *_PAIR_KEYS, "data", "tags", "td_form", "preset", *(f"nuisance.{slot}" for slot in SLOTS), "crossfit_folds", "seed", "gh_nodes",
+    ),
+    "simulate": (*_DGP_KEYS, "setting", "sizes", "replicates", "tags", "seed", "threads", "gh_nodes"),
+    "compare": (*_PAIR_KEYS, *cmp_mod._SCAN_KEYS, "coef"),
+    "oracle": _PAIR_KEYS,
+}
+
+
+def _config(args) -> dict:
+    """The config file, then --set, then (bounds) the --dgp items; refuses a key the subcommand never reads."""
+    cfg = _apply_overrides(read_config(args.config), args.set)
+    if getattr(args, "dgp", None):
+        items = args.dgp.split(",")
+        for item in items:
+            if "=" not in item:
+                raise DomainError(f"--dgp entry {item!r} is not key=value: --dgp takes one value per key; give a list with --set key=v1,v2 or in the config file")
+        _apply_overrides(cfg, items)
+    unknown = sorted(set(cfg) - set(_KEYS[args.command]))
+    if unknown:
+        raise DomainError(f"{args.command} reads no config key {', '.join(map(repr, unknown))}")
+    return cfg
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, _apply_overrides(read_config(args.config), args.set))
+        return args.handler(args, _config(args))
     except (AceboundsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

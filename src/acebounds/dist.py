@@ -77,9 +77,9 @@ class DiscreteJoint:
 
     Immutable after construction; every query is a pure function of the table.
     The joint keeps, built lazily on first use, what its queries derive from
-    the table: the marginal and conditional tables (``_cache``) and the state
-    of the enumeration oracles (``influence._oracle``: truth nuisances, cells
-    of positive mass, one row plan over them and theta per treatment pair).
+    the table: the marginal and conditional tables and theta per treatment pair,
+    which bounds and oracles alike read (``_cache``; a refusal is not kept), and
+    the oracle state (``_oracle``: cells of positive mass, one row plan over them).
     Keeping them changes no result, only how often it is computed.
     """
 
@@ -253,15 +253,18 @@ def ace_frontdoor(dist: DiscreteJoint, pair: TreatmentPair) -> float:
 
 
 def ace_twodoor(dist: DiscreteJoint, pair: TreatmentPair) -> float:
-    """sum_{z,c} p(c) [p(z|a*,c) - p(z|a,c)] sum_abar E(Y|abar,z,c) p(abar|c)."""
+    """sum_{z,c} p(c) [p(z|a*,c) - p(z|a,c)] sum_abar E(Y|abar,z,c) p(abar|c), kept per pair by the joint."""
     t = dist._cache()
+    if ("theta", pair) in t:
+        return t["theta", pair]
     i_star, i_ref = _pair_indices(dist, pair)
     live = t["pc"] > 0
     _require_positive(t["p_a_given_c"][live], "p(a|c)")
     _require_positive(t["p_z_given_ac"][live], "p(z|a,c)")
     pzac = t["p_z_given_ac"][live]
     shift = pzac[:, i_star] - pzac[:, i_ref]  # [c, z]
-    return fsum(t["pc"][live, None, None] * shift[:, None] * t["ey_azc"][live] * t["p_a_given_c"][live, :, None])
+    t["theta", pair] = fsum(t["pc"][live, None, None] * shift[:, None] * t["ey_azc"][live] * t["p_a_given_c"][live, :, None])
+    return t["theta", pair]
 
 
 # -- construction helpers --------------------------------------------------

@@ -102,7 +102,7 @@ def estimate_all(data: Dataset, eta, tags=ESTIMATOR_TAGS, td_reduced: bool = Fal
         eval_tag = "TD_REDUCED" if (tag == "TD" and td_reduced) else tag
         m = np.empty(data.n)
         for idx, plan in pieces:
-            m[idx] = evaluate_m(eval_tag, *plan.cols, plan.eta, data.pair, levels=plan)
+            m[idx] = evaluate_m(eval_tag, *plan.cols, plan.eta, data.pair, _plan=plan)
         clipped = sum(plan.clipped() for _, plan in pieces)
         summary = {
             "estimator": eval_tag,

@@ -60,15 +60,15 @@ call, before any per-level work (about n = 2048 with a continuous covariate).
 
 The row plan (``_Plan``) holds the rows of one dataset or fold with their
 nuisances and level index, and evaluates each (model, argument set) at them
-once.  Its level index is the one given, checked to restore the rows' (a, c);
-else the one ``fitting.fit`` coded for the rows it fitted on
-(``NuisanceSet._levels``), used when it passes the same check; else a fresh
-one.  ``estimators.estimate_all`` shares one plan per dataset or fold across
-tags (as ``levels``) and drops it on return.  The enumeration oracles
-(:func:`brute_force_mean`, :func:`brute_force_variance`) share one plan per
-joint over its cells of positive mass under its truth nuisances, kept on the
-joint for every model and pair enumerated on it; :func:`evaluate_m` otherwise
-builds one per call.  Values and table codes are keyed by argument name, each a
+once.  Its level index is the one ``fitting.fit`` coded for the rows it
+fitted on (``NuisanceSet._levels``) when that restores the rows' (a, c), and
+a fresh one otherwise.  ``estimators.estimate_all`` shares one plan per
+dataset or fold across tags, through :func:`evaluate_m`'s private ``_plan``,
+and drops it on return.  The enumeration oracles (:func:`brute_force_mean`,
+:func:`brute_force_variance`) share one plan per joint over its cells of
+positive mass under its truth nuisances, kept on the joint
+(``DiscreteJoint._oracle``) for every model and pair enumerated on it;
+:func:`evaluate_m` otherwise builds one per call.  Values and table codes are keyed by argument name, each a
 plan column ("rows", "levels", "live", "support") or a scalar arm or covariate
 value, never by array identity; integrands at mediator nodes call afresh.  A
 component with a ``_plan_key`` (``fitting._Linear``, also behind an
@@ -111,7 +111,7 @@ from .dist import DiscreteJoint, TreatmentPair, _require_positive, ace_twodoor, 
 from .errors import DomainError, MissingNuisance
 from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, _node_shape, expect_z
 
-__all__ = ["NuisanceSet", "MODEL_TAGS", "evaluate_m", "LevelIndex", "level_index", "truth_nuisances", "brute_force_mean", "brute_force_variance"]
+__all__ = ["NuisanceSet", "MODEL_TAGS", "evaluate_m", "truth_nuisances", "brute_force_mean", "brute_force_variance"]
 
 MODEL_TAGS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
 _COMPARE_MAX = 2  # supports of at most this many values are coded by comparison passes, wider ones by binary search
@@ -241,16 +241,13 @@ def _restores(levels: LevelIndex, a, c) -> bool:
 
 
 class _Plan:
-    """The row plan of one dataset or fold (see the module docstring); a given LevelIndex is checked here, once."""
+    """The row plan of one dataset or fold (see the module docstring)."""
 
-    def __init__(self, eta: NuisanceSet, cols, levels: Optional[LevelIndex] = None):
+    def __init__(self, eta: NuisanceSet, cols):
         self.eta, self.cols = eta, tuple(cols)
         c, a, z, y = self.rows = _rows(*cols)
-        if levels is not None and not _restores(levels, a, c):
-            raise DomainError(f"the given level index over {levels.inv.size} rows does not restore these {a.size} rows' (a, c)")
-        if levels is None and eta._levels is not None and _restores(eta._levels, a, c):
-            levels = eta._levels  # the coding of the rows the nuisances were fitted on
-        self.levels = level_index(a, c, eta.a_support, eta.c_support) if levels is None else levels
+        fitted = eta._levels  # the coding of the rows the nuisances were fitted on
+        self.levels = fitted if fitted is not None and _restores(fitted, a, c) else level_index(a, c, eta.a_support, eta.c_support)
         self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): self.levels.a, ("c", "levels"): self.levels.c}
         # evaluation key -> (value, values clipped); evaluation key of a level value -> it at the rows; keys read since `clipped`
         self._memo, self._gathered, self._read = {}, {}, set()
@@ -413,23 +410,18 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
 _EVALUATORS = {"BD": _eval_bd, **{tag: partial(_eval_mediator, tag) for tag in _MEDIATOR_MODELS}}
 
 
-def evaluate_m(tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, levels: Optional[LevelIndex] = None) -> np.ndarray:
-    """Vectorized m values for the requested model tag.
+def evaluate_m(tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, _plan: Optional[_Plan] = None) -> np.ndarray:
+    """Vectorized m values of model `tag` at rows (c, a, z, y) under nuisances `eta`.
 
-    `levels` is the rows' :class:`LevelIndex`, built once with
-    :func:`level_index` to evaluate several tags on the same rows, or the row
-    plan of ``estimators.estimate_all``; without it, each call builds its own
-    plan, on the index ``fitting.fit`` coded when it restores these rows.
+    Each call builds a row plan (module docstring).  The private ``_plan`` is
+    one built over these same rows and nuisances, which ``estimate_all``
+    shares across tags and the oracles across the models of a joint.
     """
     try:
         fn = _EVALUATORS[tag]
     except KeyError:
         raise DomainError(f"unknown model tag {tag!r}; expected one of {sorted(_EVALUATORS)}") from None
-    if not isinstance(levels, _Plan):
-        levels = _Plan(eta, (c, a, z, y), levels)
-    elif levels.eta is not eta or any(x is not v for x, v in zip(levels.cols, (c, a, z, y))):
-        raise DomainError("the given row plan was built for other rows or nuisances")
-    return np.asarray(fn(levels, pair), dtype=float)
+    return np.asarray(fn(_Plan(eta, (c, a, z, y)) if _plan is None else _plan, pair), dtype=float)
 
 
 # -- ground-truth nuisances from an exact joint -----------------------------
@@ -493,42 +485,27 @@ def truth_nuisances(dist: DiscreteJoint) -> NuisanceSet:
 
 
 class _Oracle:
-    """What the enumeration oracles read of one joint, built once and kept on it (``DiscreteJoint._oracle``).
+    """The cells of positive mass of one joint, as aligned (c, a, z, y) columns and masses ``p``, and one row plan over them.
 
-    The joint's truth nuisances, its cells of positive mass as aligned (c, a, z, y)
-    columns with their probabilities, one row plan over those cells, and the
-    two-door theta per treatment pair.  It holds no reference to the joint, so
-    the two form no cycle and a dropped joint is freed at once.
+    The plan is under the joint's truth nuisances, kept on the joint
+    (``DiscreteJoint._oracle``), or under an explicit `eta`, built per call.
+    It holds no reference to the joint, so the two form no cycle and a
+    dropped joint is freed at once.
     """
 
-    def __init__(self, dist: DiscreteJoint):
+    def __init__(self, dist: DiscreteJoint, eta: Optional[NuisanceSet] = None):
         cells = dist.cells()
         *cols, self.p = cells[cells[:, 4] > 0.0].T
-        self.plan = _Plan(truth_nuisances(dist), cols)
-        self._theta = {}
-
-    def theta(self, dist: DiscreteJoint, pair: TreatmentPair) -> float:
-        if pair not in self._theta:
-            self._theta[pair] = ace_twodoor(dist, pair)
-        return self._theta[pair]
-
-
-def _oracle(dist: DiscreteJoint) -> _Oracle:
-    """The joint's oracle state, built on first use like ``DiscreteJoint._cache``."""
-    state = getattr(dist, "_oracle", None)
-    if state is None:
-        state = dist._oracle = _Oracle(dist)
-    return state
+        self.plan = _Plan(truth_nuisances(dist) if eta is None else eta, cols)
 
 
 def _cell_values(dist: DiscreteJoint, tag: str, pair: TreatmentPair, eta: Optional[NuisanceSet]):
-    """m at every cell of positive mass, and the cell masses: on the joint's oracle plan, or on a fresh one under `eta`."""
-    if eta is None:
-        state = _oracle(dist)
-        return evaluate_m(tag, *state.plan.cols, state.plan.eta, pair, levels=state.plan), state.p
-    cells = dist.cells()
-    c, a, z, y, p = cells[cells[:, 4] > 0.0].T
-    return evaluate_m(tag, c, a, z, y, eta, pair), p
+    """m at every cell of positive mass, and the cell masses: on the plan the joint keeps, or on a fresh one under `eta`."""
+    if eta is not None:
+        state = _Oracle(dist, eta)
+    elif (state := getattr(dist, "_oracle", None)) is None:
+        state = dist._oracle = _Oracle(dist)
+    return evaluate_m(tag, *state.plan.cols, state.plan.eta, pair, _plan=state.plan), state.p
 
 
 def brute_force_mean(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Optional[NuisanceSet] = None) -> float:
@@ -546,10 +523,9 @@ def brute_force_mean(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Op
 def brute_force_variance(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Optional[NuisanceSet] = None) -> float:
     """E[(m(X, eta) - theta)^2] by exact enumeration, theta from the two-door functional.
 
-    Without `eta`, theta and m come from the state the joint keeps for its
-    oracles (see :func:`brute_force_mean`), theta once per pair; an explicit
-    `eta` computes both afresh.
+    theta is the one the joint keeps per pair, which the bounds read too;
+    m is evaluated as in :func:`brute_force_mean`.
     """
-    theta = ace_twodoor(dist, pair) if eta is not None else _oracle(dist).theta(dist, pair)
+    theta = ace_twodoor(dist, pair)
     m, p = _cell_values(dist, tag, pair, eta)
     return fsum((m - theta) ** 2 * p)

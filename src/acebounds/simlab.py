@@ -28,7 +28,9 @@ setting cannot be undone, so it is left alone.
 The misspecification settings are one table, ``_SETTINGS``: per setting, the
 slots whose correct model (``_CORRECT_SPECS``) drops predictors before fitting,
 or whose probability (p_c, p_a) is fixed at a value instead.  Setting 0 changes
-nothing, and ``MISSPECIFICATION_SETTINGS`` lists the table's keys.
+nothing, and ``MISSPECIFICATION_SETTINGS`` lists the table's keys.  Every
+setting keeps gaussian-density mediator laws, so ``fit`` picks the rule of
+``gh_nodes`` Gauss-Hermite nodes; ``McConfig`` checks that count up front.
 
 Workers start from a fresh interpreter that imports the caller's main module,
 so a script that calls :func:`run_mc` with ``threads > 1`` must make that call
@@ -49,7 +51,7 @@ from functools import cache, partial
 import numpy as np
 
 from .bounds import SimDgpParams, simdgp_theta
-from .dist import TreatmentPair, csv_text, report_cell, write_text
+from .dist import TreatmentPair, csv_text, report_cell
 from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, estimate_all
 from .fitting import Dataset, GaussianConditional, ModelSpec, _LinearMean, _Logistic, fit
@@ -125,6 +127,7 @@ class McConfig:
             raise DomainError(f"unknown estimator tags {sorted(unknown)}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "tags", tuple(self.tags))
+        GaussHermiteZRule(self.gh_nodes)  # raises DomainError for a node count the rule refuses, before any replicate runs
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,8 @@ class McSummary:
 
     CSV_HEADER = tuple(f.name for f in fields(McRow))
 
-    def to_csv(self, target=None) -> str:
-        text = csv_text(self.CSV_HEADER, (astuple(r) for r in self.rows), report_cell)
-        if target is not None:
-            write_text(text, target)
-        return text
+    def to_csv(self) -> str:
+        return csv_text(self.CSV_HEADER, (astuple(r) for r in self.rows), report_cell)
 
     def row(self, n: int, tag: str) -> McRow:
         for r in self.rows:
@@ -220,17 +220,17 @@ def setting_model_specs(setting: int) -> list:
     return specs
 
 
-def _one_replicate(config: McConfig, specs, z_rule, size_index: int, rep_index: int, n: int):
+def _one_replicate(config: McConfig, specs, size_index: int, rep_index: int, n: int):
     seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(size_index, rep_index))
     data = sample_dgp(config.params, n, seed)
-    eta = fit(data, specs, z_rule=z_rule)
+    eta = fit(data, specs, gh_nodes=config.gh_nodes)
     return {r.tag: r.theta_hat for r in estimate_all(data, eta, config.tags, td_reduced=True)}
 
 
-def _work(config: McConfig, specs, z_rule, size_index: int, n: int, k: int):
+def _work(config: McConfig, specs, size_index: int, n: int, k: int):
     """Replicate k: its estimates by tag, or the package error it raised."""
     try:
-        return _one_replicate(config, specs, z_rule, size_index, k, n)
+        return _one_replicate(config, specs, size_index, k, n)
     except AceboundsError as exc:
         return exc
 
@@ -349,9 +349,9 @@ def _teardown(owner: int):
         tracker._stop()
 
 
-def _replicates(config: McConfig, specs, z_rule, size_index: int, n: int, workers: int) -> list:
+def _replicates(config: McConfig, specs, size_index: int, n: int, workers: int) -> list:
     """Every replicate's estimates (or error) at one size, in replicate order."""
-    work = partial(_work, config, specs, z_rule, size_index, n)
+    work = partial(_work, config, specs, size_index, n)
     if workers == 1:
         with _one_blas_thread():
             return [work(k) for k in range(config.replicates)]
@@ -374,12 +374,11 @@ def run_mc(config: McConfig) -> McSummary:
     specs = setting_model_specs(config.setting)
     pair = TreatmentPair(1.0, 0.0)
     theta = simdgp_theta(config.params, pair)
-    z_rule = GaussHermiteZRule(config.gh_nodes)
     workers = _pool_size(config.threads, config.replicates)
     rows = []
     failed = {}
     for size_index, n in enumerate(config.sizes):
-        results = _replicates(config, specs, z_rule, size_index, n, workers)
+        results = _replicates(config, specs, size_index, n, workers)
         errors = [r for r in results if isinstance(r, Exception)]
         failed[n] = len(errors)
         if errors and len(errors) >= 0.01 * config.replicates:

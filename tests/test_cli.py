@@ -516,6 +516,48 @@ def test_config_file_skips_comments_and_blank_lines_and_names_a_bad_line(tmp_pat
     assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'beta 0.5'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", *SIM, "--set", "size=200", "--set", "tags=NAIVE"], "simulate reads no config key 'size'"),
+        (["bounds", "--dgp", DGP, "--set", "model=BD"], "bounds reads no config key 'model'"),
+        (["compare", "--interval", "0.5", "--set", "tols=2"], "compare reads no config key 'tols'"),
+        (["bounds", "--dgp", DGP + ",gama=2"], "bounds reads no config key 'gama'"),  # --dgp items join the config
+        (["simulate", *SIM, "--set", "a_star=1"], "simulate reads no config key 'a_star'"),  # the study pair is fixed
+        (["estimate", "--data", "obs.csv", "--set", "nuisance.p_q=empirical"], "estimate reads no config key 'nuisance.p_q'"),
+        (["oracle", "--dist", "d.csv", "--set", "tol=1", "--set", "models=BD"], "oracle reads no config key 'models', 'tol'"),
+        (["simulate", "--config", "sim.cfg"], "simulate reads no config key 'replicate'"),
+    ],
+)
+def test_a_key_the_subcommand_never_reads_is_refused_before_any_work(argv, message, tmp_path, monkeypatch, capsys):
+    import acebounds.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.cfg").write_text("alpha = 1\nbeta = 0.5\ngamma1 = 0.5\ngamma2 = 0.5\nreplicate = 2\n")
+    for name in ("run_mc", "simdgp_bound", "read_dist_csv", "read_data_csv"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("work started before the key check"))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "nodes, line",
+    [
+        ("0", "error: a Gauss-Hermite rule needs at least one node (gh_nodes), got 0\n"),
+        ("400", "error: a Gauss-Hermite rule of 400 nodes (gh_nodes) exceeds the 256-node limit\n"),
+    ],
+)
+def test_a_bad_gh_nodes_is_refused_before_any_replicate_runs(nodes, line, monkeypatch, capsys):
+    import acebounds.simlab as simlab
+
+    drawn = []
+    sample = simlab.sample_dgp
+    monkeypatch.setattr(simlab, "sample_dgp", lambda *args: drawn.append(args) or sample(*args))
+    assert run_cli("simulate", *SIM, "--set", f"gh_nodes={nodes}") == 2
+    assert capsys.readouterr().err == line
+    assert drawn == []
+
+
 def test_spec_omit_removes_a_predictor(tmp_path, capsys):
     # README's own example line: the outcome regression on (z, c) loses z before fitting
     rng = np.random.default_rng(8)
@@ -594,8 +636,10 @@ def test_oracle_tolerance_is_not_a_config_key(tmp_path, monkeypatch, capsys):
     _, path = _write_chain_dist(tmp_path, seed=33)
     enumerate_ = cli.brute_force_variance
     monkeypatch.setattr(cli, "brute_force_variance", lambda dist, pair, model: enumerate_(dist, pair, model) + 2e-9)
-    assert run_cli("oracle", "--dist", str(path), "--set", "tol=1") == 1
+    assert run_cli("oracle", "--dist", str(path)) == 1
     assert capsys.readouterr().err.startswith("oracle discrepancy 2.0")
+    assert run_cli("oracle", "--dist", str(path), "--set", "tol=1") == 2
+    assert capsys.readouterr().err == "error: oracle reads no config key 'tol'\n"
 
 
 def test_dgp_list_points_to_set_and_the_config_file(capsys):

@@ -1,0 +1,99 @@
+"""Every typed refusal of a bad input: its error type and a fragment of its message."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from acebounds.bounds import BoundReport, SimDgpParams, bound, simdgp_bound
+from acebounds.compare import ComparisonVerdict
+from acebounds.dist import DiscreteJoint, factorized_joint
+from acebounds.errors import DomainError, MissingNuisance
+from acebounds.fitting import Dataset, ModelSpec, _Logistic, fit
+from acebounds.influence import evaluate_m, truth_nuisances
+from acebounds.quadrature import FiniteZRule, GaussHermiteZRule, expect_z
+from acebounds.simlab import McSummary
+
+from conftest import BINARY, PAIR, uniform_joint
+
+PARAMS = dict(alpha=1.0, beta=0.5, gamma1=0.5, gamma2=0.5)
+ROWS = tuple(np.array(col, dtype=float) for col in ([0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1], [0, 1, 1, 0]))  # (c, a, z, y)
+
+
+def _uniform(**supports):
+    """The uniform joint on binary supports, with any support replaced; the pmf keeps the binary shape."""
+    given = {"c": BINARY, "a": BINARY, "z": BINARY, "y": BINARY, **supports}
+    return DiscreteJoint(given["c"], given["a"], given["z"], given["y"], np.full((2, 2, 2, 2), 1.0 / 16.0))
+
+
+def _fit_rows(a, specs):
+    n = len(a)
+    return fit(Dataset(np.zeros(n), np.asarray(a, dtype=float), np.arange(n, dtype=float), np.arange(n, dtype=float) ** 2, PAIR), specs)
+
+
+REFUSALS = {
+    "negative bound report": (lambda: BoundReport("BD", -1.0, "exact-sum", PAIR), DomainError, "bound for BD is negative"),
+    "bound of an unknown model": (lambda: bound(uniform_joint(), PAIR, "XX"), DomainError, "unknown model 'XX'"),
+    "family bound of an unknown model": (
+        lambda: simdgp_bound(SimDgpParams(**PARAMS), PAIR, "XX"), DomainError, "unknown model 'XX'",
+    ),
+    "zero sigma_z": (lambda: SimDgpParams(**PARAMS, sigma_z=0.0), DomainError, "sigma_z and sigma_y must be positive"),
+    "negative sigma_y": (lambda: SimDgpParams(**PARAMS, sigma_y=-1.0), DomainError, "sigma_z and sigma_y must be positive"),
+    "p_c of 1": (lambda: SimDgpParams(**PARAMS, p_c=1.0), DomainError, "p_c must lie strictly inside (0, 1)"),
+    "p_c of 0": (lambda: SimDgpParams(**PARAMS, p_c=0.0), DomainError, "p_c must lie strictly inside (0, 1)"),
+    "empty support": (lambda: _uniform(z=[]), DomainError, "support of z must be a non-empty 1-d sequence"),
+    "duplicated support": (lambda: _uniform(a=[1.0, 1.0]), DomainError, "support of a contains duplicate values"),
+    "pmf shape mismatch": (lambda: _uniform(y=[0.0, 1.0, 2.0]), DomainError, "pmf shape (2, 2, 2, 2) does not match"),
+    "value outside the support": (lambda: uniform_joint().index_of("a", 2.0), DomainError, "value 2.0 not in the support of a"),
+    "table of an unknown variable": (lambda: uniform_joint().table(("a", "w")), DomainError, "unknown variables ['w']"),
+    "target and given overlap": (
+        lambda: uniform_joint().conditional_table(("z", "a"), {"a": 1.0}), DomainError, "target and given overlap on ['a']",
+    ),
+    "outcome moments given y": (lambda: uniform_joint().cond_mean_var({"y": 1.0}), DomainError, "on y itself"),
+    "unnormalised factors": (
+        lambda: factorized_joint(BINARY, BINARY, BINARY, BINARY, *(lambda *v: 0.5,) * 3, lambda *v: 1.0),
+        DomainError,
+        "factor functions are not normalized",
+    ),
+    "unequal column lengths": (
+        lambda: Dataset(np.zeros(3), np.array([0.0, 1.0, 1.0]), np.zeros(3), np.zeros(2), PAIR), DomainError, "must have equal length",
+    ),
+    "gaussian law without residual degrees of freedom": (
+        lambda: _fit_rows([1, 0], [ModelSpec("p_z_given_a", "gaussian-density", predictors=("a",))]),
+        DomainError,
+        "need n > #predictors + 1",
+    ),
+    "logistic at an absent level": (
+        lambda: _Logistic(("c",), ("c",), [0.0, 1.0], 1.0, 0.0)(np.array([2.0]), np.array([0.0])),
+        DomainError,
+        "level absent from the fit",
+    ),
+    "logistic on a non-binary response": (
+        lambda: _fit_rows([1, 0, 2, 1], [ModelSpec("p_a_given_c", "logistic", predictors=("c",))]),
+        DomainError,
+        "a must be binary for this family",
+    ),
+    "unknown model tag": (lambda: evaluate_m("XX", *ROWS, truth_nuisances(uniform_joint()), PAIR), DomainError, "unknown model tag 'XX'"),
+    "FD_TD without c_support": (
+        lambda: evaluate_m("FD_TD", *ROWS, replace(truth_nuisances(uniform_joint()), c_support=None), PAIR),
+        MissingNuisance,
+        "c_support is required",
+    ),
+    "finite rule on an empty support": (lambda: FiniteZRule([]), DomainError, "mediator support must be a non-empty"),
+    "Gauss-Hermite rule on a density without location_scale": (
+        lambda: expect_z(GaussHermiteZRule(8), lambda z: np.ones_like(z), lambda z: z), MissingNuisance, "location_scale",
+    ),
+    "summary row absent": (lambda: McSummary([], 0.0, None, {}).row(500, "BD"), KeyError, "(500, 'BD')"),
+    "verdict everywhere and nowhere": (
+        lambda: ComparisonVerdict("x", {(0.0, 0.0): 1.0}, True, True, "<="), DomainError, "cannot hold everywhere and nowhere",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS, ids=list(REFUSALS))
+def test_each_bad_input_raises_its_typed_error(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert fragment in str(info.value)

@@ -110,10 +110,10 @@ def test_run_mc_metric_identity():
 def test_run_mc_failure_policy(monkeypatch):
     original = simlab._one_replicate
 
-    def flaky(config, specs, z_rule, size_index, rep_index, n):
+    def flaky(config, specs, size_index, rep_index, n):
         if rep_index == 0:
             raise AceboundsError("boom")
-        return original(config, specs, z_rule, size_index, rep_index, n)
+        return original(config, specs, size_index, rep_index, n)
 
     monkeypatch.setattr(simlab, "_one_replicate", flaky)
     config = McConfig(params=PARAMS, sizes=(200,), replicates=10, setting=0, seed=1)
