@@ -65,7 +65,7 @@ from .dist import (
 )
 from .errors import DomainError, QuadratureNonConvergence
 from .influence import MODEL_TAGS as MODELS
-from .quadrature import _MAX_GH_NODES, _gauss_hermite
+from .quadrature import _GH_NODES, _MAX_GH_NODES, _gauss_hermite
 from .special import expit
 
 __all__ = [
@@ -322,19 +322,19 @@ def simdgp_td_bd_crossing(params: SimDgpParams) -> float:
     return params.sigma_z * math.sqrt(math.log1p(_inv_prop_sum(params)))
 
 
-def simdgp_bound(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes: int = 64) -> BoundReport:
+def simdgp_bound(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes: int = _GH_NODES) -> BoundReport:
     """BoundReport for any of the six models on the Gaussian-mediator family (module docstring table).
 
-    The mixture term M of BD_TD and BD_FD_TD uses quadrature at `n_nodes` >= 64, and the bound must stay
-    within 1e-4 as the nodes double; the other four bounds are closed forms.
+    The mixture term M of BD_TD and BD_FD_TD uses quadrature at `n_nodes` >= the default ``_GH_NODES``, and
+    the bound must stay within 1e-4 as the nodes double; the other four bounds are closed forms.
     """
     _check_pair(pair)
     if model not in _SIMDGP_TERMS:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
     weight, noise, mediator = _SIMDGP_TERMS[model]
     if mediator is _mixture_term:
-        if n_nodes < 64:
-            raise DomainError("quadrature order must be at least 64")
+        if n_nodes < _GH_NODES:
+            raise DomainError(f"quadrature order must be at least {_GH_NODES}")
         if 2 * n_nodes > _MAX_GH_NODES:
             raise DomainError(f"quadrature order {n_nodes} (gh_nodes) doubles past {_MAX_GH_NODES} Gauss-Hermite nodes")
         coarse, term = (_mixture_term(params, k) for k in (n_nodes, 2 * n_nodes))

@@ -2,11 +2,22 @@
 
 Subcommands: `bounds`, `estimate`, `simulate`, `compare`, `oracle`.
 Configuration is a flat key=value text file; any key can be overridden on the
-command line with --set key=value.  Each subcommand reads its own keys
-(``_KEYS``); a key it never reads, from the file, --set or --dgp, is refused
-(exit 2) before any work.  Output files are written atomically
-(temp file + rename).  CSV output carries 6 significant digits; json carries
-full precision.
+command line with --set key=value.  Each mode reads its own keys (``_KEYS``);
+a key it never reads, from the file, --set or --dgp, is refused (exit 2)
+before any work.  ``_mode`` picks the mode: the subcommand, or for bounds
+and compare one of these, which read
+
+    bounds              the pair keys, the Gaussian-family keys, models, gh_nodes
+    bounds --dist       (the flag or the dist key) the pair keys, models, dist
+    compare --interval  no key
+    compare --scan      the grid keys (compare._SCAN_KEYS)
+    compare --dist      the pair keys and coef; json only, --format csv exits 2
+
+and compare refuses no mode flag or two.  Every mode that reads gh_nodes
+checks it by building its Gauss-Hermite rule (``_gh_nodes``).  Every report,
+the grid scan included, goes through one writer (``_report``), written
+atomically (temp file + rename); CSV cells carry 6 significant digits and
+booleans as 1 or 0 (``dist.report_cell``), json full precision.
 
 `bounds --dgp` and `simulate` read each Gaussian-family key (alpha, beta,
 gamma1, gamma2, sigma_z, sigma_y, p_c) and `simulate` its `setting` as comma
@@ -32,6 +43,7 @@ from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, EstimationResult, estimate_all
 from .fitting import SLOTS, CrossFitPlan, ModelSpec, fit, read_data_csv
 from .influence import brute_force_variance
+from .quadrature import _GH_NODES, GaussHermiteZRule
 from .simlab import McConfig, run_mc, setting_model_specs
 
 __all__ = ["main"]
@@ -106,6 +118,13 @@ def _comma_list(key: str, text, read, what: str) -> tuple:
 def _numbers(key: str, text, kind=float) -> tuple:
     """The comma list `text` of distinct numbers (see :func:`_comma_list`), each read by :func:`_number`."""
     return _comma_list(key, text, lambda tok: _number(key, tok, kind), "numbers")
+
+
+def _gh_nodes(cfg: dict) -> int:
+    """The gh_nodes key, checked by building its Gauss-Hermite rule (as McConfig does) before any work."""
+    nodes = _number("gh_nodes", cfg.get("gh_nodes", _GH_NODES), int)
+    GaussHermiteZRule(nodes)  # raises DomainError for a node count the rule refuses
+    return nodes
 
 
 def _parse_pair(cfg: dict) -> TreatmentPair:
@@ -189,12 +208,11 @@ def cmd_bounds(args, cfg: dict) -> int:
         cfg["dist"] = args.dist
     pair = _parse_pair(cfg)
     models = _parse_names(cfg, "models", MODELS)
-    nodes = _number("gh_nodes", cfg.get("gh_nodes", 64), int)
     if "dist" in cfg:
         dist = read_dist_csv(cfg["dist"])
         keys, records = {}, [bound(dist, pair, model).to_dict() for model in models]
     else:
-        records = []
+        nodes, records = _gh_nodes(cfg), []
         for params, keys in _dgp_grid(cfg):  # every point varies the same keys
             records += [{**keys, **simdgp_bound(params, pair, model, n_nodes=nodes).to_dict()} for model in models]
     _report(args, (*keys, "model", "value", "method", "a_star", "a_ref"), records)
@@ -216,7 +234,7 @@ def cmd_estimate(args, cfg: dict) -> int:
     folds = _number("crossfit_folds", cfg.get("crossfit_folds", 0), int)
     seed = args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int)
     plan = CrossFitPlan(folds=folds, seed=seed)
-    eta = fit(data, specs, plan=plan, gh_nodes=_number("gh_nodes", cfg.get("gh_nodes", 64), int))
+    eta = fit(data, specs, plan=plan, gh_nodes=_gh_nodes(cfg))
     results = estimate_all(data, eta, tags, td_reduced=td_form == "reduced")
     _report(args, EstimationResult.CSV_HEADER, [vars(r) for r in results])
     return 0
@@ -235,7 +253,7 @@ def cmd_simulate(args, cfg: dict) -> int:
         tags=_parse_names(cfg, "tags", ESTIMATOR_TAGS),
         seed=args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int),
         threads=args.threads if args.threads is not None else _number("threads", cfg.get("threads", 1), int),
-        gh_nodes=_number("gh_nodes", cfg.get("gh_nodes", 64), int),
+        gh_nodes=_gh_nodes(cfg),
     )
     runs = [(keys, McConfig(params=params, setting=setting, **options)) for (params, keys), setting in itertools.product(grid, settings)]
     records, payloads = [], []
@@ -266,37 +284,34 @@ def cmd_compare(args, cfg: dict) -> int:
         inside = rows["diff"][rows["interval_member"]]
         gap = f"{inside.max():.3e}" if inside.size else "none"
         sys.stderr.write(f"{rows.size} grid points, {inside.size} inside the band, max in-band gap {gap}\n")
-        if args.format == "json":
-            _report(args, rows.dtype.names, [dict(zip(rows.dtype.names, r)) for r in rows.tolist()])
-        else:
-            cmp_mod.scan_to_csv(rows, sys.stdout if args.out is None else args.out)
+        _report(args, rows.dtype.names, [dict(zip(rows.dtype.names, r)) for r in rows.tolist()])
         violations = int(np.sum(rows["interval_member"] & (rows["diff"] > 1e-10)))
         if violations:
             sys.stderr.write(f"{violations} grid points violate the ratio-band ordering\n")
             return 1
         return 0
-    if args.dist:
-        dist = read_dist_csv(args.dist)
-        pair = _parse_pair(cfg)
-        gap = cmp_mod.td_minus_bd_gap(dist, pair)
-        verdict = cmp_mod.td_vs_bd_verdict(dist, pair)
-        payload = {
-            "td_minus_bd": gap,
-            "ordering": verdict.ordering,
-            "holds_everywhere": verdict.holds_everywhere,
-            "holds_nowhere": verdict.holds_nowhere,
-            "cells": {f"z={z},c={c}": v for (z, c), v in verdict.cell_values.items()},
+    if args.format == "csv":  # the per-cell payload nests, so it has no csv form
+        raise DomainError("compare --dist writes json only; drop --format csv or give --format json")
+    dist = read_dist_csv(args.dist)
+    pair = _parse_pair(cfg)
+    gap = cmp_mod.td_minus_bd_gap(dist, pair)
+    verdict = cmp_mod.td_vs_bd_verdict(dist, pair)
+    payload = {
+        "td_minus_bd": gap,
+        "ordering": verdict.ordering,
+        "holds_everywhere": verdict.holds_everywhere,
+        "holds_nowhere": verdict.holds_nowhere,
+        "cells": {f"z={z},c={c}": v for (z, c), v in verdict.cell_values.items()},
+    }
+    if "coef" in cfg:
+        coef = tuple(_number("coef", tok) for tok in cfg["coef"].split(",") if tok.strip())  # a vector: values may repeat
+        fd_verdict = cmp_mod.fd_vs_bd_verdict(dist, pair, coef)
+        payload["fd_vs_bd"] = {
+            "ordering": fd_verdict.ordering,
+            "reciprocal_gaps": fd_verdict.extras["reciprocal_gaps"],
         }
-        if "coef" in cfg:
-            coef = tuple(_number("coef", tok) for tok in cfg["coef"].split(",") if tok.strip())  # a vector: values may repeat
-            fd_verdict = cmp_mod.fd_vs_bd_verdict(dist, pair, coef)
-            payload["fd_vs_bd"] = {
-                "ordering": fd_verdict.ordering,
-                "reciprocal_gaps": fd_verdict.extras["reciprocal_gaps"],
-            }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        return 0
-    raise DomainError("compare needs one of --interval, --scan or --dist")
+    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    return 0
 
 
 def cmd_oracle(args, cfg: dict) -> int:
@@ -316,7 +331,7 @@ def cmd_oracle(args, cfg: dict) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="acebounds", description=__doc__)
+    parser = argparse.ArgumentParser(prog="acebounds", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -348,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--interval", type=float, help="p(a*|c) for the density-ratio interval")
     p.add_argument("--scan", action="store_true", help="scan the all-binary example family grid")
-    p.add_argument("--dist", help="distribution file for a per-dist verdict")
-    p.set_defaults(handler=cmd_compare)
+    p.add_argument("--dist", help="distribution file for a per-dist verdict (json only)")
+    p.set_defaults(handler=cmd_compare, format=None)  # unset: csv, except --dist, which refuses csv
 
     p = sub.add_parser("oracle", help="check bound formulas against brute-force enumeration")
     common(p)
@@ -358,21 +373,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# subcommand -> every config key it reads; any other key is refused before any work
+# mode (see _mode) -> every config key it reads; any other key is refused before any work
 _PAIR_KEYS = ("a_star", "a_ref")
 _KEYS = {
-    "bounds": (*_PAIR_KEYS, *_DGP_KEYS, "models", "gh_nodes", "dist"),
+    "bounds": (*_PAIR_KEYS, *_DGP_KEYS, "models", "gh_nodes"),
+    "bounds --dist": (*_PAIR_KEYS, "models", "dist"),
     "estimate": (
         *_PAIR_KEYS, "data", "tags", "td_form", "preset", *(f"nuisance.{slot}" for slot in SLOTS), "crossfit_folds", "seed", "gh_nodes",
     ),
     "simulate": (*_DGP_KEYS, "setting", "sizes", "replicates", "tags", "seed", "threads", "gh_nodes"),
-    "compare": (*_PAIR_KEYS, *cmp_mod._SCAN_KEYS, "coef"),
+    "compare --interval": (),
+    "compare --scan": cmp_mod._SCAN_KEYS,
+    "compare --dist": (*_PAIR_KEYS, "coef"),
     "oracle": _PAIR_KEYS,
 }
 
 
+def _mode(args, cfg: dict) -> str:
+    """The subcommand, or for `bounds --dist` (the flag or the dist key) and `compare` the mode its flag picks."""
+    if args.command == "bounds" and (args.dist or "dist" in cfg):
+        return "bounds --dist"
+    if args.command != "compare":
+        return args.command
+    flags = [flag for flag, given in (("--interval", args.interval is not None), ("--scan", args.scan), ("--dist", args.dist)) if given]
+    if not flags:
+        raise DomainError("compare needs one of --interval, --scan or --dist")
+    if len(flags) > 1:
+        raise DomainError(f"compare takes one of --interval, --scan or --dist, got {' and '.join(flags)}")
+    return f"compare {flags[0]}"
+
+
 def _config(args) -> dict:
-    """The config file, then --set, then (bounds) the --dgp items; refuses a key the subcommand never reads."""
+    """The config file, then --set, then (bounds) the --dgp items; refuses a key the mode never reads."""
     cfg = _apply_overrides(read_config(args.config), args.set)
     if getattr(args, "dgp", None):
         items = args.dgp.split(",")
@@ -380,9 +412,10 @@ def _config(args) -> dict:
             if "=" not in item:
                 raise DomainError(f"--dgp entry {item!r} is not key=value: --dgp takes one value per key; give a list with --set key=v1,v2 or in the config file")
         _apply_overrides(cfg, items)
-    unknown = sorted(set(cfg) - set(_KEYS[args.command]))
+    mode = _mode(args, cfg)
+    unknown = sorted(set(cfg) - set(_KEYS[mode]))
     if unknown:
-        raise DomainError(f"{args.command} reads no config key {', '.join(map(repr, unknown))}")
+        raise DomainError(f"{mode} reads no config key {', '.join(map(repr, unknown))}")
     return cfg
 
 

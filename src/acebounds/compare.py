@@ -6,7 +6,8 @@
 * the closed-form density-ratio interval for binary treatments;
 * the sufficient conditions for the front-door bound to exceed the back-door
   bound under a linear outcome mean;
-* a vectorized scan of the all-binary example family over a parameter grid.
+* a vectorized scan of the all-binary example family over a parameter grid,
+  whose rows the CLI writes through its one report writer.
 
 Comparison conditions quantify over support cells with p(z | a, c) above the
 positivity threshold; zero-probability cells are excluded, and with no such
@@ -32,10 +33,7 @@ from .dist import (
     _pair_indices,
     _require_positive,
     chain_joint,
-    csv_text,
     fsum,
-    report_cell,
-    write_text,
 )
 from .errors import AssumptionViolation, DomainError, PositivityViolation
 from .special import expit
@@ -51,7 +49,6 @@ __all__ = [
     "BINARY_EXAMPLE_BAND",
     "default_scan_grid",
     "binary_family_scan",
-    "scan_to_csv",
 ]
 
 # interval of mediator-shift ratios contained in every binary-treatment interval
@@ -59,6 +56,9 @@ RATIO_INTERVAL_CORE = (3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0))
 # p(Z=1 | a*) band inside which the all-binary example family has a TD bound
 # no larger than the BD bound
 BINARY_EXAMPLE_BAND = ((3.0 - 2.0 * math.sqrt(2.0)) / 2.0, (2.0 * math.sqrt(2.0) - 1.0) / 2.0)
+# the FD-vs-BD checks of E(Y|z,c) and the reciprocal gaps: both are sums and ratios of a joint's masses, exact
+# up to round-off (about 1e-15), so 1e-8 clears round-off by far and stays far below a real departure
+_FD_TOL = 1e-8
 
 
 @dataclass
@@ -75,12 +75,12 @@ class ComparisonVerdict:
             raise DomainError("a nonempty condition cannot hold everywhere and nowhere at once")
 
 
-def _check_outcome_treatment_free(dist: DiscreteJoint, tol: float = 1e-10):
+def _check_outcome_treatment_free(dist: DiscreteJoint):
     """Outcome law must not depend on treatment given (z, c).
 
     Per (z, c), the spread of p(y|a,z,c) is taken over the treatment rows with
     p(a, z, c) above the positivity threshold; cells with fewer than two such
-    rows are not checked.
+    rows are not checked, and a spread up to 1e-10 passes.
     """
     p = dist.pmf
     pzac = p.sum(axis=3)
@@ -89,7 +89,7 @@ def _check_outcome_treatment_free(dist: DiscreteJoint, tol: float = 1e-10):
         py = p / pzac[..., None]
     spread = np.max(py, axis=1, where=rows, initial=-np.inf) - np.min(py, axis=1, where=rows, initial=np.inf)
     worst = float(np.max(spread, where=rows.sum(axis=1) >= 2, initial=0.0))
-    if worst > tol:
+    if worst > 1e-10:
         raise AssumptionViolation(
             f"p(y|a,z,c) varies with a by up to {worst:.3e}; the outcome law must be treatment-free given (z, c)"
         )
@@ -161,7 +161,7 @@ def density_ratio_interval(p_star: float):
     return ((2.0 * u + 1.0 - root) / (2.0 * u), (2.0 * u + 1.0 + root) / (2.0 * u))
 
 
-def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol: float = 1e-8) -> ComparisonVerdict:
+def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef) -> ComparisonVerdict:
     """Sufficient conditions for the FD bound to exceed the BD bound.
 
     `outcome_coef` = (intercept, slope_z, slope_c) of the linear outcome mean
@@ -170,7 +170,8 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
     condition of `td_vs_bd_verdict` holding with the opposite sign everywhere.
     Note the harmonic-mean inequalities can never hold strictly (Jensen), so
     the verdict is conclusive only in the degenerate everywhere-false sense.
-    A reciprocal gap counts as positive only above `tol`.
+    The linear mean must match within ``_FD_TOL``, and a reciprocal gap counts
+    as positive only above it.
     """
     coef = tuple(float(v) for v in outcome_coef)
     if len(coef) != 3:
@@ -181,7 +182,7 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
     live = np.flatnonzero(pc > 0)
     want = g0 + g1 * dist.z_support[None, :] + g2 * dist.c_support[live, None]
     got = t["ey_zc"][live]
-    off = np.argwhere((t["pzc"][live] > POSITIVITY_EPS) & (np.abs(want - got) > tol))
+    off = np.argwhere((t["pzc"][live] > POSITIVITY_EPS) & (np.abs(want - got) > _FD_TOL))
     if off.size:
         ic, iz = off[0]
         raise AssumptionViolation(
@@ -192,7 +193,7 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef, tol
     i_s, i_r = _pair_indices(dist, pair)
     pac, pa = t["p_a_given_c"], t["pa"]
     gaps = {name: 1.0 / pa[ia] - fsum(pc[live] / pac[live, ia]) for name, ia in (("a_star", i_s), ("a_ref", i_r))}
-    recip_holds = all(v > tol for v in gaps.values())  # Jensen: the gaps are <= 0, and 0 up to round-off
+    recip_holds = all(v > _FD_TOL for v in gaps.values())  # Jensen: the gaps are <= 0, and 0 up to round-off
     cells_positive = bool(np.all(vals > 0))
     conclusive = recip_holds and cells_positive
     return ComparisonVerdict(
@@ -276,9 +277,3 @@ def binary_family_scan(grid: Optional[dict] = None) -> np.ndarray:
     out["interval_member"] = np.broadcast_to(member, shape).ravel()
     return out
 
-
-def scan_to_csv(rows: np.ndarray, target) -> None:
-    """Flat CSV with columns beta0,alpha,beta,gamma1,gamma2,diff,interval_member."""
-    names = rows.dtype.names
-    columns = [rows[name].astype(int) if name == "interval_member" else rows[name] for name in names]
-    write_text(csv_text(names, zip(*(col.tolist() for col in columns)), report_cell), target)

@@ -12,9 +12,9 @@ unless every entry is above ``POSITIVITY_EPS`` (a NaN entry fails too).
 Every table the package reads or writes goes through the one CSV codec here:
 :func:`read_csv_table` reads, :func:`csv_text` formats with one cell
 formatter (``exact_cell``, the shortest round-tripping float, for data and
-joints; ``report_cell``, 6 significant digits, for reports) and
-:func:`write_text` writes to a stream or atomically to a path.  Reader
-errors are DomainErrors prefixed by ``name:line`` where a line is known:
+joints; ``report_cell``, 6 significant digits and booleans as 1 or 0, for
+reports) and :func:`write_text` writes to a stream or atomically to a path.
+Reader errors are DomainErrors prefixed by ``name:line`` where a line is known:
 ``empty {what} file``, ``expected header 'c,a,z,y,p', got ...``,
 ``expected 5 fields, got N``, the float parser's message,
 ``non-finite value in column 'z'``, ``no {rows}`` and, for joints,
@@ -384,8 +384,8 @@ def exact_cell(value) -> str:
 
 
 def report_cell(value) -> str:
-    """Floats to 6 significant digits, anything else as str: reports and summaries."""
-    return format(value, ".6g") if isinstance(value, float) else str(value)
+    """Floats to 6 significant digits, booleans as 1 or 0, anything else as str: reports and summaries."""
+    return format(value, ".6g") if isinstance(value, float) else str(int(value) if isinstance(value, bool) else value)
 
 
 def csv_text(header, rows, cell) -> str:

@@ -17,7 +17,8 @@ holds clipped levels per distinct evaluation, not rows.
 Each distinct (family, response, effective predictors) is fitted once per
 dataset or fold (``_fit_model``), and every slot asking for it gets its own
 component on the shared parameters, with its own call signature, clip-counter
-name and manifest entry.
+name and manifest entry.  A fit returns parameters only (a Gaussian law its
+coef and sd); ``_fit_slot`` builds each component on its slot's arguments.
 
 The data's (a, c) cells are coded once per dataset or fold, as an
 ``influence.LevelIndex`` on the supports the fitted NuisanceSet carries,
@@ -70,7 +71,7 @@ from .errors import (
     SeparationDetected,
 )
 from .influence import SLOTS, NuisanceSet, _spread, _Table, level_index
-from .quadrature import FiniteZRule, GaussHermiteZRule
+from .quadrature import _GH_NODES, FiniteZRule, GaussHermiteZRule
 from .special import expit, norm_pdf
 
 __all__ = [
@@ -207,13 +208,13 @@ def _design(columns: Sequence[np.ndarray], n: int) -> list:
 _RANK_CUTOFF = 1e-8  # see _least_squares: no column within about 1.4e-4 rad of the span of the others
 
 
-def _least_squares(X, sums: np.ndarray, counts: Optional[np.ndarray] = None) -> np.ndarray:
+def _least_squares(X: list, sums: np.ndarray, counts: Optional[np.ndarray] = None) -> np.ndarray:
     """Least-squares coefficients of a design with an intercept, over grouped rows.
 
-    X is the design, its intercept column of ones first: an array with one
-    row per group, or the list of its columns.  Row g stands for counts[g]
-    data rows whose responses sum to sums[g]; without counts, each row stands
-    for itself.  Minimises sum_g counts[g] (sums[g] / counts[g] - X[g] b)^2,
+    X is the list of the design's columns, each with one entry per group, its
+    intercept column of ones first.  Row g stands for counts[g] data rows
+    whose responses sum to sums[g]; without counts, each row stands for
+    itself.  Minimises sum_g counts[g] (sums[g] / counts[g] - X[g] b)^2,
     which differs from the row-wise residual sum of squares by a constant.
 
     The solve works on the p x p cross-product matrix, formed from p(p+1)/2
@@ -236,7 +237,7 @@ def _least_squares(X, sums: np.ndarray, counts: Optional[np.ndarray] = None) -> 
     the groups, and one correction, solved from their dot products with the
     centred columns, is added to the coefficients.
     """
-    ones, *preds = list(X.T) if isinstance(X, np.ndarray) else X
+    ones, *preds = X
     total = float(sums.size if counts is None else counts.sum())
     means = np.array([(ones if counts is None else counts) @ x for x in preds]) / total
     centred = [ones] + [x - m for x, m in zip(preds, means)]
@@ -267,22 +268,22 @@ def _least_squares(X, sums: np.ndarray, counts: Optional[np.ndarray] = None) -> 
     return coef
 
 
-def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray, max_iter: int = 100, tol: float = 1e-8) -> np.ndarray:
+def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray) -> np.ndarray:
     """Bernoulli MLE by iteratively reweighted least squares over grouped rows.
 
-    Row g of X has successes[g] of trials[g].  A pure group (all successes or
-    none) whose linear predictor has the matching sign is separated; mixed
-    groups never are.
+    Row g of X has successes[g] of trials[g]; the score's norm must fall below
+    1e-8 within 100 Newton steps.  A pure group (all successes or none) whose
+    linear predictor has the matching sign is separated; mixed groups never are.
     """
     if np.all(successes == 0) or np.all(successes == trials):
         raise SeparationDetected("response is constant; the Bernoulli MLE does not exist")
     pure = (successes == 0) | (successes == trials)
     beta = np.zeros(X.shape[1])
-    for _ in range(max_iter):
+    for _ in range(100):
         lin = X @ beta
         prob = expit(lin)
         score = X.T @ (successes - trials * prob)
-        if np.linalg.norm(score) < tol:
+        if np.linalg.norm(score) < 1e-8:
             return beta
         if np.max(np.abs(lin)) > 30.0 and np.all(pure & ((2.0 * successes - trials) * lin > 0)):
             raise SeparationDetected("classes are perfectly separated")
@@ -293,7 +294,7 @@ def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray, max_iter: in
         except np.linalg.LinAlgError:
             raise RankDeficient("singular weighted design in IRLS") from None
         beta = beta + step
-    raise MaxIterExceeded(f"IRLS did not converge in {max_iter} iterations")
+    raise MaxIterExceeded("IRLS did not converge in 100 iterations")
 
 
 def _fit_design(data: Dataset, preds: tuple, values: np.ndarray, cells=None):
@@ -351,8 +352,8 @@ class GaussianConditional(_Linear):
         return norm_pdf(value, self.linear(cond), self.sd)
 
 
-def _gaussian_law(data: Dataset, response: str, predictors: tuple, arg_names: tuple, cells=None):
-    """Least-squares conditional mean plus residual-mean-square variance."""
+def _gaussian_law(data: Dataset, response: str, predictors: tuple, cells=None):
+    """(coef, sd) of a Gaussian law: the least-squares conditional mean and the residual root mean square."""
     n = data.n
     if n <= len(predictors) + 1:
         raise DomainError("need n > #predictors + 1 for a residual variance")
@@ -364,7 +365,7 @@ def _gaussian_law(data: Dataset, response: str, predictors: tuple, arg_names: tu
     variance = float(resid @ resid) / (n - len(X))
     if variance < VARIANCE_FLOOR:
         raise DegenerateModel(f"residual variance {variance!r} below the {VARIANCE_FLOOR} floor")
-    return GaussianConditional(arg_names, predictors, coef, np.sqrt(variance))
+    return coef, math.sqrt(variance)
 
 
 class _LinearMean(_Linear):
@@ -420,21 +421,20 @@ def _empirical_table(data: Dataset, given: tuple, response: Optional[str] = None
 
 
 class _Clipped:
-    """Clip probability outputs into [eps, 1-eps]; count how often it bites."""
+    """Clip probability outputs into [CLIP_EPS, 1 - CLIP_EPS]; count how often it bites."""
 
-    def __init__(self, fn, counter: dict, slot: str, eps: float = CLIP_EPS):
+    def __init__(self, fn, counter: dict, slot: str):
         self.fn = fn
         self.counter = counter
         self.slot = slot
-        self.eps = eps
 
     def __call__(self, *args):
         p = np.asarray(self.fn(*args), dtype=float)
-        hits = int(np.count_nonzero(p < self.eps) + np.count_nonzero(p > 1.0 - self.eps))
+        hits = int(np.count_nonzero(p < CLIP_EPS) + np.count_nonzero(p > 1.0 - CLIP_EPS))
         if hits:
             self.counter[self.slot] = self.counter.get(self.slot, 0) + hits
             self.counter["total"] = self.counter.get("total", 0) + hits
-        return np.clip(p, self.eps, 1.0 - self.eps)
+        return np.clip(p, CLIP_EPS, 1.0 - CLIP_EPS)
 
 
 # -- spec-driven fitting ------------------------------------------------------
@@ -458,8 +458,7 @@ def _fit_model(data: Dataset, family: str, response: str, preds: tuple, supports
         # a probability slot's predictors are a or c, so its design is always the collapsed one, with counts
         X, successes, trials, _ = _fit_design(data, preds, (data.column(response) == hi).astype(float), cells)
         return _irls(np.column_stack(X), successes, trials), hi, lo
-    law = _gaussian_law(data, response, preds, preds, cells)
-    return law.coef, law.sd
+    return _gaussian_law(data, response, preds, cells)
 
 
 def _fit_slot(spec: ModelSpec, fitted, counter: dict, supports: dict):
@@ -493,11 +492,10 @@ def _fit_slot(spec: ModelSpec, fitted, counter: dict, supports: dict):
     return GaussianConditional(given, preds, *params), applied
 
 
-def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule=None, gh_nodes: int = 64) -> NuisanceSet:
+def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule, gh_nodes: int) -> NuisanceSet:
     counter: dict = {}
     manifest = {"n": data.n, "slots": {}, "clip_events": counter}
     slots = {}
-    families = {}
     supports = {"a": np.unique(data.a), "c": np.unique(data.c)}
 
     @functools.cache
@@ -514,14 +512,10 @@ def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule=None, gh_nodes
             raise DomainError(f"duplicate ModelSpec for slot {spec.component!r}")
         fn, applied = _fit_slot(spec, fitted, counter, supports)
         slots[spec.component] = fn
-        families[spec.component] = spec.family
         manifest["slots"][spec.component] = applied
-    if z_rule is None:
-        law_families = {families.get(s) for s in ("p_z_given_a", "p_z_given_ac") if s in families}
-        if "gaussian-density" in law_families:
-            z_rule = GaussHermiteZRule(gh_nodes)
-        else:
-            z_rule = FiniteZRule(np.unique(data.z))
+    if z_rule is None:  # only a mediator law admits the gaussian-density family (_FAMILIES)
+        gaussian = any(spec.family == "gaussian-density" for spec in specs)
+        z_rule = GaussHermiteZRule(gh_nodes) if gaussian else FiniteZRule(np.unique(data.z))
     eta = NuisanceSet(
         a_support=tuple(supports["a"].tolist()),
         c_support=tuple(supports["c"].tolist()),
@@ -534,14 +528,14 @@ def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule=None, gh_nodes
     return eta
 
 
-def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFitPlan(), z_rule=None, gh_nodes: int = 64):
+def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFitPlan(), z_rule=None, gh_nodes: int = _GH_NODES):
     """Fit every requested slot; with a cross-fit plan, one NuisanceSet per fold.
 
     Returns a NuisanceSet, or a FoldedNuisances whose fold k components were
     fitted with fold k's rows held out.
     """
     if plan.folds == 0:
-        return _fit_single(data, specs, z_rule=z_rule, gh_nodes=gh_nodes)
+        return _fit_single(data, specs, z_rule, gh_nodes)
     if plan.folds > data.n:
         raise DomainError("more folds than rows")
     rng = np.random.default_rng(plan.seed)
@@ -551,7 +545,7 @@ def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFit
     for k, eval_idx in enumerate(chunks):
         train_mask = np.ones(data.n, dtype=bool)
         train_mask[eval_idx] = False
-        eta = _fit_single(data.subset(train_mask), specs, z_rule=z_rule, gh_nodes=gh_nodes)
+        eta = _fit_single(data.subset(train_mask), specs, z_rule, gh_nodes)
         eta.manifest["fold"] = k
         folds.append((np.sort(eval_idx), eta))
     manifest = {

@@ -34,13 +34,14 @@ def _node_shape(x):
 
 # numpy's hermgauss builds an n x n matrix, and its weights turn non-finite from about 371 nodes
 _MAX_GH_NODES = 256
+_GH_NODES = 64  # the node count of a rule given none (gh_nodes)
 
 
 @functools.cache
 def _gauss_hermite(n_nodes: int):
     """Nodes x and weights w with sum_i w_i f(mu + sqrt(2) sd x_i) ~ E f(Z), Z ~ N(mu, sd^2).
 
-    Built once per node count (hermgauss takes about 1 ms at 64 nodes).  Every rule of that
+    Built once per node count (hermgauss takes about 1 ms at the default count).  Every rule of that
     count shares the arrays, so they are read-only; a refusal is raised, so it is never cached.
     """
     if n_nodes > _MAX_GH_NODES:
@@ -87,7 +88,7 @@ class GaussHermiteZRule:
     so that the weights sum to one.
     """
 
-    def __init__(self, n_nodes: int = 64):
+    def __init__(self, n_nodes: int = _GH_NODES):
         if n_nodes < 1:
             raise DomainError(f"a Gauss-Hermite rule needs at least one node (gh_nodes), got {n_nodes!r}")
         self.n_nodes = n_nodes

@@ -56,7 +56,7 @@ from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, estimate_all
 from .fitting import Dataset, GaussianConditional, ModelSpec, _LinearMean, _Logistic, fit
 from .influence import NuisanceSet, _Table
-from .quadrature import GaussHermiteZRule
+from .quadrature import _GH_NODES, GaussHermiteZRule
 from .special import expit
 
 __all__ = [
@@ -106,7 +106,7 @@ class McConfig:
     setting: int = 0
     seed: int = 0
     threads: int = 1
-    gh_nodes: int = 64
+    gh_nodes: int = _GH_NODES
 
     def __post_init__(self):
         if self.replicates < 2:
@@ -175,7 +175,7 @@ def sample_dgp(params: SimDgpParams, n: int, seed) -> Dataset:
     return Dataset(c, a, z, y, TreatmentPair(1.0, 0.0))
 
 
-def simdgp_truth_nuisances(params: SimDgpParams, gh_nodes: int = 64):
+def simdgp_truth_nuisances(params: SimDgpParams):
     """Every nuisance slot filled with the exact laws of the study family."""
     p1 = params.p_a_marginal(1)
     law = GaussianConditional(("a", "c"), ("a",), [0.0, params.beta], params.sigma_z)
@@ -200,7 +200,7 @@ def simdgp_truth_nuisances(params: SimDgpParams, gh_nodes: int = 64):
         mean_y_az=mean_y_az,
         mean_y_zc=_LinearMean(("z", "c"), ("z", "c"), [0.0, g1, g2]),
         mean_y_azc=_LinearMean(("a", "z", "c"), ("z", "c"), [0.0, g1, g2]),
-        z_integrator=GaussHermiteZRule(gh_nodes),
+        z_integrator=GaussHermiteZRule(),
         manifest={"source": "study-family truth"},
     )
 

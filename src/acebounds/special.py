@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["expit", "logit", "norm_pdf"]
+__all__ = ["expit", "norm_pdf"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -16,12 +16,6 @@ def expit(x):
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return out if out.ndim else float(out)
-
-
-def logit(p):
-    p = np.asarray(p, dtype=float)
-    out = np.log(p) - np.log1p(-p)
     return out if out.ndim else float(out)
 
 

@@ -521,12 +521,21 @@ def test_config_file_skips_comments_and_blank_lines_and_names_a_bad_line(tmp_pat
     [
         (["simulate", *SIM, "--set", "size=200", "--set", "tags=NAIVE"], "simulate reads no config key 'size'"),
         (["bounds", "--dgp", DGP, "--set", "model=BD"], "bounds reads no config key 'model'"),
-        (["compare", "--interval", "0.5", "--set", "tols=2"], "compare reads no config key 'tols'"),
+        (["compare", "--interval", "0.5", "--set", "tols=2"], "compare --interval reads no config key 'tols'"),
         (["bounds", "--dgp", DGP + ",gama=2"], "bounds reads no config key 'gama'"),  # --dgp items join the config
         (["simulate", *SIM, "--set", "a_star=1"], "simulate reads no config key 'a_star'"),  # the study pair is fixed
         (["estimate", "--data", "obs.csv", "--set", "nuisance.p_q=empirical"], "estimate reads no config key 'nuisance.p_q'"),
         (["oracle", "--dist", "d.csv", "--set", "tol=1", "--set", "models=BD"], "oracle reads no config key 'models', 'tol'"),
         (["simulate", "--config", "sim.cfg"], "simulate reads no config key 'replicate'"),
+        # bounds and compare read the keys of the mode their flags (or bounds' dist key) pick
+        (["bounds", "--dist", "d.csv", "--set", "alpha=7", "--set", "gh_nodes=0", "--set", "models=BD"], "bounds --dist reads no config key 'alpha', 'gh_nodes'"),
+        (["bounds", "--dist", "d.csv", "--dgp", DGP], "bounds --dist reads no config key 'alpha', 'beta', 'gamma1', 'gamma2'"),
+        (["bounds", "--set", "dist=d.csv", "--set", "gh_nodes=64"], "bounds --dist reads no config key 'gh_nodes'"),
+        (["compare", "--interval", "0.5", "--set", "beta=9"], "compare --interval reads no config key 'beta'"),
+        (["compare", "--scan", "--set", "beta=0,1", "--set", "coef=1"], "compare --scan reads no config key 'coef'"),
+        (["compare", "--dist", "d.csv", "--set", "beta=1"], "compare --dist reads no config key 'beta'"),
+        (["compare", "--interval", "0.5", "--scan", "--set", "beta=0,1"], "compare takes one of --interval, --scan or --dist, got --interval and --scan"),
+        (["compare", "--scan", "--dist", "d.csv"], "compare takes one of --interval, --scan or --dist, got --scan and --dist"),
     ],
 )
 def test_a_key_the_subcommand_never_reads_is_refused_before_any_work(argv, message, tmp_path, monkeypatch, capsys):
@@ -536,6 +545,8 @@ def test_a_key_the_subcommand_never_reads_is_refused_before_any_work(argv, messa
     (tmp_path / "sim.cfg").write_text("alpha = 1\nbeta = 0.5\ngamma1 = 0.5\ngamma2 = 0.5\nreplicate = 2\n")
     for name in ("run_mc", "simdgp_bound", "read_dist_csv", "read_data_csv"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("work started before the key check"))
+    for name in ("density_ratio_interval", "binary_family_scan"):
+        monkeypatch.setattr(cli.cmp_mod, name, lambda *args, **kwargs: pytest.fail("work started before the key check"))
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -556,6 +567,35 @@ def test_a_bad_gh_nodes_is_refused_before_any_replicate_runs(nodes, line, monkey
     assert run_cli("simulate", *SIM, "--set", f"gh_nodes={nodes}") == 2
     assert capsys.readouterr().err == line
     assert drawn == []
+
+
+@pytest.mark.parametrize("nodes, message", [("0", "needs at least one node (gh_nodes), got 0"), ("400", "of 400 nodes (gh_nodes) exceeds the 256-node limit")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--data", "obs.csv", "--set", "preset=empirical", "--set", "tags=BD"],  # no Gauss-Hermite rule is built
+        ["bounds", "--dgp", DGP, "--set", "models=BD,TD"],  # closed forms only
+    ],
+    ids=["estimate", "bounds"],
+)
+def test_gh_nodes_is_checked_wherever_it_is_read(argv, nodes, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(4)
+    write_data_csv(Dataset(*(rng.random((4, 50)) < 0.5).astype(float), PAIR), "obs.csv")
+    assert run_cli(*argv, "--set", f"gh_nodes={nodes}") == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: a Gauss-Hermite rule {message}\n")
+
+
+def test_compare_dist_writes_json_only(tmp_path, capsys):
+    _, path = _write_chain_dist(tmp_path)
+    assert run_cli("compare", "--dist", str(path), "--format", "csv") == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: compare --dist writes json only; drop --format csv or give --format json\n")
+    assert run_cli("compare", "--dist", str(path), "--format", "json") == 0
+    as_json = capsys.readouterr().out
+    assert run_cli("compare", "--dist", str(path)) == 0
+    assert capsys.readouterr().out == as_json and json.loads(as_json)["ordering"] in ("<=", ">", "inconclusive")
 
 
 def test_spec_omit_removes_a_predictor(tmp_path, capsys):

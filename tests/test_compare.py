@@ -1,4 +1,3 @@
-import io
 import math
 import re
 
@@ -8,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acebounds.bounds import bound
+from acebounds.cli import main
 from acebounds.compare import (
     BINARY_EXAMPLE_BAND,
     RATIO_INTERVAL_CORE,
@@ -16,7 +16,6 @@ from acebounds.compare import (
     default_scan_grid,
     density_ratio_interval,
     fd_vs_bd_verdict,
-    scan_to_csv,
     td_minus_bd_gap,
     td_vs_bd_verdict,
 )
@@ -354,33 +353,18 @@ def test_scan_spot_values_via_bounds():
         assert gap == pytest.approx(bound(dist, PAIR, "TD").value - bound(dist, PAIR, "BD").value, abs=1e-10)
 
 
-def test_scan_csv_layout():
-    grid = {
-        "beta0": np.array([0.1]),
-        "alpha": np.array([1.0]),
-        "beta": np.array([0.0, 1.0]),
-        "gamma1": np.array([1.0]),
-        "gamma2": np.array([1.0]),
-    }
-    rows = binary_family_scan(grid)
-    buf = io.StringIO()
-    scan_to_csv(rows, buf)
-    lines = buf.getvalue().strip().split("\n")
+def test_scan_csv_layout(capsys):
+    grid = ["--set", "beta0=0.1", "--set", "alpha=1", "--set", "beta=0,1", "--set", "gamma1=1", "--set", "gamma2=1"]
+    assert main(["compare", "--scan", *grid]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "beta0,alpha,beta,gamma1,gamma2,diff,interval_member"
     assert len(lines) == 3
 
 
-def test_scan_csv_golden_bytes():
-    grid = {
-        "beta0": np.array([0.1]),
-        "alpha": np.array([1.0]),
-        "beta": np.array([0.0, 4.0]),
-        "gamma1": np.array([1.0]),
-        "gamma2": np.array([-1.0]),
-    }
-    buf = io.StringIO()
-    scan_to_csv(binary_family_scan(grid), buf)
-    assert buf.getvalue() == (
+def test_scan_csv_golden_bytes(capsys):
+    grid = ["--set", "beta0=0.1", "--set", "alpha=1", "--set", "beta=0,4", "--set", "gamma1=1", "--set", "gamma2=-1"]
+    assert main(["compare", "--scan", *grid]) == 0
+    assert capsys.readouterr().out == (
         "beta0,alpha,beta,gamma1,gamma2,diff,interval_member\n"
         "0.1,1,0,1,-1,-1.02056,1\n"
         "0.1,1,4,1,-1,0.839492,0\n"
