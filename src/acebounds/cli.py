@@ -57,12 +57,12 @@ def _emit(text: str, out: str | None) -> None:
     write_text(text, sys.stdout if out is None else out)
 
 
-def _report(args, header, records, payload=None) -> None:
-    """Dict records as csv columns `header`, or as json (`payload` in their place when given)."""
+def _report(args, header, rows, payload=None) -> None:
+    """Rows of values under `header` as csv, streamed from any iterable, or as json records (`payload` in their place when given)."""
     if args.format == "json":
-        _emit(json.dumps(records if payload is None else payload, indent=2, sort_keys=True), args.out)
+        _emit(json.dumps([dict(zip(header, row)) for row in rows] if payload is None else payload, indent=2, sort_keys=True), args.out)
     else:
-        _emit(csv_text(header, ([r[k] for k in header] for r in records), report_cell), args.out)
+        _emit(csv_text(header, rows, report_cell), args.out)
 
 
 def read_config(path: str | None) -> dict:
@@ -215,7 +215,8 @@ def cmd_bounds(args, cfg: dict) -> int:
         nodes, records = _gh_nodes(cfg), []
         for params, keys in _dgp_grid(cfg):  # every point varies the same keys
             records += [{**keys, **simdgp_bound(params, pair, model, n_nodes=nodes).to_dict()} for model in models]
-    _report(args, (*keys, "model", "value", "method", "a_star", "a_ref"), records)
+    header = (*keys, "model", "value", "method", "a_star", "a_ref")
+    _report(args, header, [[r[k] for k in header] for r in records])
     return 0
 
 
@@ -236,7 +237,7 @@ def cmd_estimate(args, cfg: dict) -> int:
     plan = CrossFitPlan(folds=folds, seed=seed)
     eta = fit(data, specs, plan=plan, gh_nodes=_gh_nodes(cfg))
     results = estimate_all(data, eta, tags, td_reduced=td_form == "reduced")
-    _report(args, EstimationResult.CSV_HEADER, [vars(r) for r in results])
+    _report(args, EstimationResult.CSV_HEADER, [[getattr(r, k) for k in EstimationResult.CSV_HEADER] for r in results], [vars(r) for r in results])
     return 0
 
 
@@ -260,7 +261,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     for keys, config in runs:  # every point varies the same keys; each row carries its setting
         summary = run_mc(config)
         rows = [vars(r) for r in summary.rows]
-        records += [{**keys, **r} for r in rows]
+        records += [[*keys.values(), *(r[k] for k in summary.CSV_HEADER)] for r in rows]
         run_keys = {**keys, "setting": config.setting} if len(settings) > 1 else keys
         payloads.append({**run_keys, "theta": summary.theta, "failed": summary.failed, "rows": rows})
     _report(args, (*keys, *summary.CSV_HEADER), records, payloads if len(payloads) > 1 else payloads[0])
@@ -269,11 +270,8 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 def cmd_compare(args, cfg: dict) -> int:
     if args.interval is not None:
-        low, high = cmp_mod.density_ratio_interval(args.interval)
-        if args.format == "json":
-            _emit(json.dumps({"p_star": args.interval, "low": low, "high": high}), args.out)
-        else:
-            _emit(csv_text(("p_star", "low", "high"), [(args.interval, low, high)], report_cell), args.out)
+        header, row = ("p_star", "low", "high"), (args.interval, *cmp_mod.density_ratio_interval(args.interval))
+        _report(args, header, [row], dict(zip(header, row)))  # json: the one record as an object
         return 0
     if args.scan:
         grid = cmp_mod.default_scan_grid()
@@ -284,7 +282,7 @@ def cmd_compare(args, cfg: dict) -> int:
         inside = rows["diff"][rows["interval_member"]]
         gap = f"{inside.max():.3e}" if inside.size else "none"
         sys.stderr.write(f"{rows.size} grid points, {inside.size} inside the band, max in-band gap {gap}\n")
-        _report(args, rows.dtype.names, [dict(zip(rows.dtype.names, r)) for r in rows.tolist()])
+        _report(args, rows.dtype.names, zip(*(rows[name].tolist() for name in rows.dtype.names)))
         violations = int(np.sum(rows["interval_member"] & (rows["diff"] > 1e-10)))
         if violations:
             sys.stderr.write(f"{violations} grid points violate the ratio-band ordering\n")
@@ -321,9 +319,9 @@ def cmd_oracle(args, cfg: dict) -> int:
     for model in MODELS:
         closed = bound(dist, pair, model).value
         enum = brute_force_variance(dist, pair, model)
-        rows.append({"model": model, "formula": closed, "enumeration": enum, "abs_diff": abs(closed - enum)})
+        rows.append((model, closed, enum, abs(closed - enum)))
     _report(args, ("model", "formula", "enumeration", "abs_diff"), rows)
-    worst = max(0.0, *(r["abs_diff"] for r in rows))
+    worst = max(0.0, *(r[3] for r in rows))
     if worst > _ORACLE_TOL:
         sys.stderr.write(f"oracle discrepancy {worst:.3e} exceeds tolerance {_ORACLE_TOL:.1e}\n")
         return 1

@@ -54,7 +54,8 @@ alone are evaluated per level and gathered to the rows, and mediator sums are
 integrated per level (levels x nodes), or per treatment level when they read
 no c: every sum of FD, and the centring of the pooled outcome of FD_TD and
 BD_FD_TD, whose marginal weights already sum over the live covariate levels.
-That pooled outcome at the rows covers live covariate levels x rows; above
+That pooled outcome is one broadcast of live covariate levels x rows (or x
+nodes), summed over the levels in order (numpy's reduce would pair terms); above
 ``quadrature._MAX_GRID_ELEMENTS`` it raises DomainError right after one p_c
 call, before any per-level work (about n = 2048 with a continuous covariate).
 
@@ -68,9 +69,12 @@ and drops it on return.  The enumeration oracles (:func:`brute_force_mean`,
 :func:`brute_force_variance`) share one plan per joint over its cells of
 positive mass under its truth nuisances, kept on the joint
 (``DiscreteJoint._oracle``) for every model and pair enumerated on it;
-:func:`evaluate_m` otherwise builds one per call.  Values and table codes are keyed by argument name, each a
-plan column ("rows", "levels", "live", "support") or a scalar arm or covariate
-value, never by array identity; integrands at mediator nodes call afresh.  A
+:func:`evaluate_m` otherwise builds one per call.  Values and table codes are
+keyed by argument name, each a plan column or a scalar, never by array
+identity: "rows", "levels", "support", "live", a finite rule's "nodes", and
+level columns on a leading axis against nodes or rows ("level axis", "arm
+axis" for a sum per treatment value, "live axis"), so only Gauss-Hermite
+nodes are evaluated afresh; a repeat read is one lookup (``_Plan._keys``).  A
 component with a ``_plan_key`` (``fitting._Linear``, also behind an
 attribute-forwarding wrapper) is keyed by its class, predictors and parameters
 and reads only its predictors, plus the response of a law or probability, so
@@ -94,7 +98,7 @@ and gathers it to the rows once, with the same bits as a row-wise division.
 Discrete nuisances are one table class, ``_Table``: :func:`truth_nuisances`
 builds it over every argument, passing NaN cells through; ``fitting`` builds
 its empirical and fixed-value slots with it, with an ``observed`` mask.  Its
-values are read at codes (``_Table.at``): a call codes its arguments with
+values are read at codes (``_Table.at``, as one flat offset): a call codes its arguments with
 ``_lookup``, which also codes a level index; a plan reads a bare table at its
 own codes, a row's a and c by its level's, and calls any other component.
 """
@@ -247,10 +251,14 @@ class _Plan:
         self.eta, self.cols = eta, tuple(cols)
         c, a, z, y = self.rows = _rows(*cols)
         fitted = eta._levels  # the coding of the rows the nuisances were fitted on
-        self.levels = fitted if fitted is not None and _restores(fitted, a, c) else level_index(a, c, eta.a_support, eta.c_support)
-        self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): self.levels.a, ("c", "levels"): self.levels.c}
-        # evaluation key -> (value, values clipped); evaluation key of a level value -> it at the rows; keys read since `clipped`
-        self._memo, self._gathered, self._read = {}, {}, set()
+        levels = self.levels = fitted if fitted is not None and _restores(fitted, a, c) else level_index(a, c, eta.a_support, eta.c_support)
+        self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): levels.a, ("c", "levels"): levels.c}
+        self._columns["a", "level axis"], self._columns["c", "level axis"] = _node_shape(levels.a), _node_shape(levels.c)
+        self._columns["a", "arm axis"] = _node_shape(levels.by_a[0])  # the treatment values of a sum per arm
+        self._columns["z", "nodes"] = getattr(eta.z_integrator, "support", None)  # the nodes of every finite grid
+        # evaluation key -> (value, values clipped); evaluation key of a level value -> it at the rows; keys read since
+        # `clipped`; (slot, argument items) -> evaluation key, so a repeat read is one lookup
+        self._memo, self._gathered, self._read, self._keys = {}, {}, set(), {}
         self._models = {}  # slot -> (identity, arguments read) of its component
         self._codes = {}  # (variable, column name or scalar, support bytes) -> codes on that support
 
@@ -264,24 +272,29 @@ class _Plan:
         return ident, frozenset(args[v] for v in SLOTS[slot][0] if isinstance(args[v], str)), *((v, args[v]) for v in reads)
 
     def value(self, slot: str, **args):
-        """`slot` at `args`: scalars and plan column names once per key (see :meth:`key`); arrays afresh."""
-        fn, names = getattr(self.eta.require(slot), slot), SLOTS[slot][0]
-        vals = [self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names]
-        if isinstance(fn, _Table):  # read at the plan's codes; any wrapper, a clipping one included, is called
-            table, fn = fn, lambda *xs: table.at(tuple(self._code(table, k, names[pos], args[names[pos]]) for k, pos in enumerate(table.reads)), xs)
-        if any(isinstance(args[v], np.ndarray) for v in names):  # mediator nodes or level columns of an integrand
-            return fn(*vals)
-        key = self.key(slot, **args)
-        if key not in self._memo:
-            clips = self.eta.manifest.get("clip_events", {})
-            before = clips.get("total", 0)
-            self._memo[key] = fn(*vals), clips.get("total", 0) - before
+        """`slot` at `args`: scalars and plan column names once per key (see :meth:`key`), a repeat call by one lookup; arrays afresh."""
+        if any(isinstance(x, np.ndarray) for x in args.values()):  # the nodes of a Gauss-Hermite grid
+            return self._call(slot, args)
+        if (key := self._keys.get(call := (slot, *args.items()))) is None:
+            key = self._keys[call] = self.key(slot, **args)
+            if key not in self._memo:
+                clips = self.eta.manifest.get("clip_events", {})
+                before = clips.get("total", 0)
+                self._memo[key] = self._call(slot, args), clips.get("total", 0) - before
         self._read.add(key)
         return self._memo[key][0]
 
+    def _call(self, slot: str, args):
+        """`slot` evaluated at `args`: a bare table read at the plan's codes; any wrapper, a clipping one included, called."""
+        fn, names = getattr(self.eta.require(slot), slot), SLOTS[slot][0]
+        vals = [self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names]
+        if isinstance(fn, _Table):
+            return fn.at(tuple(self._code(fn, k, names[pos], args[names[pos]]) for k, pos in enumerate(fn.reads)), vals)
+        return fn(*vals)
+
     def _code(self, table, k, name, arg):
         """The codes of argument `name` at `arg` on axis k of `table`: an array's afresh; a plan column's or scalar's once per support."""
-        if np.ndim(arg):
+        if isinstance(arg, np.ndarray):
             return table._index(arg, k)
         if (key := (name, arg if isinstance(arg, str) else float(arg), table.supports[k].tobytes())) not in self._codes:
             if key[1] == "rows" and name != "z":  # a row's code is its (a, c) level's
@@ -293,7 +306,7 @@ class _Plan:
     def at_rows(self, slot: str, arm):
         """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level and gathered to the rows once."""
         level = self.value(slot, a=arm, c="levels")
-        if (key := self.key(slot, a=arm, c="levels")) not in self._gathered:
+        if (key := self._keys[slot, ("a", arm), ("c", "levels")]) not in self._gathered:  # the key that call looked up
             self._gathered[key] = _gather(level, self.levels.inv)
         return self._gathered[key]
 
@@ -303,8 +316,9 @@ class _Plan:
             raise MissingNuisance("c_support is required to assemble the marginal treatment probability")
         cv = self._columns["c", "support"] = np.asarray(self.eta.c_support, dtype=float)
         pc = np.asarray(self.value("p_c", c="support"), dtype=float)
-        self._columns["c", "live"] = cv[pc > 0]
-        return pc[pc > 0], cv[pc > 0]
+        live = self._columns["c", "live"] = cv[pc > 0]
+        self._columns["c", "live axis"] = _node_shape(live)
+        return pc[pc > 0], live
 
     def clipped(self) -> int:
         """Clipped probability values over the evaluations read since the last call."""
@@ -341,8 +355,7 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     law, outcome, mass, weights = _MEDIATOR_MODELS[tag]
     eta, levels, y = plan.eta, plan.levels, plan.rows[3]
     rule, pz = eta.require("z_integrator", law).z_integrator, getattr(eta, law)
-    if isinstance(pz, _Table) and isinstance(rule, FiniteZRule):  # a table law, read through the plan, which codes the arms once
-        pz = lambda *vals: plan.value(law, **dict(zip(SLOTS[law][0], vals)))  # noqa: E731
+    finite = isinstance(rule, FiniteZRule)  # its nodes are the plan's "nodes" column; a Gauss-Hermite grid's are afresh
     law_given_c, outcome_given_c = "c" in SLOTS[law][0], "c" in SLOTS[outcome][0]
     outcome_given_a = "a" in SLOTS[outcome][0]
     law_text = "p(z|a,c)" if law_given_c else "p(z|a)"
@@ -355,18 +368,21 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
         p_live = {ab: _spread(plan.value("p_a_given_c", a=ab, c="live"), (c_live,)) for ab in eta.a_support}
 
     def sum_levels(reads_c):
-        """(treatment, covariate column or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
+        """(treatment column, its axis column name, covariate axis column name or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
         if reads_c:
-            return levels.a, _node_shape(levels.c), levels.inv
+            return levels.a, "level axis", "level axis", levels.inv
         la, inv = levels.by_a
-        return la, None, inv
+        return la, "arm axis", None, inv
 
     # the pooled outcome reads c through the law, the weights, or an outcome not already summed over c
-    ka, kc, kinv = sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and not marginal))
-    ta, tc, tinv = sum_levels(law_given_c or outcome_given_c)
+    ka, ka_axis, kc, kinv = sum_levels(law_given_c or weights == "p_a_given_c" or (outcome_given_c and not marginal))
+    _, ta, tc, tinv = sum_levels(law_given_c or outcome_given_c)
 
     def cond(arm):
         return (arm, levels.c) if law_given_c else (arm,)
+
+    def density(arm):  # the rule's density at `arm`, a scalar or axis column name: a table law on a finite rule by the plan
+        return (lambda *_: plan.value(law, z="nodes", a=arm, c="level axis")) if finite and isinstance(pz, _Table) else pz
 
     def weight(arm, label):
         """The treatment weight of `arm` per (a, c) level, or one value when it does not read c."""
@@ -374,22 +390,23 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
         return _require_positive(w, _WEIGHT_LABEL[weights].format(label))
 
     def pooled(zz, cv, p_at):
-        """The outcome averaged over the treatment weights of the arm denominators, at mediator values zz."""
+        """The outcome averaged over the treatment weights of the arm denominators, at mediator values zz (a column name or grid nodes)."""
         def given_c(cv, p_at):
             """sum_a outcome(a, z, c) p_at(a), where p_at(a) is the weight of a at cv."""
             if not outcome_given_a:
                 return plan.value(outcome, z=zz, c=cv)
             return sum(plan.value(outcome, a=ab, z=zz, c=cv) * p_at(ab) for ab in eta.a_support)
 
-        if marginal:
-            return sum(w * given_c(v, lambda ab, j=j: p_live[ab][j]) for j, (w, v) in enumerate(zip(pc_live, c_live)))
+        if marginal:  # every live covariate level at once on a leading axis, then summed over it in level order
+            shape = (-1,) + (1,) * (1 if isinstance(zz, str) else zz.ndim)
+            return sum(pc_live.reshape(shape) * given_c("live axis" if isinstance(zz, str) else c_live.reshape(shape), lambda ab: p_live[ab].reshape(shape)))
         return given_c(cv, p_at)
 
     def p_at_levels(ab):  # a column over the sum levels, or one value when they are treatment levels only
         return _node_shape(plan.value(slot, a=ab, c="levels"))
 
     def own_arm(zz):
-        return plan.value(outcome, a=_node_shape(ta), z=zz, c=tc)
+        return plan.value(outcome, a=ta, z="nodes" if finite else zz, c=tc)
 
     law_at = partial(plan.value, law, z="rows", c="rows")
     # 1{A=a*}/w(a*) - 1{A=a}/w(a) per (a, c) level, gathered to the rows: each row divides the same 0/1 by the same weight
@@ -400,10 +417,10 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
         mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support)
         denom = _require_positive(mix, f"sum_a {law_text} p(a|c)")
     shift = law_at(a=pair.a_star) - law_at(a=pair.a_ref)
-    pooled_bar = _gather(expect_z(rule, pz, lambda zz: pooled(zz, kc, p_at_levels), *cond(ka)), kinv)
+    pooled_bar = _gather(expect_z(rule, density(ka_axis), lambda zz: pooled("nodes" if finite else zz, kc, p_at_levels), *cond(ka)), kinv)
     t1 = (y - plan.value(outcome, a="rows", z="rows", c="rows")) * shift / denom
     t2 = (pooled("rows", "rows", lambda ab: plan.at_rows(slot, ab)) - pooled_bar) * contrast
-    t3 = _gather(expect_z(rule, pz, own_arm, *cond(pair.a_star)) - expect_z(rule, pz, own_arm, *cond(pair.a_ref)), tinv)
+    t3 = _gather(expect_z(rule, density(pair.a_star), own_arm, *cond(pair.a_star)) - expect_z(rule, density(pair.a_ref), own_arm, *cond(pair.a_ref)), tinv)
     return t1 + t2 + t3
 
 
@@ -452,9 +469,10 @@ class _Table:
 
     def at(self, idx, args):
         """The values at `idx`, one code array per axis, spread over the call arguments `args`."""
-        if self.observed is not None and not np.all(self.observed[idx]):
+        flat = sum(i * (step // self.values.itemsize) for i, step in zip(idx, self.values.strides))  # values is a C-ordered copy; 30 us for 4800 rows of 3 codes, 42 by all 3
+        if self.observed is not None and not np.all(self.observed.ravel()[flat]):
             raise DomainError(f"{self.what} requested at a combination never observed")
-        return _spread(self.values[idx], args)
+        return _spread(self.values.ravel()[flat], args)
 
     def __call__(self, *args):
         return self.at(tuple(self._index(args[pos], k) for k, pos in enumerate(self.reads)), args)

@@ -174,6 +174,19 @@ def test_compare_interval(capsys):
     assert high == pytest.approx(5.82843, abs=1e-5)
 
 
+def test_compare_interval_writes_both_formats_through_the_one_writer(tmp_path):
+    # csv and json carry the same three values; the json is indented with sorted keys like every report
+    out_csv, out_json = tmp_path / "interval.csv", tmp_path / "interval.json"
+    assert run_cli("compare", "--interval", "0.25", "--out", str(out_csv)) == 0
+    assert run_cli("compare", "--interval", "0.25", "--format", "json", "--out", str(out_json)) == 0
+    rows = _read_csv(out_csv)
+    record = json.loads(out_json.read_text())
+    assert rows[0] == ["p_star", "low", "high"] and len(rows) == 2
+    assert out_json.read_text() == json.dumps(record, indent=2, sort_keys=True)
+    assert record["p_star"] == 0.25 and [f"{record[k]:.6g}" for k in rows[0]] == rows[1]
+    assert 0.0 < record["low"] < 1.0 < record["high"]
+
+
 def test_compare_scan_reduced_grid(tmp_path):
     out = tmp_path / "scan.csv"
     code = run_cli(
@@ -377,7 +390,7 @@ def test_cli_json_golden_bytes(tmp_path, capsys):
     assert run_cli("simulate", *settings, "--format", "json") == 0
     assert capsys.readouterr().out == GOLDEN_SIMULATE_JSON
     assert run_cli("compare", "--interval", "0.5", "--format", "json") == 0
-    assert capsys.readouterr().out == '{"p_star": 0.5, "low": 0.1715728752538097, "high": 5.82842712474619}\n'
+    assert capsys.readouterr().out == '{\n  "high": 5.82842712474619,\n  "low": 0.1715728752538097,\n  "p_star": 0.5\n}\n'
 
 
 @pytest.mark.parametrize("command", [["bounds", "--dgp", DGP], ["compare", "--interval", "0.5"], ["oracle", "--dist", "d.csv"]])

@@ -12,12 +12,14 @@ from acebounds.dist import (
     ace_backdoor,
     ace_frontdoor,
     ace_twodoor,
+    fsum,
     read_dist_csv,
     write_dist_csv,
     write_text,
 )
 from acebounds.errors import DomainError, PositivityViolation, ZeroConditioningEvent
 from acebounds.fitting import read_data_csv
+from acebounds.influence import MODEL_TAGS, evaluate_m, truth_nuisances
 from acebounds.special import expit
 
 from conftest import BINARY, PAIR, binary_logit_dist, random_chain_dist, uniform_joint
@@ -322,3 +324,64 @@ def test_cells_enumerate_the_table_in_loop_order():
         for iy, y in enumerate(dist.y_support)
     ]
     assert np.array_equal(dist.cells(), np.array(loop))
+
+
+# -- the exact sum ------------------------------------------------------------------
+
+
+def _sum_outcome(sum_fn, values):
+    """The sum's float.hex, or the type of the exception it raised."""
+    try:
+        return sum_fn(values).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _same_as_math_fsum(x):
+    assert _sum_outcome(fsum, x) == _sum_outcome(math.fsum, x.ravel().tolist())
+
+
+@given(
+    n=st.integers(min_value=0, max_value=6000),
+    spread=st.integers(min_value=0, max_value=600),
+    kind=st.sampled_from(["plain", "cancelling", "negative zeros", "non-finite", "near overflow"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_fsum_matches_math_fsum_bit_for_bit(n, spread, kind, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * np.exp2(rng.integers(-spread // 2, spread // 2 + 1, n))
+    if kind == "cancelling":  # every value beside its negation, in shuffled order: the sum is exactly 0
+        x = rng.permutation(np.concatenate([x, -x]))
+    elif kind == "negative zeros":
+        x = np.full(n, -0.0)
+    elif kind == "non-finite" and n:
+        x[rng.integers(0, n, 3)] = rng.choice([np.nan, np.inf, -np.inf], 3)
+    elif kind == "near overflow":
+        x = np.sign(x) * rng.uniform(1.5e308, 1.7e308, n)
+    _same_as_math_fsum(x)
+    _same_as_math_fsum(x.reshape(2, -1) if n % 2 == 0 else x[::-1])  # any shape, any strides
+    assert _sum_outcome(fsum, x.tolist()) == _sum_outcome(math.fsum, x.tolist())  # a plain iterable
+    assert _sum_outcome(fsum, iter(x.tolist())) == _sum_outcome(math.fsum, x.tolist())
+
+
+def test_fsum_matches_math_fsum_on_the_oracle_terms(chain_dists):
+    # every (m - theta)^2 p array the enumeration oracle sums on these joints, and all of them at once
+    terms = []
+    for dist in chain_dists:
+        cells = dist.cells()
+        *cols, p = cells[cells[:, 4] > 0.0].T
+        eta = truth_nuisances(dist)
+        for pair in (PAIR, TreatmentPair(0.0, 1.0)):
+            theta = ace_twodoor(dist, pair)
+            for tag in MODEL_TAGS + ("TD_REDUCED",):
+                terms.append((evaluate_m(tag, *cols, eta, pair) - theta) ** 2 * p)
+                _same_as_math_fsum(terms[-1])
+    _same_as_math_fsum(np.concatenate(terms))
+
+
+def test_fsum_of_a_long_array_reaches_math_fsum_as_a_few_partial_sums(monkeypatch):
+    lengths, exact = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: lengths.append(len(values)) or exact(values))
+    x = np.random.default_rng(3).dirichlet(np.ones(4800)) * np.linspace(-2.0, 2.0, 4800) ** 2
+    assert fsum(x) == exact(x.tolist())
+    assert len(lengths) == 1 and lengths[0] <= 4

@@ -168,7 +168,9 @@ def _counting(module, name, monkeypatch):
 def test_each_distinct_model_is_fitted_once_and_each_row_value_evaluated_once(monkeypatch):
     # setting 0 asks twice for gaussian-density z on a and twice for linear-mean y on (z, c): 7 fits
     # for 9 slots.  Over the 7 tags the rows see the mediator law at (z, a*), (z, a) and (z, A); the
-    # outcome means at (A, z), (0, z) and (1, z) on (a, z), and at (z, C), (z, 0) and (z, 1) on (z, c)
+    # outcome means at (A, z), (0, z) and (1, z) on (a, z), and at (z, C) on (z, c): 7 reads of n values.
+    # The pooled outcome of FD_TD and BD_FD_TD reads (z, c) at both live covariate levels at once: one
+    # read of 2n values
     data = sample_dgp(SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5), 2000, 5)
     coded = [_counting(module, "level_index", monkeypatch) for module in (fitting, influence)]
     integrals = _counting(influence, "expect_z", monkeypatch)
@@ -184,7 +186,8 @@ def test_each_distinct_model_is_fitted_once_and_each_row_value_evaluated_once(mo
     log = []
     counted = replace(eta, **{slot: _CountingComponent(getattr(eta, slot), log) for slot in SLOTS})
     estimate_all(data, counted, td_reduced=True)
-    assert sum(size == data.n for size in log) == 9
+    assert sum(size == data.n for size in log) == 7
+    assert sum(size == 2 * data.n for size in log) == 1
     fitted = _counting(fitting, "_fit_model", monkeypatch)
     eta = fit(data, setting_model_specs(0))
     assert len(fitted) == len({args[1:4] for args in fitted}) == 7

@@ -571,9 +571,22 @@ def test_oracle_codes_each_cell_column_once(monkeypatch):
     for tag in MODEL_TAGS:
         brute_force_variance(dist, PAIR, tag)
     # the level index codes the (a, c) cell columns and the plan the z column; the tables then read
-    # every cell column by those codes, and each scalar arm or covariate value is coded once per support
-    assert sizes.count(4800) <= 3
-    assert len(sizes) <= 100
+    # every cell column by those codes.  Each other plan column and scalar is coded once per support:
+    # the 20 mediator nodes; the 12 (a, c) levels' a and c, flat and on the node axis (4 x 12); the 3
+    # treatment values of a sum per arm; the 4 covariate values, the live ones and those on their
+    # leading axis (3 x 4); and the 3 scalar arms
+    assert sorted(sizes) == [1] * 3 + [3] + [4] * 3 + [12] * 4 + [20] + [4800] * 3
+
+
+def test_the_kept_plan_gives_the_values_of_explicit_truth_nuisances():
+    # the plan the joint keeps is shared by every model and pair; an explicit eta builds a fresh one per call
+    for seed in (5, 6):
+        dist = _wide_joint(seed)
+        for pair in PAIRS:
+            for tag in ALL_TAGS:
+                explicit = truth_nuisances(dist)
+                assert brute_force_variance(dist, pair, tag).hex() == brute_force_variance(dist, pair, tag, explicit).hex(), (seed, pair, tag)
+                assert brute_force_mean(dist, pair, tag).hex() == brute_force_mean(dist, pair, tag, explicit).hex(), (seed, pair, tag)
 
 
 def _hidden(eta):
