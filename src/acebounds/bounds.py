@@ -73,7 +73,6 @@ __all__ = [
     "bound",
     "SimDgpParams",
     "simdgp_bound",
-    "simdgp_td_bd_crossing",
     "simdgp_theta",
 ]
 
@@ -315,11 +314,6 @@ _SIMDGP_TERMS = {
     "FD_TD": (_marginal_inv_sum, _outcome_noise, _shift_ratio),
     "BD_FD_TD": (_marginal_inv_sum, _outcome_noise, _mixture_term),
 }
-
-
-def simdgp_td_bd_crossing(params: SimDgpParams) -> float:
-    """|beta| below which the TD bound is smaller than the BD bound in this family."""
-    return params.sigma_z * math.sqrt(math.log1p(_inv_prop_sum(params)))
 
 
 def simdgp_bound(params: SimDgpParams, pair: TreatmentPair, model: str, n_nodes: int = _GH_NODES) -> BoundReport:

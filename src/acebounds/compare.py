@@ -32,7 +32,6 @@ from .dist import (
     TreatmentPair,
     _pair_indices,
     _require_positive,
-    chain_joint,
     fsum,
 )
 from .errors import AssumptionViolation, DomainError, PositivityViolation
@@ -44,7 +43,6 @@ __all__ = [
     "td_vs_bd_verdict",
     "density_ratio_interval",
     "fd_vs_bd_verdict",
-    "binary_example_joint",
     "RATIO_INTERVAL_CORE",
     "BINARY_EXAMPLE_BAND",
     "default_scan_grid",
@@ -207,22 +205,6 @@ def fd_vs_bd_verdict(dist: DiscreteJoint, pair: TreatmentPair, outcome_coef) -> 
 
 
 # -- the all-binary example family ------------------------------------------
-
-
-def binary_example_joint(beta0: float, alpha: float, beta: float, gamma1: float, gamma2: float) -> DiscreteJoint:
-    """All-binary family: C ~ B(expit(beta0)), A|C ~ B(expit(alpha C)),
-    Z|A ~ B(expit(beta A)), Y|Z,C ~ B(expit(gamma1 Z + gamma2 C))."""
-    pc1 = float(expit(beta0))
-    return chain_joint(
-        [0.0, 1.0],
-        [0.0, 1.0],
-        [0.0, 1.0],
-        [0.0, 1.0],
-        lambda c: pc1 if c == 1 else 1.0 - pc1,
-        lambda a, c: float(expit(alpha * c)) if a == 1 else 1.0 - float(expit(alpha * c)),
-        lambda z, a: float(expit(beta * a)) if z == 1 else 1.0 - float(expit(beta * a)),
-        lambda y, z, c: float(expit(gamma1 * z + gamma2 * c)) if y == 1 else 1.0 - float(expit(gamma1 * z + gamma2 * c)),
-    )
 
 
 # the grid keys of the example family, outermost first

@@ -1,10 +1,13 @@
 """Exact finite joint distributions over (C, A, Z, Y) and the three adjustment functionals.
 
-The joint is stored as a dense probability table.  All reductions that feed a
-1e-12 tolerance budget go through :func:`fsum` (``math.fsum``'s bits) so that
-large supports do not eat it.  Conditionals with denominators below ``POSITIVITY_EPS``
-raise instead of propagating Inf/NaN: the downstream bound formulas are
-undefined there.  ``_require_positive`` is the package's one positivity guard:
+The joint is stored as a dense probability table.  ``DiscreteJoint.table`` is
+its one general marginal; the conditional tables and outcome moments that the
+bounds and oracles read are built from those marginals once per joint and kept
+(``DiscreteJoint._cache``).  All reductions that feed a 1e-12 tolerance budget
+go through :func:`fsum` (``math.fsum``'s bits) so that large supports do not
+eat it.  A zero or near-zero denominator raises PositivityViolation instead of
+propagating Inf/NaN: the downstream bound formulas are undefined there.
+``_require_positive`` is the package's one positivity guard:
 bounds, comparisons and estimating functions pass every denominator through
 it, and it raises PositivityViolation ``{what} has entries below 1e-12``
 unless every entry is above ``POSITIVITY_EPS`` (a NaN entry fails too).
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PositivityViolation, ZeroConditioningEvent
+from .errors import DomainError, PositivityViolation
 
 __all__ = [
     "POSITIVITY_EPS",
@@ -108,10 +111,11 @@ class DiscreteJoint:
     """
 
     def __init__(self, c_support, a_support, z_support, y_support, pmf):
-        self.c_support = np.asarray(c_support, dtype=float)
-        self.a_support = np.asarray(a_support, dtype=float)
-        self.z_support = np.asarray(z_support, dtype=float)
-        self.y_support = np.asarray(y_support, dtype=float)
+        # copies, so that freezing them below leaves the caller's arrays writable
+        self.c_support = np.array(c_support, dtype=float)
+        self.a_support = np.array(a_support, dtype=float)
+        self.z_support = np.array(z_support, dtype=float)
+        self.y_support = np.array(y_support, dtype=float)
         for name, sup in zip(VAR_NAMES, self.supports()):
             if sup.ndim != 1 or sup.size == 0:
                 raise DomainError(f"support of {name} must be a non-empty 1-d sequence")
@@ -119,7 +123,7 @@ class DiscreteJoint:
                 raise DomainError(f"support of {name} must hold finite values")
             if np.unique(sup).size != sup.size:
                 raise DomainError(f"support of {name} contains duplicate values")
-        pmf = np.asarray(pmf, dtype=float)
+        pmf = np.array(pmf, dtype=float)
         shape = tuple(s.size for s in self.supports())
         if pmf.shape != shape:
             raise DomainError(f"pmf shape {pmf.shape} does not match supports {shape}")
@@ -140,11 +144,8 @@ class DiscreteJoint:
     def supports(self):
         return (self.c_support, self.a_support, self.z_support, self.y_support)
 
-    def support_of(self, var: str) -> np.ndarray:
-        return self.supports()[_AXIS[var]]
-
     def index_of(self, var: str, value) -> int:
-        sup = self.support_of(var)
+        sup = self.supports()[_AXIS[var]]
         hits = np.nonzero(sup == float(value))[0]
         if hits.size == 0:
             raise DomainError(f"value {value!r} not in the support of {var}")
@@ -155,14 +156,7 @@ class DiscreteJoint:
         grids = np.meshgrid(*self.supports(), indexing="ij")
         return np.column_stack([g.ravel() for g in grids] + [self.pmf.ravel()])
 
-    # -- raw probabilities ------------------------------------------------
-
-    def prob(self, **assignment) -> float:
-        """Probability of a (partial) assignment, e.g. prob(a=1, c=0)."""
-        index = [slice(None)] * 4
-        for var, value in assignment.items():
-            index[_AXIS[var]] = self.index_of(var, value)
-        return fsum(np.asarray(self.pmf[tuple(index)]))
+    # -- marginals and the conditional tables used by bounds/oracles -------
 
     def table(self, variables) -> np.ndarray:
         """Marginal table over `variables`, axes in canonical (c, a, z, y) order."""
@@ -174,49 +168,12 @@ class DiscreteJoint:
         out = np.add.reduce(self.pmf, axis=drop) if drop else self.pmf.copy()
         return np.asarray(out, dtype=float)
 
-    # -- conditionals -----------------------------------------------------
-
-    def conditional_table(self, target, given: dict) -> np.ndarray:
-        """p(target | given) as a table over the target variables."""
-        target = tuple(target)
-        overlap = set(target) & set(given)
-        if overlap:
-            raise DomainError(f"target and given overlap on {sorted(overlap)}")
-        denom = self.prob(**given)
-        if denom < POSITIVITY_EPS:
-            raise ZeroConditioningEvent(f"p({given}) = {denom!r} below {POSITIVITY_EPS}")
-        index = [slice(None)] * 4
-        for var, value in given.items():
-            index[_AXIS[var]] = self.index_of(var, value)
-        sub = np.asarray(self.pmf[tuple(index)])
-        kept = [v for v in VAR_NAMES if v not in given]
-        drop = tuple(i for i, v in enumerate(kept) if v not in target)
-        if drop:
-            sub = np.add.reduce(sub, axis=drop)
-        return sub / denom
-
-    def cond_mean_var(self, given: dict):
-        """Mean and variance of Y given an assignment of (a subset of) C, A, Z."""
-        if "y" in given:
-            raise DomainError("cannot condition the outcome moments on y itself")
-        py = self.conditional_table(("y",), given)
-        mean = fsum(py * self.y_support)
-        second = fsum(py * self.y_support**2)
-        var = second - mean * mean
-        return mean, max(var, 0.0)
-
-    # -- cached conditional tables used by bounds/oracles -----------------
-
     def _cache(self):
         cache = getattr(self, "_tables", None)
         if cache is not None:
             return cache
         p = self.pmf
-        pc = p.sum(axis=(1, 2, 3))
-        pa = p.sum(axis=(0, 2, 3))
-        pac = p.sum(axis=(2, 3))  # joint over (c, a)
-        pzac = p.sum(axis=3)  # joint over (c, a, z)
-        pza = p.sum(axis=(0, 3))  # joint over (a, z)
+        pc, pa, pac, pzac, pza = map(self.table, ("c", "a", "ca", "caz", "az"))  # marginal tables
         pzc = pzac.sum(axis=1)  # joint over (c, z)
         y = self.y_support
         ysum, y2sum = (np.tensordot(p, v, axes=([3], [0])) for v in (y, y * y))  # sum_y y^k p(c,a,z,y)

@@ -9,10 +9,6 @@ class PositivityViolation(AceboundsError):
     """A conditional probability or density needed in a denominator is (numerically) zero."""
 
 
-class ZeroConditioningEvent(AceboundsError):
-    """Conditioning on an event of probability zero."""
-
-
 class MissingNuisance(AceboundsError):
     """A nuisance component required by an influence function is not available."""
 

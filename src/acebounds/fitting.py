@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -177,6 +178,17 @@ class ModelSpec:
         return tuple(p for p in self.predictors if p not in self.omit)
 
 
+def _count(name: str, value) -> int:
+    """`value` as a non-negative int, numpy integers included (numpy refuses a negative seed with a bare ValueError)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class CrossFitPlan:
     """K-fold cross-fitting; folds=0 disables."""
@@ -185,7 +197,9 @@ class CrossFitPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.folds == 1 or self.folds < 0:
+        for name in ("folds", "seed"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if self.folds == 1:
             raise DomainError("folds must be 0 (disabled) or >= 2")
 
 

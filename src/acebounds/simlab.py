@@ -45,16 +45,16 @@ import glob
 import os
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 
 import numpy as np
 
 from .bounds import SimDgpParams, simdgp_theta
-from .dist import TreatmentPair, csv_text, report_cell
+from .dist import TreatmentPair
 from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, estimate_all
-from .fitting import Dataset, GaussianConditional, ModelSpec, _LinearMean, _Logistic, fit
+from .fitting import Dataset, GaussianConditional, ModelSpec, _count, _LinearMean, _Logistic, fit
 from .influence import NuisanceSet, _Table
 from .quadrature import _GH_NODES, GaussHermiteZRule
 from .special import expit
@@ -109,6 +109,9 @@ class McConfig:
     gh_nodes: int = _GH_NODES
 
     def __post_init__(self):
+        object.__setattr__(self, "sizes", tuple(_count("sizes", n) for n in self.sizes))
+        for name in ("replicates", "setting", "seed", "threads", "gh_nodes"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.replicates < 2:
             raise DomainError("need at least two replicates")
         if not self.sizes:
@@ -125,7 +128,6 @@ class McConfig:
         unknown = set(self.tags) - set(ESTIMATOR_TAGS)
         if unknown:
             raise DomainError(f"unknown estimator tags {sorted(unknown)}")
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "tags", tuple(self.tags))
         GaussHermiteZRule(self.gh_nodes)  # raises DomainError for a node count the rule refuses, before any replicate runs
 
@@ -152,9 +154,6 @@ class McSummary:
     failed: dict  # n -> number of failed replicates
 
     CSV_HEADER = tuple(f.name for f in fields(McRow))
-
-    def to_csv(self) -> str:
-        return csv_text(self.CSV_HEADER, (astuple(r) for r in self.rows), report_cell)
 
     def row(self, n: int, tag: str) -> McRow:
         for r in self.rows:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from acebounds.dist import DiscreteJoint, TreatmentPair, chain_joint, factorized_joint
+from acebounds.special import expit
 
 settings.register_profile(
     "package",
@@ -58,10 +59,18 @@ def random_confounded_mediator_dist(rng) -> DiscreteJoint:
 
 
 def binary_logit_dist(beta0, alpha, beta, gamma1, gamma2) -> DiscreteJoint:
-    """The all-binary example family parameterized on the logit scale."""
-    from acebounds.compare import binary_example_joint
-
-    return binary_example_joint(beta0, alpha, beta, gamma1, gamma2)
+    """The all-binary example family on the logit scale: C ~ B(expit(beta0)), A|C ~ B(expit(alpha C)),
+    Z|A ~ B(expit(beta A)), Y|Z,C ~ B(expit(gamma1 Z + gamma2 C))."""
+    return chain_joint(
+        BINARY,
+        BINARY,
+        BINARY,
+        BINARY,
+        bernoulli(float(expit(beta0))),
+        lambda a, c: bernoulli(float(expit(alpha * c)))(a),
+        lambda z, a: bernoulli(float(expit(beta * a)))(z),
+        lambda y, z, c: bernoulli(float(expit(gamma1 * z + gamma2 * c)))(y),
+    )
 
 
 def uniform_joint() -> DiscreteJoint:

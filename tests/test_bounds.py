@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from acebounds.bounds import (
@@ -12,11 +12,10 @@ from acebounds.bounds import (
     SimDgpParams,
     bound,
     simdgp_bound,
-    simdgp_td_bd_crossing,
     simdgp_theta,
 )
 from acebounds.compare import td_minus_bd_gap
-from acebounds.dist import DiscreteJoint, TreatmentPair
+from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
 from acebounds.errors import DomainError, PositivityViolation
 from acebounds.influence import brute_force_variance
 from acebounds.special import expit
@@ -120,6 +119,45 @@ def test_positivity_violation_in_bounds(pair):
         bound(dist, pair, "TD")
 
 
+# one propensity or mediator mass within a few ulps of the positivity threshold 1e-12, or subnormal
+NEAR_ZERO = st.one_of(st.integers(-4, 4).map(lambda k: 1e-12 * (1.0 + k * 2.0**-52)), st.floats(1e-320, 1e-300))
+
+
+@given(
+    levels=st.tuples(*(st.integers(2, 3),) * 4),
+    chain=st.booleans(),
+    propensity=st.booleans(),
+    tiny=NEAR_ZERO,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(levels=(2, 3, 2, 2), chain=False, propensity=False, tiny=1e-12 * (1.0 + 2.0**-51), seed=84941)  # FD negative
+def test_near_positivity_gives_a_finite_value_or_a_typed_refusal(levels, chain, propensity, tiny, seed):
+    rng = np.random.default_rng(seed)
+    nc, na, nz, ny = levels
+    p_c = rng.dirichlet(np.ones(nc))
+    p_a = rng.dirichlet(np.ones(na), size=nc)  # [c, a]
+    p_z = rng.dirichlet(np.ones(nz), size=(1 if chain else nc, na))  # [c, a, z]: a chain's mediator law is covariate-free
+    p_y = rng.dirichlet(np.ones(ny), size=(nc, nz))  # [c, z, y]
+    row = p_a[rng.integers(nc)] if propensity else p_z[rng.integers(p_z.shape[0]), rng.integers(na)]
+    k = rng.integers(row.size)
+    row[np.arange(row.size) != k] *= (1.0 - tiny) / (row.sum() - row[k])
+    row[k] = tiny
+    pmf = p_c[:, None, None, None] * p_a[:, :, None, None] * p_z[..., None] * p_y[:, None]
+    dist = DiscreteJoint(*(np.arange(n, dtype=float) for n in levels), pmf / pmf.sum())
+    calls = {f.__name__: lambda f=f: f(dist, PAIR) for f in (ace_backdoor, ace_frontdoor, ace_twodoor, td_minus_bd_gap)}
+    calls.update({m: lambda m=m: bound(dist, PAIR, m).value for m in MODELS})
+    calls.update({f"oracle {m}": lambda m=m: brute_force_variance(dist, PAIR, m) for m in MODELS})
+    for name, call in calls.items():
+        try:
+            assert math.isfinite(call()), name
+        except PositivityViolation:
+            pass
+        except DomainError as exc:
+            # a mediator law that depends on the covariate breaks the front-door restriction, and the
+            # front-door formulas, centred on the two-door theta, can then go negative
+            assert not chain and name in ("FD", "FD_TD", "BD_FD_TD") and "is negative" in str(exc), name
+
+
 def test_simdgp_family_refuses_what_has_no_finite_bound(pair):
     # expit(800) is exactly 1.0, so p(A=0|C=1) = 0
     with pytest.raises(PositivityViolation, match=r"p\(a\|c\) has entries below 1e-12"):
@@ -175,8 +213,10 @@ def test_simdgp_fd_collapses_without_outcome_effects(pair):
 
 
 def test_simdgp_td_bd_crossing_near_one_point_three():
+    # the TD and BD bounds cross where exp((beta/sigma_z)^2) - 1 = S = sum_c p(c) [1/p(A=1|c) + 1/p(A=0|c)]
     params = SimDgpParams(alpha=1.0, beta=1.0, gamma1=1.0, gamma2=1.0)
-    crossing = simdgp_td_bd_crossing(params)
+    pa1 = params.p_a1_given_c()
+    crossing = params.sigma_z * math.sqrt(math.log1p(float(np.dot(params.p_c_vec(), 1.0 / pa1 + 1.0 / (1.0 - pa1)))))
     assert crossing == pytest.approx(1.3, abs=0.01)
     below = SimDgpParams(alpha=1.0, beta=crossing - 0.05, gamma1=1.0, gamma2=1.0)
     above = SimDgpParams(alpha=1.0, beta=crossing + 0.05, gamma1=1.0, gamma2=1.0)

@@ -11,7 +11,6 @@ from acebounds.cli import main
 from acebounds.compare import (
     BINARY_EXAMPLE_BAND,
     RATIO_INTERVAL_CORE,
-    binary_example_joint,
     binary_family_scan,
     default_scan_grid,
     density_ratio_interval,
@@ -23,7 +22,7 @@ from acebounds.dist import DiscreteJoint, chain_joint, factorized_joint
 from acebounds.errors import AssumptionViolation, DomainError, PositivityViolation
 from acebounds.special import expit
 
-from conftest import BINARY, PAIR, random_confounded_mediator_dist
+from conftest import BINARY, PAIR, binary_logit_dist, random_confounded_mediator_dist
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -291,13 +290,13 @@ def test_reciprocal_gap_never_positive(seed):
 
 
 def test_fd_vs_bd_rejects_nonlinear_outcome():
-    dist = binary_example_joint(0.3, 1.0, 1.0, 1.0, 1.0)  # logistic outcome law
+    dist = binary_logit_dist(0.3, 1.0, 1.0, 1.0, 1.0)  # logistic outcome law
     with pytest.raises(AssumptionViolation):
         fd_vs_bd_verdict(dist, PAIR, (0.0, 1.0, 1.0))
 
 
 def test_fd_vs_bd_violation_message_prints_plain_floats():
-    dist = binary_example_joint(0.3, 1.0, 1.0, 1.0, 1.0)
+    dist = binary_logit_dist(0.3, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(AssumptionViolation) as info:
         fd_vs_bd_verdict(dist, PAIR, (0.0, 1.0, 1.0))
     message = str(info.value)
@@ -325,7 +324,7 @@ def test_scan_matches_exact_gap_on_sampled_points():
     rows = binary_family_scan(grid)
     assert rows.shape[0] == 2 * 3 * 3 * 2
     for row in rows:
-        dist = binary_example_joint(row["beta0"], row["alpha"], row["beta"], row["gamma1"], row["gamma2"])
+        dist = binary_logit_dist(row["beta0"], row["alpha"], row["beta"], row["gamma1"], row["gamma2"])
         assert row["diff"] == pytest.approx(td_minus_bd_gap(dist, PAIR), abs=1e-10)
         member = BINARY_EXAMPLE_BAND[0] <= float(expit(row["beta"])) <= BINARY_EXAMPLE_BAND[1]
         assert bool(row["interval_member"]) == member
@@ -348,7 +347,7 @@ def test_scan_band_implies_nonpositive_gap_small_grid():
 def test_scan_spot_values_via_bounds():
     # three fixed grid points checked against the exact bound difference
     for point in ((0.3, 1.0, 1.0, 1.0, 1.0), (0.1, -2.0, 3.0, 2.0, -1.0), (0.9, 0.0, -3.0, -2.0, 4.0)):
-        dist = binary_example_joint(*point)
+        dist = binary_logit_dist(*point)
         gap = td_minus_bd_gap(dist, PAIR)
         assert gap == pytest.approx(bound(dist, PAIR, "TD").value - bound(dist, PAIR, "BD").value, abs=1e-10)
 

@@ -17,12 +17,12 @@ from acebounds.dist import (
     write_dist_csv,
     write_text,
 )
-from acebounds.errors import DomainError, PositivityViolation, ZeroConditioningEvent
+from acebounds.errors import DomainError, PositivityViolation
 from acebounds.fitting import read_data_csv
 from acebounds.influence import MODEL_TAGS, evaluate_m, truth_nuisances
 from acebounds.special import expit
 
-from conftest import BINARY, PAIR, binary_logit_dist, random_chain_dist, uniform_joint
+from conftest import BINARY, PAIR, binary_logit_dist, random_chain_dist, random_confounded_mediator_dist, uniform_joint
 
 probs = st.floats(min_value=0.15, max_value=0.85)
 
@@ -45,6 +45,17 @@ def test_pmf_must_be_nonnegative():
     pmf[1, 1, 1, 1] = 3.0 / 16.0
     with pytest.raises(DomainError):
         DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
+
+
+def test_joint_leaves_the_callers_arrays_writable():
+    sup = np.array(BINARY)
+    pmf = random_chain_dist(np.random.default_rng(2)).pmf.copy()
+    dist = DiscreteJoint(sup, sup, sup, sup, pmf)
+    want = DiscreteJoint(*(np.array(BINARY),) * 4, pmf.copy())
+    pmf[0, 0, 0, 0], sup[1] = 0.5, 7.0  # "assignment destination is read-only" while the joint froze them
+    assert dist.pmf.tobytes() == want.pmf.tobytes() and dist.a_support.tolist() == BINARY
+    assert not dist.pmf.flags.writeable and not dist.a_support.flags.writeable
+    assert ace_twodoor(dist, PAIR) == ace_twodoor(want, PAIR)  # the joint's first query, made after the writes
 
 
 def test_marginal_uniform_treatment(uniform_dist):
@@ -77,63 +88,81 @@ def test_marginal_sums_to_one(pc1, pa1, pz1, py1):
 
 
 def test_conditional_independent_treatment(uniform_dist):
-    assert uniform_dist.conditional_table(("a",), {"c": 1.0}) == pytest.approx(
-        uniform_dist.table(("a",)), abs=1e-15
-    )
+    assert uniform_dist._cache()["p_a_given_c"] == pytest.approx(np.tile(uniform_dist.table(("a",)), (2, 1)), abs=1e-15)
 
 
 def test_conditional_example_family_propensity():
     # A | C=1 is Bernoulli(expit(alpha)) in the all-binary example family
     alpha = 0.7
     dist = binary_logit_dist(0.2, alpha, 0.9, 0.5, -0.3)
-    table = dist.conditional_table(("a",), {"c": 1.0})
-    assert table[1] == pytest.approx(float(expit(alpha)), abs=1e-12)
+    assert dist._cache()["p_a_given_c"][1, 1] == pytest.approx(float(expit(alpha)), abs=1e-12)
 
 
-def test_conditional_zero_event_raises():
-    pmf = np.zeros((2, 2, 2, 2))
-    pmf[0] = 1.0 / 8.0  # all mass on c=0
-    dist = DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
-    with pytest.raises(ZeroConditioningEvent):
-        dist.conditional_table(("a",), {"c": 1.0})
+def _moments(dist, given):
+    """E(Y|given) and Var(Y|given) from the marginal tables, axes in (c, a, z) order; NaN off the support."""
+    axes = tuple(v for v in "caz" if v in given)
+    joint, margin = dist.table(axes + ("y",)), dist.table(axes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean, second = (joint @ dist.y_support**k / margin for k in (1, 2))
+    return mean, np.clip(second - mean**2, 0.0, None)
+
+
+@pytest.mark.parametrize("null_c", [False, True], ids=["full", "null covariate level"])
+def test_cached_tables_are_the_marginal_ratios(null_c):
+    # every table the bounds and oracles read, against marginals divided here; NaN where the denominator is 0
+    rng = np.random.default_rng(5)
+    wide = rng.random((3, 3, 4, 2))
+    wide = DiscreteJoint([0.0, 2.0, 1.0], [1.0, 0.0, 2.0], [0.5, -1.0, 3.0, 2.0], [1.0, -2.0], wide / fsum(wide))
+    for dist in [random_confounded_mediator_dist(rng) for _ in range(3)] + [wide]:
+        if null_c:
+            pmf = dist.pmf.copy()
+            pmf[1] = 0.0
+            dist = DiscreteJoint(*dist.supports(), pmf / fsum(pmf))
+        t, margin = dist._cache(), dist.table
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = {
+                "pc": margin("c"),
+                "pa": margin("a"),
+                "pzc": margin("cz"),
+                "p_a_given_c": margin("ca") / margin("c")[:, None],
+                "p_z_given_ac": margin("caz") / margin("ca")[..., None],
+                "p_z_given_a": margin("az") / margin("a")[:, None],
+            }
+        for given in ("azc", "zc", "az", "ac"):
+            want["ey_" + given], want["vy_" + given] = _moments(dist, given)
+        assert sorted(k for k in t if isinstance(k, str)) == sorted(want)
+        for key, table in want.items():
+            assert t[key] == pytest.approx(table, abs=1e-15, nan_ok=True), key
+            assert np.array_equal(np.isnan(t[key]), np.isnan(table)), key
+        assert np.all(np.isnan(t["p_a_given_c"][1])) == null_c
 
 
 def test_conditional_times_margin_reconstructs_joint():
-    rng = np.random.default_rng(5)
-    dist = random_chain_dist(rng)
-    pa = dist.table(("c", "a"))
-    rebuilt = np.zeros_like(dist.pmf)
-    for ic, c in enumerate(dist.c_support):
-        for ia, a in enumerate(dist.a_support):
-            block = dist.conditional_table(("z", "y"), {"c": c, "a": a})
-            rebuilt[ic, ia] = block * pa[ic, ia]
-    assert np.max(np.abs(rebuilt - dist.pmf)) < 1e-12
+    dist = random_chain_dist(np.random.default_rng(5))
+    t = dist._cache()
+    rebuilt = t["pc"][:, None, None] * t["p_a_given_c"][..., None] * t["p_z_given_ac"]
+    assert np.max(np.abs(rebuilt - dist.table(("c", "a", "z")))) < 1e-12
 
 
 def test_cond_mean_var_deterministic_outcome():
     pmf = np.zeros((2, 2, 2, 2))
     pmf[:, :, :, 1] = 1.0 / 8.0  # y == 1 always
-    dist = DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
-    mean, var = dist.cond_mean_var({"z": 0.0, "c": 0.0})
-    assert mean == pytest.approx(1.0, abs=1e-15)
-    assert var == pytest.approx(0.0, abs=1e-15)
+    t = DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)._cache()
+    assert t["ey_zc"][0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert t["vy_zc"][0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 @given(probs)
 def test_cond_mean_var_bernoulli_identity(q):
-    dist = binary_logit_dist(0.0, 0.0, 0.0, math.log(q / (1 - q)), 0.0)
-    # outcome given (z=1, c) is Bernoulli(q) by construction
-    mean, var = dist.cond_mean_var({"z": 1.0, "c": 0.0})
-    assert mean == pytest.approx(q, abs=1e-12)
-    assert var == pytest.approx(q * (1 - q), abs=1e-12)
+    t = binary_logit_dist(0.0, 0.0, 0.0, math.log(q / (1 - q)), 0.0)._cache()
+    # outcome given (z=1, c) is Bernoulli(q) by construction; tables are indexed [c, z]
+    assert t["ey_zc"][0, 1] == pytest.approx(q, abs=1e-12)
+    assert t["vy_zc"][0, 1] == pytest.approx(q * (1 - q), abs=1e-12)
 
 
 def test_cond_mean_var_flat_logit_quarter_variance():
-    dist = binary_logit_dist(0.4, 1.0, 1.0, 0.0, 0.0)
-    for z in (0.0, 1.0):
-        for c in (0.0, 1.0):
-            _, var = dist.cond_mean_var({"z": z, "c": c})
-            assert var == pytest.approx(0.25, abs=1e-12)
+    t = binary_logit_dist(0.4, 1.0, 1.0, 0.0, 0.0)._cache()
+    assert t["vy_zc"] == pytest.approx(np.full((2, 2), 0.25), abs=1e-12)
 
 
 def test_ace_null_effect(uniform_dist, pair):
@@ -144,11 +173,8 @@ def test_ace_null_effect(uniform_dist, pair):
 
 def test_ace_randomized_treatment_matches_conditional_means(pair):
     dist = binary_logit_dist(0.3, 0.0, 1.2, 0.8, -0.4)  # alpha=0: randomized
-    ey = {}
-    for a in (0.0, 1.0):
-        table = dist.conditional_table(("y",), {"a": a})
-        ey[a] = float(table @ dist.y_support)
-    assert ace_backdoor(dist, pair) == pytest.approx(ey[1.0] - ey[0.0], abs=1e-12)
+    ey = dist.table(("a", "y")) @ dist.y_support / dist.table(("a",))  # E(Y|a) at a = 0, 1
+    assert ace_backdoor(dist, pair) == pytest.approx(ey[1] - ey[0], abs=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -9,10 +9,10 @@ from acebounds.bounds import BoundReport, SimDgpParams, bound, simdgp_bound
 from acebounds.compare import ComparisonVerdict
 from acebounds.dist import DiscreteJoint, factorized_joint
 from acebounds.errors import DomainError, MissingNuisance
-from acebounds.fitting import Dataset, ModelSpec, _Logistic, fit
+from acebounds.fitting import CrossFitPlan, Dataset, ModelSpec, _Logistic, fit
 from acebounds.influence import evaluate_m, truth_nuisances
 from acebounds.quadrature import FiniteZRule, GaussHermiteZRule, expect_z
-from acebounds.simlab import McSummary
+from acebounds.simlab import McConfig, McSummary
 
 from conftest import BINARY, PAIR, uniform_joint
 
@@ -46,10 +46,6 @@ REFUSALS = {
     "pmf shape mismatch": (lambda: _uniform(y=[0.0, 1.0, 2.0]), DomainError, "pmf shape (2, 2, 2, 2) does not match"),
     "value outside the support": (lambda: uniform_joint().index_of("a", 2.0), DomainError, "value 2.0 not in the support of a"),
     "table of an unknown variable": (lambda: uniform_joint().table(("a", "w")), DomainError, "unknown variables ['w']"),
-    "target and given overlap": (
-        lambda: uniform_joint().conditional_table(("z", "a"), {"a": 1.0}), DomainError, "target and given overlap on ['a']",
-    ),
-    "outcome moments given y": (lambda: uniform_joint().cond_mean_var({"y": 1.0}), DomainError, "on y itself"),
     "unnormalised factors": (
         lambda: factorized_joint(BINARY, BINARY, BINARY, BINARY, *(lambda *v: 0.5,) * 3, lambda *v: 1.0),
         DomainError,
@@ -83,6 +79,22 @@ REFUSALS = {
     "Gauss-Hermite rule on a density without location_scale": (
         lambda: expect_z(GaussHermiteZRule(8), lambda z: np.ones_like(z), lambda z: z), MissingNuisance, "location_scale",
     ),
+    **{
+        f"{field} of {value!r}": (
+            lambda field=field, value=value: McConfig(SimDgpParams(**PARAMS), **{field: value}),
+            DomainError,
+            f"{field} must be a non-negative integer, got {value!r}",
+        )
+        for field, value in (("replicates", 2.5), ("threads", 1.5), ("seed", 1.5), ("setting", 1.0), ("gh_nodes", 20.5), ("seed", -1))
+    },
+    "sizes of 50.7": (lambda: McConfig(SimDgpParams(**PARAMS), sizes=(50.7,)), DomainError, "sizes must be a non-negative integer, got 50.7"),
+    "folds of 2.5": (lambda: CrossFitPlan(folds=2.5), DomainError, "folds must be a non-negative integer, got 2.5"),
+    **{
+        f"cross-fitting seed of {seed!r}": (
+            lambda seed=seed: CrossFitPlan(folds=2, seed=seed), DomainError, f"seed must be a non-negative integer, got {seed!r}",
+        )
+        for seed in (0.5, -1)
+    },
     "summary row absent": (lambda: McSummary([], 0.0, None, {}).row(500, "BD"), KeyError, "(500, 'BD')"),
     "verdict everywhere and nowhere": (
         lambda: ComparisonVerdict("x", {(0.0, 0.0): 1.0}, True, True, "<="), DomainError, "cannot hold everywhere and nowhere",

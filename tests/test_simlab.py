@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import acebounds.cli as cli
 import acebounds.simlab as simlab
 from acebounds.bounds import SimDgpParams
 from acebounds.errors import AceboundsError, DomainError
+from acebounds.estimators import ESTIMATOR_TAGS
 from acebounds.simlab import (
     McConfig,
     McRow,
@@ -89,10 +91,7 @@ def test_run_mc_deterministic_and_thread_invariant():
     base = run_mc(McConfig(threads=1, **config))
     again = run_mc(McConfig(threads=1, **config))
     threaded = run_mc(McConfig(threads=3, **config))
-    assert base.to_csv() == again.to_csv()
-    assert base.to_csv() == threaded.to_csv()
-    for a, b in zip(base.rows, threaded.rows):
-        assert a == b  # bitwise-equal floats, not just formatted output
+    assert base.rows == again.rows == threaded.rows  # equal floats, not just formatted output
 
 
 def test_run_mc_metric_identity():
@@ -141,6 +140,8 @@ def test_mc_config_validation():
     for threads in (0, -2):
         with pytest.raises(DomainError, match="threads"):
             McConfig(params=PARAMS, threads=threads)
+    config = McConfig(params=PARAMS, sizes=(np.int64(50),), replicates=np.int32(2), seed=np.uint64(3))  # numpy integers
+    assert (config.sizes, config.replicates, config.seed) == ((50,), 2, 3) and type(config.seed) is int
 
 
 def test_mc_config_refuses_empty_tags():
@@ -153,18 +154,22 @@ def test_theta_tracks_parameters():
     assert summary.theta == pytest.approx(PARAMS.gamma1 * PARAMS.beta, abs=1e-15)
 
 
-def test_csv_layout():
-    summary = run_mc(McConfig(params=PARAMS, sizes=(200,), replicates=4, seed=3, tags=("NAIVE", "BD")))
-    lines = summary.to_csv().strip().split("\n")
+SIMULATE = ["simulate", "--set", "alpha=1", "--set", "beta=1.5", "--set", "gamma1=0.5", "--set", "gamma2=0.5"]
+
+
+def test_csv_layout(capsys):
+    assert cli.main([*SIMULATE, "--set", "sizes=200", "--set", "replicates=4", "--seed", "3", "--set", "tags=NAIVE,BD"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "setting,n,tag,bias,bias_se,emp_se,scaled_var,scaled_var_se,mse,mse_se"
     assert len(lines) == 3
     assert lines[1].startswith("0,200,NAIVE,")
 
 
-def test_mc_summary_csv_golden_bytes():
+def test_mc_summary_csv_golden_bytes(monkeypatch, capsys):
     row = McRow(0, 50, "BD", 0.1234567, np.float64(1e-7), 2.0, 123456789.0, 0.5, -0.25, 1.0 / 3.0)
-    summary = McSummary(rows=[row], theta=0.0, config=None, failed={})
-    assert summary.to_csv() == (
+    monkeypatch.setattr(cli, "run_mc", lambda config: McSummary(rows=[row], theta=0.0, config=config, failed={}))
+    assert cli.main(SIMULATE) == 0
+    assert capsys.readouterr().out == (
         "setting,n,tag,bias,bias_se,emp_se,scaled_var,scaled_var_se,mse,mse_se\n"
         "0,50,BD,0.123457,1e-07,2,1.23457e+08,0.5,-0.25,0.333333\n"
     )
@@ -196,7 +201,7 @@ from acebounds.simlab import McConfig, run_mc
 
 def main():
     params = SimDgpParams(alpha=1.0, beta=1.5, gamma1=0.5, gamma2=0.5)
-    print(run_mc(McConfig(params=params, sizes=(200,), replicates=4, seed=3, threads=2)).to_csv())
+    print(*(r.tag for r in run_mc(McConfig(params=params, sizes=(200,), replicates=4, seed=3, threads=2)).rows))
 """
 
 
@@ -288,7 +293,7 @@ def test_each_worker_gets_one_chunk_and_uneven_chunks_keep_the_summary(monkeypat
 @TWO_WORKERS
 def test_killed_worker_is_reported_and_the_next_run_starts_a_fresh_pool():
     config = McConfig(params=PARAMS, sizes=(200,), replicates=20, setting=0, seed=5, threads=2)
-    want = run_mc(config).to_csv()
+    want = run_mc(config).rows
     broken = simlab._pool[1]
     victim = multiprocessing.active_children()[0]
     os.kill(victim.pid, signal.SIGKILL)
@@ -297,7 +302,7 @@ def test_killed_worker_is_reported_and_the_next_run_starts_a_fresh_pool():
     with pytest.raises(AceboundsError, match="worker process died"):
         run_mc(config)
     assert simlab._pool is None
-    assert run_mc(config).to_csv() == want
+    assert run_mc(config).rows == want
     assert simlab._pool[1] is not broken
 
 
@@ -333,7 +338,7 @@ def test_no_process_outlives_a_script_that_ran_the_pool(tmp_path):
     proc = _run_script(tmp_path / "guarded.py", guarded, start_new_session=True)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
-    assert out.startswith("setting,n,tag,")
+    assert out.split() == list(ESTIMATOR_TAGS)
     assert _process_group(proc.pid) == []
 
 
