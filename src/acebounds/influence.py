@@ -54,10 +54,16 @@ alone are evaluated per level and gathered to the rows, and mediator sums are
 integrated per level (levels x nodes), or per treatment level when they read
 no c: every sum of FD, and the centring of the pooled outcome of FD_TD and
 BD_FD_TD, whose marginal weights already sum over the live covariate levels.
-That pooled outcome is one broadcast of live covariate levels x rows (or x
-nodes), summed over the levels in order (numpy's reduce would pair terms); above
-``quadrature._MAX_GRID_ELEMENTS`` it raises DomainError right after one p_c
-call, before any per-level work (about n = 2048 with a continuous covariate).
+Where every component it sums is a bare table (truth nuisances) on a finite
+rule, the pooled outcome, like the ``mix`` mass, is one table per plan
+(``_Plan.grid_sum``), summed on the grid of nodes x covariate values in a row
+sum's order (arms in ``a_support`` order from 0, live levels in support
+order), so with its bits, and read at the rows' and nodes' codes.  A called
+outcome is pooled where it is read: for FD_TD and BD_FD_TD, one broadcast of
+live covariate levels x rows (or x nodes), summed over the levels in order
+(numpy's reduce would pair terms); above ``quadrature._MAX_GRID_ELEMENTS`` it
+raises DomainError right after one p_c call, before any per-level work (about
+n = 2048 with a continuous covariate).
 
 The row plan (``_Plan``) holds the rows of one dataset or fold with their
 nuisances and level index, and evaluates each (model, argument set) at them
@@ -68,13 +74,16 @@ dataset or fold across tags, through :func:`evaluate_m`'s private ``_plan``,
 and drops it on return.  The enumeration oracles (:func:`brute_force_mean`,
 :func:`brute_force_variance`) share one plan per joint over its cells of
 positive mass under its truth nuisances, kept on the joint
-(``DiscreteJoint._oracle``) for every model and pair enumerated on it;
-:func:`evaluate_m` otherwise builds one per call.  Values and table codes are
-keyed by argument name, each a plan column or a scalar, never by array
-identity: "rows", "levels", "support", "live", a finite rule's "nodes", and
-level columns on a leading axis against nodes or rows ("level axis", "arm
-axis" for a sum per treatment value, "live axis"), so only Gauss-Hermite
-nodes are evaluated afresh; a repeat read is one lookup (``_Plan._keys``).  A
+(``DiscreteJoint._oracle``) for every model and pair enumerated on it; on
+increasing supports the cells' grid positions are the codes of its level
+index and z column, so no cell column is coded.  :func:`evaluate_m` otherwise
+builds one per call.  Values and table codes are keyed by argument name, each
+a plan column or a scalar, never by array identity: "rows", "levels",
+"support", "live", a finite rule's "nodes", and level columns on a leading
+axis against nodes or rows ("level axis", "arm axis" for a sum per treatment
+value, "live axis", "support axis", and "arm grid", the treatment support
+ahead of both in a grid sum), so only Gauss-Hermite nodes are evaluated
+afresh; a repeat read is one lookup (``_Plan._keys``).  A
 component with a ``_plan_key`` (``fitting._Linear``, also behind an
 attribute-forwarding wrapper) is keyed by its class, predictors and parameters
 and reads only its predictors, plus the response of a law or probability, so
@@ -83,7 +92,7 @@ other callable is keyed by itself and reads every argument.  Each evaluation
 keeps its count of clipped probability values; an estimate's count sums those
 it read.
 
-Beyond slot evaluations the plan keeps only row gathers: each level value
+Beyond slot evaluations and grid sums the plan keeps only row gathers: each level value
 gathered to the rows (``_Plan.at_rows``, under that value's evaluation key),
 and ``LevelIndex.by_a``, once per index.  Every term built on them is
 computed afresh per model, the two integral terms (the centring of the pooled
@@ -95,10 +104,11 @@ restating what it reads.  The weight contrast 1{A=a*}/w(a*) - 1{A=a}/w(a)
 depends on a row only through its (a, c), so each model forms it per level
 and gathers it to the rows once, with the same bits as a row-wise division.
 
-Discrete nuisances are one table class, ``_Table``: :func:`truth_nuisances`
-builds it over every argument, passing NaN cells through; ``fitting`` builds
-its empirical and fixed-value slots with it, with an ``observed`` mask.  Its
-values are read at codes (``_Table.at``, as one flat offset): a call codes its arguments with
+Discrete nuisances are one table class, ``_Table``, a C-ordered copy of its
+values on sorted supports (re-indexed only where a support is not already
+increasing): :func:`truth_nuisances` builds it over every argument, passing
+NaN cells through; ``fitting`` builds its empirical and fixed-value slots with
+it, with an ``observed`` mask.  Its values are read at codes (``_Table.at``, as one flat offset): a call codes its arguments with
 ``_lookup``, which also codes a level index; a plan reads a bare table at its
 own codes, a row's a and c by its level's, and calls any other component.
 """
@@ -213,17 +223,22 @@ def _codes(col, support):
     return np.unique(col, return_inverse=True)
 
 
-def level_index(a, c, a_support=None, c_support=None) -> LevelIndex:
+def level_index(a, c, a_support=None, c_support=None, codes=None) -> LevelIndex:
     """The (a, c) levels of aligned rows, each column coded on its support.
 
     A column with a value outside its support (a cross-fitting fold with a
     continuous covariate) or without a support is coded over its own distinct
-    values instead.  The combined codes are counted while their space is at
-    most four times the row count and sorted beyond, so two continuous
-    columns cost O(n log n), not O(n^2).
+    values instead.  Given `codes`, the rows' positions in the two supports,
+    both increasing (an enumeration grid's), no column is coded.  The
+    combined codes are counted while their space is at most four times the
+    row count and sorted beyond, so two continuous columns cost O(n log n),
+    not O(n^2).
     """
-    a, c = _rows(a, c)
-    (ua, ca), (uc, cc) = _codes(a, a_support), _codes(c, c_support)
+    if codes is None:
+        a, c = _rows(a, c)
+        (ua, ca), (uc, cc) = _codes(a, a_support), _codes(c, c_support)
+    else:
+        (ca, cc), ua, uc = codes, np.asarray(a_support, dtype=float), np.asarray(c_support, dtype=float)
     code, size = ca * uc.size + cc, ua.size * uc.size
     if size <= 4 * code.size:
         seen = np.bincount(code, minlength=size) > 0
@@ -247,11 +262,16 @@ def _restores(levels: LevelIndex, a, c) -> bool:
 class _Plan:
     """The row plan of one dataset or fold (see the module docstring)."""
 
-    def __init__(self, eta: NuisanceSet, cols):
+    def __init__(self, eta: NuisanceSet, cols, grid=None):
+        """`grid`, when given, is ((c, a, z) supports, each increasing, and the rows' (c, a, z) positions in them)."""
         self.eta, self.cols = eta, tuple(cols)
         c, a, z, y = self.rows = _rows(*cols)
         fitted = eta._levels  # the coding of the rows the nuisances were fitted on
-        levels = self.levels = fitted if fitted is not None and _restores(fitted, a, c) else level_index(a, c, eta.a_support, eta.c_support)
+        if grid is not None:
+            (c_sup, a_sup, z_sup), (ic, ia, iz) = grid
+            levels = self.levels = level_index(a, c, a_sup, c_sup, codes=(ia, ic))
+        else:
+            levels = self.levels = fitted if fitted is not None and _restores(fitted, a, c) else level_index(a, c, eta.a_support, eta.c_support)
         self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): levels.a, ("c", "levels"): levels.c}
         self._columns["a", "level axis"], self._columns["c", "level axis"] = _node_shape(levels.a), _node_shape(levels.c)
         self._columns["a", "arm axis"] = _node_shape(levels.by_a[0])  # the treatment values of a sum per arm
@@ -261,6 +281,9 @@ class _Plan:
         self._memo, self._gathered, self._read, self._keys = {}, {}, set(), {}
         self._models = {}  # slot -> (identity, arguments read) of its component
         self._codes = {}  # (variable, column name or scalar, support bytes) -> codes on that support
+        if grid is not None:
+            self._codes["z", "rows", z_sup.tobytes()] = iz
+        self._sums = {}  # (slot, weight, live) -> (table, its argument names) of a grid sum, or None (see :meth:`grid_sum`)
 
     def key(self, slot: str, **args):
         """The memo key of `slot` at `args`, each a plan column name or a scalar: its model, the columns that shape it, the values it reads."""
@@ -287,10 +310,14 @@ class _Plan:
     def _call(self, slot: str, args):
         """`slot` evaluated at `args`: a bare table read at the plan's codes; any wrapper, a clipping one included, called."""
         fn, names = getattr(self.eta.require(slot), slot), SLOTS[slot][0]
-        vals = [self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names]
         if isinstance(fn, _Table):
-            return fn.at(tuple(self._code(fn, k, names[pos], args[names[pos]]) for k, pos in enumerate(fn.reads)), vals)
-        return fn(*vals)
+            return self._table_at(fn, names, **args)
+        return fn(*(self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names))
+
+    def _table_at(self, table, names, **args):
+        """`table`, whose arguments are `names`, read at the plan's codes of `args`."""
+        vals = [self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names]
+        return table.at(tuple(self._code(table, k, names[pos], args[names[pos]]) for k, pos in enumerate(table.reads)), vals)
 
     def _code(self, table, k, name, arg):
         """The codes of argument `name` at `arg` on axis k of `table`: an array's afresh; a plan column's or scalar's once per support."""
@@ -309,6 +336,25 @@ class _Plan:
         if (key := self._keys[slot, ("a", arm), ("c", "levels")]) not in self._gathered:  # the key that call looked up
             self._gathered[key] = _gather(level, self.levels.inv)
         return self._gathered[key]
+
+    def grid_sum(self, slot: str, weight: str, live: bool):
+        """sum_a slot(a, z, c) weight(a|c), then over the live covariate levels with p(c) if `live`, as one table per plan on the
+        grid of mediator nodes x covariate values (module docstring): its reader ``read(z=, c=)``, or None unless the rule is
+        finite and each summed component is a bare table without an ``observed`` mask."""
+        if (key := (slot, weight, live)) not in self._sums:
+            eta, summed = self.eta, (slot, weight) if "a" in SLOTS[slot][0] else (slot,)
+            self._sums[key] = None
+            if isinstance(eta.z_integrator, FiniteZRule) and eta.c_support is not None and all(isinstance(t := getattr(eta, s), _Table) and t.observed is None for s in summed):
+                self._columns["a", "arm grid"] = np.asarray(eta.a_support, dtype=float).reshape(-1, 1, 1)  # arms x covariates x nodes
+                self._columns["c", "support axis"] = _node_shape(np.asarray(eta.c_support, dtype=float))
+                pc = self.live_c()[0].reshape(-1, 1) if live else None  # sets the "live axis" column
+                vals, *weights = (self._table_at(getattr(eta, s), SLOTS[s][0], a="arm grid", z="nodes", c="live axis" if live else "support axis") for s in summed)
+                vals = sum(vals * weights[0]) if weights else vals  # over the arms in order
+                vals = sum(pc * vals) if live else vals  # over the live levels in order
+                by_c = not live and any("c" in SLOTS[s][0] for s in summed)
+                table = _Table(vals.T if by_c else vals.reshape(-1), (self._columns["z", "nodes"], eta.c_support)[: 1 + by_c], what=getattr(eta, slot).what)
+                self._sums[key] = table, ("z", "c")[: 1 + by_c]
+        return None if self._sums[key] is None else partial(self._table_at, *self._sums[key])  # not kept: the plan holds no cycle
 
     def live_c(self):
         """(p(c), c) arrays over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
@@ -363,6 +409,9 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     marginal = weights == "marginal"
     if marginal:
         pc_live, c_live = plan.live_c()
+    # the pooled outcome as one table on the grid when it sums bare tables (the outcome itself when it sums nothing)
+    pool = plan.grid_sum(outcome, "p_a_given_c" if marginal else slot, marginal) if outcome_given_a or marginal else None
+    if marginal and pool is None:
         if c_live.size * y.size > _MAX_GRID_ELEMENTS:
             raise DomainError(f"the pooled outcome over {c_live.size} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements")
         p_live = {ab: _spread(plan.value("p_a_given_c", a=ab, c="live"), (c_live,)) for ab in eta.a_support}
@@ -391,6 +440,8 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
 
     def pooled(zz, cv, p_at):
         """The outcome averaged over the treatment weights of the arm denominators, at mediator values zz (a column name or grid nodes)."""
+        if pool is not None:
+            return pool(z=zz, c=cv)
         def given_c(cv, p_at):
             """sum_a outcome(a, z, c) p_at(a), where p_at(a) is the weight of a at cv."""
             if not outcome_given_a:
@@ -414,7 +465,8 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     if mass == "own":
         denom = _require_positive(law_at(a="rows"), law_text + " at the observed rows")
     else:
-        mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support)
+        mix = plan.grid_sum(law, "p_a_given_c", False)
+        mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support) if mix is None else mix(z="rows", c="rows")
         denom = _require_positive(mix, f"sum_a {law_text} p(a|c)")
     shift = law_at(a=pair.a_star) - law_at(a=pair.a_ref)
     pooled_bar = _gather(expect_z(rule, density(ka_axis), lambda zz: pooled("nodes" if finite else zz, kc, p_at_levels), *cond(ka)), kinv)
@@ -444,6 +496,11 @@ def evaluate_m(tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, _
 # -- ground-truth nuisances from an exact joint -----------------------------
 
 
+def _increasing(supports):
+    """Whether every support is strictly increasing."""
+    return all((s[:-1] < s[1:]).all() for s in supports)
+
+
 class _Table:
     """Dense values over sorted supports, looked up by exact match.
 
@@ -455,10 +512,12 @@ class _Table:
     """
 
     def __init__(self, values, supports, reads=None, observed=None, what="exact table"):
-        order = np.ix_(*(np.argsort(s) for s in supports))
-        self.supports = [np.sort(np.asarray(s, dtype=float)) for s in supports]
-        self.values = np.asarray(values, dtype=float)[order]
-        self.observed = None if observed is None else np.broadcast_to(observed, self.values.shape)[order]
+        supports = [np.asarray(s, dtype=float) for s in supports]
+        increasing = _increasing(supports)
+        order = ... if increasing else np.ix_(*(np.argsort(s) for s in supports))  # re-indexed onto the sorted supports
+        self.supports = supports if increasing else [np.sort(s) for s in supports]
+        self.values = np.array(np.asarray(values, dtype=float)[order], order="C")  # a C-ordered copy
+        self.observed = None if observed is None else np.array(np.broadcast_to(observed, self.values.shape)[order], order="C")
         self.reads = tuple(range(len(self.supports))) if reads is None else tuple(reads)
         self.what = what
 
@@ -512,9 +571,11 @@ class _Oracle:
     """
 
     def __init__(self, dist: DiscreteJoint, eta: Optional[NuisanceSet] = None):
-        cells = dist.cells()
-        *cols, self.p = cells[cells[:, 4] > 0.0].T
-        self.plan = _Plan(truth_nuisances(dist) if eta is None else eta, cols)
+        at = np.nonzero(dist.pmf > 0.0)  # the cells of positive mass, in the order of ``DiscreteJoint.cells``
+        cols, self.p = [sup[i] for sup, i in zip(dist.supports(), at)], dist.pmf[at]
+        # under the truth nuisances on increasing supports, the grid positions are the codes of the level index and of z
+        grid = (dist.supports()[:3], at[:3]) if eta is None and _increasing(dist.supports()[:3]) else None
+        self.plan = _Plan(truth_nuisances(dist) if eta is None else eta, cols, grid)
 
 
 def _cell_values(dist: DiscreteJoint, tag: str, pair: TreatmentPair, eta: Optional[NuisanceSet]):

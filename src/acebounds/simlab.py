@@ -109,7 +109,11 @@ class McConfig:
     gh_nodes: int = _GH_NODES
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(_count("sizes", n) for n in self.sizes))
+        try:
+            sizes = tuple(self.sizes)
+        except TypeError:  # a scalar where a sequence belongs
+            raise DomainError(f"sizes must be a sequence of sample sizes, got {self.sizes!r}") from None
+        object.__setattr__(self, "sizes", tuple(_count("sizes", n) for n in sizes))
         for name in ("replicates", "setting", "seed", "threads", "gh_nodes"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.replicates < 2:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -496,7 +498,7 @@ def test_oracle_state_is_built_once_per_joint(monkeypatch):
     for tag in MODEL_TAGS:
         brute_force_variance(dist, PAIR, tag)
     brute_force_mean(dist, PAIR, "TD")
-    assert calls == {"truth_nuisances": 1, "cells": 1, "level_index": 1}
+    assert calls == {"truth_nuisances": 1, "cells": 0, "level_index": 1}  # the cells are read off the joint's grid
 
 
 def test_oracle_state_gives_the_values_of_fresh_joints(chain_dists):
@@ -511,6 +513,21 @@ def test_oracle_state_gives_the_values_of_fresh_joints(chain_dists):
                 assert brute_force_variance(dist, pair, tag) == brute_force_variance(_copy(dist), pair, tag)
                 assert brute_force_mean(dist, pair, tag) == brute_force_mean(_copy(dist), pair, tag)
         assert dist._oracle is state  # one state served every call on this joint
+
+
+def test_a_dropped_joint_frees_its_oracle_state_at_once():
+    # the state holds no reference cycle (grid sums included), so the plan goes with the joint, not at a later collection
+    dist = _wide_joint(11)
+    for pair in PAIRS:
+        for tag in ALL_TAGS:
+            brute_force_variance(dist, pair, tag)
+    plan = weakref.ref(dist._oracle.plan)
+    gc.disable()
+    try:
+        del dist
+        assert plan() is None
+    finally:
+        gc.enable()
 
 
 def test_explicit_nuisances_neither_build_nor_read_the_oracle_state():
@@ -573,12 +590,12 @@ def test_oracle_codes_each_cell_column_once(monkeypatch):
     dist = _wide_joint(5)
     for tag in MODEL_TAGS:
         brute_force_variance(dist, PAIR, tag)
-    # the level index codes the (a, c) cell columns and the plan the z column; the tables then read
-    # every cell column by those codes.  Each other plan column and scalar is coded once per support:
-    # the 20 mediator nodes; the 12 (a, c) levels' a and c, flat and on the node axis (4 x 12); the 3
-    # treatment values of a sum per arm; the 4 covariate values, the live ones and those on their
-    # leading axis (3 x 4); and the 3 scalar arms
-    assert sorted(sizes) == [1] * 3 + [3] + [4] * 3 + [12] * 4 + [20] + [4800] * 3
+    # the grid positions of the cells code the level index and the z column, so no cell column is coded;
+    # the tables read every cell column by those codes.  Each other plan column and scalar is coded once
+    # per support: the 20 mediator nodes; the 12 (a, c) levels' a and c, flat and on the node axis
+    # (4 x 12); the 3 treatment values of a sum per arm and of the grid sums' arm axis (2 x 3); the 4
+    # covariate values, the live ones, and both on a leading axis (4 x 4); and the pair's 2 scalar arms
+    assert sorted(sizes) == [1] * 2 + [3] * 2 + [4] * 4 + [12] * 4 + [20]
 
 
 def test_the_kept_plan_gives_the_values_of_explicit_truth_nuisances():
@@ -611,9 +628,29 @@ def _outcome(fn):
 PAIRS = (TreatmentPair(1.0, 0.0), TreatmentPair(0.0, 1.0))
 
 
+def _joint(supports, pmf):
+    return DiscreteJoint(*supports, pmf / pmf.sum())
+
+
+def _ordered_sum_joints():
+    """Joints whose sums over three arms and over live covariate levels are not two commuting terms."""
+    rng = np.random.default_rng(61)
+    three = (np.arange(3.0),) * 3
+    null_c = rng.random((3, 3, 3, 2))
+    null_c[1] = 0.0  # p(C = 1) = 0: not a live level
+    zeros = rng.random((2, 3, 4, 3))
+    zeros[(rng.random((2, 3, 4)) < 0.3) & (np.arange(4) > 0)] = 0.0  # (c, a, z) cells of zero mass; z = 0 keeps p(a|c) > 0
+    return [
+        _wide_joint(7),
+        _joint(three + ((0.0, 1.0),), null_c),
+        _joint((np.arange(2.0), np.arange(3.0), np.arange(4.0), np.arange(3.0)), zeros),
+        _joint(([2.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.5, -1.0, 3.0], [1.0, -2.0]), rng.random((3, 3, 3, 2))),  # unsorted supports
+    ]
+
+
 def test_tables_read_by_code_match_tables_called(chain_dists):
     rng = np.random.default_rng(53)
-    for dist in chain_dists + [random_confounded_mediator_dist(rng) for _ in range(10)]:
+    for dist in chain_dists + [random_confounded_mediator_dist(rng) for _ in range(10)] + _ordered_sum_joints():
         cells = dist.cells()
         c, a, z, y, _ = cells[cells[:, 4] > 0.0].T
         eta = truth_nuisances(dist)

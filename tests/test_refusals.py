@@ -88,6 +88,7 @@ REFUSALS = {
         for field, value in (("replicates", 2.5), ("threads", 1.5), ("seed", 1.5), ("setting", 1.0), ("gh_nodes", 20.5), ("seed", -1))
     },
     "sizes of 50.7": (lambda: McConfig(SimDgpParams(**PARAMS), sizes=(50.7,)), DomainError, "sizes must be a non-negative integer, got 50.7"),
+    "scalar sizes": (lambda: McConfig(SimDgpParams(**PARAMS), sizes=50), DomainError, "sizes must be a sequence of sample sizes, got 50"),
     "folds of 2.5": (lambda: CrossFitPlan(folds=2.5), DomainError, "folds must be a non-negative integer, got 2.5"),
     **{
         f"cross-fitting seed of {seed!r}": (
