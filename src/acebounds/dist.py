@@ -106,7 +106,8 @@ class DiscreteJoint:
     The joint keeps, built lazily on first use, what its queries derive from
     the table: the marginal and conditional tables and theta per treatment pair,
     which bounds and oracles alike read (``_cache``; a refusal is not kept), and
-    the oracle state (``_oracle``: cells of positive mass, one row plan over them).
+    the oracle state (``_oracle``: the (c, a, z) cells of positive mass with
+    their outcome means and variances, one row plan over them).
     Keeping them changes no result, only how often it is computed.
     """
 

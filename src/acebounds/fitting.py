@@ -162,17 +162,20 @@ class ModelSpec:
             )
         args, response, _ = SLOTS[self.component]
         allowed = tuple(v for v in args if v != response)
-        for p in tuple(self.predictors) + tuple(self.omit):
-            if p not in allowed:
-                raise DomainError(f"predictor {p!r} is not a conditioning argument of {self.component} {allowed}")
+        for field in ("predictors", "omit"):
+            names = tuple(getattr(self, field))
+            for i, p in enumerate(names):
+                if p not in allowed:
+                    raise DomainError(f"predictor {p!r} is not a conditioning argument of {self.component} {allowed}")
+                if p in names[:i]:
+                    raise DomainError(f"{field} of {self.component} name {p!r} twice")
+            object.__setattr__(self, field, names)
         if self.fix_value is not None and self.component not in ("p_c", "p_a"):
             raise DomainError("fix_value directives apply only to p_c and p_a")
         if (self.family == "fixed-value") != (self.fix_value is not None):
             raise DomainError("fix_value goes with the fixed-value family, and only with it")
         if self.fix_value is not None and not 0.0 <= self.fix_value <= 1.0:
             raise DomainError(f"fix_value {self.fix_value!r} is not a probability")
-        object.__setattr__(self, "predictors", tuple(self.predictors))
-        object.__setattr__(self, "omit", tuple(self.omit))
 
     def effective_predictors(self) -> tuple:
         return tuple(p for p in self.predictors if p not in self.omit)

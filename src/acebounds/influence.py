@@ -54,15 +54,10 @@ alone are evaluated per level and gathered to the rows, and mediator sums are
 integrated per level (levels x nodes), or per treatment level when they read
 no c: every sum of FD, and the centring of the pooled outcome of FD_TD and
 BD_FD_TD, whose marginal weights already sum over the live covariate levels.
-Where every component it sums is a bare table (truth nuisances) on a finite
-rule, the pooled outcome, like the ``mix`` mass, is one table per plan
-(``_Plan.grid_sum``), summed on the grid of nodes x covariate values in a row
-sum's order (arms in ``a_support`` order from 0, live levels in support
-order), so with its bits, and read at the rows' and nodes' codes.  A called
-outcome is pooled where it is read: for FD_TD and BD_FD_TD, one broadcast of
-live covariate levels x rows (or x nodes), summed over the levels in order
-(numpy's reduce would pair terms); above ``quadrature._MAX_GRID_ELEMENTS`` it
-raises DomainError right after one p_c call, before any per-level work (about
+The pooled outcome of FD_TD and BD_FD_TD is one broadcast of live covariate
+levels x rows (or x nodes), summed over the levels in order (numpy's reduce
+would pair terms); above ``quadrature._MAX_GRID_ELEMENTS`` it raises
+DomainError right after one p_c call, before any per-level work (about
 n = 2048 with a continuous covariate).
 
 The row plan (``_Plan``) holds the rows of one dataset or fold with their
@@ -72,18 +67,15 @@ fitted on (``NuisanceSet._levels``) when that restores the rows' (a, c), and
 a fresh one otherwise.  ``estimators.estimate_all`` shares one plan per
 dataset or fold across tags, through :func:`evaluate_m`'s private ``_plan``,
 and drops it on return.  The enumeration oracles (:func:`brute_force_mean`,
-:func:`brute_force_variance`) share one plan per joint over its cells of
-positive mass under its truth nuisances, kept on the joint
-(``DiscreteJoint._oracle``) for every model and pair enumerated on it; on
-increasing supports the cells' grid positions are the codes of its level
-index and z column, so no cell column is coded.  :func:`evaluate_m` otherwise
-builds one per call.  Values and table codes are keyed by argument name, each
-a plan column or a scalar, never by array identity: "rows", "levels",
-"support", "live", a finite rule's "nodes", and level columns on a leading
-axis against nodes or rows ("level axis", "arm axis" for a sum per treatment
-value, "live axis", "support axis", and "arm grid", the treatment support
-ahead of both in a grid sum), so only Gauss-Hermite nodes are evaluated
-afresh; a repeat read is one lookup (``_Plan._keys``).  A
+:func:`brute_force_variance`) share one plan per joint, under its truth
+nuisances, kept on the joint (``DiscreteJoint._oracle``) for every model and
+pair enumerated on it; :func:`evaluate_m` otherwise builds one per call.
+Values and table codes are keyed by argument name, each a plan column or a
+scalar, never by array identity: "rows", "levels", "support", "live", a
+finite rule's "nodes", and level columns on a leading axis against nodes or
+rows ("level axis", "arm axis" for a sum per treatment value, "live axis"),
+so only Gauss-Hermite nodes are evaluated afresh; a repeat read is one lookup
+(``_Plan._keys``).  A
 component with a ``_plan_key`` (``fitting._Linear``, also behind an
 attribute-forwarding wrapper) is keyed by its class, predictors and parameters
 and reads only its predictors, plus the response of a law or probability, so
@@ -92,7 +84,14 @@ other callable is keyed by itself and reads every argument.  Each evaluation
 keeps its count of clipped probability values; an estimate's count sums those
 it read.
 
-Beyond slot evaluations and grid sums the plan keeps only row gathers: each level value
+The oracles enumerate a joint's (c, a, z) cells of positive mass, not its
+(c, a, z, y) cells.  Every estimating function reads y only through its
+outcome residual, so m is affine in y at fixed (c, a, z): E[m | c, a, z] is m
+at y = E(Y|c,a,z), and E[(m - theta)^2 | c, a, z] is (m - theta)^2 there plus
+(dm/dy)^2 Var(Y|c,a,z), the slope being m at y + 1 less m at y.  So each cell
+is two rows of the plan whatever the number of outcome levels (``_Oracle``).
+
+Beyond slot evaluations the plan keeps only row gathers: each level value
 gathered to the rows (``_Plan.at_rows``, under that value's evaluation key),
 and ``LevelIndex.by_a``, once per index.  Every term built on them is
 computed afresh per model, the two integral terms (the centring of the pooled
@@ -223,22 +222,17 @@ def _codes(col, support):
     return np.unique(col, return_inverse=True)
 
 
-def level_index(a, c, a_support=None, c_support=None, codes=None) -> LevelIndex:
+def level_index(a, c, a_support=None, c_support=None) -> LevelIndex:
     """The (a, c) levels of aligned rows, each column coded on its support.
 
     A column with a value outside its support (a cross-fitting fold with a
     continuous covariate) or without a support is coded over its own distinct
-    values instead.  Given `codes`, the rows' positions in the two supports,
-    both increasing (an enumeration grid's), no column is coded.  The
-    combined codes are counted while their space is at most four times the
-    row count and sorted beyond, so two continuous columns cost O(n log n),
-    not O(n^2).
+    values instead.  The combined codes are counted while their space is at
+    most four times the row count and sorted beyond, so two continuous
+    columns cost O(n log n), not O(n^2).
     """
-    if codes is None:
-        a, c = _rows(a, c)
-        (ua, ca), (uc, cc) = _codes(a, a_support), _codes(c, c_support)
-    else:
-        (ca, cc), ua, uc = codes, np.asarray(a_support, dtype=float), np.asarray(c_support, dtype=float)
+    a, c = _rows(a, c)
+    (ua, ca), (uc, cc) = _codes(a, a_support), _codes(c, c_support)
     code, size = ca * uc.size + cc, ua.size * uc.size
     if size <= 4 * code.size:
         seen = np.bincount(code, minlength=size) > 0
@@ -262,16 +256,11 @@ def _restores(levels: LevelIndex, a, c) -> bool:
 class _Plan:
     """The row plan of one dataset or fold (see the module docstring)."""
 
-    def __init__(self, eta: NuisanceSet, cols, grid=None):
-        """`grid`, when given, is ((c, a, z) supports, each increasing, and the rows' (c, a, z) positions in them)."""
+    def __init__(self, eta: NuisanceSet, cols):
         self.eta, self.cols = eta, tuple(cols)
         c, a, z, y = self.rows = _rows(*cols)
         fitted = eta._levels  # the coding of the rows the nuisances were fitted on
-        if grid is not None:
-            (c_sup, a_sup, z_sup), (ic, ia, iz) = grid
-            levels = self.levels = level_index(a, c, a_sup, c_sup, codes=(ia, ic))
-        else:
-            levels = self.levels = fitted if fitted is not None and _restores(fitted, a, c) else level_index(a, c, eta.a_support, eta.c_support)
+        levels = self.levels = fitted if fitted is not None and _restores(fitted, a, c) else level_index(a, c, eta.a_support, eta.c_support)
         self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): levels.a, ("c", "levels"): levels.c}
         self._columns["a", "level axis"], self._columns["c", "level axis"] = _node_shape(levels.a), _node_shape(levels.c)
         self._columns["a", "arm axis"] = _node_shape(levels.by_a[0])  # the treatment values of a sum per arm
@@ -281,9 +270,6 @@ class _Plan:
         self._memo, self._gathered, self._read, self._keys = {}, {}, set(), {}
         self._models = {}  # slot -> (identity, arguments read) of its component
         self._codes = {}  # (variable, column name or scalar, support bytes) -> codes on that support
-        if grid is not None:
-            self._codes["z", "rows", z_sup.tobytes()] = iz
-        self._sums = {}  # (slot, weight, live) -> (table, its argument names) of a grid sum, or None (see :meth:`grid_sum`)
 
     def key(self, slot: str, **args):
         """The memo key of `slot` at `args`, each a plan column name or a scalar: its model, the columns that shape it, the values it reads."""
@@ -310,14 +296,10 @@ class _Plan:
     def _call(self, slot: str, args):
         """`slot` evaluated at `args`: a bare table read at the plan's codes; any wrapper, a clipping one included, called."""
         fn, names = getattr(self.eta.require(slot), slot), SLOTS[slot][0]
-        if isinstance(fn, _Table):
-            return self._table_at(fn, names, **args)
-        return fn(*(self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names))
-
-    def _table_at(self, table, names, **args):
-        """`table`, whose arguments are `names`, read at the plan's codes of `args`."""
         vals = [self._columns[v, args[v]] if isinstance(args[v], str) else args[v] for v in names]
-        return table.at(tuple(self._code(table, k, names[pos], args[names[pos]]) for k, pos in enumerate(table.reads)), vals)
+        if isinstance(fn, _Table):
+            return fn.at(tuple(self._code(fn, k, names[pos], args[names[pos]]) for k, pos in enumerate(fn.reads)), vals)
+        return fn(*vals)
 
     def _code(self, table, k, name, arg):
         """The codes of argument `name` at `arg` on axis k of `table`: an array's afresh; a plan column's or scalar's once per support."""
@@ -336,25 +318,6 @@ class _Plan:
         if (key := self._keys[slot, ("a", arm), ("c", "levels")]) not in self._gathered:  # the key that call looked up
             self._gathered[key] = _gather(level, self.levels.inv)
         return self._gathered[key]
-
-    def grid_sum(self, slot: str, weight: str, live: bool):
-        """sum_a slot(a, z, c) weight(a|c), then over the live covariate levels with p(c) if `live`, as one table per plan on the
-        grid of mediator nodes x covariate values (module docstring): its reader ``read(z=, c=)``, or None unless the rule is
-        finite and each summed component is a bare table without an ``observed`` mask."""
-        if (key := (slot, weight, live)) not in self._sums:
-            eta, summed = self.eta, (slot, weight) if "a" in SLOTS[slot][0] else (slot,)
-            self._sums[key] = None
-            if isinstance(eta.z_integrator, FiniteZRule) and eta.c_support is not None and all(isinstance(t := getattr(eta, s), _Table) and t.observed is None for s in summed):
-                self._columns["a", "arm grid"] = np.asarray(eta.a_support, dtype=float).reshape(-1, 1, 1)  # arms x covariates x nodes
-                self._columns["c", "support axis"] = _node_shape(np.asarray(eta.c_support, dtype=float))
-                pc = self.live_c()[0].reshape(-1, 1) if live else None  # sets the "live axis" column
-                vals, *weights = (self._table_at(getattr(eta, s), SLOTS[s][0], a="arm grid", z="nodes", c="live axis" if live else "support axis") for s in summed)
-                vals = sum(vals * weights[0]) if weights else vals  # over the arms in order
-                vals = sum(pc * vals) if live else vals  # over the live levels in order
-                by_c = not live and any("c" in SLOTS[s][0] for s in summed)
-                table = _Table(vals.T if by_c else vals.reshape(-1), (self._columns["z", "nodes"], eta.c_support)[: 1 + by_c], what=getattr(eta, slot).what)
-                self._sums[key] = table, ("z", "c")[: 1 + by_c]
-        return None if self._sums[key] is None else partial(self._table_at, *self._sums[key])  # not kept: the plan holds no cycle
 
     def live_c(self):
         """(p(c), c) arrays over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
@@ -409,9 +372,6 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     marginal = weights == "marginal"
     if marginal:
         pc_live, c_live = plan.live_c()
-    # the pooled outcome as one table on the grid when it sums bare tables (the outcome itself when it sums nothing)
-    pool = plan.grid_sum(outcome, "p_a_given_c" if marginal else slot, marginal) if outcome_given_a or marginal else None
-    if marginal and pool is None:
         if c_live.size * y.size > _MAX_GRID_ELEMENTS:
             raise DomainError(f"the pooled outcome over {c_live.size} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements")
         p_live = {ab: _spread(plan.value("p_a_given_c", a=ab, c="live"), (c_live,)) for ab in eta.a_support}
@@ -440,8 +400,6 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
 
     def pooled(zz, cv, p_at):
         """The outcome averaged over the treatment weights of the arm denominators, at mediator values zz (a column name or grid nodes)."""
-        if pool is not None:
-            return pool(z=zz, c=cv)
         def given_c(cv, p_at):
             """sum_a outcome(a, z, c) p_at(a), where p_at(a) is the weight of a at cv."""
             if not outcome_given_a:
@@ -465,8 +423,7 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     if mass == "own":
         denom = _require_positive(law_at(a="rows"), law_text + " at the observed rows")
     else:
-        mix = plan.grid_sum(law, "p_a_given_c", False)
-        mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support) if mix is None else mix(z="rows", c="rows")
+        mix = sum(law_at(a=ab) * plan.at_rows("p_a_given_c", ab) for ab in eta.a_support)
         denom = _require_positive(mix, f"sum_a {law_text} p(a|c)")
     shift = law_at(a=pair.a_star) - law_at(a=pair.a_ref)
     pooled_bar = _gather(expect_z(rule, density(ka_axis), lambda zz: pooled("nodes" if finite else zz, kc, p_at_levels), *cond(ka)), kinv)
@@ -496,11 +453,6 @@ def evaluate_m(tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, _
 # -- ground-truth nuisances from an exact joint -----------------------------
 
 
-def _increasing(supports):
-    """Whether every support is strictly increasing."""
-    return all((s[:-1] < s[1:]).all() for s in supports)
-
-
 class _Table:
     """Dense values over sorted supports, looked up by exact match.
 
@@ -513,7 +465,7 @@ class _Table:
 
     def __init__(self, values, supports, reads=None, observed=None, what="exact table"):
         supports = [np.asarray(s, dtype=float) for s in supports]
-        increasing = _increasing(supports)
+        increasing = all((s[:-1] < s[1:]).all() for s in supports)
         order = ... if increasing else np.ix_(*(np.argsort(s) for s in supports))  # re-indexed onto the sorted supports
         self.supports = supports if increasing else [np.sort(s) for s in supports]
         self.values = np.array(np.asarray(values, dtype=float)[order], order="C")  # a C-ordered copy
@@ -562,29 +514,35 @@ def truth_nuisances(dist: DiscreteJoint) -> NuisanceSet:
 
 
 class _Oracle:
-    """The cells of positive mass of one joint, as aligned (c, a, z, y) columns and masses ``p``, and one row plan over them.
+    """The (c, a, z) cells of positive mass of one joint, each as two rows of one row plan: at y = E(Y|c,a,z) and at y + 1.
 
-    The plan is under the joint's truth nuisances, kept on the joint
-    (``DiscreteJoint._oracle``), or under an explicit `eta`, built per call.
-    It holds no reference to the joint, so the two form no cycle and a
-    dropped joint is freed at once.
+    The cell masses ``p``, outcome means and variances ``var`` (module
+    docstring) are taken from the pmf here, not from the tables the bound
+    formulas read (``DiscreteJoint._cache``), so the two sides of the check
+    stay separate code.  The plan is under the joint's truth nuisances, kept
+    on the joint (``DiscreteJoint._oracle``), or under an explicit `eta`,
+    built per call.  It holds no reference to the joint, so the two form no
+    cycle and a dropped joint is freed at once.
     """
 
     def __init__(self, dist: DiscreteJoint, eta: Optional[NuisanceSet] = None):
-        at = np.nonzero(dist.pmf > 0.0)  # the cells of positive mass, in the order of ``DiscreteJoint.cells``
-        cols, self.p = [sup[i] for sup, i in zip(dist.supports(), at)], dist.pmf[at]
-        # under the truth nuisances on increasing supports, the grid positions are the codes of the level index and of z
-        grid = (dist.supports()[:3], at[:3]) if eta is None and _increasing(dist.supports()[:3]) else None
-        self.plan = _Plan(truth_nuisances(dist) if eta is None else eta, cols, grid)
+        mass, y = dist.pmf.sum(axis=3), dist.y_support
+        at = np.nonzero(mass)  # the (c, a, z) cells of positive mass, in C order
+        self.p, py = mass[at], dist.pmf[at]  # p(c, a, z) and p(c, a, z, y), one row per cell
+        mean = (py * y).sum(axis=1) / self.p
+        self.var = ((y - mean[:, None]) ** 2 * py).sum(axis=1) / self.p
+        cols = [np.tile(sup[i], 2) for sup, i in zip(dist.supports(), at)]
+        self.plan = _Plan(truth_nuisances(dist) if eta is None else eta, (*cols, np.concatenate((mean, mean + 1.0))))
 
 
 def _cell_values(dist: DiscreteJoint, tag: str, pair: TreatmentPair, eta: Optional[NuisanceSet]):
-    """m at every cell of positive mass, and the cell masses: on the plan the joint keeps, or on a fresh one under `eta`."""
+    """m at y = E(Y|c,a,z) and its slope in y per (c, a, z) cell, and the oracle state: the joint's, or a fresh one under `eta`."""
     if eta is not None:
         state = _Oracle(dist, eta)
     elif (state := getattr(dist, "_oracle", None)) is None:
         state = dist._oracle = _Oracle(dist)
-    return evaluate_m(tag, *state.plan.cols, state.plan.eta, pair, _plan=state.plan), state.p
+    at_mean, above = np.split(evaluate_m(tag, *state.plan.cols, state.plan.eta, pair, _plan=state.plan), 2)
+    return at_mean, above - at_mean, state
 
 
 def brute_force_mean(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Optional[NuisanceSet] = None) -> float:
@@ -595,8 +553,8 @@ def brute_force_mean(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Op
     enumerated on one joint shares its slot evaluations and table codes.  An
     explicit `eta` is evaluated on a fresh plan and leaves that state alone.
     """
-    m, p = _cell_values(dist, tag, pair, eta)
-    return fsum(m * p)
+    m, _, state = _cell_values(dist, tag, pair, eta)
+    return fsum(m * state.p)
 
 
 def brute_force_variance(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Optional[NuisanceSet] = None) -> float:
@@ -606,5 +564,5 @@ def brute_force_variance(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta
     m is evaluated as in :func:`brute_force_mean`.
     """
     theta = ace_twodoor(dist, pair)
-    m, p = _cell_values(dist, tag, pair, eta)
-    return fsum((m - theta) ** 2 * p)
+    m, slope, state = _cell_values(dist, tag, pair, eta)
+    return fsum(np.concatenate(((m - theta) ** 2 * state.p, slope**2 * state.var * state.p)))

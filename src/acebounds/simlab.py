@@ -133,6 +133,8 @@ class McConfig:
         if unknown:
             raise DomainError(f"unknown estimator tags {sorted(unknown)}")
         object.__setattr__(self, "tags", tuple(self.tags))
+        if repeated := sorted({t for i, t in enumerate(self.tags) if t in self.tags[:i]}):
+            raise DomainError(f"tags repeat an estimator tag: {repeated}")  # summary rows are keyed by (n, tag)
         GaussHermiteZRule(self.gh_nodes)  # raises DomainError for a node count the rule refuses, before any replicate runs
 
 

@@ -508,6 +508,7 @@ SIM = [f"--set={kv}" for kv in (DGP + ",sizes=20,replicates=2").split(",")]
         (["estimate", "--data", "obs.csv"], "preset"),  # no nuisance specs at all
         (["estimate", "--set", "preset=empirical"], "data"),
         (["compare"], "--interval"),
+        (["estimate", "--data", "obs.csv", "--set", "tags=BD", "--set", "nuisance.mean_y_ac=linear-mean predictors=a+a"], "predictors of mean_y_ac"),
     ],
 )
 def test_bad_config_value_names_its_key(argv, key, tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import acebounds.influence as influence
 from acebounds.bounds import SimDgpParams
-from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor, chain_joint
+from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor, chain_joint, fsum
 from acebounds.errors import AceboundsError, DomainError, MissingNuisance, PositivityViolation
 from acebounds.influence import (
     MODEL_TAGS,
@@ -516,7 +516,7 @@ def test_oracle_state_gives_the_values_of_fresh_joints(chain_dists):
 
 
 def test_a_dropped_joint_frees_its_oracle_state_at_once():
-    # the state holds no reference cycle (grid sums included), so the plan goes with the joint, not at a later collection
+    # the state holds no reference cycle, so the plan goes with the joint, not at a later collection
     dist = _wide_joint(11)
     for pair in PAIRS:
         for tag in ALL_TAGS:
@@ -590,12 +590,12 @@ def test_oracle_codes_each_cell_column_once(monkeypatch):
     dist = _wide_joint(5)
     for tag in MODEL_TAGS:
         brute_force_variance(dist, PAIR, tag)
-    # the grid positions of the cells code the level index and the z column, so no cell column is coded;
-    # the tables read every cell column by those codes.  Each other plan column and scalar is coded once
-    # per support: the 20 mediator nodes; the 12 (a, c) levels' a and c, flat and on the node axis
-    # (4 x 12); the 3 treatment values of a sum per arm and of the grid sums' arm axis (2 x 3); the 4
-    # covariate values, the live ones, and both on a leading axis (4 x 4); and the pair's 2 scalar arms
-    assert sorted(sizes) == [1] * 2 + [3] * 2 + [4] * 4 + [12] * 4 + [20]
+    # the 240 (c, a, z) cells, each at two outcome values, are 480 rows: the level index codes their a and c
+    # columns and the tables their z column, once each.  Each other plan column and scalar is coded once per
+    # support: the 20 mediator nodes; the 12 (a, c) levels' a and c, flat and on the node axis (4 x 12); the
+    # 3 treatment values of a sum per arm; the 4 covariate values, the live ones, and the live ones on a
+    # leading axis (3 x 4); and the 3 scalar arms, the pair's and the third of the mixed mediator mass
+    assert sorted(sizes) == [1] * 3 + [3] + [4] * 3 + [12] * 4 + [20] + [480] * 3
 
 
 def test_the_kept_plan_gives_the_values_of_explicit_truth_nuisances():
@@ -651,8 +651,7 @@ def _ordered_sum_joints():
 def test_tables_read_by_code_match_tables_called(chain_dists):
     rng = np.random.default_rng(53)
     for dist in chain_dists + [random_confounded_mediator_dist(rng) for _ in range(10)] + _ordered_sum_joints():
-        cells = dist.cells()
-        c, a, z, y, _ = cells[cells[:, 4] > 0.0].T
+        c, a, z, y, _ = _positive_cells(dist)
         eta = truth_nuisances(dist)
         for pair in PAIRS:
             for tag in ALL_TAGS:
@@ -677,13 +676,18 @@ def _estimates(data, eta, tags, reduced):
         return repr(exc)
 
 
-def test_fitted_tables_read_by_code_match_tables_called():
-    # empirical probabilities and mediator laws, with p(a = 2 | c = 0) = 0 clipped and the mediator law
-    # undefined at (a, c) = (2, 0); linear outcome means, which are defined at every (a, z, c)
-    specs = [
+def _discrete_specs():
+    """Empirical probabilities and mediator laws, and linear outcome means, each on every conditioning argument."""
+    return [
         ModelSpec(slot, "linear-mean" if kind == "mean" else "empirical", predictors=tuple(v for v in args if v != response))
         for slot, (args, response, kind) in influence.SLOTS.items()
     ]
+
+
+def test_fitted_tables_read_by_code_match_tables_called():
+    # empirical probabilities and mediator laws, with p(a = 2 | c = 0) = 0 clipped and the mediator law
+    # undefined at (a, c) = (2, 0); linear outcome means, which are defined at every (a, z, c)
+    specs = _discrete_specs()
     clipped = 0
     for seed in range(4):
         c, a, z, y = _discrete_rows(seed, 240)
@@ -720,3 +724,147 @@ def test_table_errors_are_the_same_read_by_code():
         coded = [_outcome(lambda: evaluate_m(tag, *cols, eta, PAIR)) for tag in ALL_TAGS]
         assert coded == [_outcome(lambda: evaluate_m(tag, *cols, _hidden(eta), PAIR)) for tag in ALL_TAGS]
         assert any(isinstance(got, str) and message in got for got in coded), message
+
+
+# -- the enumeration the oracles rest on -------------------------------------------
+
+
+def _perturbed(eta):
+    """`eta` with every outcome mean shifted and every law and probability mixed with a flat one, each behind a callable."""
+    nz, na = len(eta.z_integrator.support), len(eta.a_support)
+
+    def f(v):
+        return np.asarray(v, dtype=float)
+
+    return replace(
+        eta,
+        mean_y_ac=lambda a, c: eta.mean_y_ac(a, c) + 0.25 * f(a) - 0.1 * f(c),
+        mean_y_az=lambda a, z: eta.mean_y_az(a, z) + 0.3 * f(z) * f(a),
+        mean_y_zc=lambda z, c: eta.mean_y_zc(z, c) - 0.2 * f(z) + 0.15 * f(c),
+        mean_y_azc=lambda a, z, c: eta.mean_y_azc(a, z, c) + 0.1 * f(a) + 0.2 * f(z) * f(c),
+        p_a=lambda a: 0.8 * eta.p_a(a) + 0.2 / na,
+        p_a_given_c=lambda a, c: 0.8 * eta.p_a_given_c(a, c) + 0.2 / na,
+        p_z_given_a=lambda z, a: 0.7 * eta.p_z_given_a(z, a) + 0.3 / nz,
+        p_z_given_ac=lambda z, a, c: 0.7 * eta.p_z_given_ac(z, a, c) + 0.3 / nz,
+    )
+
+
+def _zero_mass_outcome_joint():
+    """2 covariate, 2 treatment, 3 mediator and 3 outcome levels; y = 2 has no mass at z = 0, nor y = 0 at z = 2."""
+    py = {0: (0.6, 0.4, 0.0), 1: (0.2, 0.5, 0.3), 2: (0.0, 0.45, 0.55)}
+    return chain_joint(
+        range(2),
+        range(2),
+        range(3),
+        range(3),
+        lambda c: 0.4 + 0.2 * c,
+        lambda a, c: 0.3 + 0.4 * c if a else 0.7 - 0.4 * c,
+        lambda z, a: (0.5 - 0.2 * a, 0.3, 0.2 + 0.2 * a)[int(z)],
+        lambda y, z, c: py[int(z)][int(y)],
+    )
+
+
+def _null_level_joint():
+    """The chain joint with p(C=1) = 0 that CI runs through ``acebounds oracle``."""
+    return chain_joint(
+        range(3),
+        range(3),
+        range(3),
+        range(2),
+        lambda c: (0.3, 0.0, 0.7)[int(c)],
+        lambda a, c: (a + 1 + c) / (6 + 3 * c),
+        lambda z, a: (1 + (z + 1) * (a + 2) % 5) / sum(1 + (k + 1) * (a + 2) % 5 for k in range(3)),
+        lambda y, z, c: 0.2 + 0.2 * z + 0.1 * c if y else 0.8 - 0.2 * z - 0.1 * c,
+    )
+
+
+def _positive_cells(dist):
+    cells = dist.cells()
+    return cells[cells[:, 4] > 0.0].T
+
+
+def _enumerated_mean(dist, pair, tag, eta):
+    """E[m] over every (c, a, z, y) cell of positive mass, evaluated on a fresh plan and summed by fsum."""
+    c, a, z, y, p = _positive_cells(dist)
+    return fsum(evaluate_m(tag, c, a, z, y, eta, pair) * p)
+
+
+def _enumerated_variance(dist, pair, tag, eta):
+    """E[(m - theta)^2] over every (c, a, z, y) cell of positive mass, theta first, as the oracle takes it."""
+    theta = ace_twodoor(dist, pair)
+    c, a, z, y, p = _positive_cells(dist)
+    return fsum((evaluate_m(tag, c, a, z, y, eta, pair) - theta) ** 2 * p)
+
+
+def _value_or_error(fn):
+    try:
+        return fn()
+    except AceboundsError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_joints():
+    rng = np.random.default_rng(555)
+    chain_rng = np.random.default_rng(556)
+    positivity = np.full((2, 2, 2, 2), 1.0 / 12.0)
+    positivity[0, 1] = 0.0  # treatment level 1 never occurs at c = 0
+    return (
+        [_wide_joint(seed) for seed in (101, 102, 103)]
+        + [random_chain_dist(chain_rng) for _ in range(100)]
+        + [random_confounded_mediator_dist(rng) for _ in range(100)]
+        + [_null_level_joint(), _zero_mass_outcome_joint(), DiscreteJoint(BINARY, BINARY, BINARY, BINARY, positivity)]
+        + _ordered_sum_joints()  # a wide joint, a null covariate level, zero-mass (c, a, z) cells, unsorted supports
+    )
+
+
+def test_oracles_match_an_enumeration_of_every_outcome_cell():
+    joints = _reference_joints()
+    errors = 0
+    for k, dist in enumerate(joints):
+        truth = truth_nuisances(dist)
+        etas = [None] + ([_perturbed(truth)] if k % 10 == 0 else [])  # None: the kept plan under the truth
+        for eta, pair, tag in ((eta, pair, tag) for eta in etas for pair in PAIRS for tag in ALL_TAGS):
+            case = (k, eta is None, pair, tag)
+            want = _value_or_error(lambda: _enumerated_variance(dist, pair, tag, truth if eta is None else eta))
+            got = _value_or_error(lambda: brute_force_variance(dist, pair, tag, eta))
+            errors += isinstance(want, tuple)
+            assert got == want if isinstance(want, tuple) else np.isclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True), case
+            want = _value_or_error(lambda: _enumerated_mean(dist, pair, tag, truth if eta is None else eta))
+            got = _value_or_error(lambda: brute_force_mean(dist, pair, tag, eta))
+            # equal_nan: FD_TD's mean is NaN on the joint with p(A=1|C=0) = 0, enumerated either way
+            assert got == want if isinstance(want, tuple) else np.isclose(got, want, rtol=0.0, atol=1e-13, equal_nan=True), case
+    assert len(joints) >= 200 and errors > 0
+
+
+def _affine_case(kind, seed):
+    """Rows (c, a, z) and nuisances of one kind: truth or perturbed on the (c, a, z) cells of a joint, or fitted on rows."""
+    rng = np.random.default_rng(seed)
+    if kind in ("truth", "perturbed"):
+        dist = (random_chain_dist if seed % 2 else random_confounded_mediator_dist)(rng)
+        c, a, z, _, _ = _positive_cells(dist)
+        eta = truth_nuisances(dist)
+        return (c, a, z), eta if kind == "truth" else _perturbed(eta)
+    if kind == "fitted-study":
+        data = sample_dgp(STUDY_PARAMS, 150, seed)
+        return (data.c, data.a, data.z), fit(data, setting_model_specs(seed % 5))
+    c, a, z, y = _discrete_rows(seed, 240)
+    return (c, a, z), fit(Dataset(c, a, z, y, PAIRS[seed % 2]), _discrete_specs())
+
+
+@given(
+    st.sampled_from(["truth", "perturbed", "fitted-study", "fitted-discrete"]),
+    st.integers(min_value=0, max_value=2**16),
+    st.floats(min_value=-50.0, max_value=50.0),
+)
+def test_m_is_affine_in_the_outcome(kind, seed, shift):
+    # the oracles take E[(m - theta)^2 | c, a, z] from m at E(Y|c,a,z) and at one more (module docstring)
+    (c, a, z), eta = _affine_case(kind, seed)
+    y = shift + np.random.default_rng(seed).standard_normal(c.size)
+    for pair in PAIRS:
+        for tag in ALL_TAGS:
+            m = [_value_or_error(lambda: evaluate_m(tag, c, a, z, y + k, eta, pair)) for k in range(3)]
+            if isinstance(m[0], tuple):  # a refusal does not depend on y
+                assert m[0] == m[1] == m[2], (tag, pair)
+                continue
+            scale = max(np.max(np.abs(v)) for v in m)
+            assert np.max(np.abs(m[2] - 2.0 * m[1] + m[0])) <= 1e-12 * scale, (tag, pair)

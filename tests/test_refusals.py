@@ -89,6 +89,17 @@ REFUSALS = {
     },
     "sizes of 50.7": (lambda: McConfig(SimDgpParams(**PARAMS), sizes=(50.7,)), DomainError, "sizes must be a non-negative integer, got 50.7"),
     "scalar sizes": (lambda: McConfig(SimDgpParams(**PARAMS), sizes=50), DomainError, "sizes must be a sequence of sample sizes, got 50"),
+    "repeated tag": (
+        lambda: McConfig(SimDgpParams(**PARAMS), tags=("BD", "TD", "BD")), DomainError, "tags repeat an estimator tag: ['BD']",
+    ),
+    "repeated predictor": (
+        lambda: ModelSpec("mean_y_ac", "empirical", predictors=("a", "a")), DomainError, "predictors of mean_y_ac name 'a' twice",
+    ),
+    "repeated omit entry": (
+        lambda: ModelSpec("mean_y_azc", "linear-mean", predictors=("a", "z", "c"), omit=("c", "c")),
+        DomainError,
+        "omit of mean_y_azc name 'c' twice",
+    ),
     "folds of 2.5": (lambda: CrossFitPlan(folds=2.5), DomainError, "folds must be a non-negative integer, got 2.5"),
     **{
         f"cross-fitting seed of {seed!r}": (
