@@ -56,32 +56,8 @@ VAR_NAMES = ("c", "a", "z", "y")
 _AXIS = {"c": 0, "a": 1, "z": 2, "y": 3}
 
 
-_VECTOR_FSUM_MIN = 512  # shorter arrays cost less as a list (13 us at 256 values) than as extraction passes (26 us)
-_FSUM_PASSES = 4  # extraction passes before the remainder goes to math.fsum as a list
-
-
 def fsum(values) -> float:
-    """The correctly rounded sum of an iterable or ndarray: the float ``math.fsum`` returns, bit for bit.
-
-    A float64 array of at least ``_VECTOR_FSUM_MIN`` finite values, not all zero, is summed by error-free vector
-    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008,
-    ExtractVector): with sigma = 2^(e(max|x|) + e(n + 2)), e the frexp exponent, q = (sigma + x) - sigma rounds x to
-    multiples of 2^-53 sigma, so x - q is exact, and so is np.sum(q), whose partial sums are such multiples below sigma.
-    Each pass keeps that sum and goes on with x - q; math.fsum rounds the exact total of the few sums and what is left
-    correctly.  Anything else, an array near overflow included, goes to math.fsum as a list.
-    """
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.size >= _VECTOR_FSUM_MIN:
-        x, width, parts = values.ravel(), math.frexp(values.size + 2)[1], []
-        top = float(np.max(np.abs(x)))
-        if 0.0 < top < math.inf and math.frexp(top)[1] + width <= 1022:  # sigma + x cannot overflow
-            while top and len(parts) < _FSUM_PASSES:
-                sigma = math.ldexp(1.0, math.frexp(top)[1] + width)
-                q = x + sigma
-                q -= sigma
-                parts.append(float(q.sum()))
-                x = x - q
-                top = float(np.abs(x, out=q).max())
-            return math.fsum(parts + (x[x != 0.0].tolist() if top else []))
+    """The correctly rounded sum of an iterable or ndarray: ``math.fsum``, with an array passed as a flat list."""
     if isinstance(values, np.ndarray):
         values = values.ravel().tolist()
     return math.fsum(values)

@@ -31,8 +31,7 @@ row-wise design passes no counts.  A Gaussian law's
 residual variance still sums over all n rows.  Empirical tables over a and c
 alone (p_c, p_a, and empirical p_a_given_c or mean_y_ac) count the same
 cells instead of sorting n rows; a mean still sums y in row order.  The
-returned NuisanceSet keeps the index (``_levels``), and the row plan of
-``influence`` reuses it for the same rows.
+row plan of ``influence`` codes the rows it evaluates on itself.
 
 Logistic, linear-mean and Gaussian-density components share one base class,
 ``_Linear``: it holds ``arg_names``, ``predictors`` and ``coef`` and computes
@@ -533,16 +532,13 @@ def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule, gh_nodes: int
     if z_rule is None:  # only a mediator law admits the gaussian-density family (_FAMILIES)
         gaussian = any(spec.family == "gaussian-density" for spec in specs)
         z_rule = GaussHermiteZRule(gh_nodes) if gaussian else FiniteZRule(np.unique(data.z))
-    eta = NuisanceSet(
+    return NuisanceSet(
         a_support=tuple(supports["a"].tolist()),
         c_support=tuple(supports["c"].tolist()),
         z_integrator=z_rule,
         manifest=manifest,
         **slots,
     )
-    if cells.cache_info().currsize:  # a fit coded the rows' (a, c): a row plan over the same rows reuses it
-        eta._levels = cells()[0]
-    return eta
 
 
 def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFitPlan(), z_rule=None, gh_nodes: int = _GH_NODES):

@@ -61,10 +61,8 @@ DomainError right after one p_c call, before any per-level work (about
 n = 2048 with a continuous covariate).
 
 The row plan (``_Plan``) holds the rows of one dataset or fold with their
-nuisances and level index, and evaluates each (model, argument set) at them
-once.  Its level index is the one ``fitting.fit`` coded for the rows it
-fitted on (``NuisanceSet._levels``) when that restores the rows' (a, c), and
-a fresh one otherwise.  ``estimators.estimate_all`` shares one plan per
+nuisances and level index, which it codes itself, and evaluates each (model,
+argument set) at them once.  ``estimators.estimate_all`` shares one plan per
 dataset or fold across tags, through :func:`evaluate_m`'s private ``_plan``,
 and drops it on return.  The enumeration oracles (:func:`brute_force_mean`,
 :func:`brute_force_variance`) share one plan per joint, under its truth
@@ -103,13 +101,14 @@ restating what it reads.  The weight contrast 1{A=a*}/w(a*) - 1{A=a}/w(a)
 depends on a row only through its (a, c), so each model forms it per level
 and gathers it to the rows once, with the same bits as a row-wise division.
 
-Discrete nuisances are one table class, ``_Table``, a C-ordered copy of its
-values on sorted supports (re-indexed only where a support is not already
-increasing): :func:`truth_nuisances` builds it over every argument, passing
-NaN cells through; ``fitting`` builds its empirical and fixed-value slots with
-it, with an ``observed`` mask.  Its values are read at codes (``_Table.at``, as one flat offset): a call codes its arguments with
-``_lookup``, which also codes a level index; a plan reads a bare table at its
-own codes, a row's a and c by its level's, and calls any other component.
+Discrete nuisances are one table class, ``_Table``, a copy of its values on
+sorted supports (re-indexed only where a support is not already increasing):
+:func:`truth_nuisances` builds it over every argument, passing NaN cells
+through; ``fitting`` builds its empirical and fixed-value slots with it, with
+an ``observed`` mask.  Its values are read at one code array per axis
+(``_Table.at``): a call codes its arguments with ``_lookup``, which also codes
+a level index; a plan reads a bare table at its own codes, a row's a and c by
+its level's, and calls any other component.
 """
 
 from __future__ import annotations
@@ -127,7 +126,6 @@ from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, _node_shape, expect_z
 __all__ = ["NuisanceSet", "MODEL_TAGS", "evaluate_m", "truth_nuisances", "brute_force_mean", "brute_force_variance"]
 
 MODEL_TAGS = ("BD", "FD", "TD", "BD_TD", "FD_TD", "BD_FD_TD")
-_COMPARE_MAX = 2  # supports of at most this many values are coded by comparison passes, wider ones by binary search
 
 # slot -> (call-argument names in call order, response variable, kind)
 SLOTS = {
@@ -165,8 +163,6 @@ class NuisanceSet:
     mean_y_azc: Optional[Callable] = None
     z_integrator: Any = None
     manifest: dict = field(default_factory=dict)
-    # the LevelIndex of the rows ``fitting.fit`` fitted on, which a row plan over those rows reuses
-    _levels: Optional[LevelIndex] = field(default=None, init=False, repr=False, compare=False)
 
     def require(self, *names):
         for name in names:
@@ -207,9 +203,8 @@ class LevelIndex:
 
 
 def _lookup(support, x):
-    """Positions of `x` in the sorted `support` (see ``_COMPARE_MAX``), or None when a value is not in it."""
-    passes = 1 < support.size <= _COMPARE_MAX
-    idx = sum((x >= s for s in support[2:]), (x >= support[1]).astype(np.intp)) if passes else np.minimum(np.searchsorted(support, x), support.size - 1)
+    """Positions of `x` in the sorted `support` (one comparison for two values, else binary search), or None when a value is not in it."""
+    idx = (x >= support[1]).astype(np.intp) if support.size == 2 else np.minimum(np.searchsorted(support, x), support.size - 1)
     return idx if np.array_equal(support[idx], x) else None
 
 
@@ -248,19 +243,13 @@ def _gather(vals, inv):
     return vals[inv] if vals.ndim else vals
 
 
-def _restores(levels: LevelIndex, a, c) -> bool:
-    """Whether `levels` maps each of these rows to its own (a, c)."""
-    return levels.inv.shape == a.shape and np.array_equal(levels.a[levels.inv], a) and np.array_equal(levels.c[levels.inv], c)
-
-
 class _Plan:
     """The row plan of one dataset or fold (see the module docstring)."""
 
     def __init__(self, eta: NuisanceSet, cols):
         self.eta, self.cols = eta, tuple(cols)
         c, a, z, y = self.rows = _rows(*cols)
-        fitted = eta._levels  # the coding of the rows the nuisances were fitted on
-        levels = self.levels = fitted if fitted is not None and _restores(fitted, a, c) else level_index(a, c, eta.a_support, eta.c_support)
+        levels = self.levels = level_index(a, c, eta.a_support, eta.c_support)
         self._columns = {("c", "rows"): c, ("a", "rows"): a, ("z", "rows"): z, ("a", "levels"): levels.a, ("c", "levels"): levels.c}
         self._columns["a", "level axis"], self._columns["c", "level axis"] = _node_shape(levels.a), _node_shape(levels.c)
         self._columns["a", "arm axis"] = _node_shape(levels.by_a[0])  # the treatment values of a sum per arm
@@ -375,6 +364,8 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
         if c_live.size * y.size > _MAX_GRID_ELEMENTS:
             raise DomainError(f"the pooled outcome over {c_live.size} covariate levels x {y.size} rows exceeds {_MAX_GRID_ELEMENTS} elements")
         p_live = {ab: _spread(plan.value("p_a_given_c", a=ab, c="live"), (c_live,)) for ab in eta.a_support}
+        if outcome_given_a:  # the pooled outcome weighs each arm's outcome by p(a|c): undefined at a zero weight
+            _require_positive(list(p_live.values()), "p(a|c)")
 
     def sum_levels(reads_c):
         """(treatment column, its axis column name, covariate axis column name or None, row map) of a mediator sum: per (a, c) level if it reads c, else per a."""
@@ -468,8 +459,8 @@ class _Table:
         increasing = all((s[:-1] < s[1:]).all() for s in supports)
         order = ... if increasing else np.ix_(*(np.argsort(s) for s in supports))  # re-indexed onto the sorted supports
         self.supports = supports if increasing else [np.sort(s) for s in supports]
-        self.values = np.array(np.asarray(values, dtype=float)[order], order="C")  # a C-ordered copy
-        self.observed = None if observed is None else np.array(np.broadcast_to(observed, self.values.shape)[order], order="C")
+        self.values = np.array(np.asarray(values, dtype=float)[order])
+        self.observed = None if observed is None else np.array(np.broadcast_to(observed, self.values.shape)[order])
         self.reads = tuple(range(len(self.supports))) if reads is None else tuple(reads)
         self.what = what
 
@@ -480,10 +471,9 @@ class _Table:
 
     def at(self, idx, args):
         """The values at `idx`, one code array per axis, spread over the call arguments `args`."""
-        flat = sum(i * (step // self.values.itemsize) for i, step in zip(idx, self.values.strides))  # values is a C-ordered copy; 30 us for 4800 rows of 3 codes, 42 by all 3
-        if self.observed is not None and not np.all(self.observed.ravel()[flat]):
+        if self.observed is not None and not np.all(self.observed[idx]):
             raise DomainError(f"{self.what} requested at a combination never observed")
-        return _spread(self.values.ravel()[flat], args)
+        return _spread(self.values[idx], args)
 
     def __call__(self, *args):
         return self.at(tuple(self._index(args[pos], k) for k, pos in enumerate(self.reads)), args)

@@ -404,10 +404,3 @@ def test_fsum_matches_math_fsum_on_the_oracle_terms(chain_dists):
                 _same_as_math_fsum(terms[-1])
     _same_as_math_fsum(np.concatenate(terms))
 
-
-def test_fsum_of_a_long_array_reaches_math_fsum_as_a_few_partial_sums(monkeypatch):
-    lengths, exact = [], math.fsum
-    monkeypatch.setattr(math, "fsum", lambda values: lengths.append(len(values)) or exact(values))
-    x = np.random.default_rng(3).dirichlet(np.ones(4800)) * np.linspace(-2.0, 2.0, 4800) ** 2
-    assert fsum(x) == exact(x.tolist())
-    assert len(lengths) == 1 and lengths[0] <= 4

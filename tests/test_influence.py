@@ -828,10 +828,10 @@ def test_oracles_match_an_enumeration_of_every_outcome_cell():
             want = _value_or_error(lambda: _enumerated_variance(dist, pair, tag, truth if eta is None else eta))
             got = _value_or_error(lambda: brute_force_variance(dist, pair, tag, eta))
             errors += isinstance(want, tuple)
-            assert got == want if isinstance(want, tuple) else np.isclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True), case
+            assert got == want if isinstance(want, tuple) else np.isclose(got, want, rtol=1e-12, atol=0.0), case
             want = _value_or_error(lambda: _enumerated_mean(dist, pair, tag, truth if eta is None else eta))
             got = _value_or_error(lambda: brute_force_mean(dist, pair, tag, eta))
-            # equal_nan: FD_TD's mean is NaN on the joint with p(A=1|C=0) = 0, enumerated either way
+            # equal_nan: the mediator models' means are NaN on the joint with zero-mass (c, a, z) cells, enumerated either way
             assert got == want if isinstance(want, tuple) else np.isclose(got, want, rtol=0.0, atol=1e-13, equal_nan=True), case
     assert len(joints) >= 200 and errors > 0
 

@@ -8,9 +8,9 @@ import pytest
 from acebounds.bounds import BoundReport, SimDgpParams, bound, simdgp_bound
 from acebounds.compare import ComparisonVerdict
 from acebounds.dist import DiscreteJoint, factorized_joint
-from acebounds.errors import DomainError, MissingNuisance
+from acebounds.errors import DomainError, MissingNuisance, PositivityViolation
 from acebounds.fitting import CrossFitPlan, Dataset, ModelSpec, _Logistic, fit
-from acebounds.influence import evaluate_m, truth_nuisances
+from acebounds.influence import brute_force_mean, evaluate_m, truth_nuisances
 from acebounds.quadrature import FiniteZRule, GaussHermiteZRule, expect_z
 from acebounds.simlab import McConfig, McSummary
 
@@ -24,6 +24,13 @@ def _uniform(**supports):
     """The uniform joint on binary supports, with any support replaced; the pmf keeps the binary shape."""
     given = {"c": BINARY, "a": BINARY, "z": BINARY, "y": BINARY, **supports}
     return DiscreteJoint(given["c"], given["a"], given["z"], given["y"], np.full((2, 2, 2, 2), 1.0 / 16.0))
+
+
+def _untreated_stratum():
+    """The uniform joint on binary supports with no mass at (c, a) = (0, 1), so p(A=1|C=0) = 0."""
+    pmf = np.full((2, 2, 2, 2), 1.0 / 12.0)
+    pmf[0, 1] = 0.0
+    return DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
 
 
 def _fit_rows(a, specs):
@@ -74,6 +81,9 @@ REFUSALS = {
         lambda: evaluate_m("FD_TD", *ROWS, replace(truth_nuisances(uniform_joint()), c_support=None), PAIR),
         MissingNuisance,
         "c_support is required",
+    ),
+    "FD_TD's pooled outcome at a zero p(a|c)": (
+        lambda: brute_force_mean(_untreated_stratum(), PAIR, "FD_TD"), PositivityViolation, "p(a|c) has entries below 1e-12",
     ),
     "finite rule on an empty support": (lambda: FiniteZRule([]), DomainError, "mediator support must be a non-empty"),
     "Gauss-Hermite rule on a density without location_scale": (
