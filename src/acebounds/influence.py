@@ -72,15 +72,13 @@ Values and table codes are keyed by argument name, each a plan column or a
 scalar, never by array identity: "rows", "levels", "support", "live", a
 finite rule's "nodes", and level columns on a leading axis against nodes or
 rows ("level axis", "arm axis" for a sum per treatment value, "live axis"),
-so only Gauss-Hermite nodes are evaluated afresh; a repeat read is one lookup
-(``_Plan._keys``).  A
-component with a ``_plan_key`` (``fitting._Linear``, also behind an
-attribute-forwarding wrapper) is keyed by its class, predictors and parameters
-and reads only its predictors, plus the response of a law or probability, so
-mean_y_azc(a*, z, c) on (z, c) is one evaluation with mean_y_zc(z, c); any
-other callable is keyed by itself and reads every argument.  Each evaluation
-keeps its count of clipped probability values; an estimate's count sums those
-it read.
+so only Gauss-Hermite nodes are evaluated afresh.  A component with a
+``_plan_key`` (``fitting._Linear``, also behind an attribute-forwarding
+wrapper) is keyed by its class, predictors and parameters and reads only its
+predictors, plus the response of a law or probability, so mean_y_azc(a*, z, c)
+on (z, c) is one evaluation with mean_y_zc(z, c); any other callable is keyed
+by itself and reads every argument.  Each evaluation keeps its count of
+clipped probability values; an estimate's count sums those it read.
 
 The oracles enumerate a joint's (c, a, z) cells of positive mass, not its
 (c, a, z, y) cells.  Every estimating function reads y only through its
@@ -89,17 +87,17 @@ at y = E(Y|c,a,z), and E[(m - theta)^2 | c, a, z] is (m - theta)^2 there plus
 (dm/dy)^2 Var(Y|c,a,z), the slope being m at y + 1 less m at y.  So each cell
 is two rows of the plan whatever the number of outcome levels (``_Oracle``).
 
-Beyond slot evaluations the plan keeps only row gathers: each level value
-gathered to the rows (``_Plan.at_rows``, under that value's evaluation key),
-and ``LevelIndex.by_a``, once per index.  Every term built on them is
-computed afresh per model, the two integral terms (the centring of the pooled
-outcome and the plug-in contrast, which call ``expect_z``) as well as the
-weight contrast, mediator mass and shift: sharing the integrals across tags
-saved about 0.1 ms of a 3.5 to 12.5 ms ``estimate_all`` (n=500 to 50000), the
-row terms about 0.8 ms of a 24 ms replicate, and each needed a key
-restating what it reads.  The weight contrast 1{A=a*}/w(a*) - 1{A=a}/w(a)
-depends on a row only through its (a, c), so each model forms it per level
-and gathers it to the rows once, with the same bits as a row-wise division.
+The plan caches each evaluation key's value (``_memo``), shared by models and
+tags, each call's key (``_keys``) and each plan column's or scalar's codes per
+table support (``_codes``); without the last two an ``exact-bounds`` operation
+takes about 2% and 18% more CPU.  A level value is gathered to the rows at each
+read (``_Plan.at_rows``), and every other term is computed per model: the
+integrals (the centring of the pooled outcome and the plug-in contrast),
+weight contrast, mediator mass and shift.  Sharing them across tags saved
+about 0.1 ms of a 3.5 to 12.5 ms ``estimate_all`` (n=500 to 50000) and 0.8 ms
+of a 24 ms replicate, and each needed a key restating what it reads.  The
+weight contrast reads a row only through its (a, c), so each model forms it
+per level and gathers it to the rows once, bit for bit a row-wise division.
 
 Discrete nuisances are one table class, ``_Table``, a copy of its values on
 sorted supports (re-indexed only where a support is not already increasing):
@@ -107,8 +105,8 @@ sorted supports (re-indexed only where a support is not already increasing):
 through; ``fitting`` builds its empirical and fixed-value slots with it, with
 an ``observed`` mask.  Its values are read at one code array per axis
 (``_Table.at``): a call codes its arguments with ``_lookup``, which also codes
-a level index; a plan reads a bare table at its own codes, a row's a and c by
-its level's, and calls any other component.
+a level index; a plan reads a bare table at its own codes and calls any other
+component.
 """
 
 from __future__ import annotations
@@ -120,7 +118,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .dist import DiscreteJoint, TreatmentPair, _require_positive, ace_twodoor, fsum
-from .errors import DomainError, MissingNuisance
+from .errors import DomainError, MissingNuisance, PositivityViolation
 from .quadrature import _MAX_GRID_ELEMENTS, FiniteZRule, _node_shape, expect_z
 
 __all__ = ["NuisanceSet", "MODEL_TAGS", "evaluate_m", "truth_nuisances", "brute_force_mean", "brute_force_variance"]
@@ -254,20 +252,16 @@ class _Plan:
         self._columns["a", "level axis"], self._columns["c", "level axis"] = _node_shape(levels.a), _node_shape(levels.c)
         self._columns["a", "arm axis"] = _node_shape(levels.by_a[0])  # the treatment values of a sum per arm
         self._columns["z", "nodes"] = getattr(eta.z_integrator, "support", None)  # the nodes of every finite grid
-        # evaluation key -> (value, values clipped); evaluation key of a level value -> it at the rows; keys read since
-        # `clipped`; (slot, argument items) -> evaluation key, so a repeat read is one lookup
-        self._memo, self._gathered, self._read, self._keys = {}, {}, set(), {}
-        self._models = {}  # slot -> (identity, arguments read) of its component
-        self._codes = {}  # (variable, column name or scalar, support bytes) -> codes on that support
+        # evaluation key -> (value, values clipped); keys read since `clipped`; (slot, argument items) -> evaluation key,
+        # so a repeat read is one lookup; (variable, column name or scalar, support bytes) -> codes on that support
+        self._memo, self._read, self._keys, self._codes = {}, set(), {}, {}
 
     def key(self, slot: str, **args):
         """The memo key of `slot` at `args`, each a plan column name or a scalar: its model, the columns that shape it, the values it reads."""
-        if slot not in self._models:
-            fn, (names, response, kind) = getattr(self.eta.require(slot), slot), SLOTS[slot]
-            model = getattr(fn, "_plan_key", None)
-            self._models[slot] = (fn, names) if model is None else (model(), (response,) * (kind != "mean") + fn.predictors)
-        ident, reads = self._models[slot]
-        return ident, frozenset(args[v] for v in SLOTS[slot][0] if isinstance(args[v], str)), *((v, args[v]) for v in reads)
+        fn, (names, response, kind) = getattr(self.eta.require(slot), slot), SLOTS[slot]
+        model = getattr(fn, "_plan_key", None)
+        ident, reads = (fn, names) if model is None else (model(), (response,) * (kind != "mean") + fn.predictors)
+        return ident, frozenset(args[v] for v in names if isinstance(args[v], str)), *((v, args[v]) for v in reads)
 
     def value(self, slot: str, **args):
         """`slot` at `args`: scalars and plan column names once per key (see :meth:`key`), a repeat call by one lookup; arrays afresh."""
@@ -295,18 +289,12 @@ class _Plan:
         if isinstance(arg, np.ndarray):
             return table._index(arg, k)
         if (key := (name, arg if isinstance(arg, str) else float(arg), table.supports[k].tobytes())) not in self._codes:
-            if key[1] == "rows" and name != "z":  # a row's code is its (a, c) level's
-                self._codes[key] = self._code(table, k, name, "levels")[self.levels.inv]
-            else:
-                self._codes[key] = table._index(self._columns.get((name, key[1]), arg), k)
+            self._codes[key] = table._index(self._columns.get((name, key[1]), arg), k)
         return self._codes[key]
 
     def at_rows(self, slot: str, arm):
-        """A slot of (a, c) alone at (arm, each row's c), evaluated once per (a, c) level and gathered to the rows once."""
-        level = self.value(slot, a=arm, c="levels")
-        if (key := self._keys[slot, ("a", arm), ("c", "levels")]) not in self._gathered:  # the key that call looked up
-            self._gathered[key] = _gather(level, self.levels.inv)
-        return self._gathered[key]
+        """A slot of (a, c) alone at (arm, each row's c): evaluated once per (a, c) level, gathered to the rows per call."""
+        return _gather(self.value(slot, a=arm, c="levels"), self.levels.inv)
 
     def live_c(self):
         """(p(c), c) arrays over the covariate levels of positive mass: p(.|c) is undefined elsewhere."""
@@ -526,13 +514,19 @@ class _Oracle:
 
 
 def _cell_values(dist: DiscreteJoint, tag: str, pair: TreatmentPair, eta: Optional[NuisanceSet]):
-    """m at y = E(Y|c,a,z) and its slope in y per (c, a, z) cell, and the oracle state: the joint's, or a fresh one under `eta`."""
+    """m at y = E(Y|c,a,z) and its slope in y per (c, a, z) cell, and the oracle state: the joint's, or a fresh one under `eta`.
+
+    A value or slope that is not finite (an undefined outcome cell at zero mediator mass) raises.
+    """
     if eta is not None:
         state = _Oracle(dist, eta)
     elif (state := getattr(dist, "_oracle", None)) is None:
         state = dist._oracle = _Oracle(dist)
     at_mean, above = np.split(evaluate_m(tag, *state.plan.cols, state.plan.eta, pair, _plan=state.plan), 2)
-    return at_mean, above - at_mean, state
+    slope = above - at_mean
+    if not (np.isfinite(at_mean).all() and np.isfinite(slope).all()):
+        raise PositivityViolation(f"m of {tag} is not finite at every (c, a, z) cell of positive mass")
+    return at_mean, slope, state
 
 
 def brute_force_mean(dist: DiscreteJoint, pair: TreatmentPair, tag: str, eta: Optional[NuisanceSet] = None) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -54,7 +55,7 @@ def _gauss_hermite(n_nodes: int):
 
 
 class FiniteZRule:
-    """Exact summation over a finite mediator support.
+    """Exact summation over a finite mediator support of distinct finite values.
 
     A grid of more than ``_MAX_GRID_ELEMENTS`` (conditioning levels times
     support points) raises DomainError before the density is evaluated.
@@ -64,6 +65,10 @@ class FiniteZRule:
         self.support = np.asarray(support, dtype=float)
         if self.support.ndim != 1 or self.support.size == 0:
             raise DomainError("mediator support must be a non-empty 1-d sequence")
+        if not np.isfinite(self.support).all():
+            raise DomainError("mediator support has a non-finite value")
+        if np.unique(self.support).size != self.support.size:  # a repeated node would be summed twice
+            raise DomainError("mediator support repeats a value")
 
     def grid(self, density, *cond):
         levels = math.prod(np.broadcast_shapes(*(np.shape(x) for x in cond)))
@@ -89,6 +94,8 @@ class GaussHermiteZRule:
     """
 
     def __init__(self, n_nodes: int = _GH_NODES):
+        if not isinstance(n_nodes, numbers.Integral):
+            raise DomainError(f"a Gauss-Hermite rule needs a whole number of nodes (gh_nodes), got {n_nodes!r}")
         if n_nodes < 1:
             raise DomainError(f"a Gauss-Hermite rule needs at least one node (gh_nodes), got {n_nodes!r}")
         self.n_nodes = n_nodes

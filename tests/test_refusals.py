@@ -33,6 +33,13 @@ def _untreated_stratum():
     return DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
 
 
+def _unmediated_arm():
+    """The uniform joint on binary supports with no mass at (a, z) = (1, 1), so E(Y|A=1, Z=1) is undefined where p(Z=1|A=1) = 0."""
+    pmf = np.full((2, 2, 2, 2), 1.0 / 12.0)
+    pmf[:, 1, 1] = 0.0
+    return DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
+
+
 def _fit_rows(a, specs):
     n = len(a)
     return fit(Dataset(np.zeros(n), np.asarray(a, dtype=float), np.arange(n, dtype=float), np.arange(n, dtype=float) ** 2, PAIR), specs)
@@ -85,7 +92,13 @@ REFUSALS = {
     "FD_TD's pooled outcome at a zero p(a|c)": (
         lambda: brute_force_mean(_untreated_stratum(), PAIR, "FD_TD"), PositivityViolation, "p(a|c) has entries below 1e-12",
     ),
+    "oracle mean through an undefined outcome cell": (
+        lambda: brute_force_mean(_unmediated_arm(), PAIR, "FD"), PositivityViolation, "m of FD is not finite",
+    ),
     "finite rule on an empty support": (lambda: FiniteZRule([]), DomainError, "mediator support must be a non-empty"),
+    "finite rule on a repeated node": (lambda: FiniteZRule([0.0, 1.0, 1.0]), DomainError, "mediator support repeats a value"),
+    "finite rule on a NaN node": (lambda: FiniteZRule([0.0, np.nan]), DomainError, "mediator support has a non-finite value"),
+    "Gauss-Hermite rule of 2.5 nodes": (lambda: GaussHermiteZRule(2.5), DomainError, "needs a whole number of nodes (gh_nodes), got 2.5"),
     "Gauss-Hermite rule on a density without location_scale": (
         lambda: expect_z(GaussHermiteZRule(8), lambda z: np.ones_like(z), lambda z: z), MissingNuisance, "location_scale",
     ),
