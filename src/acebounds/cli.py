@@ -13,8 +13,9 @@ and compare one of these, which read
     compare --scan      the grid keys (compare._SCAN_KEYS)
     compare --dist      the pair keys and coef; json only, --format csv exits 2
 
-and compare refuses no mode flag or two.  Every mode that reads gh_nodes
-checks it by building its Gauss-Hermite rule (``_gh_nodes``).  Every report,
+and compare refuses no mode flag or two.  bounds and simulate read gh_nodes and
+build its Gauss-Hermite rule before any work; estimate reads none, as ``fit``
+integrates Gaussian laws, whose integrands are affine in z, with one node.  Every report,
 the grid scan included, goes through one writer (``_report``), written
 atomically (temp file + rename); CSV cells carry 6 significant digits and
 booleans as 1 or 0 (``dist.report_cell``), json full precision.
@@ -120,13 +121,6 @@ def _numbers(key: str, text, kind=float) -> tuple:
     return _comma_list(key, text, lambda tok: _number(key, tok, kind), "numbers")
 
 
-def _gh_nodes(cfg: dict) -> int:
-    """The gh_nodes key, checked by building its Gauss-Hermite rule (as McConfig does) before any work."""
-    nodes = _number("gh_nodes", cfg.get("gh_nodes", _GH_NODES), int)
-    GaussHermiteZRule(nodes)  # raises DomainError for a node count the rule refuses
-    return nodes
-
-
 def _parse_pair(cfg: dict) -> TreatmentPair:
     return TreatmentPair(_number("a_star", cfg.get("a_star", 1.0)), _number("a_ref", cfg.get("a_ref", 0.0)))
 
@@ -212,7 +206,8 @@ def cmd_bounds(args, cfg: dict) -> int:
         dist = read_dist_csv(cfg["dist"])
         keys, records = {}, [bound(dist, pair, model).to_dict() for model in models]
     else:
-        nodes, records = _gh_nodes(cfg), []
+        nodes, records = _number("gh_nodes", cfg.get("gh_nodes", _GH_NODES), int), []
+        GaussHermiteZRule(nodes)  # refuses a node count the rule refuses, as McConfig does, also for closed forms only
         for params, keys in _dgp_grid(cfg):  # every point varies the same keys
             records += [{**keys, **simdgp_bound(params, pair, model, n_nodes=nodes).to_dict()} for model in models]
     header = (*keys, "model", "value", "method", "a_star", "a_ref")
@@ -235,7 +230,7 @@ def cmd_estimate(args, cfg: dict) -> int:
     folds = _number("crossfit_folds", cfg.get("crossfit_folds", 0), int)
     seed = args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int)
     plan = CrossFitPlan(folds=folds, seed=seed)
-    eta = fit(data, specs, plan=plan, gh_nodes=_gh_nodes(cfg))
+    eta = fit(data, specs, plan=plan)
     results = estimate_all(data, eta, tags, td_reduced=td_form == "reduced")
     _report(args, EstimationResult.CSV_HEADER, [[getattr(r, k) for k in EstimationResult.CSV_HEADER] for r in results], [vars(r) for r in results])
     return 0
@@ -254,7 +249,7 @@ def cmd_simulate(args, cfg: dict) -> int:
         tags=_parse_names(cfg, "tags", ESTIMATOR_TAGS),
         seed=args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int),
         threads=args.threads if args.threads is not None else _number("threads", cfg.get("threads", 1), int),
-        gh_nodes=_gh_nodes(cfg),
+        gh_nodes=_number("gh_nodes", cfg.get("gh_nodes", _GH_NODES), int),  # McConfig builds its rule
     )
     runs = [(keys, McConfig(params=params, setting=setting, **options)) for (params, keys), setting in itertools.product(grid, settings)]
     records, payloads = [], []
@@ -376,9 +371,7 @@ _PAIR_KEYS = ("a_star", "a_ref")
 _KEYS = {
     "bounds": (*_PAIR_KEYS, *_DGP_KEYS, "models", "gh_nodes"),
     "bounds --dist": (*_PAIR_KEYS, "models", "dist"),
-    "estimate": (
-        *_PAIR_KEYS, "data", "tags", "td_form", "preset", *(f"nuisance.{slot}" for slot in SLOTS), "crossfit_folds", "seed", "gh_nodes",
-    ),
+    "estimate": (*_PAIR_KEYS, "data", "tags", "td_form", "preset", *(f"nuisance.{slot}" for slot in SLOTS), "crossfit_folds", "seed"),
     "simulate": (*_DGP_KEYS, "setting", "sizes", "replicates", "tags", "seed", "threads", "gh_nodes"),
     "compare --interval": (),
     "compare --scan": cmp_mod._SCAN_KEYS,

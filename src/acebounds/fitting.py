@@ -40,7 +40,11 @@ conditions on, in call order: the slot's call arguments (``influence.SLOTS``,
 importable from here too) minus its response, which a probability or a law
 takes first.  The Gaussian density is ``special.norm_pdf``.  Its
 ``_plan_key`` (class, predictors, parameters) lets the row plan of
-``influence`` evaluate two slots on one model once.
+``influence`` evaluate two slots on one model once.  Unless given a
+``z_rule``, ``fit`` sums over the data's z values or, under a gaussian-density
+mediator law, reads one Gauss-Hermite node, the law's mean: every integrand
+there is affine in z (linear-mean outcomes, summed over treatment weights),
+so that is exact.
 
 Empirical and fixed-value slots are ``influence._Table`` lookups, and every
 component broadcasts its result to its call arguments through the same
@@ -71,7 +75,7 @@ from .errors import (
     SeparationDetected,
 )
 from .influence import SLOTS, NuisanceSet, _spread, _Table, level_index
-from .quadrature import _GH_NODES, FiniteZRule, GaussHermiteZRule
+from .quadrature import FiniteZRule, GaussHermiteZRule
 from .special import expit, norm_pdf
 
 __all__ = [
@@ -508,7 +512,7 @@ def _fit_slot(spec: ModelSpec, fitted, counter: dict, supports: dict):
     return GaussianConditional(given, preds, *params), applied
 
 
-def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule, gh_nodes: int) -> NuisanceSet:
+def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule) -> NuisanceSet:
     counter: dict = {}
     manifest = {"n": data.n, "slots": {}, "clip_events": counter}
     slots = {}
@@ -529,9 +533,9 @@ def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule, gh_nodes: int
         fn, applied = _fit_slot(spec, fitted, counter, supports)
         slots[spec.component] = fn
         manifest["slots"][spec.component] = applied
-    if z_rule is None:  # only a mediator law admits the gaussian-density family (_FAMILIES)
-        gaussian = any(spec.family == "gaussian-density" for spec in specs)
-        z_rule = GaussHermiteZRule(gh_nodes) if gaussian else FiniteZRule(np.unique(data.z))
+    if z_rule is None:  # every integrand under a fitted Gaussian law is affine in z: one node, at its mean, is exact
+        gaussian = any(spec.family == "gaussian-density" for spec in specs)  # a mediator law's family only (_FAMILIES)
+        z_rule = GaussHermiteZRule(1) if gaussian else FiniteZRule(np.unique(data.z))
     return NuisanceSet(
         a_support=tuple(supports["a"].tolist()),
         c_support=tuple(supports["c"].tolist()),
@@ -541,14 +545,14 @@ def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule, gh_nodes: int
     )
 
 
-def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFitPlan(), z_rule=None, gh_nodes: int = _GH_NODES):
+def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFitPlan(), z_rule=None):
     """Fit every requested slot; with a cross-fit plan, one NuisanceSet per fold.
 
     Returns a NuisanceSet, or a FoldedNuisances whose fold k components were
     fitted with fold k's rows held out.
     """
     if plan.folds == 0:
-        return _fit_single(data, specs, z_rule, gh_nodes)
+        return _fit_single(data, specs, z_rule)
     if plan.folds > data.n:
         raise DomainError("more folds than rows")
     rng = np.random.default_rng(plan.seed)
@@ -558,7 +562,7 @@ def fit(data: Dataset, specs: Sequence[ModelSpec], plan: CrossFitPlan = CrossFit
     for k, eval_idx in enumerate(chunks):
         train_mask = np.ones(data.n, dtype=bool)
         train_mask[eval_idx] = False
-        eta = _fit_single(data.subset(train_mask), specs, z_rule, gh_nodes)
+        eta = _fit_single(data.subset(train_mask), specs, z_rule)
         eta.manifest["fold"] = k
         folds.append((np.sort(eval_idx), eta))
     manifest = {

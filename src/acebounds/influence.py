@@ -72,7 +72,8 @@ Values and table codes are keyed by argument name, each a plan column or a
 scalar, never by array identity: "rows", "levels", "support", "live", a
 finite rule's "nodes", and level columns on a leading axis against nodes or
 rows ("level axis", "arm axis" for a sum per treatment value, "live axis"),
-so only Gauss-Hermite nodes are evaluated afresh.  A component with a
+so only Gauss-Hermite nodes are evaluated afresh, never by a table (a table
+outcome is refused under such a rule, wherever its nodes fall).  A component with a
 ``_plan_key`` (``fitting._Linear``, also behind an attribute-forwarding
 wrapper) is keyed by its class, predictors and parameters and reads only its
 predictors, plus the response of a law or probability, so mean_y_azc(a*, z, c)
@@ -285,9 +286,7 @@ class _Plan:
         return fn(*vals)
 
     def _code(self, table, k, name, arg):
-        """The codes of argument `name` at `arg` on axis k of `table`: an array's afresh; a plan column's or scalar's once per support."""
-        if isinstance(arg, np.ndarray):
-            return table._index(arg, k)
+        """The codes of argument `name` at `arg`, a plan column's name or a scalar, on axis k of `table`: once per support."""
         if (key := (name, arg if isinstance(arg, str) else float(arg), table.supports[k].tobytes())) not in self._codes:
             self._codes[key] = table._index(self._columns.get((name, key[1]), arg), k)
         return self._codes[key]
@@ -342,6 +341,8 @@ def _eval_mediator(tag, plan: _Plan, pair: TreatmentPair):
     eta, levels, y = plan.eta, plan.levels, plan.rows[3]
     rule, pz = eta.require("z_integrator", law).z_integrator, getattr(eta, law)
     finite = isinstance(rule, FiniteZRule)  # its nodes are the plan's "nodes" column; a Gauss-Hermite grid's are afresh
+    if not finite and isinstance(getattr(eta, outcome), _Table):  # wherever the nodes fall: a table holds its support only
+        raise DomainError(f"{tag} cannot integrate the table {outcome}, defined on its z support only, under {rule!r}")
     law_given_c, outcome_given_c = "c" in SLOTS[law][0], "c" in SLOTS[outcome][0]
     outcome_given_a = "a" in SLOTS[outcome][0]
     law_text = "p(z|a,c)" if law_given_c else "p(z|a)"
@@ -426,7 +427,10 @@ def evaluate_m(tag: str, c, a, z, y, eta: NuisanceSet, pair: TreatmentPair, *, _
         fn = _EVALUATORS[tag]
     except KeyError:
         raise DomainError(f"unknown model tag {tag!r}; expected one of {sorted(_EVALUATORS)}") from None
-    return np.asarray(fn(_Plan(eta, (c, a, z, y)) if _plan is None else _plan, pair), dtype=float)
+    m = np.asarray(fn(_Plan(eta, (c, a, z, y)) if _plan is None else _plan, pair), dtype=float)
+    if not np.isfinite(m).all():  # e.g. an undefined truth outcome cell integrated at zero mediator mass
+        raise PositivityViolation(f"m of {tag} is not finite at every row")
+    return m
 
 
 # -- ground-truth nuisances from an exact joint -----------------------------
@@ -514,18 +518,15 @@ class _Oracle:
 
 
 def _cell_values(dist: DiscreteJoint, tag: str, pair: TreatmentPair, eta: Optional[NuisanceSet]):
-    """m at y = E(Y|c,a,z) and its slope in y per (c, a, z) cell, and the oracle state: the joint's, or a fresh one under `eta`.
-
-    A value or slope that is not finite (an undefined outcome cell at zero mediator mass) raises.
-    """
+    """m at y = E(Y|c,a,z) and its slope in y per (c, a, z) cell, and the oracle state: the joint's, or a fresh one under `eta`."""
     if eta is not None:
         state = _Oracle(dist, eta)
     elif (state := getattr(dist, "_oracle", None)) is None:
         state = dist._oracle = _Oracle(dist)
     at_mean, above = np.split(evaluate_m(tag, *state.plan.cols, state.plan.eta, pair, _plan=state.plan), 2)
     slope = above - at_mean
-    if not (np.isfinite(at_mean).all() and np.isfinite(slope).all()):
-        raise PositivityViolation(f"m of {tag} is not finite at every (c, a, z) cell of positive mass")
+    if not np.isfinite(slope).all():  # evaluate_m refuses an m that is not finite, but not a slope that overflows
+        raise PositivityViolation(f"the slope in y of m of {tag} is not finite at every (c, a, z) cell of positive mass")
     return at_mean, slope, state
 
 

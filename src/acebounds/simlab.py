@@ -29,8 +29,9 @@ The misspecification settings are one table, ``_SETTINGS``: per setting, the
 slots whose correct model (``_CORRECT_SPECS``) drops predictors before fitting,
 or whose probability (p_c, p_a) is fixed at a value instead.  Setting 0 changes
 nothing, and ``MISSPECIFICATION_SETTINGS`` lists the table's keys.  Every
-setting keeps gaussian-density mediator laws, so ``fit`` picks the rule of
-``gh_nodes`` Gauss-Hermite nodes; ``McConfig`` checks that count up front.
+setting keeps gaussian-density mediator laws, integrated with ``gh_nodes``
+Gauss-Hermite nodes (64; the integrands are affine in z, so any count agrees
+up to rounding) in each replicate's ``fit``; ``McConfig`` checks the count.
 
 Workers start from a fresh interpreter that imports the caller's main module,
 so a script that calls :func:`run_mc` with ``threads > 1`` must make that call
@@ -228,7 +229,7 @@ def setting_model_specs(setting: int) -> list:
 def _one_replicate(config: McConfig, specs, size_index: int, rep_index: int, n: int):
     seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(size_index, rep_index))
     data = sample_dgp(config.params, n, seed)
-    eta = fit(data, specs, gh_nodes=config.gh_nodes)
+    eta = fit(data, specs, z_rule=GaussHermiteZRule(config.gh_nodes))
     return {r.tag: r.theta_hat for r in estimate_all(data, eta, config.tags, td_reduced=True)}
 
 

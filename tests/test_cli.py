@@ -550,6 +550,9 @@ def test_config_file_skips_comments_and_blank_lines_and_names_a_bad_line(tmp_pat
         (["compare", "--dist", "d.csv", "--set", "beta=1"], "compare --dist reads no config key 'beta'"),
         (["compare", "--interval", "0.5", "--scan", "--set", "beta=0,1"], "compare takes one of --interval, --scan or --dist, got --interval and --scan"),
         (["compare", "--scan", "--dist", "d.csv"], "compare takes one of --interval, --scan or --dist, got --scan and --dist"),
+        # fit integrates a Gaussian law with one node, so estimate reads no gh_nodes, valid or not
+        (["estimate", "--data", "obs.csv", "--set", "preset=empirical", "--set", "tags=BD", "--set", "gh_nodes=0"], "estimate reads no config key 'gh_nodes'"),
+        (["estimate", "--data", "obs.csv", "--set", "preset=sim-setting-0", "--set", "gh_nodes=64"], "estimate reads no config key 'gh_nodes'"),
     ],
 )
 def test_a_key_the_subcommand_never_reads_is_refused_before_any_work(argv, message, tmp_path, monkeypatch, capsys):
@@ -587,15 +590,11 @@ def test_a_bad_gh_nodes_is_refused_before_any_replicate_runs(nodes, line, monkey
 @pytest.mark.parametrize(
     "argv",
     [
-        ["estimate", "--data", "obs.csv", "--set", "preset=empirical", "--set", "tags=BD"],  # no Gauss-Hermite rule is built
         ["bounds", "--dgp", DGP, "--set", "models=BD,TD"],  # closed forms only
     ],
-    ids=["estimate", "bounds"],
+    ids=["bounds"],
 )
-def test_gh_nodes_is_checked_wherever_it_is_read(argv, nodes, message, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    rng = np.random.default_rng(4)
-    write_data_csv(Dataset(*(rng.random((4, 50)) < 0.5).astype(float), PAIR), "obs.csv")
+def test_gh_nodes_is_checked_wherever_it_is_read(argv, nodes, message, capsys):
     assert run_cli(*argv, "--set", f"gh_nodes={nodes}") == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: a Gauss-Hermite rule {message}\n")

@@ -10,10 +10,11 @@ import acebounds.fitting as fitting
 import acebounds.influence as influence
 from acebounds.bounds import SimDgpParams, simdgp_theta
 from acebounds.dist import DiscreteJoint, TreatmentPair, ace_backdoor, ace_frontdoor, ace_twodoor
-from acebounds.errors import DomainError, MissingNuisance
+from acebounds.errors import AceboundsError, DomainError, MissingNuisance
 from acebounds.estimators import ESTIMATOR_TAGS, EstimationResult, estimate, estimate_all
 from acebounds.fitting import SLOTS, CrossFitPlan, Dataset, FoldedNuisances, ModelSpec, fit
-from acebounds.influence import evaluate_m, truth_nuisances
+from acebounds.influence import MODEL_TAGS, evaluate_m, truth_nuisances
+from acebounds.quadrature import GaussHermiteZRule
 from acebounds.simlab import sample_dgp, setting_model_specs, simdgp_truth_nuisances
 from acebounds.special import expit
 
@@ -195,6 +196,69 @@ def test_each_distinct_model_is_fitted_once_and_each_row_value_evaluated_once(mo
     slots = eta.manifest["slots"]
     assert slots["p_z_given_a"] == slots["p_z_given_ac"] and slots["mean_y_zc"] == slots["mean_y_azc"]
     assert eta.p_z_given_a.arg_names == ("a",) and eta.p_z_given_ac.arg_names == ("a", "c")
+
+
+def test_fitted_gaussian_laws_integrate_one_element_per_level(monkeypatch):
+    # with a continuous covariate every row is its own (a, c) level; each of the 3 integrals of TD and
+    # BD_TD reads its integrand at one node per level, the law's mean, not at a grid of nodes per level
+    data = _continuous_c_data()
+    eta = fit(data, setting_model_specs(0))
+    levels = influence.level_index(data.a, data.c).a.size
+    integrals = _counting(influence, "expect_z", monkeypatch)
+    for tag in ("TD", "BD_TD"):
+        integrals.clear()
+        evaluate_m(tag, data.c, data.a, data.z, data.y, eta, data.pair)
+        assert len(integrals) == 3, tag
+        for rule, density, g, *cond in integrals:
+            assert np.broadcast_shapes(*(np.shape(x) for x in cond)) == (levels,), tag
+            assert np.size(g(rule.grid(density, *cond)[0])) <= levels, tag
+
+
+@st.composite
+def _gaussian_specs(draw):
+    """A spec per slot in any of its families, on any of its predictors, with at least one gaussian-density mediator law."""
+    laws = iter(draw(st.sampled_from([("gaussian-density",) * 2, ("gaussian-density", "empirical"), ("empirical", "gaussian-density")])))
+    specs = []
+    for slot, (args, response, kind) in SLOTS.items():
+        prob = ["empirical", "logistic"] + ["fixed-value"] * (slot in ("p_c", "p_a"))
+        family = next(laws) if kind == "law" else draw(st.sampled_from(prob if kind == "prob" else ["linear-mean", "empirical"]))
+        if family == "fixed-value":
+            specs.append(ModelSpec(slot, family, fix_value=0.4))
+        else:
+            specs.append(ModelSpec(slot, family, predictors=tuple(v for v in args if v != response and draw(st.booleans()))))
+    return specs
+
+
+def _m_or_error(data, eta, tag):
+    """m of `tag` at every row, each fold's rows under that fold's nuisances, or the type of the error raised."""
+    try:
+        m = np.empty(data.n)
+        for idx, fold in eta.folds if isinstance(eta, FoldedNuisances) else [(slice(None), eta)]:
+            m[idx] = evaluate_m(tag, data.c[idx], data.a[idx], data.z[idx], data.y[idx], fold, data.pair)
+        return m
+    except AceboundsError as exc:
+        return type(exc)
+
+
+@given(_gaussian_specs(), st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0, 3]))
+def test_one_node_integrates_every_fitted_gaussian_law_as_64_do(specs, seed, folds):
+    # every integrand under a fitted Gaussian law is affine in z, so fit's one node at the law's mean
+    # gives what 64 nodes give, up to rounding; an empirical law or outcome is refused alike by both
+    data = sample_dgp(SimDgpParams(alpha=1.0, beta=1.5, gamma1=1.5, gamma2=1.5), 150, seed)
+    plan = CrossFitPlan(folds=folds, seed=seed)
+    try:
+        one = fit(data, specs, plan=plan)
+    except AceboundsError as exc:
+        with pytest.raises(type(exc)):
+            fit(data, specs, plan=plan, z_rule=GaussHermiteZRule(64))
+        return
+    many = fit(data, specs, plan=plan, z_rule=GaussHermiteZRule(64))
+    for tag in MODEL_TAGS + ("TD_REDUCED",):
+        got, want = _m_or_error(data, one, tag), _m_or_error(data, many, tag)
+        if isinstance(want, type):
+            assert got is want, tag
+        else:  # relative to the outcome scale: m's terms can cancel to 0, where 64 weights leave a rounding residue
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), np.max(np.abs(data.y))), tag
 
 
 def test_estimates_read_the_rows_as_they_are_when_estimated():

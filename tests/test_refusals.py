@@ -8,7 +8,8 @@ import pytest
 from acebounds.bounds import BoundReport, SimDgpParams, bound, simdgp_bound
 from acebounds.compare import ComparisonVerdict
 from acebounds.dist import DiscreteJoint, factorized_joint
-from acebounds.errors import DomainError, MissingNuisance, PositivityViolation
+from acebounds.errors import DomainError, MaxIterExceeded, MissingNuisance, PositivityViolation, RankDeficient
+from acebounds.estimators import estimate_all
 from acebounds.fitting import CrossFitPlan, Dataset, ModelSpec, _Logistic, fit
 from acebounds.influence import brute_force_mean, evaluate_m, truth_nuisances
 from acebounds.quadrature import FiniteZRule, GaussHermiteZRule, expect_z
@@ -40,9 +41,23 @@ def _unmediated_arm():
     return DiscreteJoint(BINARY, BINARY, BINARY, BINARY, pmf)
 
 
-def _fit_rows(a, specs):
+def _fd_on_a_table_outcome(z_rule=None):
+    """FD with an empirical E(y|a,z) under a fitted Gaussian p(z|a) whose means, 1.0 in each arm, lie on the z support {0, 1, 2, 3}."""
+    z, a = np.tile([0.0, 1.0, 2.0, 3.0, 0.0, 0.0], 100), np.arange(600) // 6 % 2
+    data = Dataset(np.zeros(600), a, z, z + a, PAIR)
+    specs = [ModelSpec("p_a", "empirical"), ModelSpec("p_z_given_a", "gaussian-density", predictors=("a",)), ModelSpec("mean_y_az", "empirical", predictors=("a", "z"))]
+    eta = fit(data, specs, z_rule=z_rule)
+    assert eta.p_z_given_a.location_scale(np.array([0.0, 1.0]))[0].tolist() == [1.0, 1.0]  # a one-node rule reads the table there
+    return estimate_all(data, eta, ("FD",))
+
+
+def _fit_rows(a, specs, c=None):
     n = len(a)
-    return fit(Dataset(np.zeros(n), np.asarray(a, dtype=float), np.arange(n, dtype=float), np.arange(n, dtype=float) ** 2, PAIR), specs)
+    c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
+    return fit(Dataset(c, np.asarray(a, dtype=float), np.arange(n, dtype=float), np.arange(n, dtype=float) ** 2, PAIR), specs)
+
+
+LOGISTIC_PROPENSITY = [ModelSpec("p_a_given_c", "logistic", predictors=("c",))]
 
 
 REFUSALS = {
@@ -79,7 +94,7 @@ REFUSALS = {
         "level absent from the fit",
     ),
     "logistic on a non-binary response": (
-        lambda: _fit_rows([1, 0, 2, 1], [ModelSpec("p_a_given_c", "logistic", predictors=("c",))]),
+        lambda: _fit_rows([1, 0, 2, 1], LOGISTIC_PROPENSITY),
         DomainError,
         "a must be binary for this family",
     ),
@@ -95,6 +110,15 @@ REFUSALS = {
     "oracle mean through an undefined outcome cell": (
         lambda: brute_force_mean(_unmediated_arm(), PAIR, "FD"), PositivityViolation, "m of FD is not finite",
     ),
+    "logistic p(a|c) on a one-level covariate": (lambda: _fit_rows([0, 1, 1, 1], LOGISTIC_PROPENSITY), RankDeficient, "singular weighted design in IRLS"),
+    # a well-posed fit that converges on c = 0, 1, 2, 3; on 1e10 c the absolute score tolerance (1e-8) lies below rounding
+    "logistic p(a|c) on a covariate of scale 1e10": (
+        lambda: _fit_rows([0, 1, 0, 1], LOGISTIC_PROPENSITY, c=[0.0, 1e10, 2e10, 3e10]), MaxIterExceeded, "IRLS did not converge in 100 iterations",
+    ),
+    **{
+        f"table outcome under {name}": (lambda rule=rule: _fd_on_a_table_outcome(rule), DomainError, "FD cannot integrate the table mean_y_az, defined on its z support only")
+        for name, rule in (("fit's one-node rule", None), ("64 Gauss-Hermite nodes", GaussHermiteZRule(64)))
+    },
     "finite rule on an empty support": (lambda: FiniteZRule([]), DomainError, "mediator support must be a non-empty"),
     "finite rule on a repeated node": (lambda: FiniteZRule([0.0, 1.0, 1.0]), DomainError, "mediator support repeats a value"),
     "finite rule on a NaN node": (lambda: FiniteZRule([0.0, np.nan]), DomainError, "mediator support has a non-finite value"),
