@@ -185,7 +185,7 @@ def _require_positive(value, what: str):
     The one positivity guard: every denominator in the package passes through it.
     """
     value = np.asarray(value)
-    if not np.all(value > POSITIVITY_EPS):
+    if not (value > POSITIVITY_EPS).all():
         raise PositivityViolation(f"{what} has entries below {POSITIVITY_EPS}")
     return value
 

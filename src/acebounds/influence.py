@@ -91,7 +91,7 @@ is two rows of the plan whatever the number of outcome levels (``_Oracle``).
 The plan caches each evaluation key's value (``_memo``), shared by models and
 tags, each call's key (``_keys``) and each plan column's or scalar's codes per
 table support (``_codes``); without the last two an ``exact-bounds`` operation
-takes about 2% and 18% more CPU.  A level value is gathered to the rows at each
+takes about 6% and 24% more CPU.  A level value is gathered to the rows at each
 read (``_Plan.at_rows``), and every other term is computed per model: the
 integrals (the centring of the pooled outcome and the plug-in contrast),
 weight contrast, mediator mass and shift.  Sharing them across tags saved
@@ -107,7 +107,10 @@ through; ``fitting`` builds its empirical and fixed-value slots with it, with
 an ``observed`` mask.  Its values are read at one code array per axis
 (``_Table.at``): a call codes its arguments with ``_lookup``, which also codes
 a level index; a plan reads a bare table at its own codes and calls any other
-component.
+component.  A table that reads every call argument returns its values as
+indexed, since its codes carry the arguments' broadcast shape; one whose
+``reads`` leave an argument out (a fitted table on fewer predictors) is spread
+over all of them (``_spread``).
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ def _rows(*xs):
 
 def _spread(out, args):
     """`out` broadcast to the common shape of itself and all call arguments; a view where it grows."""
-    shape = np.broadcast_shapes(np.shape(out), *(np.shape(v) for v in args))
+    shape = np.broadcast(out, *args).shape
     return out if np.shape(out) == shape else np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
@@ -266,9 +269,11 @@ class _Plan:
 
     def value(self, slot: str, **args):
         """`slot` at `args`: scalars and plan column names once per key (see :meth:`key`), a repeat call by one lookup; arrays afresh."""
-        if any(isinstance(x, np.ndarray) for x in args.values()):  # the nodes of a Gauss-Hermite grid
+        try:
+            key = self._keys.get(call := (slot, *args.items()))
+        except TypeError:  # an unhashable argument: the nodes of a Gauss-Hermite grid
             return self._call(slot, args)
-        if (key := self._keys.get(call := (slot, *args.items()))) is None:
+        if key is None:
             key = self._keys[call] = self.key(slot, **args)
             if key not in self._memo:
                 clips = self.eta.manifest.get("clip_events", {})
@@ -462,10 +467,10 @@ class _Table:
         return idx
 
     def at(self, idx, args):
-        """The values at `idx`, one code array per axis, spread over the call arguments `args`."""
-        if self.observed is not None and not np.all(self.observed[idx]):
+        """The values at `idx`, one code array per axis, spread over the call arguments `args` unless every one is read."""
+        if self.observed is not None and not self.observed[idx].all():
             raise DomainError(f"{self.what} requested at a combination never observed")
-        return _spread(self.values[idx], args)
+        return self.values[idx] if len(self.reads) == len(args) else _spread(self.values[idx], args)
 
     def __call__(self, *args):
         return self.at(tuple(self._index(args[pos], k) for k, pos in enumerate(self.reads)), args)
@@ -523,8 +528,8 @@ def _cell_values(dist: DiscreteJoint, tag: str, pair: TreatmentPair, eta: Option
         state = _Oracle(dist, eta)
     elif (state := getattr(dist, "_oracle", None)) is None:
         state = dist._oracle = _Oracle(dist)
-    at_mean, above = np.split(evaluate_m(tag, *state.plan.cols, state.plan.eta, pair, _plan=state.plan), 2)
-    slope = above - at_mean
+    m, half = evaluate_m(tag, *state.plan.cols, state.plan.eta, pair, _plan=state.plan), state.p.size
+    at_mean, slope = m[:half], m[half:] - m[:half]
     if not np.isfinite(slope).all():  # evaluate_m refuses an m that is not finite, but not a slope that overflows
         raise PositivityViolation(f"the slope in y of m of {tag} is not finite at every (c, a, z) cell of positive mass")
     return at_mean, slope, state

@@ -71,7 +71,7 @@ class FiniteZRule:
             raise DomainError("mediator support repeats a value")
 
     def grid(self, density, *cond):
-        levels = math.prod(np.broadcast_shapes(*(np.shape(x) for x in cond)))
+        levels = np.broadcast(*cond).size
         if levels * self.support.size > _MAX_GRID_ELEMENTS:
             raise DomainError(
                 f"a finite mediator grid of {levels} levels x {self.support.size} nodes exceeds "
@@ -106,7 +106,7 @@ class GaussHermiteZRule:
         if loc_scale is None:
             raise MissingNuisance(
                 "Gauss-Hermite integration needs a Gaussian conditional density "
-                "exposing location_scale(); got %r" % (density,)
+                f"exposing location_scale(); got {getattr(density, 'what', type(density).__name__)}"
             )
         cond = tuple(_node_shape(x) for x in cond)
         mean, sd = loc_scale(*cond)

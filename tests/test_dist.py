@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acebounds.dist import (
+    POSITIVITY_EPS,
     DiscreteJoint,
     TreatmentPair,
+    _require_positive,
     ace_backdoor,
     ace_frontdoor,
     ace_twodoor,
@@ -214,6 +216,17 @@ def test_ace_positivity_violation(pair):
         ace_backdoor(dist, pair)
     with pytest.raises(PositivityViolation):
         ace_twodoor(dist, pair)
+
+
+def test_the_positivity_guard_passes_only_entries_above_its_threshold():
+    above = np.nextafter(POSITIVITY_EPS, 1.0)
+    for ok in (above, np.array(above), [above, 1.0], np.array([[above], [0.5]]), []):
+        got = _require_positive(ok, "w")
+        assert type(got) is np.ndarray and got.shape == np.shape(ok) and np.array_equal(got, ok)
+        assert got is ok or not isinstance(ok, np.ndarray)  # an array passes through as itself
+    for bad in (POSITIVITY_EPS, np.array(POSITIVITY_EPS), [1.0, POSITIVITY_EPS], np.array([0.5, np.nan]), np.nan, [np.nan], 0.0, -1.0):
+        with pytest.raises(PositivityViolation, match=f"^w has entries below {POSITIVITY_EPS}$"):
+            _require_positive(bad, "w")
 
 
 def test_dist_csv_round_trip():

@@ -21,6 +21,7 @@ from acebounds.fitting import (
     read_data_csv,
     write_data_csv,
 )
+from acebounds.influence import _spread
 from acebounds.special import expit
 
 PAIR = TreatmentPair(1.0, 0.0)
@@ -279,6 +280,18 @@ def test_empirical_and_fixed_value_table_semantics():
     assert eta.manifest["clip_events"]["p_a_given_c"] == 1
     # a table reading only `a` still broadcasts over every call argument
     assert eta.mean_y_azc(1.0, np.zeros(5), 1.0).shape == (5,)
+    # a table reading every argument returns its values as indexed: shaped and valued as if spread over them
+    level = np.array([[0.0], [1.0]])  # the (a, c) levels (0, 0) and (1, 1) on a leading axis
+    for table, args in (
+        (eta.p_z_given_ac, (2.0, 1.0, 1.0)),  # a scalar
+        (eta.p_z_given_ac, (np.array([0.0, 1.0, 2.0]), level, level)),  # a node grid per level
+        (eta.p_z_given_ac, (z, a, c)),  # the rows
+        (eta.p_z_given_a, (z, a)),
+    ):
+        got = table(*args)
+        want = _spread(table.values[tuple(table._index(args[pos], k) for k, pos in enumerate(table.reads))], args)
+        assert np.shape(got) == np.shape(want) == np.broadcast(*args).shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     with pytest.raises(DomainError):  # (a, c) = (1, 0): both values seen, never together
         eta.p_z_given_ac(0.0, 1.0, 0.0)
     with pytest.raises(DomainError):  # z = 5 lies outside the observed support

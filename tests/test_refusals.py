@@ -13,7 +13,7 @@ from acebounds.estimators import estimate_all
 from acebounds.fitting import CrossFitPlan, Dataset, ModelSpec, _Logistic, fit
 from acebounds.influence import brute_force_mean, evaluate_m, truth_nuisances
 from acebounds.quadrature import FiniteZRule, GaussHermiteZRule, expect_z
-from acebounds.simlab import McConfig, McSummary
+from acebounds.simlab import McConfig, McSummary, sample_dgp, setting_model_specs
 
 from conftest import BINARY, PAIR, uniform_joint
 
@@ -58,6 +58,9 @@ def _fit_rows(a, specs, c=None):
 
 
 LOGISTIC_PROPENSITY = [ModelSpec("p_a_given_c", "logistic", predictors=("c",))]
+STUDY_DRAW = sample_dgp(SimDgpParams(**PARAMS), 300, 3)
+# setting 0's specs with an empirical p(z|a,c): fit's Gauss-Hermite rule cannot integrate a table law
+TABLE_LAW_SPECS = [s for s in setting_model_specs(0) if s.component != "p_z_given_ac"] + [ModelSpec("p_z_given_ac", "empirical", predictors=("a", "c"))]
 
 
 REFUSALS = {
@@ -168,3 +171,15 @@ def test_each_bad_input_raises_its_typed_error(case):
         call()
     assert type(info.value) is error
     assert fragment in str(info.value)
+
+
+def test_the_gauss_hermite_refusal_names_a_table_law_the_same_on_every_fit():
+    # by its description, not its repr: two fitted tables, alive at once, lie at different addresses
+    etas = [fit(STUDY_DRAW, TABLE_LAW_SPECS) for _ in range(2)]
+    messages = []
+    for eta in etas:
+        with pytest.raises(MissingNuisance) as info:
+            estimate_all(STUDY_DRAW, eta, ("TD",))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and "0x" not in messages[0]
+    assert messages[0].endswith("exposing location_scale(); got empirical p(z|a,c)")
