@@ -182,7 +182,7 @@ def _exact_sum(dist: DiscreteJoint, pair: TreatmentPair, model: str) -> float:
     theta = ace_twodoor(dist, pair)
     if mass_text:
         _require_positive(mass, mass_text)
-    pi = np.asarray(pi)[..., None]
+    pi, mean = np.asarray(pi)[..., None], mean - dist.y_support.mean()  # centred as in _cache: every term is shift-invariant
     shift = law[..., i_s, :] - law[..., i_r, :]
     pooled = np.einsum("...k,...kz->...z", omega, mean)
     arms, w_arms = law[..., [i_s, i_r], :], w[..., [i_s, i_r]]

@@ -13,9 +13,9 @@ and compare one of these, which read
     compare --scan      the grid keys (compare._SCAN_KEYS)
     compare --dist      the pair keys and coef; json only, --format csv exits 2
 
-and compare refuses no mode flag or two.  bounds and simulate read gh_nodes and
-build its Gauss-Hermite rule before any work; estimate reads none, as ``fit``
-integrates Gaussian laws, whose integrands are affine in z, with one node.  Every report,
+and compare refuses no mode flag or two.  Only bounds reads gh_nodes (its mixture
+integral's node count) and builds its rule before any work; ``fit`` integrates
+Gaussian laws, whose integrands are affine in z, with one node.  Every report,
 the grid scan included, goes through one writer (``_report``), written
 atomically (temp file + rename); CSV cells carry 6 significant digits and
 booleans as 1 or 0 (``dist.report_cell``), json full precision.
@@ -249,7 +249,6 @@ def cmd_simulate(args, cfg: dict) -> int:
         tags=_parse_names(cfg, "tags", ESTIMATOR_TAGS),
         seed=args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0), int),
         threads=args.threads if args.threads is not None else _number("threads", cfg.get("threads", 1), int),
-        gh_nodes=_number("gh_nodes", cfg.get("gh_nodes", _GH_NODES), int),  # McConfig builds its rule
     )
     runs = [(keys, McConfig(params=params, setting=setting, **options)) for (params, keys), setting in itertools.product(grid, settings)]
     records, payloads = [], []
@@ -372,7 +371,7 @@ _KEYS = {
     "bounds": (*_PAIR_KEYS, *_DGP_KEYS, "models", "gh_nodes"),
     "bounds --dist": (*_PAIR_KEYS, "models", "dist"),
     "estimate": (*_PAIR_KEYS, "data", "tags", "td_form", "preset", *(f"nuisance.{slot}" for slot in SLOTS), "crossfit_folds", "seed"),
-    "simulate": (*_DGP_KEYS, "setting", "sizes", "replicates", "tags", "seed", "threads", "gh_nodes"),
+    "simulate": (*_DGP_KEYS, "setting", "sizes", "replicates", "tags", "seed", "threads"),
     "compare --interval": (),
     "compare --scan": cmp_mod._SCAN_KEYS,
     "compare --dist": (*_PAIR_KEYS, "coef"),

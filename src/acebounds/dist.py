@@ -152,8 +152,9 @@ class DiscreteJoint:
         p = self.pmf
         pc, pa, pac, pzac, pza = map(self.table, ("c", "a", "ca", "caz", "az"))  # marginal tables
         pzc = pzac.sum(axis=1)  # joint over (c, z)
-        y = self.y_support
-        ysum, y2sum = (np.tensordot(p, v, axes=([3], [0])) for v in (y, y * y))  # sum_y y^k p(c,a,z,y)
+        y0 = self.y_support.mean()  # moments about a point of the support lose no digits to the offset of y
+        y = self.y_support - y0
+        ysum, y2sum = (np.tensordot(p, v, axes=([3], [0])) for v in (y, y * y))  # sum_y (y - y0)^k p(c,a,z,y)
         cache = {"pc": pc, "pa": pa, "pzc": pzc}
         with np.errstate(divide="ignore", invalid="ignore"):
             cache["p_a_given_c"] = np.where(pc[:, None] > 0, pac / pc[:, None], np.nan)  # [c, a]
@@ -163,7 +164,7 @@ class DiscreteJoint:
             for given, denom, summed in (("azc", pzac, ()), ("zc", pzc, 1), ("az", pzac.sum(axis=0), 0), ("ac", pac, 2)):
                 ey = np.where(denom > 0, ysum.sum(axis=summed) / denom, np.nan)
                 vy = np.where(denom > 0, y2sum.sum(axis=summed) / denom - ey**2, np.nan)
-                cache["ey_" + given], cache["vy_" + given] = ey, np.clip(vy, 0.0, None)
+                cache["ey_" + given], cache["vy_" + given] = ey + y0, np.clip(vy, 0.0, None)
         object.__setattr__(self, "_tables", cache)
         return cache
 

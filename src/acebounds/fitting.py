@@ -291,9 +291,11 @@ def _least_squares(X: list, sums: np.ndarray, counts: Optional[np.ndarray] = Non
 def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray) -> np.ndarray:
     """Bernoulli MLE by iteratively reweighted least squares over grouped rows.
 
-    Row g of X has successes[g] of trials[g]; the score's norm must fall below
-    1e-8 within 100 Newton steps.  A pure group (all successes or none) whose
-    linear predictor has the matching sign is separated; mixed groups never are.
+    Row g of X has successes[g] of trials[g]; within 100 Newton steps the score's
+    norm must fall below 1e-8, or the Newton decrement (score @ step, which a
+    rescaled predictor leaves unchanged) below 1e-24.  A pure group (all
+    successes or none) whose linear predictor has the matching sign is
+    separated; mixed groups never are.
     """
     if np.all(successes == 0) or np.all(successes == trials):
         raise SeparationDetected("response is constant; the Bernoulli MLE does not exist")
@@ -314,6 +316,8 @@ def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray) -> np.ndarra
         except np.linalg.LinAlgError:
             raise RankDeficient("singular weighted design in IRLS") from None
         beta = beta + step
+        if score @ step < 1e-24:
+            return beta
     raise MaxIterExceeded("IRLS did not converge in 100 iterations")
 
 
@@ -467,6 +471,10 @@ def _binary_levels(values: np.ndarray, what: str):
     return float(levels[1]), float(levels[0])  # (hi, lo)
 
 
+# family -> the component class built on the parameters its model's fit returns
+_PARAMETRIC = {"linear-mean": _LinearMean, "logistic": _Logistic, "gaussian-density": GaussianConditional}
+
+
 def _fit_model(data: Dataset, family: str, response: str, preds: tuple, supports: dict, cells):
     """The fitted parameters of one model, shared by every slot that asks for the same (family, response, predictors)."""
     if family == "empirical":
@@ -493,23 +501,18 @@ def _fit_slot(spec: ModelSpec, fitted, counter: dict, supports: dict):
     }
     if spec.family == "fixed-value":
         hi, lo = _binary_levels(supports[response], response)
-        fixed = _Table([1.0 - spec.fix_value, spec.fix_value], ((lo, hi),), what=f"fixed-value p({response})")
-        fn = _Clipped(fixed, counter, spec.component)
+        fn = _Table([1.0 - spec.fix_value, spec.fix_value], ((lo, hi),), what=f"fixed-value p({response})")
         applied["fixed_value"] = spec.fix_value
-        return fn, applied
-    if spec.family == "empirical":
+    elif spec.family == "empirical":
         # only the fitted predictors condition the table, in call order; other call args are ignored
         values, supports_of, axes, observed, what = fitted(spec.family, response, tuple(v for v in given if v in preds))
         fn = _Table(values, supports_of, tuple(args.index(v) for v in axes), observed, what)
-        return (_Clipped(fn, counter, spec.component) if kind == "prob" else fn), applied
-    params = fitted(spec.family, response, preds)
-    applied["coef"] = [float(v) for v in params[0]]
-    if spec.family == "linear-mean":
-        return _LinearMean(given, preds, *params), applied
-    if spec.family == "logistic":
-        return _Clipped(_Logistic(given, preds, *params), counter, spec.component), applied
-    applied["sd"] = params[1]
-    return GaussianConditional(given, preds, *params), applied
+    else:
+        fn = _PARAMETRIC[spec.family](given, preds, *fitted(spec.family, response, preds))
+        applied["coef"] = fn.coef.tolist()
+        if spec.family == "gaussian-density":
+            applied["sd"] = fn.sd
+    return (_Clipped(fn, counter, spec.component) if kind == "prob" else fn), applied  # a probability, of any family
 
 
 def _fit_single(data: Dataset, specs: Sequence[ModelSpec], z_rule) -> NuisanceSet:

@@ -29,9 +29,9 @@ The misspecification settings are one table, ``_SETTINGS``: per setting, the
 slots whose correct model (``_CORRECT_SPECS``) drops predictors before fitting,
 or whose probability (p_c, p_a) is fixed at a value instead.  Setting 0 changes
 nothing, and ``MISSPECIFICATION_SETTINGS`` lists the table's keys.  Every
-setting keeps gaussian-density mediator laws, integrated with ``gh_nodes``
-Gauss-Hermite nodes (64; the integrands are affine in z, so any count agrees
-up to rounding) in each replicate's ``fit``; ``McConfig`` checks the count.
+setting keeps gaussian-density mediator laws, integrated in each replicate's
+``fit`` with ``gh_nodes`` Gauss-Hermite nodes: 1 as ``fit`` picks (the integrands
+are affine in z) unless overridden (the benchmark pins 64); ``McConfig`` checks it.
 
 Workers start from a fresh interpreter that imports the caller's main module,
 so a script that calls :func:`run_mc` with ``threads > 1`` must make that call
@@ -57,7 +57,7 @@ from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, estimate_all
 from .fitting import Dataset, GaussianConditional, ModelSpec, _count, _LinearMean, _Logistic, fit
 from .influence import NuisanceSet, _Table
-from .quadrature import _GH_NODES, GaussHermiteZRule
+from .quadrature import GaussHermiteZRule
 from .special import expit
 
 __all__ = [
@@ -107,7 +107,7 @@ class McConfig:
     setting: int = 0
     seed: int = 0
     threads: int = 1
-    gh_nodes: int = _GH_NODES
+    gh_nodes: int = 1
 
     def __post_init__(self):
         try:

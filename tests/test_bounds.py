@@ -31,6 +31,38 @@ def test_constant_outcome_all_bounds_zero(pair):
         assert bound(dist, pair, model).value == pytest.approx(0.0, abs=1e-12)
 
 
+def _positive_chain(rng, y_support, shape=(3, 2, 4)):
+    """A random chain joint p(c) p(a|c) p(z|a) p(y|z,c) on integer c, a, z, every cell positive."""
+
+    def mix(k, size=None):  # a Dirichlet draw pulled halfway to uniform
+        return 0.5 * rng.dirichlet(np.full(k, 2.0), size=size) + 0.5 / k
+
+    nc, na, nz = shape
+    pmf = mix(nc)[:, None, None, None] * mix(na, nc)[:, :, None, None] * mix(nz, na)[None, :, :, None] * mix(len(y_support), (nc, nz))[:, None]
+    return DiscreteJoint(*(np.arange(k, dtype=float) for k in shape), y_support, pmf / pmf.sum())
+
+
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-1e5, 1e5))
+@example(seed=3, shift=1e5)
+def test_bounds_do_not_depend_on_where_the_outcome_is_measured_from(seed, shift):
+    # every bound is a variance: a shift of Y moves no bound, and the sums must lose no digits to it
+    base = _positive_chain(np.random.default_rng(seed), np.linspace(-2.0, 2.0, 5))
+    moved = DiscreteJoint(*base.supports()[:3], base.y_support + shift, base.pmf)
+    for model in MODELS:
+        value = bound(moved, PAIR, model).value
+        assert value == pytest.approx(bound(base, PAIR, model).value, rel=1e-10), model
+        assert abs(value - brute_force_variance(moved, PAIR, model)) <= 1e-9, model
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_constant_outcome_far_from_zero_has_zero_bounds(seed):
+    # Y = 1000 on every cell: no variance to bound, and no refusal
+    dist = _positive_chain(np.random.default_rng(seed), [1000.0])
+    for model in MODELS:
+        assert bound(dist, PAIR, model).value <= 1e-12, model
+        assert abs(brute_force_variance(dist, PAIR, model)) <= 1e-12, model
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_bounds_match_enumeration_oracle(seed):
     dist = random_chain_dist(np.random.default_rng(seed))

@@ -468,7 +468,7 @@ SIM = [f"--set={kv}" for kv in (DGP + ",sizes=20,replicates=2").split(",")]
     "argv, key",
     [
         (["simulate", *SIM, "--set", "threads=abc"], "threads"),
-        (["simulate", *SIM, "--set", "gh_nodes=0"], "gh_nodes"),
+        (["bounds", "--dgp", DGP, "--set", "gh_nodes=abc"], "gh_nodes"),
         (["simulate", *SIM, "--set", "sizes=20,x"], "sizes"),
         (["simulate", *SIM, "--set", "sizes="], "sizes"),
         (["simulate", *SIM, "--set", "setting=1.5"], "setting"),
@@ -479,7 +479,7 @@ SIM = [f"--set={kv}" for kv in (DGP + ",sizes=20,replicates=2").split(",")]
         (["compare", "--scan", "--set", "beta="], "beta"),
         (["estimate", "--data", "obs.csv", "--set", "preset=sim-setting-x"], "preset"),
         (["estimate", "--data", "obs.csv", "--set", "nuisance.p_c=fixed-value fix=half"], "nuisance.p_c fix"),
-        (["simulate", *SIM, "--set", "gh_nodes=400"], "gh_nodes"),  # numpy's Gauss-Hermite weights overflow
+        (["bounds", "--dgp", DGP, "--set", "gh_nodes=400"], "gh_nodes"),  # numpy's Gauss-Hermite weights overflow
         (["bounds", "--dgp", DGP, "--set", "gh_nodes=200"], "gh_nodes"),  # doubled to 400 nodes
         (["simulate", *SIM, "--threads", "0"], "threads"),
         (["simulate", *SIM, "--set", "sizes=20,20"], "sizes"),
@@ -550,9 +550,11 @@ def test_config_file_skips_comments_and_blank_lines_and_names_a_bad_line(tmp_pat
         (["compare", "--dist", "d.csv", "--set", "beta=1"], "compare --dist reads no config key 'beta'"),
         (["compare", "--interval", "0.5", "--scan", "--set", "beta=0,1"], "compare takes one of --interval, --scan or --dist, got --interval and --scan"),
         (["compare", "--scan", "--dist", "d.csv"], "compare takes one of --interval, --scan or --dist, got --scan and --dist"),
-        # fit integrates a Gaussian law with one node, so estimate reads no gh_nodes, valid or not
+        # fit integrates a Gaussian law with one node, so estimate and simulate read no gh_nodes, valid or not
         (["estimate", "--data", "obs.csv", "--set", "preset=empirical", "--set", "tags=BD", "--set", "gh_nodes=0"], "estimate reads no config key 'gh_nodes'"),
         (["estimate", "--data", "obs.csv", "--set", "preset=sim-setting-0", "--set", "gh_nodes=64"], "estimate reads no config key 'gh_nodes'"),
+        (["simulate", *SIM, "--set", "gh_nodes=0"], "simulate reads no config key 'gh_nodes'"),
+        (["simulate", *SIM, "--set", "gh_nodes=64"], "simulate reads no config key 'gh_nodes'"),
     ],
 )
 def test_a_key_the_subcommand_never_reads_is_refused_before_any_work(argv, message, tmp_path, monkeypatch, capsys):
@@ -566,24 +568,6 @@ def test_a_key_the_subcommand_never_reads_is_refused_before_any_work(argv, messa
         monkeypatch.setattr(cli.cmp_mod, name, lambda *args, **kwargs: pytest.fail("work started before the key check"))
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize(
-    "nodes, line",
-    [
-        ("0", "error: a Gauss-Hermite rule needs at least one node (gh_nodes), got 0\n"),
-        ("400", "error: a Gauss-Hermite rule of 400 nodes (gh_nodes) exceeds the 256-node limit\n"),
-    ],
-)
-def test_a_bad_gh_nodes_is_refused_before_any_replicate_runs(nodes, line, monkeypatch, capsys):
-    import acebounds.simlab as simlab
-
-    drawn = []
-    sample = simlab.sample_dgp
-    monkeypatch.setattr(simlab, "sample_dgp", lambda *args: drawn.append(args) or sample(*args))
-    assert run_cli("simulate", *SIM, "--set", f"gh_nodes={nodes}") == 2
-    assert capsys.readouterr().err == line
-    assert drawn == []
 
 
 @pytest.mark.parametrize("nodes, message", [("0", "needs at least one node (gh_nodes), got 0"), ("400", "of 400 nodes (gh_nodes) exceeds the 256-node limit")])

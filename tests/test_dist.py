@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,12 +102,20 @@ def test_conditional_example_family_propensity():
 
 
 def _moments(dist, given):
-    """E(Y|given) and Var(Y|given) from the marginal tables, axes in (c, a, z) order; NaN off the support."""
-    axes = tuple(v for v in "caz" if v in given)
-    joint, margin = dist.table(axes + ("y",)), dist.table(axes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean, second = (joint @ dist.y_support**k / margin for k in (1, 2))
-    return mean, np.clip(second - mean**2, 0.0, None)
+    """E(Y|given) and Var(Y|given), each summed exactly in rationals from the pmf and rounded once; axes in (c, a, z) order, NaN off the support."""
+    axes = tuple(i for i, v in enumerate("caz") if v in given)
+    sums = {}  # (the given levels) -> [sum p, sum p y, sum p y^2]
+    for cell in np.ndindex(dist.pmf.shape):
+        p, y = Fraction(dist.pmf[cell]), Fraction(dist.y_support[cell[3]])
+        moments = sums.setdefault(tuple(cell[i] for i in axes), [0, 0, 0])
+        for k in range(3):
+            moments[k] += p * y**k
+    shape = tuple(dist.pmf.shape[i] for i in axes)
+    mean, var = np.full(shape, np.nan), np.full(shape, np.nan)
+    for key, (mass, first, second) in sums.items():
+        if mass:
+            mean[key], var[key] = first / mass, second / mass - (first / mass) ** 2
+    return mean, var
 
 
 @pytest.mark.parametrize("null_c", [False, True], ids=["full", "null covariate level"])

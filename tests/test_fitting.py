@@ -102,6 +102,68 @@ def test_logistic_constant_response_rejected():
         fitting._irls(np.ones((5, 1)), np.ones(5), np.ones(5))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e7, 1e10])
+def test_logistic_fit_converges_whatever_the_covariate_scale(scale):
+    # the score grows with the covariate's scale, the Newton decrement does not: slope x scale is one number
+    data = Dataset(np.array([0.0, 1.0, 2.0, 3.0]) * scale, np.array([0.0, 1.0, 0.0, 1.0]), np.zeros(4), np.zeros(4), PAIR)
+    eta = fit(data, [ModelSpec("p_a_given_c", "logistic", predictors=("c",))])
+    slope = eta.manifest["slots"]["p_a_given_c"]["coef"][1]
+    assert slope * scale == pytest.approx(0.9081842625418526, rel=1e-9)
+
+
+def _rare_level_draw(n=1_100_000):
+    """c = a = 1 on one row of n, 0 elsewhere: the frequency of that level, 1 / n, lies below CLIP_EPS."""
+    flag = np.zeros(n)
+    flag[0] = 1.0
+    return Dataset(flag, flag, np.zeros(n), np.zeros(n), PAIR)
+
+
+def _mirror_draw(n=20):
+    """a = c on every row: every empirical p(a|c) is 0 or 1."""
+    c = (np.arange(n) % 2).astype(float)
+    return Dataset(c, c, np.zeros(n), np.zeros(n), PAIR)
+
+
+LEVELS = np.array([0.0, 1.0])
+# (slot, family) -> (the data, the call arguments); every value the call returns lies outside [CLIP_EPS, 1 - CLIP_EPS] unclipped
+PROBABILITY_CASES = {
+    **{(slot, family): (_rare_level_draw, (LEVELS,)) for slot in ("p_c", "p_a") for family in ("empirical", "logistic")},
+    **{(slot, "fixed-value"): (_toy, (LEVELS,)) for slot in ("p_c", "p_a")},  # fixed at 0
+    ("p_a_given_c", "empirical"): (_mirror_draw, (np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))),
+    ("p_a_given_c", "logistic"): (_toy, (LEVELS, np.array([1e3, 1e3]))),  # far along the fitted slope
+}
+
+
+@pytest.mark.parametrize("slot, family", PROBABILITY_CASES, ids=[f"{s}-{f}" for s, f in PROBABILITY_CASES])
+def test_every_probability_is_clipped_and_counted_whatever_its_family(slot, family):
+    draw, args = PROBABILITY_CASES[slot, family]
+    spec = ModelSpec(slot, family, predictors=("c",) if slot == "p_a_given_c" else (), fix_value=0.0 if family == "fixed-value" else None)
+    eta = fit(draw(), [spec])
+    got = getattr(eta, slot)(*args)
+    assert sorted(got.tolist()) == [CLIP_EPS] * (got.size // 2) + [1.0 - CLIP_EPS] * (got.size // 2)
+    assert eta.manifest["clip_events"] == {slot: got.size, "total": got.size}
+
+
+def test_laws_and_means_are_never_clipped():
+    # a density above 1, a frequency of 0, and means below 0 and above 1 are returned as fitted, and nothing is counted
+    n = 40
+    a, c = (np.arange(n) % 2).astype(float), (np.arange(n) // 2 % 2).astype(float)
+    noise = 0.01 * np.random.default_rng(0).standard_normal(n)
+    data = Dataset(c, a, a + noise, 5.0 * a - 3.0 + noise, PAIR)
+    specs = [
+        ModelSpec("p_z_given_a", "gaussian-density", predictors=("a",)),
+        ModelSpec("p_z_given_ac", "empirical", predictors=("a", "c")),
+        ModelSpec("mean_y_ac", "linear-mean", predictors=("a",)),
+        ModelSpec("mean_y_az", "empirical", predictors=("a",)),
+    ]
+    eta = fit(data, specs)
+    assert np.all(eta.p_z_given_a(LEVELS, LEVELS) > 1.0)  # sd about 0.01
+    assert float(eta.p_z_given_ac(data.z[1], 0.0, data.c[1])) == 0.0  # a z seen only with a = 1
+    for mean in (eta.mean_y_ac(LEVELS, LEVELS), eta.mean_y_az(LEVELS, LEVELS)):
+        assert mean[0] < -2.9 and mean[1] > 1.9
+    assert eta.manifest["clip_events"] == {}
+
+
 def test_gaussian_density_recovers_slope_and_variance():
     rng = np.random.default_rng(77)
     n = 100_000
