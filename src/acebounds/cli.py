@@ -7,15 +7,15 @@ a key it never reads, from the file, --set or --dgp, is refused (exit 2)
 before any work.  ``_mode`` picks the mode: the subcommand, or for bounds
 and compare one of these, which read
 
-    bounds              the pair keys, the Gaussian-family keys, models, gh_nodes
+    bounds              the pair keys, the Gaussian-family keys, models
     bounds --dist       (the flag or the dist key) the pair keys, models, dist
     compare --interval  no key
     compare --scan      the grid keys (compare._SCAN_KEYS)
     compare --dist      the pair keys and coef; json only, --format csv exits 2
 
-and compare refuses no mode flag or two.  Only bounds reads gh_nodes (its mixture
-integral's node count) and builds its rule before any work; ``fit`` integrates
-Gaussian laws, whose integrands are affine in z, with one node.  Every report,
+and compare refuses no mode flag or two.  No mode reads a node count: the mixture
+integral of bounds doubles its own nodes, and ``fit`` integrates Gaussian laws,
+whose integrands are affine in z, with one node.  Every report,
 the grid scan included, goes through one writer (``_report``), written
 atomically (temp file + rename); CSV cells carry 6 significant digits and
 booleans as 1 or 0 (``dist.report_cell``), json full precision.
@@ -44,7 +44,6 @@ from .errors import AceboundsError, DomainError
 from .estimators import ESTIMATOR_TAGS, EstimationResult, estimate_all
 from .fitting import SLOTS, CrossFitPlan, ModelSpec, fit, read_data_csv
 from .influence import brute_force_variance
-from .quadrature import _GH_NODES, GaussHermiteZRule
 from .simlab import McConfig, run_mc, setting_model_specs
 
 __all__ = ["main"]
@@ -206,10 +205,9 @@ def cmd_bounds(args, cfg: dict) -> int:
         dist = read_dist_csv(cfg["dist"])
         keys, records = {}, [bound(dist, pair, model).to_dict() for model in models]
     else:
-        nodes, records = _number("gh_nodes", cfg.get("gh_nodes", _GH_NODES), int), []
-        GaussHermiteZRule(nodes)  # refuses a node count the rule refuses, as McConfig does, also for closed forms only
+        records = []
         for params, keys in _dgp_grid(cfg):  # every point varies the same keys
-            records += [{**keys, **simdgp_bound(params, pair, model, n_nodes=nodes).to_dict()} for model in models]
+            records += [{**keys, **simdgp_bound(params, pair, model).to_dict()} for model in models]
     header = (*keys, "model", "value", "method", "a_star", "a_ref")
     _report(args, header, [[r[k] for k in header] for r in records])
     return 0
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 # mode (see _mode) -> every config key it reads; any other key is refused before any work
 _PAIR_KEYS = ("a_star", "a_ref")
 _KEYS = {
-    "bounds": (*_PAIR_KEYS, *_DGP_KEYS, "models", "gh_nodes"),
+    "bounds": (*_PAIR_KEYS, *_DGP_KEYS, "models"),
     "bounds --dist": (*_PAIR_KEYS, "models", "dist"),
     "estimate": (*_PAIR_KEYS, "data", "tags", "td_form", "preset", *(f"nuisance.{slot}" for slot in SLOTS), "crossfit_folds", "seed"),
     "simulate": (*_DGP_KEYS, "setting", "sizes", "replicates", "tags", "seed", "threads"),

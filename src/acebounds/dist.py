@@ -89,17 +89,9 @@ class DiscreteJoint:
 
     def __init__(self, c_support, a_support, z_support, y_support, pmf):
         # copies, so that freezing them below leaves the caller's arrays writable
-        self.c_support = np.array(c_support, dtype=float)
-        self.a_support = np.array(a_support, dtype=float)
-        self.z_support = np.array(z_support, dtype=float)
-        self.y_support = np.array(y_support, dtype=float)
-        for name, sup in zip(VAR_NAMES, self.supports()):
-            if sup.ndim != 1 or sup.size == 0:
-                raise DomainError(f"support of {name} must be a non-empty 1-d sequence")
-            if not np.all(np.isfinite(sup)):
-                raise DomainError(f"support of {name} must hold finite values")
-            if np.unique(sup).size != sup.size:
-                raise DomainError(f"support of {name} contains duplicate values")
+        self.c_support, self.a_support, self.z_support, self.y_support = (
+            _require_support(sup, f"support of {name}") for name, sup in zip(VAR_NAMES, (c_support, a_support, z_support, y_support))
+        )
         pmf = np.array(pmf, dtype=float)
         shape = tuple(s.size for s in self.supports())
         if pmf.shape != shape:
@@ -178,6 +170,18 @@ class DiscreteJoint:
 
 def _pair_indices(dist: DiscreteJoint, pair: TreatmentPair):
     return dist.index_of("a", pair.a_star), dist.index_of("a", pair.a_ref)
+
+
+def _require_support(values, what: str) -> np.ndarray:
+    """A float copy of `values`, once they are a non-empty 1-d sequence of distinct finite values."""
+    values = np.array(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise DomainError(f"{what} must be a non-empty 1-d sequence")
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} must hold finite values")
+    if np.unique(values).size != values.size:
+        raise DomainError(f"{what} contains duplicate values")
+    return values
 
 
 def _require_positive(value, what: str):

@@ -292,10 +292,10 @@ def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray) -> np.ndarra
     """Bernoulli MLE by iteratively reweighted least squares over grouped rows.
 
     Row g of X has successes[g] of trials[g]; within 100 Newton steps the score's
-    norm must fall below 1e-8, or the Newton decrement (score @ step, which a
-    rescaled predictor leaves unchanged) below 1e-24.  A pure group (all
-    successes or none) whose linear predictor has the matching sign is
-    separated; mixed groups never are.
+    norm must fall below 1e-8, or the Newton decrement (score @ step: a rescaled
+    predictor leaves it unchanged, t trials with one failure round it to eps^2 t^2)
+    below 1e-24 t^2, t the largest trial count.  A pure group (all successes or
+    none) whose linear predictor has the matching sign is separated; mixed groups never are.
     """
     if np.all(successes == 0) or np.all(successes == trials):
         raise SeparationDetected("response is constant; the Bernoulli MLE does not exist")
@@ -316,7 +316,7 @@ def _irls(X: np.ndarray, successes: np.ndarray, trials: np.ndarray) -> np.ndarra
         except np.linalg.LinAlgError:
             raise RankDeficient("singular weighted design in IRLS") from None
         beta = beta + step
-        if score @ step < 1e-24:
+        if score @ step < 1e-24 * trials.max() ** 2:
             return beta
     raise MaxIterExceeded("IRLS did not converge in 100 iterations")
 

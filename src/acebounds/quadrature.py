@@ -19,6 +19,7 @@ import numbers
 
 import numpy as np
 
+from .dist import _require_support
 from .errors import DomainError, MissingNuisance
 
 __all__ = ["FiniteZRule", "GaussHermiteZRule", "expect_z"]
@@ -62,13 +63,7 @@ class FiniteZRule:
     """
 
     def __init__(self, support):
-        self.support = np.asarray(support, dtype=float)
-        if self.support.ndim != 1 or self.support.size == 0:
-            raise DomainError("mediator support must be a non-empty 1-d sequence")
-        if not np.isfinite(self.support).all():
-            raise DomainError("mediator support has a non-finite value")
-        if np.unique(self.support).size != self.support.size:  # a repeated node would be summed twice
-            raise DomainError("mediator support repeats a value")
+        self.support = _require_support(support, "mediator support")  # a repeated node would be summed twice
 
     def grid(self, density, *cond):
         levels = np.broadcast(*cond).size

@@ -8,6 +8,7 @@ from acebounds.dist import TreatmentPair
 from acebounds.errors import (
     DegenerateModel,
     DomainError,
+    MaxIterExceeded,
     RankDeficient,
     SeparationDetected,
 )
@@ -109,6 +110,22 @@ def test_logistic_fit_converges_whatever_the_covariate_scale(scale):
     eta = fit(data, [ModelSpec("p_a_given_c", "logistic", predictors=("c",))])
     slope = eta.manifest["slots"]["p_a_given_c"]["coef"][1]
     assert slope * scale == pytest.approx(0.9081842625418526, rel=1e-9)
+
+
+def test_logistic_fit_converges_where_a_large_group_rounds_its_score():
+    # one failure in 593935 trials: the group's score rounds at ~1e-10 per unit predictor, so the Newton
+    # decrement settles near 1e-20 however many steps run, above 1e-24 but below 1e-24 times the count squared
+    X, successes, trials = np.array([[1.0, 0.1], [1.0, 94.1]]), np.array([1.0, 593934.0]), np.array([249.0, 593935.0])
+    beta = fitting._irls(X, successes, trials)
+    np.testing.assert_allclose(trials * expit(X @ beta), successes, rtol=0.0, atol=1e-9)  # saturated: the counts
+
+
+def test_logistic_fit_refuses_a_score_that_never_shrinks(monkeypatch):
+    # every probability stuck at 1/2: each step is the same Newton step, and the loop gives up after 100
+    monkeypatch.setattr(fitting, "expit", lambda lin: np.full(np.shape(lin), 0.5))
+    with pytest.raises(MaxIterExceeded) as exc:
+        fitting._irls(np.ones((1, 1)), np.array([3.0]), np.array([4.0]))
+    assert str(exc.value) == "IRLS did not converge in 100 iterations"
 
 
 def _rare_level_draw(n=1_100_000):

@@ -118,8 +118,8 @@ REFUSALS = {
         for name, rule in (("fit's one-node rule", None), ("64 Gauss-Hermite nodes", GaussHermiteZRule(64)))
     },
     "finite rule on an empty support": (lambda: FiniteZRule([]), DomainError, "mediator support must be a non-empty"),
-    "finite rule on a repeated node": (lambda: FiniteZRule([0.0, 1.0, 1.0]), DomainError, "mediator support repeats a value"),
-    "finite rule on a NaN node": (lambda: FiniteZRule([0.0, np.nan]), DomainError, "mediator support has a non-finite value"),
+    "finite rule on a repeated node": (lambda: FiniteZRule([0.0, 1.0, 1.0]), DomainError, "mediator support contains duplicate values"),
+    "finite rule on a NaN node": (lambda: FiniteZRule([0.0, np.nan]), DomainError, "mediator support must hold finite values"),
     "Gauss-Hermite rule of 2.5 nodes": (lambda: GaussHermiteZRule(2.5), DomainError, "needs a whole number of nodes (gh_nodes), got 2.5"),
     "Gauss-Hermite rule on a density without location_scale": (
         lambda: expect_z(GaussHermiteZRule(8), lambda z: np.ones_like(z), lambda z: z), MissingNuisance, "location_scale",
